@@ -71,6 +71,7 @@ from .formats import (
     dumps_complex,
     dumps_flow,
     dumps_morphism,
+    export_dot,
     flow_from_doc,
     flow_to_doc,
     loads_complex,
@@ -88,7 +89,6 @@ from .realization import (
     realize,
     realize_morphism,
 )
-from .cli import export_dot
 
 __version__ = "0.1.0"
 
@@ -116,7 +116,6 @@ __all__ = [
     "complex_to_doc", "complex_from_doc", "dumps_complex", "loads_complex",
     "flow_to_doc", "flow_from_doc", "dumps_flow", "loads_flow",
     "morphism_to_doc", "morphism_from_doc", "dumps_morphism", "loads_morphism",
-    # dot
     "export_dot",
     # errors
     "GlobflowError", "UnknownIdError", "InvalidComplexError", "InvalidFlowError",

@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 
-from .complexes import GlobularComplex, validate_complex
+from .complexes import validate_complex
 from .equivalence import (
     BUDGET_ENV_VAR,
     DEFAULT_SEARCH_BUDGET,
@@ -41,7 +41,10 @@ from .flows import (
     validate_flow,
 )
 from .formats import (
+    complex_from_doc,
     dumps_flow,
+    export_dot,
+    flow_from_doc,
     loads_complex,
     loads_flow,
     loads_morphism,
@@ -101,62 +104,6 @@ def s_equiv_report(witness) -> str:
             + " ".join(f"{a}->{b}" for a, b in sorted(morphism.path_map.items()))
         )
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# DOT export
-
-
-def _quote(name: str) -> str:
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def export_dot(obj) -> str:
-    """Render a complex or flow as deterministic DOT text.
-
-    States become nodes (finals doubly circled, the init bold); edges or
-    paths become labeled arrows; squares and adjacency pairs become dashed
-    links between the shared endpoints.
-    """
-    if isinstance(obj, GlobularComplex):
-        lines = ["digraph complex {"]
-        finals = set(obj.finals)
-        for s in sorted(obj.states):
-            attrs = []
-            if s in finals:
-                attrs.append("peripheries=2")
-            if s == obj.init:
-                attrs.append("style=bold")
-            lines.append(f"  {_quote(s)}" + (f" [{', '.join(attrs)}]" if attrs else "") + ";")
-        for e in sorted(obj.edges, key=lambda e: e.id):
-            label = e.id if e.label is None else f"{e.id}: {e.label}"
-            lines.append(f"  {_quote(e.src)} -> {_quote(e.tgt)} [label={_quote(label)}];")
-        for q in sorted(obj.squares, key=lambda q: q.id):
-            src, tgt = obj.path_source(q.left), obj.path_target(q.left)
-            lines.append(
-                f"  {_quote(src)} -> {_quote(tgt)} "
-                f"[label={_quote(q.id)}, style=dashed, constraint=false];"
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    if isinstance(obj, FiniteFlow):
-        lines = ["digraph flow {"]
-        for s in sorted(obj.skeleton):
-            lines.append(f"  {_quote(s)};")
-        for p in obj.sorted_paths:
-            src, tgt = obj.path_ends[p]
-            lines.append(f"  {_quote(src)} -> {_quote(tgt)} [label={_quote(p)}];")
-        for a, b in sorted(obj.adjacency):
-            src, tgt = obj.path_ends[a]
-            lines.append(
-                f"  {_quote(src)} -> {_quote(tgt)} "
-                f"[label={_quote(f'{a} ~ {b}')}, style=dashed, constraint=false];"
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    raise TypeError(f"cannot export {type(obj).__name__} as DOT")
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +194,8 @@ def cmd_analyze(args) -> int:
 def cmd_dot(args) -> int:
     doc = _parse_json(_read(args.input), "input document")
     if isinstance(doc, dict) and "states" in doc:
-        from .formats import complex_from_doc
-
         _write(args.output, export_dot(complex_from_doc(doc)))
     elif isinstance(doc, dict) and "skeleton" in doc:
-        from .formats import flow_from_doc
-
         _write(args.output, export_dot(flow_from_doc(doc)[0]))
     else:
         raise FormatError("input document: neither a complex nor a flow")

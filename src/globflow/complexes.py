@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import InvalidComplexError, UnknownIdError
 from .unionfind import DisjointSets
@@ -104,6 +104,23 @@ class GlobularComplex:
             if e.src in by_src:
                 by_src[e.src].append(e)
         return {s: tuple(sorted(es, key=lambda e: e.id)) for s, es in by_src.items()}
+
+    @cached_property
+    def move_index(self) -> dict[str, tuple[tuple[ExecPath, ExecPath], ...]]:
+        """Square rewrites (lhs, rhs) in both orientations, keyed by lhs[0].
+
+        Degenerate squares are left out, so every rewrite changes the path
+        it applies to; so are squares with an empty side, which fail
+        validation and have no leading edge.
+        """
+        index: dict[str, list[tuple[ExecPath, ExecPath]]] = {}
+        for q in self.squares:
+            left, right = tuple(q.left), tuple(q.right)
+            if left == right or not left or not right:
+                continue
+            index.setdefault(left[0], []).append((left, right))
+            index.setdefault(right[0], []).append((right, left))
+        return {head: tuple(rewrites) for head, rewrites in index.items()}
 
     def path_source(self, path: ExecPath) -> StateId:
         return self.edge_map[path[0]].src
@@ -193,28 +210,27 @@ def _find_cycle(c: GlobularComplex) -> Optional[list[str]]:
     adjacent: dict[str, list[str]] = {}
     for e in c.edges:
         adjacent.setdefault(e.src, []).append(e.tgt)
-    color: dict[str, int] = {}
-    stack_trace: list[str] = []
-
-    def visit(u: str) -> Optional[list[str]]:
-        color[u] = 1
-        stack_trace.append(u)
-        for v in sorted(adjacent.get(u, ())):
-            if color.get(v, 0) == 1:
-                return stack_trace[stack_trace.index(v):] + [v]
-            if color.get(v, 0) == 0:
-                found = visit(v)
-                if found:
-                    return found
-        stack_trace.pop()
-        color[u] = 2
-        return None
-
-    for u in sorted(adjacent):
-        if color.get(u, 0) == 0:
-            found = visit(u)
-            if found:
-                return found
+    finished: set[str] = set()
+    for root in sorted(adjacent):
+        if root in finished:
+            continue
+        # depth-first, with the states on the current path in `trail`
+        trail = [root]
+        on_trail = {root}
+        pending = [iter(sorted(adjacent[root]))]
+        while pending:
+            v = next(pending[-1], None)
+            if v is None:
+                pending.pop()
+                u = trail.pop()
+                on_trail.discard(u)
+                finished.add(u)
+            elif v in on_trail:
+                return trail[trail.index(v):] + [v]
+            elif v not in finished:
+                trail.append(v)
+                on_trail.add(v)
+                pending.append(iter(sorted(adjacent.get(v, ()))))
     return None
 
 
@@ -239,6 +255,34 @@ def glob_discrete(labels: Iterable[str]) -> GlobularComplex:
     )
 
 
+def _paths_from(c: GlobularComplex, src: StateId) -> Iterator[tuple[ExecPath, StateId]]:
+    """Every execution path out of `src` with its target, depth first in
+    edge-id order.
+
+    Raises InvalidComplexError on reaching a state already on the current
+    path, so a cyclic complex fails instead of walking forever.
+    """
+    prefix: list[str] = []
+    reached: list[str] = []  # reached[i] is the target of edge prefix[i]
+    on_path = {src}
+    pending = [iter(c.out_edges.get(src, ()))]
+    while pending:
+        e = next(pending[-1], None)
+        if e is None:
+            pending.pop()
+            if prefix:
+                prefix.pop()
+                on_path.discard(reached.pop())
+            continue
+        if e.tgt in on_path:
+            raise InvalidComplexError([f"cyclic 1-skeleton: revisited {e.tgt}"])
+        prefix.append(e.id)
+        reached.append(e.tgt)
+        on_path.add(e.tgt)
+        yield tuple(prefix), e.tgt
+        pending.append(iter(c.out_edges.get(e.tgt, ())))
+
+
 def enumerate_paths(c: GlobularComplex, src: StateId, tgt: StateId) -> list[ExecPath]:
     """All execution paths from src to tgt, in lexicographic edge-id order.
 
@@ -248,37 +292,24 @@ def enumerate_paths(c: GlobularComplex, src: StateId, tgt: StateId) -> list[Exec
     for s in (src, tgt):
         if s not in c.state_set:
             raise UnknownIdError(f"unknown state: {s}")
-    found: list[ExecPath] = []
-    on_stack: set[str] = set()
+    return sorted(p for p, end in _paths_from(c, src) if end == tgt)
 
-    def walk(state: str, prefix: list[str]) -> None:
-        if state in on_stack:
-            raise InvalidComplexError([f"cyclic 1-skeleton: revisited {state}"])
-        if state == tgt and prefix:
-            found.append(tuple(prefix))
-        on_stack.add(state)
-        for e in c.out_edges.get(state, ()):
-            prefix.append(e.id)
-            walk(e.tgt, prefix)
-            prefix.pop()
-        on_stack.discard(state)
 
-    walk(src, [])
-    return sorted(found)
+def all_exec_paths(c: GlobularComplex) -> list[ExecPath]:
+    """Every execution path of the complex, over all endpoint pairs, sorted."""
+    return sorted(p for state in c.states for p, _ in _paths_from(c, state))
 
 
 def square_move_neighbors(c: GlobularComplex, path: ExecPath) -> set[ExecPath]:
     """Paths one square move away: one contiguous boundary occurrence swapped."""
     path = tuple(path)
+    index = c.move_index
     neighbors: set[ExecPath] = set()
-    for q in c.squares:
-        for a, b in ((tuple(q.left), tuple(q.right)), (tuple(q.right), tuple(q.left))):
-            n = len(a)
-            for i in range(len(path) - n + 1):
-                if path[i:i + n] == a:
-                    cand = path[:i] + b + path[i + n:]
-                    if cand != path:
-                        neighbors.add(cand)
+    for i, head in enumerate(path):
+        for lhs, rhs in index.get(head, ()):
+            n = len(lhs)
+            if path[i:i + n] == lhs:
+                neighbors.add(path[:i] + rhs + path[i + n:])
     return neighbors
 
 

@@ -59,7 +59,7 @@ def enumerate_flow_morphisms(
     dom: FiniteFlow,
     cod: FiniteFlow,
     state_map: Optional[dict[str, str]] = None,
-    budget: "int | _Budget | None" = None,
+    budget: Optional[int] = None,
 ) -> Iterator[FlowMorphism]:
     """All flow morphisms dom -> cod, lexicographically by candidate choice.
 
@@ -67,7 +67,11 @@ def enumerate_flow_morphisms(
     is charged once per candidate considered (state maps and partial path
     assignments alike).
     """
-    budget = budget if isinstance(budget, _Budget) else _Budget(budget)
+    yield from _morphisms(dom, cod, state_map, _Budget(budget))
+
+
+def _morphisms(dom, cod, state_map, budget: _Budget) -> Iterator[FlowMorphism]:
+    """enumerate_flow_morphisms charging a meter the caller may share."""
     if state_map is not None:
         state_maps = [state_map]
     else:
@@ -160,10 +164,10 @@ def s_equivalent(
         meter.charge()
         sigma = dict(zip(xs, ys))
         tau = {b: a for a, b in sigma.items()}
-        forward = list(enumerate_flow_morphisms(x, y, state_map=sigma, budget=meter))
+        forward = list(_morphisms(x, y, sigma, meter))
         if not forward:
             continue
-        backward = list(enumerate_flow_morphisms(y, x, state_map=tau, budget=meter))
+        backward = list(_morphisms(y, x, tau, meter))
         for f in forward:
             for g in backward:
                 meter.charge()

@@ -28,6 +28,8 @@ Morphism documents carry the codomain inline:
     {"codomain": <flow document>,
      "state_map": {state: state, ...},
      "path_map": {path: path, ...}}
+
+`export_dot` renders a complex or a flow as Graphviz DOT text.
 """
 
 from __future__ import annotations
@@ -267,3 +269,59 @@ def _parse_json(text: str, where: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{where}: not valid JSON: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# DOT export
+
+
+def _quote(name: str) -> str:
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def export_dot(obj) -> str:
+    """Render a complex or flow as deterministic DOT text.
+
+    States become nodes (finals doubly circled, the init bold); edges or
+    paths become labeled arrows; squares and adjacency pairs become dashed
+    links between the shared endpoints.
+    """
+    if isinstance(obj, GlobularComplex):
+        lines = ["digraph complex {"]
+        finals = set(obj.finals)
+        for s in sorted(obj.states):
+            attrs = []
+            if s in finals:
+                attrs.append("peripheries=2")
+            if s == obj.init:
+                attrs.append("style=bold")
+            lines.append(f"  {_quote(s)}" + (f" [{', '.join(attrs)}]" if attrs else "") + ";")
+        for e in sorted(obj.edges, key=lambda e: e.id):
+            label = e.id if e.label is None else f"{e.id}: {e.label}"
+            lines.append(f"  {_quote(e.src)} -> {_quote(e.tgt)} [label={_quote(label)}];")
+        for q in sorted(obj.squares, key=lambda q: q.id):
+            src, tgt = obj.path_source(q.left), obj.path_target(q.left)
+            lines.append(
+                f"  {_quote(src)} -> {_quote(tgt)} "
+                f"[label={_quote(q.id)}, style=dashed, constraint=false];"
+            )
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
+    if isinstance(obj, FiniteFlow):
+        lines = ["digraph flow {"]
+        for s in sorted(obj.skeleton):
+            lines.append(f"  {_quote(s)};")
+        for p in obj.sorted_paths:
+            src, tgt = obj.path_ends[p]
+            lines.append(f"  {_quote(src)} -> {_quote(tgt)} [label={_quote(p)}];")
+        for a, b in sorted(obj.adjacency):
+            src, tgt = obj.path_ends[a]
+            lines.append(
+                f"  {_quote(src)} -> {_quote(tgt)} "
+                f"[label={_quote(f'{a} ~ {b}')}, style=dashed, constraint=false];"
+            )
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
+    raise TypeError(f"cannot export {type(obj).__name__} as DOT")

@@ -60,15 +60,25 @@ class PvProgram:
     def capacities(self) -> dict[str, int]:
         return dict(self.resources)
 
+    @cached_property
+    def _held(self) -> tuple[tuple[dict[str, int], ...], ...]:
+        """Running resource counts: `_held[k][pos]` is what process k holds
+        after its first `pos` steps, zero counts left out."""
+        table = []
+        for process in self.processes:
+            held: dict[str, int] = {}
+            rows = [{}]
+            for step in process:
+                if step.op in ("P", "V"):
+                    held[step.arg] = held.get(step.arg, 0) + (1 if step.op == "P" else -1)
+                rows.append({r: n for r, n in held.items() if n})
+            table.append(tuple(rows))
+        return tuple(table)
+
     def holds(self, process_index: int, position: int) -> dict[str, int]:
         """Resources held by one process after its first `position` steps."""
-        held: dict[str, int] = {}
-        for step in self.processes[process_index][:position]:
-            if step.op == "P":
-                held[step.arg] = held.get(step.arg, 0) + 1
-            elif step.op == "V":
-                held[step.arg] = held.get(step.arg, 0) - 1
-        return {r: n for r, n in held.items() if n}
+        steps = len(self.processes[process_index][:position])  # slice bound semantics
+        return dict(self._held[process_index][steps])
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +212,9 @@ def _parse_step(stream: _TokenStream, declared: set[str]) -> PvStep:
 
 def _check_releases(program: PvProgram) -> None:
     for k, process in enumerate(program.processes):
-        held: dict[str, int] = {}
-        for step in process:
-            if step.op == "P":
-                held[step.arg] = held.get(step.arg, 0) + 1
-            elif step.op == "V":
-                if held.get(step.arg, 0) < 1:
-                    raise PvError(
-                        f"process {k} releases {step.arg} without holding it"
-                    )
-                held[step.arg] -= 1
+        for step, held in zip(process, program._held[k]):
+            if step.op == "V" and held.get(step.arg, 0) < 1:
+                raise PvError(f"process {k} releases {step.arg} without holding it")
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +236,7 @@ def pv_to_complex(program: PvProgram) -> GlobularComplex:
     all-finished tuple when it is permitted.
     """
     lengths = [len(p) for p in program.processes]
-    holds_table = [
-        [program.holds(k, pos) for pos in range(lengths[k] + 1)]
-        for k in range(len(lengths))
-    ]
+    holds_table = program._held
     capacities = program.capacities
 
     def permitted(positions: tuple[int, ...]) -> bool:

@@ -24,8 +24,10 @@ from .complexes import (
     ExecPath,
     GlobularComplex,
     Square,
+    all_exec_paths,
     complex_morphism_violations,
     require_valid,
+    square_move_neighbors,
 )
 from .errors import InvalidAttachmentError, InvalidMorphismError
 from .flows import FiniteFlow, FlowMorphism
@@ -34,45 +36,6 @@ from .flows import FiniteFlow, FlowMorphism
 def path_id(seq: Iterable[str]) -> str:
     """The canonical flow path id of an edge-id sequence."""
     return PATH_SEPARATOR.join(seq)
-
-
-def all_exec_paths(c: GlobularComplex) -> list[ExecPath]:
-    """Every execution path of the complex, over all endpoint pairs, sorted."""
-    found: list[ExecPath] = []
-
-    def walk(state: str, prefix: list[str]) -> None:
-        for e in c.out_edges.get(state, ()):
-            prefix.append(e.id)
-            found.append(tuple(prefix))
-            walk(e.tgt, prefix)
-            prefix.pop()
-
-    for state in sorted(c.states):
-        walk(state, [])
-    return sorted(found)
-
-
-def _move_index(squares) -> dict[str, list[tuple[ExecPath, ExecPath]]]:
-    """Rewrites (lhs -> rhs), both orientations, indexed by leading edge id."""
-    index: dict[str, list[tuple[ExecPath, ExecPath]]] = {}
-    for q in squares:
-        left, right = tuple(q.left), tuple(q.right)
-        if left == right:
-            continue  # degenerate square moves nothing
-        index.setdefault(left[0], []).append((left, right))
-        index.setdefault(right[0], []).append((right, left))
-    return index
-
-
-def _moves_of(seq: ExecPath, index) -> set[ExecPath]:
-    out: set[ExecPath] = set()
-    for i, head in enumerate(seq):
-        for lhs, rhs in index.get(head, ()):
-            if seq[i:i + len(lhs)] == lhs:
-                cand = seq[:i] + rhs + seq[i + len(lhs):]
-                if cand != seq:
-                    out.add(cand)
-    return out
 
 
 def realize(c: GlobularComplex) -> FiniteFlow:
@@ -98,12 +61,11 @@ def realize(c: GlobularComplex) -> FiniteFlow:
             for y in by_src.get(state, ()):
                 composition[(path_id(x), path_id(y))] = path_id(x + y)
 
-    index = _move_index(c.squares)
-    adjacency = set()
-    for seq in seqs:
-        me = path_id(seq)
-        for other in _moves_of(seq, index):
-            adjacency.add((me, path_id(other)))
+    adjacency = {
+        (path_id(seq), path_id(other))
+        for seq in seqs
+        for other in square_move_neighbors(c, seq)
+    }
 
     return FiniteFlow(
         skeleton=c.states,
@@ -141,15 +103,14 @@ class IncrementalRealizer:
     exactly the paths factoring through it (old path into its source, the
     edge, old path out of its target) and the composites and moves they
     take part in.  Attaching a square leaves the path set alone and adds
-    the move pairs for its two boundaries.  Nothing already computed is
-    revisited.
+    the move pairs for its two boundaries.  The cost of an attach is the
+    new paths, composites and move pairs it builds, plus a copy of the
+    flow's tables, since a flow once handed out is never changed.
     """
 
     def __init__(self, c: GlobularComplex):
-        require_valid(c)
         self._complex = c
         self._flow = realize(c)
-        self._seqs: dict[str, ExecPath] = {path_id(s): s for s in all_exec_paths(c)}
 
     @property
     def complex(self) -> GlobularComplex:
@@ -193,50 +154,29 @@ class IncrementalRealizer:
             raise InvalidAttachmentError(
                 f"attaching {edge.id} would close a directed cycle"
             )
-
-        prefixes = [()] + [self._seqs[p] for p in flow.paths_into(edge.src)]
-        suffixes = [()] + [self._seqs[p] for p in flow.paths_from(edge.tgt)]
-        new_seqs = [
-            pre + (edge.id,) + suf for pre in sorted(prefixes) for suf in sorted(suffixes)
-        ]
+        c = replace(c, edges=c.edges + (edge,))
 
         path_ends = dict(flow.path_ends)
-        seqs = self._seqs
-        src_index: dict[str, list[str]] = {}
-        tgt_index: dict[str, list[str]] = {}
-        for p, (s, t) in flow.path_ends.items():
-            src_index.setdefault(s, []).append(p)
-            tgt_index.setdefault(t, []).append(p)
-        new_ids = []
-        for seq in new_seqs:
-            pid = path_id(seq)
-            ends = (
-                self._endpoint(seq[0], "src", edge),
-                self._endpoint(seq[-1], "tgt", edge),
-            )
-            path_ends[pid] = ends
-            seqs[pid] = seq
-            new_ids.append(pid)
-            src_index.setdefault(ends[0], []).append(pid)
-            tgt_index.setdefault(ends[1], []).append(pid)
-
         composition = dict(flow.composition)
-        new_set = set(new_ids)
-        for n in new_ids:
-            s, t = path_ends[n]
-            for y in src_index.get(t, ()):
-                composition[(n, y)] = path_id(seqs[n] + seqs[y])
-            for x in tgt_index.get(s, ()):
-                if x not in new_set:
-                    composition[(x, n)] = path_id(seqs[x] + seqs[n])
-
-        index = _move_index(c.squares)
         adjacency = set(flow.adjacency)
-        for n in new_ids:
-            for other in _moves_of(seqs[n], index):
-                adjacency.add((n, path_id(other)))
+        for pre in (None, *flow.paths_into(edge.src)):
+            s = edge.src if pre is None else flow.path_ends[pre][0]
+            for suf in (None, *flow.paths_from(edge.tgt)):
+                t = edge.tgt if suf is None else flow.path_ends[suf][1]
+                new = _join(pre, edge.id, suf)
+                path_ends[new] = (s, t)
+                # a new path composes with old paths only: two new paths
+                # would both hold the edge, and the 1-skeleton is acyclic
+                for y in flow.paths_from(t):
+                    composition[(new, y)] = _join(new, y)
+                for x in flow.paths_into(s):
+                    composition[(x, new)] = _join(x, new)
+                # edge ids never contain the separator, so splitting
+                # the id gives back the edge sequence
+                for other in square_move_neighbors(c, new.split(PATH_SEPARATOR)):
+                    adjacency.add((new, path_id(other)))
 
-        self._complex = replace(c, edges=c.edges + (edge,))
+        self._complex = c
         self._flow = FiniteFlow(
             skeleton=flow.skeleton,
             path_ends=path_ends,
@@ -255,18 +195,20 @@ class IncrementalRealizer:
                 raise InvalidAttachmentError(
                     f"square {square.id} {name} side is not an execution path"
                 )
-        if c.path_source(left) != c.path_source(right) or (
-            c.path_target(left) != c.path_target(right)
-        ):
+        src, tgt = c.path_source(left), c.path_target(left)
+        if src != c.path_source(right) or tgt != c.path_target(right):
             raise InvalidAttachmentError(
                 f"square {square.id} sides do not share endpoints"
             )
 
-        index = _move_index([square])
+        # a path passes through src at most once (the 1-skeleton is
+        # acyclic), so each one holding a boundary is pre + side + suf in
+        # exactly one way
         adjacency = set(flow.adjacency)
-        for pid, seq in self._seqs.items():
-            for other in _moves_of(seq, index):
-                adjacency.add((pid, path_id(other)))
+        left_id, right_id = path_id(left), path_id(right)
+        for pre in (None, *flow.paths_into(src)):
+            for suf in (None, *flow.paths_from(tgt)):
+                adjacency.add((_join(pre, left_id, suf), _join(pre, right_id, suf)))
 
         self._complex = replace(c, squares=c.squares + (square,))
         self._flow = FiniteFlow(
@@ -277,12 +219,10 @@ class IncrementalRealizer:
         )
         return self._flow
 
-    def _endpoint(self, edge_id: str, which: str, new_edge: Edge | None = None) -> str:
-        if new_edge is not None and edge_id == new_edge.id:
-            e = new_edge
-        else:
-            e = self._complex.edge_map[edge_id]
-        return e.src if which == "src" else e.tgt
+
+def _join(*parts: "str | None") -> str:
+    """The path id of consecutive path ids, skipping absent (None) parts."""
+    return path_id(p for p in parts if p is not None)
 
 
 def incremental_realize(c: GlobularComplex, cell: Cell) -> FiniteFlow:

@@ -11,12 +11,14 @@ from globflow import (
     InvalidComplexError,
     Square,
     UnknownIdError,
+    all_exec_paths,
     compose_complex_morphisms,
     enumerate_paths,
     glob_discrete,
     identity_complex_morphism,
     is_complex_morphism,
     path_classes,
+    square_move_neighbors,
     subdivide_edge,
     validate_complex,
 )
@@ -184,6 +186,34 @@ class TestPathClasses:
                     assert len(path_classes(c, src, tgt)) <= len(
                         path_classes(fewer, src, tgt)
                     )
+
+
+class TestSquareMoves:
+    def test_indexed_moves_match_oracle(self, rng):
+        for _ in range(25):
+            c = random_complex(rng, max_states=6, max_edges=9, max_squares=3, min_edges=1)
+            # a degenerate square on top must move nothing
+            loop = rng.choice(all_exec_paths(c))
+            c = GlobularComplex(
+                states=c.states, edges=c.edges, squares=c.squares + (Square("z", loop, loop),)
+            )
+            rewrites = [(q.left, q.right) for q in c.squares]
+            for p in all_exec_paths(c):
+                assert square_move_neighbors(c, p) == oracles.move_neighbors(p, rewrites)
+
+
+class TestLongChains:
+    def test_walks_do_not_recurse(self):
+        # 3000 edges is deeper than Python's default recursion limit
+        c = make_chain(3000)
+        assert validate_complex(c).ok
+        assert len(enumerate_paths(c, "s0", "s3000")) == 1
+        assert len(path_classes(c, "s0", "s3000")) == 1
+        cyclic = GlobularComplex(
+            states=c.states, edges=c.edges + (Edge("back", "s3000", "s0"),)
+        )
+        (violation,) = validate_complex(cyclic).violations
+        assert violation.startswith("cyclic 1-skeleton: s0 -> s1 -> ")
 
 
 class TestComplexMorphisms:

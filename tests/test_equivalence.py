@@ -91,6 +91,18 @@ class TestSEquivalent:
         with pytest.raises(SearchBudgetExceeded):
             s_equivalent(grid, grid, budget=5)
 
+    def test_budget_charges_are_pinned(self):
+        # the smallest budgets that let each search finish
+        grid = realize(make_grid(True))
+        assert s_equivalent(grid, grid, budget=24) is not None
+        with pytest.raises(SearchBudgetExceeded):
+            s_equivalent(grid, grid, budget=23)
+        pair = realize(make_parallel_pair(with_square=False))
+        edge = realize(glob_discrete(["c"]))
+        assert s_equivalent(pair, edge, budget=11) is None
+        with pytest.raises(SearchBudgetExceeded):
+            s_equivalent(pair, edge, budget=10)
+
 
 class TestFindFlowIsomorphism:
     def test_renamed_flow_is_isomorphic(self, rng):

@@ -20,8 +20,10 @@ from globflow import (
     identity_flow_morphism,
     incremental_realize,
     is_flow_morphism,
+    parse_pv,
     path_classes,
     path_id,
+    pv_to_complex,
     realize,
     realize_morphism,
     subdivide_edge,
@@ -156,6 +158,25 @@ class TestIncrementalRealize:
         ):
             flow = realizer.attach(cell)
             assert flow == realize(realizer.complex)
+
+    @pytest.mark.parametrize(
+        "source", [oracles.MUTEX_SOURCE, oracles.SWISS_FLAG_SOURCE], ids=["mutex", "swiss-flag"]
+    )
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_pv_complex_built_cell_by_cell(self, source, interleaved):
+        target = pv_to_complex(parse_pv(source))
+        realizer = IncrementalRealizer(GlobularComplex(states=target.states))
+        waiting = list(target.squares)
+        for edge in target.edges:
+            realizer.attach(edge)
+            if interleaved:
+                present = realizer.complex.edge_map
+                for q in [q for q in waiting if set(q.left + q.right) <= present.keys()]:
+                    realizer.attach(q)
+                    waiting.remove(q)
+        for q in waiting:
+            realizer.attach(q)
+        assert realizer.flow == realize(target)
 
     def test_cyclic_attachment_rejected(self):
         realizer = IncrementalRealizer(make_chain(2))
