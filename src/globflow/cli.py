@@ -8,9 +8,12 @@ Three subcommands, each a thin wrapper around one library call chain:
     globflow dot INPUT [-o OUT]                 complex or flow -> DOT text
 
 Exit codes: 0 success, 1 input error, 2 axiom violation, 3 search budget
-exhausted.  The environment variable GLOBFLOW_SEARCH_BUDGET overrides the
-default candidate budget of the --s-equiv search.  All output is sorted,
-so repeated runs are byte-identical.
+exhausted, 4 internal error (an unexpected exception, reported on one line
+as "internal error: <type>: <message>" rather than as a traceback).  The
+environment variable GLOBFLOW_SEARCH_BUDGET overrides the default candidate
+budget of the --s-equiv search; it must be a non-negative integer, and any
+other value is an input error.  All output is sorted, so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -185,10 +188,23 @@ def cmd_analyze(args) -> int:
         morphism, codomain, _ = loads_morphism(_read(args.t_check))
         print(t_check_report(check_t_dihomotopy(morphism, flow, codomain)))
     elif args.s_equiv is not None:
+        budget = _search_budget()
         other, _ = _load_checked_flow(_read(args.s_equiv))
-        budget = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_SEARCH_BUDGET))
         print(s_equiv_report(s_equivalent(flow, other, budget=budget)))
     return 0
+
+
+def _search_budget() -> int:
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    if raw is None:
+        return DEFAULT_SEARCH_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = None
+    if budget is None or budget < 0:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a non-negative integer")
+    return budget
 
 
 def cmd_dot(args) -> int:
@@ -263,6 +279,9 @@ def main(argv=None) -> int:
     except (GlobflowError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -122,6 +122,11 @@ class GlobularComplex:
             index.setdefault(right[0], []).append((right, left))
         return {head: tuple(rewrites) for head, rewrites in index.items()}
 
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The `validate_complex` report, worked out once per complex."""
+        return _validation_report(self)
+
     def path_source(self, path: ExecPath) -> StateId:
         return self.edge_map[path[0]].src
 
@@ -140,7 +145,16 @@ class GlobularComplex:
 
 
 def validate_complex(c: GlobularComplex) -> ValidationReport:
-    """Report-style well-formedness check; never raises."""
+    """Report-style well-formedness check; never raises.
+
+    The report is cached on the complex, so validating the same complex
+    again (as `realize` does after the CLI has printed its warnings) costs
+    nothing.
+    """
+    return c.validation
+
+
+def _validation_report(c: GlobularComplex) -> ValidationReport:
     violations: list[str] = []
     warnings: list[str] = []
 

@@ -25,7 +25,7 @@ means a completed search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterator, Optional
 
 from .errors import SearchBudgetExceeded
@@ -78,23 +78,13 @@ def _morphisms(dom, cod, state_map, budget: _Budget) -> Iterator[FlowMorphism]:
         states = sorted(dom.skeleton)
         targets = sorted(cod.skeleton)
         state_maps = (
-            dict(zip(states, choice))
-            for choice in _product_sorted(targets, len(states))
+            dict(zip(states, choice)) for choice in product(targets, repeat=len(states))
         )
     for sigma in state_maps:
         budget.charge()
         if any(sigma.get(s) not in cod.skeleton for s in dom.skeleton):
             continue
         yield from _path_assignments(dom, cod, sigma, budget)
-
-
-def _product_sorted(pool, repeat):
-    if repeat == 0:
-        yield ()
-        return
-    for head in pool:
-        for rest in _product_sorted(pool, repeat - 1):
-            yield (head,) + rest
 
 
 def _path_assignments(dom, cod, sigma, budget) -> Iterator[FlowMorphism]:
@@ -117,27 +107,35 @@ def _path_assignments(dom, cod, sigma, budget) -> Iterator[FlowMorphism]:
     for a, b in dom.adjacency:
         adj_at[max(position[a], position[b])].append((a, b))
 
+    if not order:
+        yield FlowMorphism(state_map=dict(sigma), path_map={})
+        return
+    # depth first with an explicit stack: pending[k] holds the untried
+    # options of position k, and image[order[k]] its current choice
     image: dict[str, str] = {}
-
-    def assign(k: int) -> Iterator[FlowMorphism]:
-        if k == len(order):
-            yield FlowMorphism(state_map=dict(sigma), path_map=dict(image))
-            return
+    pending = [iter(candidates[0])]
+    while pending:
+        k = len(pending) - 1
         p = order[k]
-        for option in candidates[k]:
+        image.pop(p, None)
+        for option in pending[k]:
             budget.charge()
             image[p] = option
-            ok = all(
+            if all(
                 cod.try_compose(image[x], image[y]) == image[z]
                 for x, y, z in comp_at[k]
             ) and all(
                 cod.adjacent_star(image[a], image[b]) for a, b in adj_at[k]
-            )
-            if ok:
-                yield from assign(k + 1)
+            ):
+                break
             del image[p]
-
-    yield from assign(0)
+        else:
+            pending.pop()
+            continue
+        if k + 1 < len(order):
+            pending.append(iter(candidates[k + 1]))
+        else:
+            yield FlowMorphism(state_map=dict(sigma), path_map=dict(image))
 
 
 # ---------------------------------------------------------------------------
@@ -221,27 +219,32 @@ def find_flow_isomorphism(
     if x_prints != y_prints:
         return None
 
+    if not x_states:
+        return _bijective_path_match(x, y, {}, meter)
+    # depth first with an explicit stack, as in _path_assignments
     used_states: set[str] = set()
     sigma: dict[str, str] = {}
-
-    def assign_states(k: int) -> Optional[tuple[FlowMorphism, FlowMorphism]]:
-        if k == len(x_states):
-            return _bijective_path_match(x, y, dict(sigma), meter)
+    pending = [iter(groups.get(fingerprint(x, x_states[0]), ()))]
+    while pending:
+        k = len(pending) - 1
         s = x_states[k]
-        for t in groups.get(fingerprint(x, s), ()):
-            if t in used_states:
-                continue
-            meter.charge()
-            sigma[s] = t
-            used_states.add(t)
-            found = assign_states(k + 1)
-            used_states.discard(t)
-            del sigma[s]
+        used_states.discard(sigma.pop(s, None))
+        for t in pending[k]:
+            if t not in used_states:
+                break
+        else:
+            pending.pop()
+            continue
+        meter.charge()
+        sigma[s] = t
+        used_states.add(t)
+        if k + 1 < len(x_states):
+            pending.append(iter(groups.get(fingerprint(x, x_states[k + 1]), ())))
+        else:
+            found = _bijective_path_match(x, y, dict(sigma), meter)
             if found:
                 return found
-        return None
-
-    return assign_states(0)
+    return None
 
 
 def _bijective_path_match(x, y, sigma, meter):
@@ -251,31 +254,41 @@ def _bijective_path_match(x, y, sigma, meter):
     for (a, b), c in x.composition.items():
         comp_at[max(position[a], position[b], position[c])].append((a, b, c))
 
+    def options(k: int):
+        s, t = x.path_ends[order[k]]
+        return iter(y.paths_between(sigma[s], sigma[t]))
+
+    if not order:
+        return _finish_isomorphism(x, y, sigma, {})
+    # depth first with an explicit stack, as in _path_assignments
     image: dict[str, str] = {}
     used: set[str] = set()
-
-    def assign(k: int):
-        if k == len(order):
-            return _finish_isomorphism(x, y, sigma, dict(image))
+    pending = [options(0)]
+    while pending:
+        k = len(pending) - 1
         p = order[k]
-        s, t = x.path_ends[p]
-        for option in y.paths_between(sigma[s], sigma[t]):
+        used.discard(image.pop(p, None))
+        for option in pending[k]:
             if option in used:
                 continue
             meter.charge()
             image[p] = option
-            used.add(option)
             if all(
                 y.try_compose(image[a], image[b]) == image[c] for a, b, c in comp_at[k]
             ):
-                found = assign(k + 1)
-                if found:
-                    return found
-            used.discard(option)
+                break
             del image[p]
-        return None
-
-    return assign(0)
+        else:
+            pending.pop()
+            continue
+        used.add(image[p])
+        if k + 1 < len(order):
+            pending.append(options(k + 1))
+        else:
+            found = _finish_isomorphism(x, y, sigma, dict(image))
+            if found:
+                return found
+    return None
 
 
 def _finish_isomorphism(x, y, sigma, path_map):

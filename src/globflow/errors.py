@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: input problems (bad files, unknown
 ids, grammar errors) exit 1, structural axiom violations exit 2, and an
-exhausted search budget exits 3.
+exhausted search budget exits 3.  Any other exception is an internal error
+and exits 4.
 """
 
 from __future__ import annotations

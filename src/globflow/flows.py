@@ -6,8 +6,11 @@ Composition is a total table on composable pairs (target of the first equals
 source of the second).  Adjacency relates paths sharing both endpoints; its
 reflexive-transitive closure (written adj* throughout) models which paths sit
 in the same connected component of the path space.  Validation checks the
-axioms exhaustively: endpoint laws and associativity on every composable
-pair and triple, plus adjacency being a congruence for composition.
+axioms exhaustively: endpoint laws and totality on every composable pair,
+associativity on every composable triple, plus adjacency being a congruence
+for composition.  Associativity is certified without visiting the triples
+when every composite's id is the "*"-concatenation of its operands' ids, as
+in every realized flow; any other flow gets the full walk over triples.
 
 Morphisms preserve endpoints and composition on the nose, and adjacency up
 to adj*-components.  Two morphisms with equal state maps are S-homotopic
@@ -19,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
-from .complexes import ValidationReport
+from .complexes import PATH_SEPARATOR, ValidationReport
 from .errors import InvalidFlowError, InvalidMorphismError, UnknownIdError
 from .unionfind import DisjointSets
 
@@ -156,36 +160,80 @@ class FiniteFlow:
 
 
 def validate_flow(flow: FiniteFlow) -> ValidationReport:
-    """Exhaustive axiom check; reports every violation found."""
+    """Exhaustive axiom check; reports every violation found.
+
+    Every axiom is checked on the whole flow, but two checks take a
+    shortcut that cannot change the outcome.  Totality walks the
+    composable pairs only when fewer composable entries exist than
+    composable pairs.  Associativity is certified without the walk over
+    composable triples when every composition entry (x, y) -> z has
+    z = "x*y": string concatenation is associative, so (x*y)*z and
+    x*(y*z) are the same string.  Realized flows always pass that test;
+    any other flow gets the full walk (`_associativity_violations`).
+    """
     violations: list[str] = []
+    skeleton, ends = flow.skeleton, flow.path_ends
 
     for p in flow.sorted_paths:
-        s, t = flow.path_ends[p]
-        if s not in flow.skeleton:
+        s, t = ends[p]
+        if s not in skeleton:
             violations.append(f"dangling path endpoint: source {s} of path {p}")
-        if t not in flow.skeleton:
+        if t not in skeleton:
             violations.append(f"dangling path endpoint: target {t} of path {p}")
 
-    for (x, y), z in sorted(flow.composition.items()):
-        if x not in flow.paths or y not in flow.paths:
-            violations.append(f"unknown path in composition entry: ({x}, {y})")
+    # entries are checked in table order and reported in key order
+    entry_violations: list[tuple[tuple[str, str], str]] = []
+    composable = 0
+    for key, z in flow.composition.items():
+        x, y = key
+        x_ends, y_ends = ends.get(x), ends.get(y)
+        if x_ends is None or y_ends is None:
+            entry_violations.append((key, f"unknown path in composition entry: ({x}, {y})"))
             continue
-        if flow.path_ends[x][1] != flow.path_ends[y][0]:
-            violations.append(f"spurious composition: ({x}, {y}) is not composable")
+        if x_ends[1] != y_ends[0]:
+            entry_violations.append((key, f"spurious composition: ({x}, {y}) is not composable"))
             continue
-        if z not in flow.paths:
-            violations.append(f"composite not a path: {x} * {y} = {z}")
+        if x_ends[1] in skeleton:
+            composable += 1
+        z_ends = ends.get(z)
+        if z_ends is None:
+            entry_violations.append((key, f"composite not a path: {x} * {y} = {z}"))
             continue
-        if flow.path_ends[z][0] != flow.path_ends[x][0]:
-            violations.append(f"source axiom: s({x} * {y}) != s({x})")
-        if flow.path_ends[z][1] != flow.path_ends[y][1]:
-            violations.append(f"target axiom: t({x} * {y}) != t({y})")
+        if z_ends[0] != x_ends[0]:
+            entry_violations.append((key, f"source axiom: s({x} * {y}) != s({x})"))
+        if z_ends[1] != y_ends[1]:
+            entry_violations.append((key, f"target axiom: t({x} * {y}) != t({y})"))
+    entry_violations.sort(key=itemgetter(0))
+    violations.extend(message for _, message in entry_violations)
 
-    for x, y in flow.composable_pairs():
-        if (x, y) not in flow.composition:
-            violations.append(f"composition not total: ({x}, {y}) undefined")
+    # each composable pair has at most one entry, so equal counts mean total
+    pairs = sum(len(flow.paths_into(s)) * len(flow.paths_from(s)) for s in skeleton)
+    if composable != pairs:
+        for x, y in flow.composable_pairs():
+            if (x, y) not in flow.composition:
+                violations.append(f"composition not total: ({x}, {y}) undefined")
 
-    # associativity on every composable triple, exactly
+    if not all(
+        z == f"{x}{PATH_SEPARATOR}{y}" for (x, y), z in flow.composition.items()
+    ):
+        violations.extend(_associativity_violations(flow))
+
+    adjacency = sorted(flow.adjacency)
+    for a, b in adjacency:
+        if a not in ends or b not in ends:
+            violations.append(f"unknown path in adjacency: ({a}, {b})")
+            continue
+        if ends[a] != ends[b]:
+            violations.append(f"adjacency endpoints: {a} and {b} do not share endpoints")
+
+    violations.extend(_congruence_violations(flow, adjacency))
+
+    return ValidationReport(tuple(violations))
+
+
+def _associativity_violations(flow: FiniteFlow) -> list[str]:
+    """Associativity on every composable triple, exactly."""
+    out = []
     for x, y in flow.composable_pairs():
         xy = flow.try_compose(x, y)
         if xy is None:
@@ -197,51 +245,58 @@ def validate_flow(flow: FiniteFlow) -> ValidationReport:
             if left is None or right is None:
                 continue  # totality violations already reported
             if left != right:
-                violations.append(
+                out.append(
                     f"associativity: ({x} * {y}) * {z} = {left} but {x} * ({y} * {z}) = {right}"
                 )
-
-    for a, b in sorted(flow.adjacency):
-        if a not in flow.paths or b not in flow.paths:
-            violations.append(f"unknown path in adjacency: ({a}, {b})")
-            continue
-        if flow.path_ends[a] != flow.path_ends[b]:
-            violations.append(f"adjacency endpoints: {a} and {b} do not share endpoints")
-
-    violations.extend(_congruence_violations(flow))
-
-    return ValidationReport(tuple(violations))
+    return out
 
 
-def _congruence_violations(flow: FiniteFlow) -> list[str]:
+def _congruence_violations(flow: FiniteFlow, adjacency) -> list[str]:
     """Adjacency must be a congruence: composing with an adjacent path on
-    either side lands in the same adj*-component."""
+    either side lands in the same adj*-component.
+
+    `adjacency` is the sorted adjacency.  Components are compared by their
+    roots, looked up once per path.
+    """
+    ends, compose = flow.path_ends, flow.composition.get
+    find = flow.adjacency_components.find
+    root = _Roots({p: find(p) for p in ends})
+    for pair in flow.adjacency:
+        for p in pair:
+            if p not in root:  # unknown ids in adjacency have components too
+                root[p] = find(p)
     out = []
-    for a, b in sorted(flow.adjacency):
-        if a not in flow.paths or b not in flow.paths:
+    for a, b in adjacency:
+        if a not in ends or b not in ends or ends[a] != ends[b]:
             continue
-        if flow.path_ends[a] != flow.path_ends[b]:
-            continue
-        s, t = flow.path_ends[a]
+        s, t = ends[a]
         for y in flow.paths_from(t):
-            ay, by = flow.try_compose(a, y), flow.try_compose(b, y)
+            ay, by = compose((a, y)), compose((b, y))
             if ay is None or by is None:
                 continue
-            if not flow.adjacent_star(ay, by):
+            if root[ay] != root[by]:
                 out.append(
                     f"adjacency congruence: {a} ~ {b} but {a} * {y} and {b} * {y} "
                     "are in distinct components"
                 )
         for z in flow.paths_into(s):
-            za, zb = flow.try_compose(z, a), flow.try_compose(z, b)
+            za, zb = compose((z, a)), compose((z, b))
             if za is None or zb is None:
                 continue
-            if not flow.adjacent_star(za, zb):
+            if root[za] != root[zb]:
                 out.append(
                     f"adjacency congruence: {a} ~ {b} but {z} * {a} and {z} * {b} "
                     "are in distinct components"
                 )
     return out
+
+
+class _Roots(dict):
+    """path id -> adj*-component root; an id the components do not know is
+    its own component, as in `DisjointSets.same`."""
+
+    def __missing__(self, key):
+        return key
 
 
 def require_valid_flow(flow: FiniteFlow) -> None:

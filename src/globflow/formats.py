@@ -21,7 +21,10 @@ Flow documents:
      "init": optional state, "finals": optional [state, ...]}
 
 `init`/`finals` are analysis annotations consumed by deadlock checks; flow
-output is fully sorted, so serialization is deterministic.
+output is fully sorted, so serialization is deterministic.  `flow_to_doc`
+defines the document; `dumps_flow` writes the text that
+`json.dumps(flow_to_doc(...), indent=2)` would give, directly from the flow,
+escaping each id once.
 
 Morphism documents carry the codomain inline:
 
@@ -35,6 +38,7 @@ Morphism documents carry the codomain inline:
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .complexes import Edge, GlobularComplex, Square
@@ -165,6 +169,17 @@ def flow_from_doc(doc: Any) -> tuple[FiniteFlow, dict[str, Any]]:
     skeleton = _string_list(doc, "skeleton", "flow document")
     path_ends = {}
     for i, entry in enumerate(_require(doc, "paths", list, "flow document")):
+        if isinstance(entry, dict):
+            pid, src, tgt = entry.get("id"), entry.get("src"), entry.get("tgt")
+            if (
+                isinstance(pid, str)
+                and isinstance(src, str)
+                and isinstance(tgt, str)
+                and pid not in path_ends
+            ):
+                path_ends[pid] = (src, tgt)
+                continue
+        # something is wrong with this entry: name it, checking in field order
         where = f"flow document: paths[{i}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: expected an object")
@@ -177,27 +192,25 @@ def flow_from_doc(doc: Any) -> tuple[FiniteFlow, dict[str, Any]]:
         )
     composition = {}
     for i, entry in enumerate(doc.get("compose", [])):
-        where = f"flow document: compose[{i}]"
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 3
-            or not all(isinstance(s, str) for s in entry)
-        ):
-            raise FormatError(f"{where}: expected a triple of path ids")
-        x, y, z = entry
-        if (x, y) in composition:
-            raise FormatError(f"{where}: duplicate composition entry ({x}, {y})")
-        composition[(x, y)] = z
+        if isinstance(entry, list) and len(entry) == 3:
+            x, y, z = entry
+            if isinstance(x, str) and isinstance(y, str) and isinstance(z, str):
+                if (x, y) in composition:
+                    raise FormatError(
+                        f"flow document: compose[{i}]: "
+                        f"duplicate composition entry ({x}, {y})"
+                    )
+                composition[(x, y)] = z
+                continue
+        raise FormatError(f"flow document: compose[{i}]: expected a triple of path ids")
     adjacency = []
     for i, entry in enumerate(doc.get("adjacency", [])):
-        where = f"flow document: adjacency[{i}]"
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(s, str) for s in entry)
-        ):
-            raise FormatError(f"{where}: expected a pair of path ids")
-        adjacency.append((entry[0], entry[1]))
+        if isinstance(entry, list) and len(entry) == 2:
+            a, b = entry
+            if isinstance(a, str) and isinstance(b, str):
+                adjacency.append((a, b))
+                continue
+        raise FormatError(f"flow document: adjacency[{i}]: expected a pair of path ids")
 
     annotations: dict[str, Any] = {}
     init = doc.get("init")
@@ -218,7 +231,59 @@ def flow_from_doc(doc: Any) -> tuple[FiniteFlow, dict[str, Any]]:
 
 
 def dumps_flow(flow: FiniteFlow, init: str | None = None, finals=None) -> str:
-    return json.dumps(flow_to_doc(flow, init=init, finals=finals), indent=2) + "\n"
+    """`json.dumps(flow_to_doc(flow, init, finals), indent=2) + "\n"`, written
+    directly: the same text, without building the document first."""
+    return "".join(_flow_text(flow, init, finals))
+
+
+class _Quoted(dict):
+    """id -> its JSON string literal, escaped once per id on first use."""
+
+    def __missing__(self, key: str) -> str:
+        literal = self[key] = encode_basestring_ascii(key)
+        return literal
+
+
+def _flow_text(flow: FiniteFlow, init: str | None, finals):
+    """The pieces of a flow document, laid out as `json.dumps(..., indent=2)`
+    lays out the `flow_to_doc` document."""
+    q = _Quoted()
+    ends = flow.path_ends
+    yield '{\n  "skeleton": '
+    yield from _array(f",\n    {q[s]}" for s in sorted(flow.skeleton))
+    yield ',\n  "paths": '
+    yield from _array(
+        f',\n    {{\n      "id": {q[p]},\n      "src": {q[ends[p][0]]},'
+        f'\n      "tgt": {q[ends[p][1]]}\n    }}'
+        for p in flow.sorted_paths
+    )
+    yield ',\n  "compose": '
+    yield from _array(
+        f",\n    [\n      {q[x]},\n      {q[y]},\n      {q[z]}\n    ]"
+        for (x, y), z in sorted(flow.composition.items())
+    )
+    yield ',\n  "adjacency": '
+    yield from _array(
+        f",\n    [\n      {q[a]},\n      {q[b]}\n    ]" for a, b in sorted(flow.adjacency)
+    )
+    if init is not None:
+        yield f',\n  "init": {q[init]}'
+    if finals:
+        yield ',\n  "finals": '
+        yield from _array(f",\n    {q[s]}" for s in sorted(finals))
+    yield "\n}\n"
+
+
+def _array(entries):
+    """A top-level field's JSON array from entry texts that each start with ",\n"."""
+    entries = iter(entries)
+    first = next(entries, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[" + first[1:]
+    yield from entries
+    yield "\n  ]"
 
 
 def loads_flow(text: str) -> tuple[FiniteFlow, dict[str, Any]]:

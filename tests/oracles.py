@@ -147,6 +147,117 @@ def germ_classes(path_ends, compose, state, sign):
 
 
 # ---------------------------------------------------------------------------
+# flow axioms
+
+
+def flow_violations(skeleton, path_ends, composition, adjacency):
+    """Every violated flow axiom, worded and ordered as `validate_flow` reports.
+
+    skeleton: set of states; path_ends: dict path_id -> (src, tgt);
+    composition: dict (x, y) -> xy; adjacency: set of pairs (a, b) with
+    a < b.  Walks every composable pair and triple with no shortcut, and
+    compares adj*-components found by BFS flood fill; an id outside the
+    adjacency graph is its own component.
+    """
+    out = []
+    paths = set(path_ends)
+
+    starts, ends = {}, {}  # state -> sorted paths leaving / entering it
+    for p in sorted(paths):
+        starts.setdefault(path_ends[p][0], []).append(p)
+        ends.setdefault(path_ends[p][1], []).append(p)
+
+    def starting(state):
+        return starts.get(state, [])
+
+    def ending(state):
+        return ends.get(state, [])
+
+    for p in sorted(paths):
+        s, t = path_ends[p]
+        if s not in skeleton:
+            out.append(f"dangling path endpoint: source {s} of path {p}")
+        if t not in skeleton:
+            out.append(f"dangling path endpoint: target {t} of path {p}")
+
+    for (x, y), z in sorted(composition.items()):
+        if x not in paths or y not in paths:
+            out.append(f"unknown path in composition entry: ({x}, {y})")
+        elif path_ends[x][1] != path_ends[y][0]:
+            out.append(f"spurious composition: ({x}, {y}) is not composable")
+        elif z not in paths:
+            out.append(f"composite not a path: {x} * {y} = {z}")
+        else:
+            if path_ends[z][0] != path_ends[x][0]:
+                out.append(f"source axiom: s({x} * {y}) != s({x})")
+            if path_ends[z][1] != path_ends[y][1]:
+                out.append(f"target axiom: t({x} * {y}) != t({y})")
+
+    pairs = [(x, y) for s in sorted(skeleton) for x in ending(s) for y in starting(s)]
+    for x, y in pairs:
+        if (x, y) not in composition:
+            out.append(f"composition not total: ({x}, {y}) undefined")
+    for x, y in pairs:
+        xy = composition.get((x, y))
+        if xy is None:
+            continue
+        for z in starting(path_ends[y][1]):
+            yz = composition.get((y, z))
+            left = composition.get((xy, z)) if xy in paths else None
+            right = composition.get((x, yz)) if yz in paths else None
+            if left is not None and right is not None and left != right:
+                out.append(
+                    f"associativity: ({x} * {y}) * {z} = {left} but {x} * ({y} * {z}) = {right}"
+                )
+
+    for a, b in sorted(adjacency):
+        if a not in paths or b not in paths:
+            out.append(f"unknown path in adjacency: ({a}, {b})")
+        elif path_ends[a] != path_ends[b]:
+            out.append(f"adjacency endpoints: {a} and {b} do not share endpoints")
+
+    neighbours = {p: set() for p in paths}
+    for a, b in adjacency:
+        neighbours.setdefault(a, set()).add(b)
+        neighbours.setdefault(b, set()).add(a)
+    component = {}
+    for start in neighbours:
+        if start in component:
+            continue
+        queue = deque([start])
+        while queue:
+            p = queue.popleft()
+            if p not in component:
+                component[p] = start
+                queue.extend(neighbours[p])
+
+    def same(p, q):
+        if p not in component or q not in component:
+            return p == q
+        return component[p] == component[q]
+
+    for a, b in sorted(adjacency):
+        if a not in paths or b not in paths or path_ends[a] != path_ends[b]:
+            continue
+        s, t = path_ends[a]
+        for y in starting(t):
+            ay, by = composition.get((a, y)), composition.get((b, y))
+            if ay is not None and by is not None and not same(ay, by):
+                out.append(
+                    f"adjacency congruence: {a} ~ {b} but {a} * {y} and {b} * {y} "
+                    "are in distinct components"
+                )
+        for z in ending(s):
+            za, zb = composition.get((z, a)), composition.get((z, b))
+            if za is not None and zb is not None and not same(za, zb):
+                out.append(
+                    f"adjacency congruence: {a} ~ {b} but {z} * {a} and {z} * {b} "
+                    "are in distinct components"
+                )
+    return out
+
+
+# ---------------------------------------------------------------------------
 # PV program semantics (positions + resource counting, no geometry)
 
 

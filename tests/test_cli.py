@@ -16,6 +16,7 @@ from globflow import (
     validate_flow,
     loads_flow,
 )
+from globflow import cli, complexes
 from globflow.cli import main
 
 
@@ -80,6 +81,43 @@ class TestRealize:
         code, _, err = run(capsys, "realize", str(path))
         assert code == 2
         assert "cyclic 1-skeleton" in err
+
+    def test_complex_is_validated_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        check = complexes._validation_report
+
+        def counted(c):
+            calls.append(c)
+            return check(c)
+
+        monkeypatch.setattr(complexes, "_validation_report", counted)
+        source = tmp_path / "swiss.pv"
+        source.write_text(oracles.SWISS_FLAG_SOURCE)
+        code, out, err = run(capsys, "realize", str(source), "--pv")
+        assert code == 0, err
+        assert json.loads(out)["init"]
+        assert len(calls) == 1
+
+    def test_warnings_print_before_violations(self, capsys, tmp_path):
+        path = tmp_path / "cyclic.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "states": ["u", "v"],
+                    "edges": [
+                        {"id": "a", "src": "u", "tgt": "v"},
+                        {"id": "b", "src": "v", "tgt": "u"},
+                    ],
+                    "squares": [{"id": "q", "left": ["a"], "right": ["a"]}],
+                }
+            )
+        )
+        code, _, err = run(capsys, "realize", str(path))
+        assert code == 2
+        assert err.splitlines() == [
+            "warning: degenerate square (no-op): q",
+            "violation: cyclic 1-skeleton: u -> v -> u",
+        ]
 
     def test_bad_json_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -185,6 +223,24 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(grid), "--s-equiv", str(grid))
         assert code == 3
         assert "budget" in err
+
+    @pytest.mark.parametrize("value", ["-1", "abc", "1.5", ""])
+    def test_s_equiv_rejects_a_malformed_budget(self, capsys, tmp_path, monkeypatch, value):
+        grid = tmp_path / "grid.flow.json"
+        grid.write_text(dumps_flow(realize(make_grid(True))))
+        monkeypatch.setenv("GLOBFLOW_SEARCH_BUDGET", value)
+        code, out, err = run(capsys, "analyze", str(grid), "--s-equiv", str(grid))
+        assert code == 1
+        assert out == ""
+        assert err == "error: GLOBFLOW_SEARCH_BUDGET must be a non-negative integer\n"
+
+    def test_s_equiv_zero_budget_is_exhausted(self, capsys, tmp_path, monkeypatch):
+        grid = tmp_path / "grid.flow.json"
+        grid.write_text(dumps_flow(realize(make_grid(True))))
+        monkeypatch.setenv("GLOBFLOW_SEARCH_BUDGET", "0")
+        code, _, err = run(capsys, "analyze", str(grid), "--s-equiv", str(grid))
+        assert code == 3
+        assert err == "error: search budget exhausted after 0 candidates\n"
 
     def test_axiom_violating_flow_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.flow.json"
@@ -298,3 +354,13 @@ class TestDispatch:
             capsys, "analyze", glob_ab_flow_file, "--deadlocks", "--germs", "0"
         )
         assert code == 1
+
+    def test_unexpected_exception_exits_4_on_one_line(self, capsys, interval_file, monkeypatch):
+        def broken(c):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "realize", broken)
+        code, out, err = run(capsys, "realize", interval_file)
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: RuntimeError: boom\n"

@@ -104,6 +104,18 @@ class TestSEquivalent:
             s_equivalent(pair, edge, budget=10)
 
 
+class TestLongSearches:
+    def test_searches_do_not_recurse_per_path(self):
+        flow = realize(make_chain(50))
+        assert len(flow.paths) == 1275
+        identity = {s: s for s in flow.skeleton}
+        first = next(enumerate_flow_morphisms(flow, flow, state_map=identity))
+        assert first.path_map == {p: p for p in flow.paths}
+        iso, inverse = find_flow_isomorphism(flow, flow)
+        assert iso.state_map == identity
+        assert iso.path_map == inverse.path_map == {p: p for p in flow.paths}
+
+
 class TestFindFlowIsomorphism:
     def test_renamed_flow_is_isomorphic(self, rng):
         for _ in range(10):

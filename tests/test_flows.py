@@ -2,6 +2,7 @@ import pytest
 
 import oracles
 from conftest import make_chain, random_complex
+from globflow import flows
 from globflow import (
     FiniteFlow,
     FlowMorphism,
@@ -14,6 +15,8 @@ from globflow import (
     glob_flow,
     identity_flow_morphism,
     is_flow_morphism,
+    parse_pv,
+    pv_to_complex,
     realize,
     restrict,
     s_homotopic,
@@ -117,6 +120,116 @@ class TestValidateFlow:
         for _ in range(20):
             c = random_complex(rng)
             assert validate_flow(realize(c)).ok
+
+
+def _sample_flows(rng):
+    """Realized flows: seeded random complexes, then small PV programs (the
+    largest, two philosophers, has 128 paths)."""
+    for _ in range(40):
+        yield realize(random_complex(rng))
+    for source in (
+        oracles.MUTEX_SOURCE,
+        oracles.SWISS_FLAG_SOURCE,
+        oracles.dining_philosophers_source(2),
+    ):
+        yield realize(pv_to_complex(parse_pv(source)))
+
+
+def _oracle_violations(flow):
+    return tuple(
+        oracles.flow_violations(
+            flow.skeleton, flow.path_ends, flow.composition, flow.adjacency
+        )
+    )
+
+
+def _count_walks(monkeypatch):
+    """Count the runs of the exhaustive associativity walk."""
+    calls = []
+    walk = flows._associativity_violations
+
+    def counted(flow):
+        calls.append(flow)
+        return walk(flow)
+
+    monkeypatch.setattr(flows, "_associativity_violations", counted)
+    return calls
+
+
+class TestValidationCertificate:
+    """validate_flow skips the triple walk only when every composite is the
+    "*"-concatenation of its operands; these compare it with the walk and
+    with the brute-force oracle."""
+
+    def test_realized_flows_need_no_walk(self, rng, monkeypatch):
+        walks = _count_walks(monkeypatch)
+        for flow in _sample_flows(rng):
+            assert validate_flow(flow).ok
+            assert walks == []
+            assert flows._associativity_violations(flow) == []
+            walks.clear()
+
+    def test_renamed_flows_take_the_walk_and_validate(self, rng, monkeypatch):
+        walks = _count_walks(monkeypatch)
+        checked = 0
+        for flow in _sample_flows(rng):
+            if not flow.composition:
+                continue
+            fresh = [f"p{k}" for k in range(len(flow.path_ends))]
+            rng.shuffle(fresh)
+            name = dict(zip(flow.sorted_paths, fresh))
+            renamed = FiniteFlow(
+                skeleton=flow.skeleton,
+                path_ends={name[p]: ends for p, ends in flow.path_ends.items()},
+                composition={
+                    (name[x], name[y]): name[z] for (x, y), z in flow.composition.items()
+                },
+                adjacency={(name[a], name[b]) for a, b in flow.adjacency},
+            )
+            before = len(walks)
+            assert validate_flow(renamed).ok
+            assert len(walks) == before + 1
+            checked += 1
+        assert checked >= 20
+
+    def test_perturbed_flows_match_the_oracle(self, rng):
+        seen = set()
+        for flow in _sample_flows(rng):
+            if not flow.composition:
+                continue
+            ends = flow.path_ends
+            for kind in ("redirect", "remove", "unknown", "unlink"):
+                composition = dict(flow.composition)
+                adjacency = set(flow.adjacency)
+                key = rng.choice(sorted(composition))
+                if kind == "redirect":
+                    z = composition[key]
+                    others = [p for p in flow.sorted_paths if ends[p] == ends[z] and p != z]
+                    if not others:
+                        continue
+                    composition[key] = rng.choice(others)
+                elif kind == "remove":
+                    del composition[key]
+                elif kind == "unknown":
+                    composition[key] = "ghost"
+                elif adjacency:
+                    adjacency.discard(rng.choice(sorted(adjacency)))
+                perturbed = FiniteFlow(flow.skeleton, ends, composition, adjacency)
+                report = validate_flow(perturbed)
+                assert report.violations == _oracle_violations(perturbed)
+                walked = flows._associativity_violations(perturbed)
+                assert [
+                    v for v in report.violations if v.startswith("associativity")
+                ] == walked
+                seen.update(v.split(":")[0] for v in report.violations)
+        # the perturbations reach every axiom the certificate and the
+        # root comparison stand in for
+        assert {
+            "associativity",
+            "composition not total",
+            "composite not a path",
+            "adjacency congruence",
+        } <= seen
 
 
 class TestGlobFlow:

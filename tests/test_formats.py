@@ -4,6 +4,7 @@ import pytest
 
 from conftest import make_grid, random_complex
 from globflow import (
+    FiniteFlow,
     FormatError,
     dumps_complex,
     dumps_flow,
@@ -15,6 +16,7 @@ from globflow import (
     realize,
     validate_flow,
 )
+from globflow.formats import flow_to_doc
 
 
 class TestComplexDocuments:
@@ -128,6 +130,88 @@ class TestFlowDocuments:
         flow = realize(random_complex(rng))
         loaded, _ = loads_flow(dumps_flow(flow))
         assert validate_flow(loaded).ok
+
+
+def _reference_text(flow, init=None, finals=None):
+    return json.dumps(flow_to_doc(flow, init=init, finals=finals), indent=2) + "\n"
+
+
+class TestFlowWriter:
+    """dumps_flow writes the text of json.dumps over flow_to_doc directly."""
+
+    def test_seeded_flows(self, rng):
+        for _ in range(30):
+            c = random_complex(rng)
+            flow = realize(c)
+            states = sorted(flow.skeleton)
+            init = rng.choice([None, states[0]])
+            finals = rng.choice([None, [], states[-1:], states[::-1]])
+            assert dumps_flow(flow, init, finals) == _reference_text(flow, init, finals)
+
+    def test_empty_flow(self):
+        empty = FiniteFlow(skeleton=(), path_ends={})
+        assert dumps_flow(empty) == _reference_text(empty)
+        assert dumps_flow(empty, finals=[]) == _reference_text(empty, finals=[])
+        assert dumps_flow(empty, "", []) == _reference_text(empty, "", [])
+
+    def test_escaped_ids(self):
+        ids = ['q"uote', "back\\slash", "caf\u00e9", "snow\u2603", "\U0001f600", "tab\tnew\nline"]
+        flow = FiniteFlow(
+            skeleton=("s\u00e9", 't"'),
+            path_ends={p: ("s\u00e9", 't"') for p in ids},
+            adjacency=[(ids[0], ids[1]), (ids[2], ids[5])],
+        )
+        text = dumps_flow(flow, init="s\u00e9", finals=['t"'])
+        assert text == _reference_text(flow, init="s\u00e9", finals=['t"'])
+        assert text.isascii()
+        assert loads_flow(text) == (flow, {"init": "s\u00e9", "finals": ['t"']})
+
+    def test_annotations_present_and_absent(self):
+        flow = realize(make_grid(True))
+        for init in (None, "00"):
+            for finals in (None, [], ["11"], ["11", "01"]):
+                assert dumps_flow(flow, init, finals) == _reference_text(flow, init, finals)
+
+    def test_ids_missing_from_path_ends(self):
+        flow = FiniteFlow(
+            skeleton=("u", "v"),
+            path_ends={"x": ("u", "v")},
+            composition={("x", "ghost"): "x*ghost", ("y", "x"): "w\u00e9"},
+            adjacency=[("x", "phantom")],
+        )
+        assert dumps_flow(flow, "u", ["v"]) == _reference_text(flow, "u", ["v"])
+
+
+class TestFlowReaderErrors:
+    """Malformed entries are named with a fixed message each."""
+
+    @pytest.mark.parametrize(
+        "field, entries, message",
+        [
+            ("paths", [1], "paths[0]: expected an object"),
+            ("paths", [{"src": "u", "tgt": "v"}], "paths[0]: missing field 'id'"),
+            ("paths", [{"id": 3, "src": "u"}], "paths[0]: field 'id' has the wrong type"),
+            ("paths", [{"id": "p", "tgt": "v"}], "paths[0]: missing field 'src'"),
+            ("paths", [{"id": "p", "src": "u", "tgt": None}],
+             "paths[0]: field 'tgt' has the wrong type"),
+            ("paths", [{"id": "p", "src": "u", "tgt": "v"}, {"id": "p"}],
+             "paths[1]: duplicate path id 'p'"),
+            ("compose", [["x", "y"]], "compose[0]: expected a triple of path ids"),
+            ("compose", ["xyz"], "compose[0]: expected a triple of path ids"),
+            ("compose", [{"x": 1, "y": 2, "z": 3}], "compose[0]: expected a triple of path ids"),
+            ("compose", [["x", "y", 3]], "compose[0]: expected a triple of path ids"),
+            ("compose", [["x", "y", "z"], ["x", "y", "w"]],
+             "compose[1]: duplicate composition entry (x, y)"),
+            ("adjacency", [["x"]], "adjacency[0]: expected a pair of path ids"),
+            ("adjacency", ["xy"], "adjacency[0]: expected a pair of path ids"),
+            ("adjacency", [["x", "y"], [None, "y"]], "adjacency[1]: expected a pair of path ids"),
+        ],
+    )
+    def test_message(self, field, entries, message):
+        doc = {"skeleton": ["u", "v"], "paths": [], field: entries}
+        with pytest.raises(FormatError) as caught:
+            loads_flow(json.dumps(doc))
+        assert str(caught.value) == "flow document: " + message
 
 
 class TestMorphismDocuments:
