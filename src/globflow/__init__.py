@@ -46,6 +46,7 @@ from .errors import (
     InvalidMorphismError,
     PvError,
     PvSyntaxError,
+    RealizationLimitExceeded,
     SearchBudgetExceeded,
     UnknownIdError,
 )
@@ -82,6 +83,7 @@ from .formats import (
 )
 from .pv import PvProgram, PvStep, parse_pv, pv_to_complex, state_name
 from .realization import (
+    DEFAULT_REALIZE_LIMIT,
     IncrementalRealizer,
     all_exec_paths,
     incremental_realize,
@@ -106,7 +108,7 @@ __all__ = [
     "s_homotopic", "deadlocks",
     # realization
     "realize", "realize_morphism", "incremental_realize", "IncrementalRealizer",
-    "all_exec_paths", "path_id",
+    "all_exec_paths", "path_id", "DEFAULT_REALIZE_LIMIT",
     # equivalence
     "s_equivalent", "find_flow_isomorphism", "check_t_dihomotopy",
     "TDihomotopyReport", "enumerate_flow_morphisms", "DEFAULT_SEARCH_BUDGET",
@@ -120,5 +122,6 @@ __all__ = [
     # errors
     "GlobflowError", "UnknownIdError", "InvalidComplexError", "InvalidFlowError",
     "InvalidMorphismError", "InvalidAttachmentError", "SearchBudgetExceeded",
+    "RealizationLimitExceeded",
     "FormatError", "PvError", "PvSyntaxError",
 ]

@@ -8,18 +8,20 @@ Three subcommands, each a thin wrapper around one library call chain:
     globflow dot INPUT [-o OUT]                 complex or flow -> DOT text
 
 Exit codes: 0 success, 1 input error, 2 axiom violation, 3 search budget
-exhausted, 4 internal error (an unexpected exception, reported on one line
-as "internal error: <type>: <message>" rather than as a traceback).  The
-environment variable GLOBFLOW_SEARCH_BUDGET overrides the default candidate
-budget of the --s-equiv search; it must be a non-negative integer, and any
-other value is an input error.  All output is sorted, so repeated runs are
-byte-identical.
+exhausted or realization limit exceeded, 4 internal error (an unexpected
+exception, reported on one line as "internal error: <type>: <message>"
+rather than as a traceback).  The environment variable
+GLOBFLOW_SEARCH_BUDGET overrides the default candidate budget of the
+--s-equiv search, and GLOBFLOW_REALIZE_LIMIT the most paths and composites
+together that `realize` builds (default 1000000; the counts are exact and
+checked before anything is built).  Each must be a non-negative integer,
+and any other value is an input error.  All output is sorted, so repeated
+runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .complexes import validate_complex
@@ -34,6 +36,7 @@ from .errors import (
     GlobflowError,
     InvalidComplexError,
     InvalidFlowError,
+    RealizationLimitExceeded,
     SearchBudgetExceeded,
 )
 from .flows import (
@@ -54,7 +57,7 @@ from .formats import (
     _parse_json,
 )
 from .pv import parse_pv, pv_to_complex
-from .realization import realize
+from .realization import _env_count, realize
 
 
 # ---------------------------------------------------------------------------
@@ -188,23 +191,10 @@ def cmd_analyze(args) -> int:
         morphism, codomain, _ = loads_morphism(_read(args.t_check))
         print(t_check_report(check_t_dihomotopy(morphism, flow, codomain)))
     elif args.s_equiv is not None:
-        budget = _search_budget()
+        budget = _env_count(BUDGET_ENV_VAR, DEFAULT_SEARCH_BUDGET)
         other, _ = _load_checked_flow(_read(args.s_equiv))
         print(s_equiv_report(s_equivalent(flow, other, budget=budget)))
     return 0
-
-
-def _search_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEARCH_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = None
-    if budget is None or budget < 0:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be a non-negative integer")
-    return budget
 
 
 def cmd_dot(args) -> int:
@@ -269,7 +259,7 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except SearchBudgetExceeded as exc:
+    except (SearchBudgetExceeded, RealizationLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (InvalidComplexError, InvalidFlowError) as exc:

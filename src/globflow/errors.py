@@ -2,8 +2,8 @@
 
 The CLI maps these onto exit codes: input problems (bad files, unknown
 ids, grammar errors) exit 1, structural axiom violations exit 2, and an
-exhausted search budget exits 3.  Any other exception is an internal error
-and exits 4.
+exhausted search budget or a realization over its size limit exits 3.  Any
+other exception is an internal error and exits 4.
 """
 
 from __future__ import annotations
@@ -54,6 +54,23 @@ class SearchBudgetExceeded(GlobflowError, RuntimeError):
     def __init__(self, budget: int):
         self.budget = budget
         super().__init__(f"search budget exhausted after {budget} candidates")
+
+
+class RealizationLimitExceeded(GlobflowError, RuntimeError):
+    """A realization would hold more paths and composites than its limit.
+
+    Raised before anything is built, from exact counts, so a complex too
+    large to realize fails fast instead of exhausting memory.
+    """
+
+    def __init__(self, paths: int, composites: int, limit: int):
+        self.paths = paths
+        self.composites = composites
+        self.limit = limit
+        super().__init__(
+            f"realization limit exceeded: {paths} paths + {composites} composites "
+            f"> limit {limit}"
+        )
 
 
 class FormatError(GlobflowError, ValueError):

@@ -60,6 +60,28 @@ class FiniteFlow:
         self.composition = dict(composition)
         self.adjacency = _normalize_adjacency(adjacency)
 
+    @classmethod
+    def _adopt(
+        cls,
+        skeleton: frozenset[str],
+        path_ends: dict[str, tuple[str, str]],
+        composition: dict[tuple[str, str], str],
+        adjacency: set[tuple[str, str]],
+    ) -> "FiniteFlow":
+        """A flow over tables already in canonical form: `path_ends` values
+        are (source, target) tuples and `adjacency` holds each unordered
+        pair once, as (a, b) with a < b.
+
+        Each table is copied once, so the caller may go on changing its
+        own; no entry is looked at, and the lazy indexes stay unbuilt.
+        """
+        flow = cls.__new__(cls)
+        flow.skeleton = frozenset(skeleton)
+        flow.path_ends = dict(path_ends)
+        flow.composition = dict(composition)
+        flow.adjacency = frozenset(adjacency)
+        return flow
+
     # -- structure access ---------------------------------------------------
 
     @cached_property

@@ -6,31 +6,49 @@ edge sequences and adjacency given by single square moves.  A composite's
 path id is its edge-id sequence joined with "*", so associativity holds by
 construction and never depends on table bookkeeping.
 
+The path and composite counts grow much faster than the complex, so
+`realize` counts them exactly first (a pass over the complex, no path
+listed) and refuses, with RealizationLimitExceeded, a realization larger
+than its limit.
+
 Realization extends cell by cell: attaching an edge only creates the paths
 running through it, attaching a square only contributes its move pairs.
-`IncrementalRealizer` exploits that to keep a realization current while a
-complex is being built, and `incremental_realize` checks a single step.
+`IncrementalRealizer` keeps a realization current while a complex is being
+built.  It owns the realization's tables and an index of paths by endpoint,
+changes them in place, and hands out each step's flow as a copy that later
+steps leave alone, so an attach costs what the cell adds plus one copy of
+each table.  `incremental_realize` checks a single step.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .complexes import (
     PATH_SEPARATOR,
     ComplexMorphism,
     Edge,
-    ExecPath,
     GlobularComplex,
     Square,
     all_exec_paths,
     complex_morphism_violations,
-    require_valid,
+    count_paths_and_composites,
     square_move_neighbors,
 )
-from .errors import InvalidAttachmentError, InvalidMorphismError
+from .errors import (
+    InvalidAttachmentError,
+    InvalidMorphismError,
+    RealizationLimitExceeded,
+)
 from .flows import FiniteFlow, FlowMorphism
+
+# the most paths and composites together that `realize` builds by default
+DEFAULT_REALIZE_LIMIT = 10**6
+
+# overrides DEFAULT_REALIZE_LIMIT wherever no explicit limit is given
+REALIZE_LIMIT_ENV_VAR = "GLOBFLOW_REALIZE_LIMIT"
 
 
 def path_id(seq: Iterable[str]) -> str:
@@ -38,32 +56,41 @@ def path_id(seq: Iterable[str]) -> str:
     return PATH_SEPARATOR.join(seq)
 
 
-def realize(c: GlobularComplex) -> FiniteFlow:
+def realize(c: GlobularComplex, limit: Optional[int] = None) -> FiniteFlow:
     """The flow of a complex: same states, all execution paths, square moves.
 
-    The complex must validate; acyclicity keeps the path set finite.
+    The complex must validate; acyclicity keeps the path set finite.  Before
+    anything is built, the exact numbers of paths and composites are worked
+    out (`count_paths_and_composites`), and a complex whose realization
+    would hold more of them together than `limit` raises
+    RealizationLimitExceeded.  Without a `limit`, GLOBFLOW_REALIZE_LIMIT
+    applies if set, else DEFAULT_REALIZE_LIMIT; a variable that does not
+    hold a non-negative integer raises ValueError.
     """
-    require_valid(c)
+    paths, composites = count_paths_and_composites(c)  # validates c first
+    if limit is None:
+        limit = _env_count(REALIZE_LIMIT_ENV_VAR, DEFAULT_REALIZE_LIMIT)
+    if paths + composites > limit:
+        raise RealizationLimitExceeded(paths, composites, limit)
+
     seqs = all_exec_paths(c)
-    path_ends = {
-        path_id(seq): (c.path_source(seq), c.path_target(seq)) for seq in seqs
-    }
+    ids = [path_id(seq) for seq in seqs]
+    path_ends = {}
+    by_src: dict[str, list[str]] = {}
+    by_tgt: dict[str, list[str]] = {}
+    for p, seq in zip(ids, seqs):
+        s, t = c.path_source(seq), c.path_target(seq)
+        path_ends[p] = (s, t)
+        by_src.setdefault(s, []).append(p)
+        by_tgt.setdefault(t, []).append(p)
 
-    by_src: dict[str, list[ExecPath]] = {}
-    by_tgt: dict[str, list[ExecPath]] = {}
-    for seq in seqs:
-        by_src.setdefault(c.path_source(seq), []).append(seq)
-        by_tgt.setdefault(c.path_target(seq), []).append(seq)
-
-    composition = {}
+    composition: dict[tuple[str, str], str] = {}
     for state in c.states:
-        for x in by_tgt.get(state, ()):
-            for y in by_src.get(state, ()):
-                composition[(path_id(x), path_id(y))] = path_id(x + y)
+        _compose_all(composition, by_tgt.get(state, ()), by_src.get(state, ()))
 
     adjacency = {
-        (path_id(seq), path_id(other))
-        for seq in seqs
+        (p, path_id(other))
+        for p, seq in zip(ids, seqs)
         for other in square_move_neighbors(c, seq)
     }
 
@@ -73,6 +100,31 @@ def realize(c: GlobularComplex) -> FiniteFlow:
         composition=composition,
         adjacency=adjacency,
     )
+
+
+def _env_count(name: str, default: int) -> int:
+    """The non-negative integer in environment variable `name`, or `default`
+    when it is unset; any other value raises ValueError."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer")
+    return value
+
+
+def _compose_all(composition: dict, xs: Iterable[str], ys: Iterable[str]) -> None:
+    """Enter x * y for every x in xs and y in ys.  The composite's id is
+    "x*y": path ids are edge-id sequences joined with the separator, so
+    this is the id of the concatenated sequence."""
+    for x in xs:
+        head = x + PATH_SEPARATOR
+        for y in ys:
+            composition[(x, y)] = head + y
 
 
 def realize_morphism(
@@ -99,18 +151,36 @@ Cell = Union[str, Edge, Square]
 class IncrementalRealizer:
     """Keeps a complex and its realization in sync while cells are attached.
 
-    Attaching a state only grows the skeleton.  Attaching an edge creates
-    exactly the paths factoring through it (old path into its source, the
-    edge, old path out of its target) and the composites and moves they
-    take part in.  Attaching a square leaves the path set alone and adds
-    the move pairs for its two boundaries.  The cost of an attach is the
-    new paths, composites and move pairs it builds, plus a copy of the
-    flow's tables, since a flow once handed out is never changed.
+    The realizer owns the realization's tables and changes them in place:
+    path endpoints, composition, the normalized adjacency pairs, and for
+    each state the paths out of it and into it.  Attaching a state only
+    grows the skeleton.  Attaching an edge creates exactly the paths
+    factoring through it (old path into its source, the edge, old path out
+    of its target), their composites with old paths and their square moves,
+    all found from the realizer's own index.  Attaching a square leaves the
+    path set alone and adds the move pairs of its two boundaries.  Every
+    check runs before any table changes, so a rejected cell leaves the
+    realizer as it was.
+
+    Each attach returns a new flow that later attaches never change: one
+    C-level copy of each table, with the flow's sorted indexes left to be
+    built only if something asks for them.  An attach therefore costs the
+    paths, composites and move pairs it adds plus those copies, never a
+    re-index of the whole flow.
     """
 
     def __init__(self, c: GlobularComplex):
+        flow = realize(c)
         self._complex = c
-        self._flow = realize(c)
+        self._flow = flow
+        self._path_ends = dict(flow.path_ends)
+        self._composition = dict(flow.composition)
+        self._adjacency = set(flow.adjacency)
+        self._out: dict[str, list[str]] = {s: [] for s in flow.skeleton}
+        self._into: dict[str, list[str]] = {s: [] for s in flow.skeleton}
+        for p, (s, t) in flow.path_ends.items():
+            self._out[s].append(p)
+            self._into[t].append(p)
 
     @property
     def complex(self) -> GlobularComplex:
@@ -133,16 +203,13 @@ class IncrementalRealizer:
         if name in self._complex.state_set:
             raise InvalidAttachmentError(f"state already present: {name}")
         self._complex = replace(self._complex, states=self._complex.states + (name,))
-        self._flow = FiniteFlow(
-            skeleton=self._flow.skeleton | {name},
-            path_ends=self._flow.path_ends,
-            composition=self._flow.composition,
-            adjacency=self._flow.adjacency,
-        )
-        return self._flow
+        self._out[name] = []
+        self._into[name] = []
+        return self._hand_out(self._flow.skeleton | {name})
 
     def attach_edge(self, edge: Edge) -> FiniteFlow:
-        c, flow = self._complex, self._flow
+        c = self._complex
+        ends, out, into = self._path_ends, self._out, self._into
         if edge.id in c.edge_map:
             raise InvalidAttachmentError(f"edge id already present: {edge.id}")
         if PATH_SEPARATOR in edge.id:
@@ -150,43 +217,40 @@ class IncrementalRealizer:
         for endpoint in (edge.src, edge.tgt):
             if endpoint not in c.state_set:
                 raise InvalidAttachmentError(f"dangling endpoint: {endpoint}")
-        if edge.src == edge.tgt or flow.paths_between(edge.tgt, edge.src):
+        if edge.src == edge.tgt or any(ends[p][1] == edge.src for p in out[edge.tgt]):
             raise InvalidAttachmentError(
                 f"attaching {edge.id} would close a directed cycle"
             )
         c = replace(c, edges=c.edges + (edge,))
 
-        path_ends = dict(flow.path_ends)
-        composition = dict(flow.composition)
-        adjacency = set(flow.adjacency)
-        for pre in (None, *flow.paths_into(edge.src)):
-            s = edge.src if pre is None else flow.path_ends[pre][0]
-            for suf in (None, *flow.paths_from(edge.tgt)):
-                t = edge.tgt if suf is None else flow.path_ends[suf][1]
-                new = _join(pre, edge.id, suf)
-                path_ends[new] = (s, t)
+        composition, adjacency = self._composition, self._adjacency
+        heads = [(edge.src, edge.id)]
+        heads += [(ends[pre][0], pre + PATH_SEPARATOR + edge.id) for pre in into[edge.src]]
+        tails = [(edge.tgt, "")]
+        tails += [(ends[suf][1], PATH_SEPARATOR + suf) for suf in out[edge.tgt]]
+        for s, head in heads:
+            for t, tail in tails:
+                new = head + tail
                 # a new path composes with old paths only: two new paths
-                # would both hold the edge, and the 1-skeleton is acyclic
-                for y in flow.paths_from(t):
-                    composition[(new, y)] = _join(new, y)
-                for x in flow.paths_into(s):
-                    composition[(x, new)] = _join(x, new)
-                # edge ids never contain the separator, so splitting
-                # the id gives back the edge sequence
+                # would both hold the edge, and the 1-skeleton is acyclic.
+                # For the same reason no new path is ever listed out of t
+                # or into s, so the lists read here hold old paths only.
+                _compose_all(composition, (new,), out[t])
+                _compose_all(composition, into[s], (new,))
+                ends[new] = (s, t)
+                out[s].append(new)
+                into[t].append(new)
+                # edge ids never contain the separator, so splitting the
+                # id gives back the edge sequence
                 for other in square_move_neighbors(c, new.split(PATH_SEPARATOR)):
-                    adjacency.add((new, path_id(other)))
+                    other_id = path_id(other)
+                    adjacency.add((new, other_id) if new < other_id else (other_id, new))
 
         self._complex = c
-        self._flow = FiniteFlow(
-            skeleton=flow.skeleton,
-            path_ends=path_ends,
-            composition=composition,
-            adjacency=adjacency,
-        )
-        return self._flow
+        return self._hand_out(self._flow.skeleton)
 
     def attach_square(self, square: Square) -> FiniteFlow:
-        c, flow = self._complex, self._flow
+        c = self._complex
         if square.id in c.square_map:
             raise InvalidAttachmentError(f"square id already present: {square.id}")
         left, right = tuple(square.left), tuple(square.right)
@@ -203,26 +267,26 @@ class IncrementalRealizer:
 
         # a path passes through src at most once (the 1-skeleton is
         # acyclic), so each one holding a boundary is pre + side + suf in
-        # exactly one way
-        adjacency = set(flow.adjacency)
+        # exactly one way; a degenerate square moves nothing
         left_id, right_id = path_id(left), path_id(right)
-        for pre in (None, *flow.paths_into(src)):
-            for suf in (None, *flow.paths_from(tgt)):
-                adjacency.add((_join(pre, left_id, suf), _join(pre, right_id, suf)))
+        if left_id != right_id:
+            adjacency = self._adjacency
+            heads = [""] + [pre + PATH_SEPARATOR for pre in self._into[src]]
+            tails = [""] + [PATH_SEPARATOR + suf for suf in self._out[tgt]]
+            for head in heads:
+                for tail in tails:
+                    a, b = head + left_id + tail, head + right_id + tail
+                    adjacency.add((a, b) if a < b else (b, a))
 
         self._complex = replace(c, squares=c.squares + (square,))
-        self._flow = FiniteFlow(
-            skeleton=flow.skeleton,
-            path_ends=flow.path_ends,
-            composition=flow.composition,
-            adjacency=adjacency,
+        return self._hand_out(self._flow.skeleton)
+
+    def _hand_out(self, skeleton: frozenset[str]) -> FiniteFlow:
+        """Snapshot the owned tables as the current flow."""
+        self._flow = FiniteFlow._adopt(
+            skeleton, self._path_ends, self._composition, self._adjacency
         )
         return self._flow
-
-
-def _join(*parts: "str | None") -> str:
-    """The path id of consecutive path ids, skipping absent (None) parts."""
-    return path_id(p for p in parts if p is not None)
 
 
 def incremental_realize(c: GlobularComplex, cell: Cell) -> FiniteFlow:

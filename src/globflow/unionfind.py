@@ -25,12 +25,15 @@ class DisjointSets:
             self._size[item] = 1
 
     def find(self, item):
-        self.add(item)
+        parent = self._parent
+        if item not in parent:
+            self.add(item)
+            return item
         root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[item] != root:
+            parent[item], item = root, parent[item]
         return root
 
     def union(self, a, b) -> bool:

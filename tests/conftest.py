@@ -88,3 +88,30 @@ def random_complex(
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+def random_pv_source(rng: random.Random):
+    """A random well-formed PV program, small enough to realize in full.
+
+    Two processes of up to three steps or three of one, over two
+    resources: each step acquires, releases something held, or acts, and
+    whatever is still held is released at the end.
+    """
+    capacities = {"a": rng.randint(1, 2), "b": 1}
+    count = rng.randint(2, 3)
+    processes = []
+    for _ in range(count):
+        steps, held = [], []
+        for _ in range(rng.randint(1, 3 if count == 2 else 1)):
+            roll = rng.random()
+            if held and roll < 0.35:
+                steps.append(f"V({held.pop(rng.randrange(len(held)))})")
+            elif roll < 0.8:
+                held.append(rng.choice(sorted(capacities)))
+                steps.append(f"P({held[-1]})")
+            else:
+                steps.append("A(x)")
+        steps += [f"V({r})" for r in reversed(held)]
+        processes.append("proc: " + ".".join(steps))
+    resources = " ".join(f"res {r} {n};" for r, n in sorted(capacities.items()))
+    return resources + "\n" + "\n".join(processes) + "\n"

@@ -242,6 +242,42 @@ class TestAnalyze:
         assert code == 3
         assert err == "error: search budget exhausted after 0 candidates\n"
 
+    @pytest.mark.parametrize("kind", ["complex", "pv"])
+    def test_realize_over_the_limit_exits_3(self, capsys, tmp_path, kind):
+        # a 1,500-step chain: 1,125,750 paths and 562,499,750 composites,
+        # refused from the exact counts before any path is built
+        if kind == "complex":
+            source = tmp_path / "chain.json"
+            source.write_text(dumps_complex(make_chain(1500)))
+            argv = ("realize", str(source))
+        else:
+            source = tmp_path / "chain.pv"
+            source.write_text("proc: " + ".".join(["A(x)"] * 1500) + "\n")
+            argv = ("realize", str(source), "--pv")
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: realization limit exceeded: 1125750 paths + 562499750 composites "
+            "> limit 1000000\n"
+        )
+
+    def test_realize_limit_from_the_environment(self, capsys, interval_file, monkeypatch):
+        monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", "0")
+        code, out, err = run(capsys, "realize", interval_file)
+        assert (code, out) == (3, "")
+        assert err == "error: realization limit exceeded: 1 paths + 0 composites > limit 0\n"
+        monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", "1")
+        assert run(capsys, "realize", interval_file)[0] == 0
+
+    @pytest.mark.parametrize("value", ["-1", "abc", "1.5", ""])
+    def test_realize_rejects_a_malformed_limit(self, capsys, interval_file, monkeypatch, value):
+        monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", value)
+        code, out, err = run(capsys, "realize", interval_file)
+        assert code == 1
+        assert out == ""
+        assert err == "error: GLOBFLOW_REALIZE_LIMIT must be a non-negative integer\n"
+
     def test_axiom_violating_flow_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.flow.json"
         path.write_text(

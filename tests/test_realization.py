@@ -1,13 +1,16 @@
 import pytest
 
 import oracles
-from conftest import make_chain, make_grid, make_interval, random_complex
+from conftest import make_chain, make_grid, make_interval, random_complex, random_pv_source
+from globflow import realization
+from globflow.complexes import count_paths_and_composites
 from globflow import (
     Edge,
     GlobularComplex,
     IncrementalRealizer,
     InvalidAttachmentError,
     InvalidComplexError,
+    RealizationLimitExceeded,
     Square,
     all_exec_paths,
     compose_complex_morphisms,
@@ -191,6 +194,164 @@ class TestIncrementalRealize:
             realizer.attach_state("0")
         with pytest.raises(InvalidAttachmentError):
             realizer.attach(Edge("e", "0", "1"))
+
+
+def _ready_order(rng, target):
+    """The cells of `target` in a random order in which each can be
+    attached: a state any time, an edge once both endpoints are there, a
+    square once all its edges are, with its sides in either order."""
+    states, edges, squares = list(target.states), list(target.edges), list(target.squares)
+    present_states, present_edges = set(), set()
+    while states or edges or squares:
+        ready = states + [e for e in edges if {e.src, e.tgt} <= present_states]
+        ready += [q for q in squares if set(q.left + q.right) <= present_edges]
+        cell = rng.choice(ready)
+        if isinstance(cell, str):
+            states.remove(cell)
+            present_states.add(cell)
+        elif isinstance(cell, Edge):
+            edges.remove(cell)
+            present_edges.add(cell.id)
+        else:
+            squares.remove(cell)
+            if rng.random() < 0.5:  # either side may come first
+                cell = Square(cell.id, cell.right, cell.left)
+        yield cell
+
+
+def _views(flow):
+    return (
+        flow.sorted_paths,
+        flow.by_src,
+        flow.by_tgt,
+        flow.adjacency_components.blocks(),
+    )
+
+
+def _random_targets(rng):
+    for _ in range(10):
+        yield random_complex(rng)
+    for _ in range(10):
+        yield pv_to_complex(parse_pv(random_pv_source(rng)))
+
+
+class TestIncrementalRealizerTables:
+    def test_random_builds_match_realize_at_every_step(self, rng):
+        for target in _random_targets(rng):
+            realizer = IncrementalRealizer(GlobularComplex(states=()))
+            handed_out = []
+            for cell in _ready_order(rng, target):
+                flow = realizer.attach(cell)
+                want = realize(realizer.complex)
+                assert flow == want
+                assert _views(flow) == _views(want)
+                handed_out.append((flow, want))
+            assert realizer.flow == realize(target)
+            # no later attach changed a flow already handed out
+            for flow, want in handed_out:
+                assert flow == want
+
+    def test_handed_out_flows_never_change(self):
+        target = pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE))
+        realizer = IncrementalRealizer(GlobularComplex(states=target.states))
+        steps = []
+        for cell in target.edges + target.squares:
+            steps.append((realizer.attach(cell), realizer.complex))
+        for flow, complex_at_step in steps:
+            assert flow == realize(complex_at_step)
+
+    def test_rejected_cells_leave_the_realizer_unchanged(self):
+        target = make_grid(True)
+        realizer = IncrementalRealizer(GlobularComplex(states=target.states))
+        realizer.attach(Edge("a", "00", "10"))
+        realizer.attach(Edge("b", "10", "11"))
+        rejected = [
+            "00",
+            Edge("a", "00", "01"),
+            Edge("x*y", "00", "01"),
+            Edge("x", "00", "nowhere"),
+            Edge("back", "11", "00"),
+            Edge("loop", "10", "10"),
+            Square("bad", ("a", "c"), ("b",)),
+            Square("apart", ("a",), ("a", "b")),
+            Square("empty", (), ("a",)),
+            object(),
+        ]
+        for cell in rejected:
+            before = realizer.flow
+            with pytest.raises(InvalidAttachmentError):
+                realizer.attach(cell)
+            assert realizer.flow is before
+            assert realizer.flow == realize(realizer.complex)
+        realizer.attach(Edge("c", "00", "01"))
+        realizer.attach(Edge("d", "01", "11"))
+        realizer.attach(Square("q", ("a", "b"), ("c", "d")))
+        with pytest.raises(InvalidAttachmentError):
+            realizer.attach(Square("q", ("c", "d"), ("a", "b")))
+        realizer.attach(Edge("e", "00", "11"))
+        assert realizer.flow == realize(realizer.complex)
+
+    def test_degenerate_square_adds_no_adjacency(self):
+        realizer = IncrementalRealizer(make_grid(False))
+        before = realizer.flow
+        flow = realizer.attach(Square("z", ("a", "b"), ("a", "b")))
+        assert flow.adjacency == before.adjacency == frozenset()
+        assert flow == realize(realizer.complex)
+
+    def test_attaching_builds_no_flow_index(self):
+        # the realizer answers from its own index, so no flow it hands out
+        # has its sorted by-endpoint tables built unless a caller asks
+        target = pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE))
+        realizer = IncrementalRealizer(GlobularComplex(states=target.states))
+        flows = [realizer.attach(cell) for cell in target.edges + target.squares]
+        for flow in flows:
+            assert "by_src" not in flow.__dict__
+            assert "by_tgt" not in flow.__dict__
+
+
+class TestRealizationLimit:
+    def test_counts_match_realized_sizes(self, rng):
+        for target in _random_targets(rng):
+            flow = realize(target)
+            assert count_paths_and_composites(target) == (
+                len(flow.path_ends),
+                len(flow.composition),
+            )
+
+    def test_long_chain_counted_without_realizing(self):
+        # n(n+1)/2 paths and C(n+1, 3) composites on an n-edge chain
+        assert count_paths_and_composites(make_chain(1500)) == (
+            1125750,
+            562499750,
+        )
+
+    def test_limit_checked_before_anything_is_built(self, monkeypatch):
+        def unreachable(c):
+            raise AssertionError("paths listed despite the limit")
+
+        monkeypatch.setattr(realization, "all_exec_paths", unreachable)
+        with pytest.raises(RealizationLimitExceeded) as caught:
+            realize(make_chain(1500))
+        assert (caught.value.paths, caught.value.composites) == (1125750, 562499750)
+        assert caught.value.limit == realization.DEFAULT_REALIZE_LIMIT
+
+    def test_limit_is_inclusive(self):
+        # chain of 3: 6 paths and 4 composites
+        assert len(realize(make_chain(3), limit=10).paths) == 6
+        with pytest.raises(RealizationLimitExceeded, match="6 paths \\+ 4 composites > limit 9"):
+            realize(make_chain(3), limit=9)
+
+    def test_environment_overrides_the_default_only(self, monkeypatch):
+        monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", "9")
+        with pytest.raises(RealizationLimitExceeded):
+            realize(make_chain(3))
+        assert len(realize(make_chain(3), limit=10).paths) == 6
+
+    @pytest.mark.parametrize("value", ["-1", "abc", "1.5", ""])
+    def test_malformed_environment_value(self, monkeypatch, value):
+        monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", value)
+        with pytest.raises(ValueError, match="GLOBFLOW_REALIZE_LIMIT must be a non-negative integer"):
+            realize(make_interval())
 
 
 class TestHomotopyAgreement:
