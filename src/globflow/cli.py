@@ -13,10 +13,10 @@ exception, reported on one line as "internal error: <type>: <message>"
 rather than as a traceback).  The environment variable
 GLOBFLOW_SEARCH_BUDGET overrides the default candidate budget of the
 --s-equiv search, and GLOBFLOW_REALIZE_LIMIT the most paths and composites
-together that `realize` builds (default 1000000; the counts are exact and
-checked before anything is built).  Each must be a non-negative integer,
-and any other value is an input error.  All output is sorted, so repeated
-runs are byte-identical.
+together that a realization may hold (default 1000000; the counts are
+exact and checked before anything is built).  Each must be a non-negative
+integer, and any other value is an input error.  All output is sorted, so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ from .formats import (
     _parse_json,
 )
 from .pv import parse_pv, pv_to_complex
-from .realization import _env_count, realize
+from .realization import realize
+from .settings import env_count
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +192,7 @@ def cmd_analyze(args) -> int:
         morphism, codomain, _ = loads_morphism(_read(args.t_check))
         print(t_check_report(check_t_dihomotopy(morphism, flow, codomain)))
     elif args.s_equiv is not None:
-        budget = _env_count(BUDGET_ENV_VAR, DEFAULT_SEARCH_BUDGET)
+        budget = env_count(BUDGET_ENV_VAR, DEFAULT_SEARCH_BUDGET)
         other, _ = _load_checked_flow(_read(args.s_equiv))
         print(s_equiv_report(s_equivalent(flow, other, budget=budget)))
     return 0

@@ -8,8 +8,8 @@ construction and never depends on table bookkeeping.
 
 The path and composite counts grow much faster than the complex, so
 `realize` counts them exactly first (a pass over the complex, no path
-listed) and refuses, with RealizationLimitExceeded, a realization larger
-than its limit.
+listed) and refuses, with RealizationLimitExceeded, a realization holding
+more of them together than GLOBFLOW_REALIZE_LIMIT (default 10^6).
 
 Realization extends cell by cell: attaching an edge only creates the paths
 running through it, attaching a square only contributes its move pairs.
@@ -17,14 +17,14 @@ running through it, attaching a square only contributes its move pairs.
 built.  It owns the realization's tables and an index of paths by endpoint,
 changes them in place, and hands out each step's flow as a copy that later
 steps leave alone, so an attach costs what the cell adds plus one copy of
-each table.  `incremental_realize` checks a single step.
+each table.  It checks the same limit before each edge it attaches, from
+the counts the edge would add.  `incremental_realize` checks a single step.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .complexes import (
     PATH_SEPARATOR,
@@ -43,11 +43,12 @@ from .errors import (
     RealizationLimitExceeded,
 )
 from .flows import FiniteFlow, FlowMorphism
+from .settings import env_count
 
 # the most paths and composites together that `realize` builds by default
 DEFAULT_REALIZE_LIMIT = 10**6
 
-# overrides DEFAULT_REALIZE_LIMIT wherever no explicit limit is given
+# overrides DEFAULT_REALIZE_LIMIT when set
 REALIZE_LIMIT_ENV_VAR = "GLOBFLOW_REALIZE_LIMIT"
 
 
@@ -56,22 +57,18 @@ def path_id(seq: Iterable[str]) -> str:
     return PATH_SEPARATOR.join(seq)
 
 
-def realize(c: GlobularComplex, limit: Optional[int] = None) -> FiniteFlow:
+def realize(c: GlobularComplex) -> FiniteFlow:
     """The flow of a complex: same states, all execution paths, square moves.
 
     The complex must validate; acyclicity keeps the path set finite.  Before
     anything is built, the exact numbers of paths and composites are worked
     out (`count_paths_and_composites`), and a complex whose realization
-    would hold more of them together than `limit` raises
-    RealizationLimitExceeded.  Without a `limit`, GLOBFLOW_REALIZE_LIMIT
-    applies if set, else DEFAULT_REALIZE_LIMIT; a variable that does not
-    hold a non-negative integer raises ValueError.
+    would hold more of them together than GLOBFLOW_REALIZE_LIMIT (default
+    DEFAULT_REALIZE_LIMIT) raises RealizationLimitExceeded; a variable that
+    does not hold a non-negative integer raises ValueError.
     """
     paths, composites = count_paths_and_composites(c)  # validates c first
-    if limit is None:
-        limit = _env_count(REALIZE_LIMIT_ENV_VAR, DEFAULT_REALIZE_LIMIT)
-    if paths + composites > limit:
-        raise RealizationLimitExceeded(paths, composites, limit)
+    _check_limit(paths, composites, _realize_limit())
 
     seqs = all_exec_paths(c)
     ids = [path_id(seq) for seq in seqs]
@@ -102,19 +99,14 @@ def realize(c: GlobularComplex, limit: Optional[int] = None) -> FiniteFlow:
     )
 
 
-def _env_count(name: str, default: int) -> int:
-    """The non-negative integer in environment variable `name`, or `default`
-    when it is unset; any other value raises ValueError."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer")
-    return value
+def _realize_limit() -> int:
+    """GLOBFLOW_REALIZE_LIMIT, or DEFAULT_REALIZE_LIMIT when it is unset."""
+    return env_count(REALIZE_LIMIT_ENV_VAR, DEFAULT_REALIZE_LIMIT)
+
+
+def _check_limit(paths: int, composites: int, limit: int) -> None:
+    if paths + composites > limit:
+        raise RealizationLimitExceeded(paths, composites, limit)
 
 
 def _compose_all(composition: dict, xs: Iterable[str], ys: Iterable[str]) -> None:
@@ -160,7 +152,10 @@ class IncrementalRealizer:
     all found from the realizer's own index.  Attaching a square leaves the
     path set alone and adds the move pairs of its two boundaries.  Every
     check runs before any table changes, so a rejected cell leaves the
-    realizer as it was.
+    realizer as it was.  One of these checks is the realization limit: an
+    edge whose new paths and composites would take the realization over
+    GLOBFLOW_REALIZE_LIMIT, as read when the realizer was made, raises
+    RealizationLimitExceeded, as `realize` of the extended complex would.
 
     Each attach returns a new flow that later attaches never change: one
     C-level copy of each table, with the flow's sorted indexes left to be
@@ -170,6 +165,7 @@ class IncrementalRealizer:
     """
 
     def __init__(self, c: GlobularComplex):
+        self._limit = _realize_limit()
         flow = realize(c)
         self._complex = c
         self._flow = flow
@@ -221,13 +217,21 @@ class IncrementalRealizer:
             raise InvalidAttachmentError(
                 f"attaching {edge.id} would close a directed cycle"
             )
-        c = replace(c, edges=c.edges + (edge,))
 
         composition, adjacency = self._composition, self._adjacency
         heads = [(edge.src, edge.id)]
         heads += [(ends[pre][0], pre + PATH_SEPARATOR + edge.id) for pre in into[edge.src]]
         tails = [(edge.tgt, "")]
         tails += [(ends[suf][1], PATH_SEPARATOR + suf) for suf in out[edge.tgt]]
+        # each new path s -> t composes with the old paths into s and out of t
+        _check_limit(
+            len(ends) + len(heads) * len(tails),
+            len(composition)
+            + len(tails) * sum([len(into[s]) for s, _ in heads])
+            + len(heads) * sum([len(out[t]) for t, _ in tails]),
+            self._limit,
+        )
+        c = replace(c, edges=c.edges + (edge,))
         for s, head in heads:
             for t, tail in tails:
                 new = head + tail

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import oracles
@@ -335,23 +337,71 @@ class TestRealizationLimit:
         assert (caught.value.paths, caught.value.composites) == (1125750, 562499750)
         assert caught.value.limit == realization.DEFAULT_REALIZE_LIMIT
 
-    def test_limit_is_inclusive(self):
+    def test_limit_is_inclusive(self, monkeypatch):
         # chain of 3: 6 paths and 4 composites
-        assert len(realize(make_chain(3), limit=10).paths) == 6
-        with pytest.raises(RealizationLimitExceeded, match="6 paths \\+ 4 composites > limit 9"):
-            realize(make_chain(3), limit=9)
-
-    def test_environment_overrides_the_default_only(self, monkeypatch):
+        monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", "10")
+        assert len(realize(make_chain(3)).paths) == 6
         monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", "9")
-        with pytest.raises(RealizationLimitExceeded):
+        with pytest.raises(RealizationLimitExceeded, match="6 paths \\+ 4 composites > limit 9"):
             realize(make_chain(3))
-        assert len(realize(make_chain(3), limit=10).paths) == 6
+
+    def test_realizer_stops_where_realize_would(self, rng, monkeypatch):
+        # the edge that takes the realization over the limit is refused
+        # with the counts of the extended complex, and nothing changes
+        for target in _random_targets(rng):
+            paths, composites = count_paths_and_composites(target)
+            if paths + composites < 2:
+                continue
+            limit = rng.randrange(paths + composites)
+            monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", str(limit))
+            realizer = IncrementalRealizer(GlobularComplex(states=()))
+            for cell in _ready_order(rng, target):
+                if not isinstance(cell, Edge):
+                    realizer.attach(cell)
+                    continue
+                extended = replace(realizer.complex, edges=realizer.complex.edges + (cell,))
+                counts = count_paths_and_composites(extended)
+                if sum(counts) <= limit:
+                    assert realizer.attach(cell) == realize(extended)
+                    continue
+                before = realizer.flow
+                with pytest.raises(RealizationLimitExceeded) as caught:
+                    realizer.attach(cell)
+                assert (caught.value.paths, caught.value.composites) == counts
+                assert caught.value.limit == limit
+                assert realizer.flow is before
+                assert realizer.flow == realize(realizer.complex)
+                break
+            else:
+                raise AssertionError("the build never reached the limit")
+            # at the full size exactly, the whole build goes through
+            monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", str(paths + composites))
+            realizer = IncrementalRealizer(GlobularComplex(states=()))
+            for cell in _ready_order(rng, target):
+                realizer.attach(cell)
+            assert realizer.flow == realize(target)
+
+    def test_long_chain_built_cell_by_cell_stops_at_the_limit(self, monkeypatch):
+        # chain of 17: 153 paths + 816 composites; of 18: 171 + 969
+        monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", "1000")
+        chain = make_chain(1500)
+        realizer = IncrementalRealizer(GlobularComplex(states=chain.states))
+        for edge in chain.edges[:17]:
+            realizer.attach(edge)
+        with pytest.raises(RealizationLimitExceeded, match="171 paths \\+ 969 composites > limit 1000"):
+            realizer.attach(chain.edges[17])
+        assert realizer.complex.edges == chain.edges[:17]
+        assert realizer.flow == realize(realizer.complex)
+        with pytest.raises(RealizationLimitExceeded):
+            incremental_realize(realizer.complex, chain.edges[17])
 
     @pytest.mark.parametrize("value", ["-1", "abc", "1.5", ""])
     def test_malformed_environment_value(self, monkeypatch, value):
         monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", value)
         with pytest.raises(ValueError, match="GLOBFLOW_REALIZE_LIMIT must be a non-negative integer"):
             realize(make_interval())
+        with pytest.raises(ValueError, match="GLOBFLOW_REALIZE_LIMIT must be a non-negative integer"):
+            IncrementalRealizer(GlobularComplex(states=()))
 
 
 class TestHomotopyAgreement:
