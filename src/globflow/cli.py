@@ -22,6 +22,7 @@ repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .complexes import validate_complex
@@ -213,7 +214,10 @@ def cmd_dot(args) -> int:
 # argument parsing and dispatch
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs about as much as a small analysis."""
     parser = argparse.ArgumentParser(
         prog="globflow",
         description="Globular-complex and flow analyses for concurrent programs.",

@@ -12,6 +12,13 @@ one contiguous occurrence of its left boundary by its right boundary (or
 vice versa), leaving the rest of the path fixed.  Connected components
 under moves are the homotopy classes of paths at this truncation.
 
+The classes are found without applying a single move: one pass over a
+topological order from the base state gives, at each state s, the classes
+of paths into s as the quotient of the pairs (edge e into s, class at the
+source of e) by the squares that end at s.  Moves further back in a path
+are already accounted for at the earlier states, because extending by an
+edge is well defined on classes.
+
 Morphisms map states to states and edges to nonempty paths, preserving
 endpoints and sending the two boundaries of every square into the same
 move class of the codomain.
@@ -19,13 +26,11 @@ move class of the codomain.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import InvalidComplexError, UnknownIdError
-from .unionfind import DisjointSets
 
 StateId = str
 ExecPath = tuple[str, ...]
@@ -104,6 +109,36 @@ class GlobularComplex:
             if e.src in by_src:
                 by_src[e.src].append(e)
         return {s: tuple(sorted(es, key=lambda e: e.id)) for s, es in by_src.items()}
+
+    @cached_property
+    def topological_order(self) -> tuple[StateId, ...]:
+        """Every state, each before the targets of its out-edges (Kahn's
+        algorithm).  Raises InvalidComplexError if the complex does not
+        validate."""
+        require_valid(self)
+        indegree = dict.fromkeys(self.states, 0)
+        for e in self.edges:
+            indegree[e.tgt] += 1
+        order = [s for s in self.states if indegree[s] == 0]
+        for s in order:  # grows while iterating
+            for e in self.out_edges[s]:
+                indegree[e.tgt] -= 1
+                if indegree[e.tgt] == 0:
+                    order.append(e.tgt)
+        return tuple(order)
+
+    @cached_property
+    def squares_into(self) -> dict[str, tuple[tuple[ExecPath, ExecPath], ...]]:
+        """Non-degenerate squares as (left, right), keyed by the state both
+        sides end at.  Raises InvalidComplexError if the complex does not
+        validate."""
+        require_valid(self)
+        index: dict[str, list[tuple[ExecPath, ExecPath]]] = {}
+        for q in self.squares:
+            left, right = tuple(q.left), tuple(q.right)
+            if left != right:
+                index.setdefault(self.path_target(left), []).append((left, right))
+        return {s: tuple(squares) for s, squares in index.items()}
 
     @cached_property
     def move_index(self) -> dict[str, tuple[tuple[ExecPath, ExecPath], ...]]:
@@ -324,16 +359,7 @@ def count_paths_and_composites(c: GlobularComplex) -> tuple[int, int]:
     likewise into s, and composites = sum over s of in(s) * out(s).
     Raises InvalidComplexError if the complex does not validate.
     """
-    require_valid(c)
-    indegree = dict.fromkeys(c.states, 0)
-    for e in c.edges:
-        indegree[e.tgt] += 1
-    order = [s for s in c.states if indegree[s] == 0]
-    for s in order:  # grows while iterating: Kahn's algorithm
-        for e in c.out_edges[s]:
-            indegree[e.tgt] -= 1
-            if indegree[e.tgt] == 0:
-                order.append(e.tgt)
+    order = c.topological_order
     into = dict.fromkeys(c.states, 0)
     for s in order:  # every edge into s is counted before s is reached
         for e in c.out_edges[s]:
@@ -357,38 +383,104 @@ def square_move_neighbors(c: GlobularComplex, path: ExecPath) -> set[ExecPath]:
     return neighbors
 
 
+def _class_steps(c: GlobularComplex, src: StateId, tgt: StateId) -> dict[str, list[int]]:
+    """Move classes of the paths out of `src`, up to `tgt`, by propagation.
+
+    The classes at each state are numbered 0, 1, ...; the empty path is
+    class 0 at `src`.  The result maps each edge e reached from `src` to
+    the list whose entry k is the class at e.tgt of the paths of class k
+    at e.src extended by e, so a path's class is read off edge by edge
+    (`_class_of`).  Works over the states between `src` and `tgt` in
+    topological order, each once: at s, the pairs (e into s, class k at
+    e.src) are merged by every square ending at s, for each class at the
+    square's source.
+    """
+    order = c.topological_order
+    classes = {src: 1}  # number of classes at each state reached so far
+    arrivals: dict[str, list[Edge]] = {}  # edges out of reached states, by target
+    for e in c.out_edges[src]:
+        arrivals.setdefault(e.tgt, []).append(e)
+    step: dict[str, list[int]] = {}
+    for s in order[order.index(src) + 1:order.index(tgt) + 1]:
+        edges = arrivals.pop(s, None)
+        if edges is None:
+            continue
+        first = {}  # edge id -> index of its first pair
+        pairs = 0
+        for e in edges:
+            first[e.id] = pairs
+            pairs += classes[e.src]
+        parent = list(range(pairs))  # a union-find forest over the pairs
+        for left, right in c.squares_into.get(s, ()):
+            for k in range(classes.get(c.path_source(left), 0)):
+                a = _root(parent, first[left[-1]] + _class_of(step, left[:-1], k))
+                parent[a] = _root(parent, first[right[-1]] + _class_of(step, right[:-1], k))
+        label: dict[int, int] = {}
+        klass = [label.setdefault(_root(parent, i), len(label)) for i in range(pairs)]
+        for e in edges:
+            step[e.id] = klass[first[e.id]:first[e.id] + classes[e.src]]
+        classes[s] = len(label)
+        for e in c.out_edges[s]:
+            arrivals.setdefault(e.tgt, []).append(e)
+    return step
+
+
+def _root(parent: list[int], i: int) -> int:
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]  # path halving
+    return i
+
+
+def _class_of(step: dict[str, list[int]], path: ExecPath, k: int = 0) -> int:
+    """The class of the paths of class k at the source of `path` extended
+    by `path`; class 0 at the base state is the empty path, so the default
+    gives the class of `path` itself."""
+    for e_id in path:
+        k = step[e_id][k]
+    return k
+
+
 def path_classes(
     c: GlobularComplex, src: StateId, tgt: StateId
 ) -> tuple[tuple[ExecPath, ...], ...]:
     """Partition of enumerate_paths(c, src, tgt) under square moves.
 
     Moves preserve endpoints, so the partition is well defined on each
-    endpoint pair.  Blocks and their members come out sorted.
+    endpoint pair.  Each path's class is read from one propagation over
+    the complex from `src` to `tgt` (see the module docstring); no move is
+    applied to any path.  Blocks are ordered by their first member, and
+    members come out sorted.  Raises InvalidComplexError if the complex
+    does not validate, and UnknownIdError for an unknown endpoint.
     """
+    require_valid(c)
     paths = enumerate_paths(c, src, tgt)
-    classes = DisjointSets(paths)
+    step = _class_steps(c, src, tgt)
+    blocks: dict[int, list[ExecPath]] = {}
     for p in paths:
-        for q in square_move_neighbors(c, p):
-            classes.union(p, q)
-    return tuple(classes.blocks())
+        blocks.setdefault(_class_of(step, p), []).append(p)
+    return tuple(tuple(block) for block in blocks.values())
 
 
 def same_move_class(c: GlobularComplex, a: ExecPath, b: ExecPath) -> bool:
-    """Whether two paths are connected by square moves (BFS from `a`)."""
+    """Whether two paths are connected by square moves.
+
+    Equal tuples always are.  Otherwise both must be execution paths of
+    `c` with the same endpoints, and their classes are compared after one
+    propagation from their common source up to their common target (see
+    the module docstring).  Raises InvalidComplexError if the complex does
+    not validate.
+    """
+    require_valid(c)
     a, b = tuple(a), tuple(b)
     if a == b:
         return True
-    seen = {a}
-    queue = deque([a])
-    while queue:
-        p = queue.popleft()
-        for n in square_move_neighbors(c, p):
-            if n == b:
-                return True
-            if n not in seen:
-                seen.add(n)
-                queue.append(n)
-    return False
+    if not (c.is_exec_path(a) and c.is_exec_path(b)):
+        return False
+    src, tgt = c.path_source(a), c.path_target(a)
+    if (c.path_source(b), c.path_target(b)) != (src, tgt):
+        return False
+    step = _class_steps(c, src, tgt)
+    return _class_of(step, a) == _class_of(step, b)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +521,12 @@ def compose_complex_morphisms(
 def complex_morphism_violations(
     f: ComplexMorphism, dom: GlobularComplex, cod: GlobularComplex
 ) -> list[str]:
-    """Why f fails to be a morphism dom -> cod; empty when it is one."""
+    """Why f fails to be a morphism dom -> cod; empty when it is one.
+
+    Square preservation is checked with `same_move_class` on `cod`, so a
+    codomain that does not validate raises InvalidComplexError once the
+    state and edge checks pass.
+    """
     out: list[str] = []
     for s in dom.states:
         image = f.state_map.get(s)

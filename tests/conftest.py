@@ -5,8 +5,10 @@ acyclicity holds by construction; squares are sampled from actual pairs of
 parallel paths, so every generated complex validates.
 """
 
+import os
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,13 @@ from globflow import (
     Square,
     enumerate_paths,
 )
+
+
+def pytest_configure(config):
+    """Let interpreters that tests start import this checkout's package, as
+    the test process does through the `pythonpath` setting."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
 def make_interval():

@@ -400,3 +400,26 @@ class TestDispatch:
         assert code == 4
         assert out == ""
         assert err == "internal error: RuntimeError: boom\n"
+
+
+class TestParserReuse:
+    def test_one_parser_answers_like_a_fresh_one(self, capsys, monkeypatch,
+                                                 interval_file, glob_ab_flow_file,
+                                                 swiss_flow_file):
+        commands = [
+            ("realize", interval_file),
+            ("analyze", swiss_flow_file, "--deadlocks"),
+            ("analyze", glob_ab_flow_file, "--classes", "0", "1"),
+            ("realize", interval_file, "--bogus"),
+            ("--help",),
+            ("analyze", glob_ab_flow_file, "--germs", "0", "--plus"),
+            ("dot", interval_file),
+            ("analyze", "--help"),
+            ("analyze", glob_ab_flow_file, "--deadlocks", "--init", "0"),
+        ]
+        reused = [run(capsys, *argv) for argv in commands]
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run(capsys, *argv) for argv in commands]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 0, 1, 0, 0, 0, 0, 0]

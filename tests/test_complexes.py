@@ -1,9 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
 import oracles
-from conftest import make_chain, make_grid, make_interval, random_complex
+from conftest import make_chain, make_grid, make_interval, random_complex, random_pv_source
 from globflow import (
     ComplexMorphism,
     Edge,
@@ -12,12 +13,16 @@ from globflow import (
     Square,
     UnknownIdError,
     all_exec_paths,
+    complexes,
     compose_complex_morphisms,
     enumerate_paths,
     glob_discrete,
     identity_complex_morphism,
     is_complex_morphism,
+    parse_pv,
     path_classes,
+    pv_to_complex,
+    same_move_class,
     square_move_neighbors,
     subdivide_edge,
     validate_complex,
@@ -214,6 +219,153 @@ class TestLongChains:
         )
         (violation,) = validate_complex(cyclic).violations
         assert violation.startswith("cyclic 1-skeleton: s0 -> s1 -> ")
+
+    def test_same_move_class_does_not_recurse(self):
+        c = make_chain(3000)
+        path = tuple(e.id for e in c.edges)
+        assert same_move_class(c, path, path)
+        detour = path[:-1] + ("alt",)
+        parallel = GlobularComplex(
+            states=c.states, edges=c.edges + (Edge("alt", "s2999", "s3000"),)
+        )
+        assert not same_move_class(parallel, path, detour)
+        filled = GlobularComplex(
+            states=parallel.states,
+            edges=parallel.edges,
+            squares=(Square("q", ("e2999",), ("alt",)),),
+        )
+        assert same_move_class(filled, path, detour)
+
+
+def _with_degenerate_square(rng, c):
+    loop = rng.choice(all_exec_paths(c))
+    return GlobularComplex(
+        states=c.states, edges=c.edges, squares=c.squares + (Square("z", loop, loop),)
+    )
+
+
+def _with_square_after(c):
+    """`c` with a filled square leaving its last state, so that every class
+    of paths into that state meets a square."""
+    t = c.states[-1]
+    edges = (Edge("x1", t, "m1"), Edge("x2", t, "m2"), Edge("y1", "m1", "w"), Edge("y2", "m2", "w"))
+    return GlobularComplex(
+        states=c.states + ("m1", "m2", "w"),
+        edges=c.edges + edges,
+        squares=c.squares + (Square("after", ("x1", "y1"), ("x2", "y2")),),
+    )
+
+
+def _pv_oracle_input(program):
+    processes = [[(step.op, step.arg) for step in p] for p in program.processes]
+    return processes, dict(program.resources)
+
+
+def _trace_of(path):
+    """Process-index schedule of a compiled path (edge ids end in '>p<k>')."""
+    return tuple(int(e.rsplit(">p", 1)[1]) for e in path)
+
+
+class TestClassPropagation:
+    def _check_every_pair_of_paths(self, c):
+        rewrites = [(q.left, q.right) for q in c.squares]
+        for src in c.states:
+            for tgt in c.states:
+                paths = enumerate_paths(c, src, tgt)
+                block_of = {
+                    p: block for block in oracles.move_classes(set(paths), rewrites) for p in block
+                }
+                for a, b in combinations(paths, 2):
+                    assert same_move_class(c, a, b) == (b in block_of[a]), (src, tgt, a, b)
+
+    def test_same_move_class_matches_oracle_on_random_complexes(self, rng):
+        for _ in range(25):
+            c = random_complex(rng, max_states=6, max_edges=9, max_squares=3, min_edges=1)
+            self._check_every_pair_of_paths(_with_degenerate_square(rng, _with_square_after(c)))
+
+    def test_random_pv_programs_match_oracles(self, rng):
+        # two schedules around the mutex, then a square out of their meeting point
+        sources = ["res a 1; proc: P(a).V(a).A(x) proc: P(a).V(a).A(y)"]
+        sources += [random_pv_source(rng) for _ in range(10)]
+        for source in sources:
+            program = parse_pv(source)
+            c = pv_to_complex(program)
+            self._check_every_pair_of_paths(c)
+            got = {
+                frozenset(_trace_of(p) for p in block)
+                for block in path_classes(c, c.init, c.finals[0])
+            }
+            assert got == oracles.pv_trace_classes(*_pv_oracle_input(program))
+
+    def test_path_classes_keep_the_block_order(self, rng):
+        for _ in range(25):
+            c = _with_degenerate_square(rng, random_complex(rng, min_edges=1))
+            for src in c.states:
+                for tgt in c.states:
+                    blocks = path_classes(c, src, tgt)
+                    assert [list(b) for b in blocks] == [sorted(b) for b in blocks]
+                    assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+                    assert sorted(p for b in blocks for p in b) == enumerate_paths(c, src, tgt)
+
+    def test_no_square_move_is_applied(self, monkeypatch):
+        def unreachable(c, path):
+            raise AssertionError("square_move_neighbors called")
+
+        monkeypatch.setattr(complexes, "square_move_neighbors", unreachable)
+        c = pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE))
+        blocks = path_classes(c, c.init, c.finals[0])
+        assert len(blocks) == 2
+        assert same_move_class(c, blocks[0][0], blocks[0][-1])
+        assert not same_move_class(c, blocks[0][0], blocks[1][0])
+        assert same_move_class(make_grid(True), ("a", "b"), ("c", "d"))
+
+    def test_topological_order(self, rng):
+        for _ in range(25):
+            c = random_complex(rng)
+            position = {s: i for i, s in enumerate(c.topological_order)}
+            assert sorted(position) == sorted(c.states)
+            assert all(position[e.src] < position[e.tgt] for e in c.edges)
+
+
+class TestClassesOnBadInput:
+    CYCLIC = GlobularComplex(
+        states=("u", "v"), edges=(Edge("a", "u", "v"), Edge("b", "v", "u"))
+    )
+    BAD_SQUARE = GlobularComplex(
+        states=("0", "1"),
+        edges=(Edge("a", "0", "1"), Edge("b", "0", "1")),
+        squares=(Square("q", ("a",), ()),),
+    )
+
+    @pytest.mark.parametrize("c", [CYCLIC, BAD_SQUARE], ids=["cyclic", "bad-square"])
+    def test_invalid_complex_raises(self, c):
+        (edge, *_) = c.edges
+        with pytest.raises(InvalidComplexError) as raised:
+            path_classes(c, edge.src, edge.tgt)
+        assert tuple(raised.value.violations) == validate_complex(c).violations
+        with pytest.raises(InvalidComplexError):
+            same_move_class(c, (edge.id,), (edge.id,))
+        with pytest.raises(InvalidComplexError):
+            c.topological_order
+
+    def test_non_paths_are_only_equal_to_themselves(self):
+        grid = make_grid(True)
+        assert same_move_class(grid, ("zz",), ("zz",))
+        assert same_move_class(grid, (), ())
+        # the square rewrites a, b into c, d, but these are not paths of the grid
+        assert not same_move_class(grid, ("a", "b", "zz"), ("c", "d", "zz"))
+        assert not same_move_class(grid, ("b", "a"), ("d", "c"))
+        assert not same_move_class(grid, (), ("a",))
+
+    def test_different_endpoints_are_apart(self):
+        grid = make_grid(True)
+        assert not same_move_class(grid, ("a",), ("c",))
+        assert not same_move_class(grid, ("a", "b"), ("b",))
+        assert not same_move_class(grid, ("a", "b"), ("a",))
+
+    def test_unknown_state(self):
+        with pytest.raises(UnknownIdError):
+            path_classes(make_grid(True), "00", "zz")
 
 
 class TestComplexMorphisms:
