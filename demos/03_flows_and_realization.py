@@ -46,7 +46,8 @@ print("restricted to {u, w}:", sorted(restrict(flow, {"u", "w"}).paths))
 print("germs leaving u:", germs(flow, "u", "minus").classes)
 print("germs entering v:", germs(flow, "v", "plus").classes)
 
-# realizations extend cell by cell instead of being rebuilt
+# realize builds cell by cell too; a realizer goes on from where it is,
+# and each square adds the moves pre.left.suf ~ pre.right.suf around it
 builder = IncrementalRealizer(GlobularComplex(states=("00", "01", "10", "11")))
 for cell in (
     Edge("a", "00", "10"),

@@ -371,7 +371,9 @@ def count_paths_and_composites(c: GlobularComplex) -> tuple[int, int]:
 
 
 def square_move_neighbors(c: GlobularComplex, path: ExecPath) -> set[ExecPath]:
-    """Paths one square move away: one contiguous boundary occurrence swapped."""
+    """Paths one square move away: one contiguous boundary occurrence swapped.
+
+    Realization does not use it: move pairs come from the squares there."""
     path = tuple(path)
     index = c.move_index
     neighbors: set[ExecPath] = set()

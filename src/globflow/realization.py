@@ -9,16 +9,12 @@ construction and never depends on table bookkeeping.
 The path and composite counts grow much faster than the complex, so
 `realize` counts them exactly first (a pass over the complex, no path
 listed) and refuses, with RealizationLimitExceeded, a realization holding
-more of them together than GLOBFLOW_REALIZE_LIMIT (default 10^6).
+more of them together than GLOBFLOW_REALIZE_LIMIT (default 10^6), as does
+`realize_morphism`.
 
-Realization extends cell by cell: attaching an edge only creates the paths
-running through it, attaching a square only contributes its move pairs.
-`IncrementalRealizer` keeps a realization current while a complex is being
-built.  It owns the realization's tables and an index of paths by endpoint,
-changes them in place, and hands out each step's flow as a copy that later
-steps leave alone, so an attach costs what the cell adds plus one copy of
-each table.  It checks the same limit before each edge it attaches, from
-the counts the edge would add.  `incremental_realize` checks a single step.
+There is one construction, `IncrementalRealizer`: it builds a realization
+cell by cell and keeps it current while a complex is built.  `realize(c)`
+attaches every cell of `c`; `incremental_realize` checks a single step.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from .complexes import (
     all_exec_paths,
     complex_morphism_violations,
     count_paths_and_composites,
-    square_move_neighbors,
 )
 from .errors import (
     InvalidAttachmentError,
@@ -60,43 +55,15 @@ def path_id(seq: Iterable[str]) -> str:
 def realize(c: GlobularComplex) -> FiniteFlow:
     """The flow of a complex: same states, all execution paths, square moves.
 
-    The complex must validate; acyclicity keeps the path set finite.  Before
-    anything is built, the exact numbers of paths and composites are worked
-    out (`count_paths_and_composites`), and a complex whose realization
-    would hold more of them together than GLOBFLOW_REALIZE_LIMIT (default
+    Built as `IncrementalRealizer(c).flow`.  The complex must validate;
+    acyclicity keeps the path set finite.  Before anything is built, the
+    exact numbers of paths and composites are worked out
+    (`count_paths_and_composites`), and a complex whose realization would
+    hold more of them together than GLOBFLOW_REALIZE_LIMIT (default
     DEFAULT_REALIZE_LIMIT) raises RealizationLimitExceeded; a variable that
     does not hold a non-negative integer raises ValueError.
     """
-    paths, composites = count_paths_and_composites(c)  # validates c first
-    _check_limit(paths, composites, _realize_limit())
-
-    seqs = all_exec_paths(c)
-    ids = [path_id(seq) for seq in seqs]
-    path_ends = {}
-    by_src: dict[str, list[str]] = {}
-    by_tgt: dict[str, list[str]] = {}
-    for p, seq in zip(ids, seqs):
-        s, t = c.path_source(seq), c.path_target(seq)
-        path_ends[p] = (s, t)
-        by_src.setdefault(s, []).append(p)
-        by_tgt.setdefault(t, []).append(p)
-
-    composition: dict[tuple[str, str], str] = {}
-    for state in c.states:
-        _compose_all(composition, by_tgt.get(state, ()), by_src.get(state, ()))
-
-    adjacency = {
-        (p, path_id(other))
-        for p, seq in zip(ids, seqs)
-        for other in square_move_neighbors(c, seq)
-    }
-
-    return FiniteFlow(
-        skeleton=c.states,
-        path_ends=path_ends,
-        composition=composition,
-        adjacency=adjacency,
-    )
+    return IncrementalRealizer(c).flow
 
 
 def _realize_limit() -> int:
@@ -109,23 +76,16 @@ def _check_limit(paths: int, composites: int, limit: int) -> None:
         raise RealizationLimitExceeded(paths, composites, limit)
 
 
-def _compose_all(composition: dict, xs: Iterable[str], ys: Iterable[str]) -> None:
-    """Enter x * y for every x in xs and y in ys.  The composite's id is
-    "x*y": path ids are edge-id sequences joined with the separator, so
-    this is the id of the concatenated sequence."""
-    for x in xs:
-        head = x + PATH_SEPARATOR
-        for y in ys:
-            composition[(x, y)] = head + y
-
-
 def realize_morphism(
     m: ComplexMorphism, dom: GlobularComplex, cod: GlobularComplex
 ) -> FlowMorphism:
-    """The flow morphism induced on realizations: substitute edgewise, concatenate."""
+    """The flow morphism induced on realizations: substitute edgewise, concatenate.
+
+    Refuses, before listing a path, whatever `realize(dom)` refuses."""
     violations = complex_morphism_violations(m, dom, cod)
     if violations:
         raise InvalidMorphismError("not a complex morphism: " + "; ".join(violations))
+    _check_limit(*count_paths_and_composites(dom), _realize_limit())
     return FlowMorphism(
         state_map=dict(m.state_map),
         path_map={
@@ -141,42 +101,49 @@ Cell = Union[str, Edge, Square]
 
 
 class IncrementalRealizer:
-    """Keeps a complex and its realization in sync while cells are attached.
+    """Builds the realization of a complex one cell at a time.
 
     The realizer owns the realization's tables and changes them in place:
-    path endpoints, composition, the normalized adjacency pairs, and for
-    each state the paths out of it and into it.  Attaching a state only
-    grows the skeleton.  Attaching an edge creates exactly the paths
-    factoring through it (old path into its source, the edge, old path out
-    of its target), their composites with old paths and their square moves,
-    all found from the realizer's own index.  Attaching a square leaves the
-    path set alone and adds the move pairs of its two boundaries.  Every
-    check runs before any table changes, so a rejected cell leaves the
-    realizer as it was.  One of these checks is the realization limit: an
-    edge whose new paths and composites would take the realization over
-    GLOBFLOW_REALIZE_LIMIT, as read when the realizer was made, raises
-    RealizationLimitExceeded, as `realize` of the extended complex would.
+    path endpoints, composition, the normalized adjacency pairs, the paths
+    out of and into each state, and the non-degenerate squares by source
+    and by target state.  Attaching a state grows the skeleton.  Attaching
+    an edge creates exactly the paths through it (old path into its source,
+    the edge, old path out of its target), their composites with old paths,
+    and their move pairs from the squares already attached that end at
+    their source or start at their target.  Attaching a square pairs
+    pre·left·suf with pre·right·suf over the paths into its source and out
+    of its target.  So each move pair is made once, from a square, and no
+    path is listed or rewritten.  Every check runs before any table
+    changes, so a rejected cell leaves the realizer as it was.  An edge
+    that would take the realization over GLOBFLOW_REALIZE_LIMIT, as read
+    when the realizer was made, raises RealizationLimitExceeded, as
+    `realize` of the extended complex would.
 
-    Each attach returns a new flow that later attaches never change: one
-    C-level copy of each table, with the flow's sorted indexes left to be
-    built only if something asks for them.  An attach therefore costs the
-    paths, composites and move pairs it adds plus those copies, never a
-    re-index of the whole flow.
+    Making a realizer checks the limit on `c` as `realize` does, then adds
+    every edge of `c` and then every square to empty tables.  It and each
+    attach hand out a new flow that later attaches never change: one
+    C-level copy of each table, with the flow's sorted indexes unbuilt, so
+    an attach costs what it adds plus those copies.
     """
 
     def __init__(self, c: GlobularComplex):
+        paths, composites = count_paths_and_composites(c)  # validates c first
         self._limit = _realize_limit()
-        flow = realize(c)
+        _check_limit(paths, composites, self._limit)
         self._complex = c
-        self._flow = flow
-        self._path_ends = dict(flow.path_ends)
-        self._composition = dict(flow.composition)
-        self._adjacency = set(flow.adjacency)
-        self._out: dict[str, list[str]] = {s: [] for s in flow.skeleton}
-        self._into: dict[str, list[str]] = {s: [] for s in flow.skeleton}
-        for p, (s, t) in flow.path_ends.items():
-            self._out[s].append(p)
-            self._into[t].append(p)
+        self._path_ends: dict[str, tuple[str, str]] = {}
+        self._composition: dict[tuple[str, str], str] = {}
+        self._adjacency: set[tuple[str, str]] = set()
+        self._out: dict[str, list[str]] = {s: [] for s in c.states}
+        self._into: dict[str, list[str]] = {s: [] for s in c.states}
+        # (left id, right id, other end) of each non-degenerate square
+        self._squares_from: dict[str, list[tuple[str, str, str]]] = {}
+        self._squares_into: dict[str, list[tuple[str, str, str]]] = {}
+        for edge in c.edges:
+            self._add_edge(edge)
+        for q in c.squares:
+            self._add_square(q, c.path_source(q.left), c.path_target(q.left))
+        self._hand_out(c.state_set)
 
     @property
     def complex(self) -> GlobularComplex:
@@ -218,39 +185,18 @@ class IncrementalRealizer:
                 f"attaching {edge.id} would close a directed cycle"
             )
 
-        composition, adjacency = self._composition, self._adjacency
-        heads = [(edge.src, edge.id)]
-        heads += [(ends[pre][0], pre + PATH_SEPARATOR + edge.id) for pre in into[edge.src]]
-        tails = [(edge.tgt, "")]
-        tails += [(ends[suf][1], PATH_SEPARATOR + suf) for suf in out[edge.tgt]]
-        # each new path s -> t composes with the old paths into s and out of t
+        # a new path s -> t composes with the old paths into s and out of t
+        sources = [edge.src] + [ends[pre][0] for pre in into[edge.src]]
+        targets = [edge.tgt] + [ends[suf][1] for suf in out[edge.tgt]]
         _check_limit(
-            len(ends) + len(heads) * len(tails),
-            len(composition)
-            + len(tails) * sum([len(into[s]) for s, _ in heads])
-            + len(heads) * sum([len(out[t]) for t, _ in tails]),
+            len(ends) + len(sources) * len(targets),
+            len(self._composition)
+            + len(targets) * sum([len(into[s]) for s in sources])
+            + len(sources) * sum([len(out[t]) for t in targets]),
             self._limit,
         )
-        c = replace(c, edges=c.edges + (edge,))
-        for s, head in heads:
-            for t, tail in tails:
-                new = head + tail
-                # a new path composes with old paths only: two new paths
-                # would both hold the edge, and the 1-skeleton is acyclic.
-                # For the same reason no new path is ever listed out of t
-                # or into s, so the lists read here hold old paths only.
-                _compose_all(composition, (new,), out[t])
-                _compose_all(composition, into[s], (new,))
-                ends[new] = (s, t)
-                out[s].append(new)
-                into[t].append(new)
-                # edge ids never contain the separator, so splitting the
-                # id gives back the edge sequence
-                for other in square_move_neighbors(c, new.split(PATH_SEPARATOR)):
-                    other_id = path_id(other)
-                    adjacency.add((new, other_id) if new < other_id else (other_id, new))
-
-        self._complex = c
+        self._add_edge(edge)
+        self._complex = replace(c, edges=c.edges + (edge,))
         return self._hand_out(self._flow.skeleton)
 
     def attach_square(self, square: Square) -> FiniteFlow:
@@ -269,21 +215,70 @@ class IncrementalRealizer:
                 f"square {square.id} sides do not share endpoints"
             )
 
-        # a path passes through src at most once (the 1-skeleton is
-        # acyclic), so each one holding a boundary is pre + side + suf in
-        # exactly one way; a degenerate square moves nothing
-        left_id, right_id = path_id(left), path_id(right)
-        if left_id != right_id:
-            adjacency = self._adjacency
-            heads = [""] + [pre + PATH_SEPARATOR for pre in self._into[src]]
-            tails = [""] + [PATH_SEPARATOR + suf for suf in self._out[tgt]]
-            for head in heads:
-                for tail in tails:
-                    a, b = head + left_id + tail, head + right_id + tail
-                    adjacency.add((a, b) if a < b else (b, a))
-
+        self._add_square(square, src, tgt)
         self._complex = replace(c, squares=c.squares + (square,))
         return self._hand_out(self._flow.skeleton)
+
+    def _add_edge(self, edge: Edge) -> None:
+        """Enter the new paths of an edge, their composites and move pairs."""
+        ends, out, into, composition = self._path_ends, self._out, self._into, self._composition
+        heads = [(edge.src, edge.id)]
+        heads += [(ends[pre][0], pre + PATH_SEPARATOR + edge.id) for pre in into[edge.src]]
+        tails = [(edge.tgt, "")]
+        tails += [(ends[suf][1], PATH_SEPARATOR + suf) for suf in out[edge.tgt]]
+        for s, head in heads:
+            for t, tail in tails:
+                new = head + tail
+                # a new path composes with old paths only: two new paths
+                # would both hold the edge, and the 1-skeleton is acyclic.
+                # For the same reason no new path is ever listed out of t
+                # or into s, so the lists read here hold old paths only.
+                # Ids are edge-id sequences joined with the separator, so
+                # "x*y" is the id of the concatenated sequence.
+                for y in out[t]:
+                    composition[(new, y)] = new + PATH_SEPARATOR + y
+                for x in into[s]:
+                    composition[(x, new)] = x + PATH_SEPARATOR + new
+                ends[new] = (s, t)
+                out[s].append(new)
+                into[t].append(new)
+
+        # no square attached so far holds the edge, so a side in a new path
+        # lies wholly before the edge, followed by a new path out of the
+        # square's target, or wholly after it, after a new path into its source
+        for s, head in heads:
+            for left, right, q_src in self._squares_into.get(s, ()):
+                after = [PATH_SEPARATOR + head + tail for _, tail in tails]
+                self._add_moves(left, right, self._heads(q_src), after)
+        for t, tail in tails:
+            for left, right, q_tgt in self._squares_from.get(t, ()):
+                before = [head + tail + PATH_SEPARATOR for _, head in heads]
+                self._add_moves(left, right, before, self._tails(q_tgt))
+
+    def _add_square(self, square: Square, src: str, tgt: str) -> None:
+        """Index a square from `src` to `tgt` and enter its move pairs; a
+        degenerate square moves nothing."""
+        left, right = path_id(square.left), path_id(square.right)
+        if left == right:
+            return
+        self._squares_from.setdefault(src, []).append((left, right, tgt))
+        self._squares_into.setdefault(tgt, []).append((left, right, src))
+        self._add_moves(left, right, self._heads(src), self._tails(tgt))
+
+    def _heads(self, state: str) -> list[str]:
+        return [""] + [pre + PATH_SEPARATOR for pre in self._into[state]]
+
+    def _tails(self, state: str) -> list[str]:
+        return [""] + [PATH_SEPARATOR + suf for suf in self._out[state]]
+
+    def _add_moves(self, left: str, right: str, heads: list[str], tails: list[str]) -> None:
+        """Pair head + left + tail with head + right + tail.  The 1-skeleton is
+        acyclic, so a path holds a side in at most one way."""
+        adjacency = self._adjacency
+        for head in heads:
+            for tail in tails:
+                a, b = head + left + tail, head + right + tail
+                adjacency.add((a, b) if a < b else (b, a))
 
     def _hand_out(self, skeleton: frozenset[str]) -> FiniteFlow:
         """Snapshot the owned tables as the current flow."""

@@ -5,6 +5,8 @@ Everything in this file is deliberately written against primitive data
 implementations favor the dumbest correct algorithm available:
 
 - path enumeration is a plain recursive DFS over an edge dict,
+- realization composes every pair of those paths and applies every
+  rewrite at every position of every path,
 - rewrite-move classes are a BFS flood fill over explicit path sets,
 - germ classes are a pairwise relation enumeration followed by a
   transitive-closure fixpoint (no union-find),
@@ -106,6 +108,36 @@ def move_classes(paths, rewrites):
         seen |= block
         classes.add(frozenset(block))
     return classes
+
+
+# ---------------------------------------------------------------------------
+# realization
+
+
+def realization(states, edges, squares):
+    """The realization of a complex, from its definition.
+
+    edges: dict edge_id -> (source, target); squares: iterable of (left,
+    right) edge-id sequences.  Returns (skeleton, path_ends, composition,
+    adjacency) over path ids joined with "*": every path of
+    `graph_all_paths`, x*y for every pair of paths with tgt(x) = src(y),
+    and the pairs (a, b), a < b, one `move_neighbors` step apart.
+    """
+    paths = graph_all_paths(edges)
+    ends = {p: (edges[p[0]][0], edges[p[-1]][1]) for p in paths}
+    composition = {
+        ("*".join(x), "*".join(y)): "*".join(x + y)
+        for x in paths
+        for y in paths
+        if ends[x][1] == ends[y][0]
+    }
+    adjacency = set()
+    for p in paths:
+        for q in move_neighbors(p, squares):
+            a, b = sorted(("*".join(p), "*".join(q)))
+            adjacency.add((a, b))
+    path_ends = {"*".join(p): e for p, e in ends.items()}
+    return frozenset(states), path_ends, composition, frozenset(adjacency)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from conftest import make_chain, make_grid, make_interval, random_complex, random_pv_source
-from globflow import realization
+from globflow import complexes, realization
 from globflow.complexes import count_paths_and_composites
 from globflow import (
     Edge,
@@ -113,6 +113,22 @@ class TestRealizeMorphism:
                 realize_morphism(m2, c1, c2), realize_morphism(m1, c0, c1)
             )
             assert composite == stepwise
+
+    def test_refuses_what_realize_refuses(self, monkeypatch):
+        def unreachable(c):
+            raise AssertionError("paths listed despite the limit")
+
+        monkeypatch.setattr(realization, "all_exec_paths", unreachable)
+        # chain of 30: 465 paths + 4,495 composites
+        monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", "1000")
+        chain = make_chain(30)
+        with pytest.raises(RealizationLimitExceeded, match="465 paths \\+ 4495 composites > limit 1000"):
+            realize_morphism(identity_complex_morphism(chain), chain, chain)
+        # a reserved character in an edge id: the morphism checks pass, the
+        # domain does not validate
+        starred = GlobularComplex(states=("0", "1"), edges=(Edge("x*y", "0", "1"),))
+        with pytest.raises(InvalidComplexError):
+            realize_morphism(identity_complex_morphism(starred), starred, starred)
 
     def test_invalid_morphism_rejected(self):
         from globflow import ComplexMorphism, InvalidMorphismError
@@ -311,6 +327,73 @@ class TestIncrementalRealizerTables:
             assert "by_tgt" not in flow.__dict__
 
 
+def _oracle_tables(c):
+    edges = {e.id: (e.src, e.tgt) for e in c.edges}
+    return oracles.realization(c.states, edges, [(q.left, q.right) for q in c.squares])
+
+
+def _tables(flow):
+    return flow.skeleton, flow.path_ends, flow.composition, flow.adjacency
+
+
+def _with_odd_squares(c):
+    """`c` plus a degenerate square and its first square again, sides swapped."""
+    extra = ()
+    if c.edges:
+        extra += (Square("flat", (c.edges[0].id,), (c.edges[0].id,)),)
+    if c.squares:
+        extra += (Square("again", c.squares[0].right, c.squares[0].left),)
+    return replace(c, squares=c.squares + extra)
+
+
+def _build(rng, target):
+    """The realizer's flow after attaching the cells of `target` in a random
+    ready order, and how many edges came after some square."""
+    realizer = IncrementalRealizer(GlobularComplex(states=()))
+    squares_seen, late_edges = False, 0
+    for cell in _ready_order(rng, target):
+        squares_seen = squares_seen or isinstance(cell, Square)
+        late_edges += squares_seen and isinstance(cell, Edge)
+        realizer.attach(cell)
+    return realizer.flow, late_edges
+
+
+class TestRealizationOracle:
+    def test_realize_matches_oracle(self, rng):
+        targets = [_with_odd_squares(random_complex(rng)) for _ in range(40)]
+        targets += [pv_to_complex(parse_pv(random_pv_source(rng))) for _ in range(20)]
+        targets.append(pv_to_complex(parse_pv(oracles.dining_philosophers_source(2))))
+        for c in targets:
+            assert _tables(realize(c)) == _oracle_tables(c)
+
+    def test_random_order_builds_match_oracle(self, rng):
+        late_edges = 0
+        for target in _random_targets(rng):
+            target = _with_odd_squares(target)
+            flow, late = _build(rng, target)
+            assert _tables(flow) == _oracle_tables(target)
+            late_edges += late
+        assert late_edges > 0
+
+    def test_no_path_walk_and_no_square_moves(self, rng, monkeypatch):
+        target = pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE))
+
+        def unreachable(*args):
+            raise AssertionError("realization walked paths or applied square moves")
+
+        monkeypatch.setattr(complexes, "square_move_neighbors", unreachable)
+        monkeypatch.setattr(complexes, "_paths_from", unreachable)
+        monkeypatch.setattr(realization, "all_exec_paths", unreachable)
+        want = _oracle_tables(target)
+        assert _tables(realize(target)) == want
+        late_edges = 0
+        for _ in range(5):
+            flow, late = _build(rng, target)
+            assert _tables(flow) == want
+            late_edges += late
+        assert late_edges > 0
+
+
 class TestRealizationLimit:
     def test_counts_match_realized_sizes(self, rng):
         for target in _random_targets(rng):
@@ -336,6 +419,16 @@ class TestRealizationLimit:
             realize(make_chain(1500))
         assert (caught.value.paths, caught.value.composites) == (1125750, 562499750)
         assert caught.value.limit == realization.DEFAULT_REALIZE_LIMIT
+
+    def test_limit_checked_before_any_cell_is_added(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a cell was added despite the limit")
+
+        monkeypatch.setattr(IncrementalRealizer, "_add_edge", unreachable)
+        monkeypatch.setattr(IncrementalRealizer, "_add_square", unreachable)
+        with pytest.raises(RealizationLimitExceeded) as caught:
+            realize(make_chain(1500))
+        assert (caught.value.paths, caught.value.composites) == (1125750, 562499750)
 
     def test_limit_is_inclusive(self, monkeypatch):
         # chain of 3: 6 paths and 4 composites
