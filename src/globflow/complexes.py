@@ -112,20 +112,15 @@ class GlobularComplex:
 
     @cached_property
     def topological_order(self) -> tuple[StateId, ...]:
-        """Every state, each before the targets of its out-edges (Kahn's
-        algorithm).  Raises InvalidComplexError if the complex does not
-        validate."""
+        """Every state, each before the targets of its out-edges: the states
+        no edge touches, in declaration order, then the depth-first finishing
+        order of the acyclicity check (`_find_cycle`) reversed.  Raises
+        InvalidComplexError if the complex does not validate."""
         require_valid(self)
-        indegree = dict.fromkeys(self.states, 0)
-        for e in self.edges:
-            indegree[e.tgt] += 1
-        order = [s for s in self.states if indegree[s] == 0]
-        for s in order:  # grows while iterating
-            for e in self.out_edges[s]:
-                indegree[e.tgt] -= 1
-                if indegree[e.tgt] == 0:
-                    order.append(e.tgt)
-        return tuple(order)
+        _, finished = _find_cycle(self)
+        return tuple(s for s in self.states if s not in finished) + tuple(
+            reversed(finished)
+        )
 
     @cached_property
     def squares_into(self) -> dict[str, tuple[tuple[ExecPath, ExecPath], ...]]:
@@ -139,23 +134,6 @@ class GlobularComplex:
             if left != right:
                 index.setdefault(self.path_target(left), []).append((left, right))
         return {s: tuple(squares) for s, squares in index.items()}
-
-    @cached_property
-    def move_index(self) -> dict[str, tuple[tuple[ExecPath, ExecPath], ...]]:
-        """Square rewrites (lhs, rhs) in both orientations, keyed by lhs[0].
-
-        Degenerate squares are left out, so every rewrite changes the path
-        it applies to; so are squares with an empty side, which fail
-        validation and have no leading edge.
-        """
-        index: dict[str, list[tuple[ExecPath, ExecPath]]] = {}
-        for q in self.squares:
-            left, right = tuple(q.left), tuple(q.right)
-            if left == right or not left or not right:
-                continue
-            index.setdefault(left[0], []).append((left, right))
-            index.setdefault(right[0], []).append((right, left))
-        return {head: tuple(rewrites) for head, rewrites in index.items()}
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -210,7 +188,7 @@ def _validation_report(c: GlobularComplex) -> ValidationReport:
             if endpoint not in seen_states:
                 violations.append(f"dangling endpoint: {role} {endpoint} of edge {e.id}")
 
-    cycle = _find_cycle(c)
+    cycle, _ = _find_cycle(c)
     if cycle is not None:
         violations.append("cyclic 1-skeleton: " + " -> ".join(cycle))
 
@@ -254,12 +232,16 @@ def _square_violations(c: GlobularComplex, q: Square) -> list[str]:
     return out
 
 
-def _find_cycle(c: GlobularComplex) -> Optional[list[str]]:
-    """A directed cycle through the edge graph, or None.  Tolerates dangling ids."""
+def _find_cycle(c: GlobularComplex) -> tuple[Optional[list[str]], dict[str, None]]:
+    """A directed cycle through the edge graph, or None, and the states the
+    depth-first walk finished, in finishing order.  Roots and targets are
+    taken in sorted order, and the first cycle met is returned.  Tolerates
+    dangling ids.  When there is no cycle, every edge's target finishes
+    before its source."""
     adjacent: dict[str, list[str]] = {}
     for e in c.edges:
         adjacent.setdefault(e.src, []).append(e.tgt)
-    finished: set[str] = set()
+    finished: dict[str, None] = {}  # insertion-ordered
     for root in sorted(adjacent):
         if root in finished:
             continue
@@ -273,14 +255,14 @@ def _find_cycle(c: GlobularComplex) -> Optional[list[str]]:
                 pending.pop()
                 u = trail.pop()
                 on_trail.discard(u)
-                finished.add(u)
+                finished[u] = None
             elif v in on_trail:
-                return trail[trail.index(v):] + [v]
+                return trail[trail.index(v):] + [v], finished
             elif v not in finished:
                 trail.append(v)
                 on_trail.add(v)
                 pending.append(iter(sorted(adjacent.get(v, ()))))
-    return None
+    return None, finished
 
 
 def require_valid(c: GlobularComplex) -> None:
@@ -373,15 +355,24 @@ def count_paths_and_composites(c: GlobularComplex) -> tuple[int, int]:
 def square_move_neighbors(c: GlobularComplex, path: ExecPath) -> set[ExecPath]:
     """Paths one square move away: one contiguous boundary occurrence swapped.
 
-    Realization does not use it: move pairs come from the squares there."""
+    Each end position of `path` is tried against both orientations of every
+    non-degenerate square ending at the state reached there
+    (`GlobularComplex.squares_into`); ids the complex does not have match
+    no square.  Raises InvalidComplexError if the complex does not
+    validate.  Realization does not use it: move pairs come from the
+    squares there."""
     path = tuple(path)
-    index = c.move_index
+    squares_into = c.squares_into
     neighbors: set[ExecPath] = set()
-    for i, head in enumerate(path):
-        for lhs, rhs in index.get(head, ()):
-            n = len(lhs)
-            if path[i:i + n] == lhs:
-                neighbors.add(path[:i] + rhs + path[i + n:])
+    for end, e_id in enumerate(path, 1):
+        edge = c.edge_map.get(e_id)
+        if edge is None:
+            continue
+        for left, right in squares_into.get(edge.tgt, ()):
+            for lhs, rhs in ((left, right), (right, left)):
+                start = end - len(lhs)
+                if start >= 0 and path[start:end] == lhs:
+                    neighbors.add(path[:start] + rhs + path[end:])
     return neighbors
 
 

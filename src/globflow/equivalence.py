@@ -1,16 +1,22 @@
 """Exhaustive equivalence checks on finite flows.
 
-Everything here is a bounded search over finitely many structure maps:
+Everything here is a bounded search over finitely many structure maps,
+and every search over maps runs the one depth-first search `_depth_first`:
+it assigns keys in order, tries each key's options in order, backtracks
+with an explicit stack, and charges one budget unit per option it tries.
+An injective search skips options already in use without charging them.
 
-- `enumerate_flow_morphisms` backtracks over path images compatible with a
-  state map, pruning on endpoints and on composition preservation as soon
-  as all three participants of a composable pair are assigned.
+- `enumerate_flow_morphisms` tries every state map and backtracks over
+  path images compatible with it, pruning on endpoints, on composition
+  preservation as soon as all three participants of a composable pair are
+  assigned, and on adjacency as soon as both paths of a pair are.
 - `s_equivalent` looks for a pair of morphisms whose two round trips are
   S-homotopic to the identities.  Since S-homotopic morphisms agree on
   states, only mutually inverse skeleton bijections can work, which cuts
   the search space drastically.
 - `find_flow_isomorphism` searches for an invertible morphism, pruning on
-  skeleton/path cardinalities and per-state endpoint fingerprints.
+  skeleton/path cardinalities and per-state endpoint fingerprints, then
+  runs the path search injectively.
 - `check_t_dihomotopy` evaluates the three refinement conditions for a
   morphism: the corestriction onto the image skeleton is an isomorphism,
   germs at the remaining states are singletons both ways, and every path
@@ -84,13 +90,15 @@ def _morphisms(dom, cod, state_map, budget: _Budget) -> Iterator[FlowMorphism]:
         budget.charge()
         if any(sigma.get(s) not in cod.skeleton for s in dom.skeleton):
             continue
-        yield from _path_assignments(dom, cod, sigma, budget)
+        for path_map in _path_assignments(dom, cod, sigma, budget):
+            yield FlowMorphism(state_map=dict(sigma), path_map=path_map)
 
 
-def _path_assignments(dom, cod, sigma, budget) -> Iterator[FlowMorphism]:
-    order = list(dom.sorted_paths)
-    position = {p: k for k, p in enumerate(order)}
-
+def _path_assignments(dom, cod, sigma, budget, injective=False) -> Iterator[dict]:
+    """Every path map over `sigma` that preserves endpoints, composition
+    and adjacency (into adj*), in sorted path order; with `injective`,
+    only the one-to-one ones."""
+    order = dom.sorted_paths
     candidates = []
     for p in order:
         s, t = dom.path_ends[p]
@@ -99,7 +107,8 @@ def _path_assignments(dom, cod, sigma, budget) -> Iterator[FlowMorphism]:
             return
         candidates.append(options)
 
-    # composition constraints fire once their last participant is assigned
+    # each constraint fires once its last participant is assigned
+    position = {p: k for k, p in enumerate(order)}
     comp_at: list[list[tuple[str, str, str]]] = [[] for _ in order]
     for (x, y), z in dom.composition.items():
         comp_at[max(position[x], position[y], position[z])].append((x, y, z))
@@ -107,35 +116,52 @@ def _path_assignments(dom, cod, sigma, budget) -> Iterator[FlowMorphism]:
     for a, b in dom.adjacency:
         adj_at[max(position[a], position[b])].append((a, b))
 
-    if not order:
-        yield FlowMorphism(state_map=dict(sigma), path_map={})
+    def fits(k, image):
+        return all(
+            cod.try_compose(image[x], image[y]) == image[z] for x, y, z in comp_at[k]
+        ) and all(cod.adjacent_star(image[a], image[b]) for a, b in adj_at[k])
+
+    yield from _depth_first(order, candidates, fits, budget, injective)
+
+
+def _depth_first(keys, options, fits, budget: _Budget, injective=False) -> Iterator[dict]:
+    """Every complete assignment of `keys`, each as a new dict, depth first
+    in key order and, at keys[k], in the order of options[k].
+
+    fits(k, assignment) says whether the value just given to keys[k] agrees
+    with those of keys[:k].  Each option tried costs one budget unit; with
+    `injective`, an option already given to an earlier key is skipped
+    without a charge.
+    """
+    if not keys:
+        yield {}
         return
-    # depth first with an explicit stack: pending[k] holds the untried
-    # options of position k, and image[order[k]] its current choice
-    image: dict[str, str] = {}
-    pending = [iter(candidates[0])]
+    # an explicit stack: pending[k] holds the untried options of keys[k],
+    # and assignment[keys[k]] its current choice
+    assignment: dict = {}
+    used: set = set()
+    pending = [iter(options[0])]
     while pending:
         k = len(pending) - 1
-        p = order[k]
-        image.pop(p, None)
+        key = keys[k]
+        used.discard(assignment.pop(key, None))
         for option in pending[k]:
+            if injective and option in used:
+                continue
             budget.charge()
-            image[p] = option
-            if all(
-                cod.try_compose(image[x], image[y]) == image[z]
-                for x, y, z in comp_at[k]
-            ) and all(
-                cod.adjacent_star(image[a], image[b]) for a, b in adj_at[k]
-            ):
+            assignment[key] = option
+            if fits(k, assignment):
                 break
-            del image[p]
+            del assignment[key]
         else:
             pending.pop()
             continue
-        if k + 1 < len(order):
-            pending.append(iter(candidates[k + 1]))
+        if injective:
+            used.add(option)
+        if k + 1 < len(keys):
+            pending.append(iter(options[k + 1]))
         else:
-            yield FlowMorphism(state_map=dict(sigma), path_map=dict(image))
+            yield dict(assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +220,10 @@ def find_flow_isomorphism(
 
     Exhaustive backtracking over skeleton bijections and path bijections,
     pruned early on cardinalities and on per-state endpoint fingerprints
-    (outgoing and incoming path counts).  Composition preservation is
-    enforced during assignment; adjacency is compared at the component
-    level in both directions, which is what invertibility of morphisms
-    requires.
+    (outgoing and incoming path counts).  Composition and adjacency (into
+    adj*) are checked forward during assignment, as in any morphism
+    search; adjacency is checked backward once a bijection is complete,
+    which is what invertibility of morphisms requires.
     """
     meter = _Budget(budget)
     if (
@@ -214,78 +240,17 @@ def find_flow_isomorphism(
     groups: dict[tuple[int, int], list[str]] = {}
     for s in sorted(y.skeleton):
         groups.setdefault(fingerprint(y, s), []).append(s)
-    x_prints = sorted(fingerprint(x, s) for s in x_states)
+    x_prints = [fingerprint(x, s) for s in x_states]
     y_prints = sorted(fp for fp, members in groups.items() for _ in members)
-    if x_prints != y_prints:
+    if sorted(x_prints) != y_prints:
         return None
 
-    if not x_states:
-        return _bijective_path_match(x, y, {}, meter)
-    # depth first with an explicit stack, as in _path_assignments
-    used_states: set[str] = set()
-    sigma: dict[str, str] = {}
-    pending = [iter(groups.get(fingerprint(x, x_states[0]), ()))]
-    while pending:
-        k = len(pending) - 1
-        s = x_states[k]
-        used_states.discard(sigma.pop(s, None))
-        for t in pending[k]:
-            if t not in used_states:
-                break
-        else:
-            pending.pop()
-            continue
-        meter.charge()
-        sigma[s] = t
-        used_states.add(t)
-        if k + 1 < len(x_states):
-            pending.append(iter(groups.get(fingerprint(x, x_states[k + 1]), ())))
-        else:
-            found = _bijective_path_match(x, y, dict(sigma), meter)
-            if found:
-                return found
-    return None
-
-
-def _bijective_path_match(x, y, sigma, meter):
-    order = list(x.sorted_paths)
-    position = {p: k for k, p in enumerate(order)}
-    comp_at: list[list[tuple[str, str, str]]] = [[] for _ in order]
-    for (a, b), c in x.composition.items():
-        comp_at[max(position[a], position[b], position[c])].append((a, b, c))
-
-    def options(k: int):
-        s, t = x.path_ends[order[k]]
-        return iter(y.paths_between(sigma[s], sigma[t]))
-
-    if not order:
-        return _finish_isomorphism(x, y, sigma, {})
-    # depth first with an explicit stack, as in _path_assignments
-    image: dict[str, str] = {}
-    used: set[str] = set()
-    pending = [options(0)]
-    while pending:
-        k = len(pending) - 1
-        p = order[k]
-        used.discard(image.pop(p, None))
-        for option in pending[k]:
-            if option in used:
-                continue
-            meter.charge()
-            image[p] = option
-            if all(
-                y.try_compose(image[a], image[b]) == image[c] for a, b, c in comp_at[k]
-            ):
-                break
-            del image[p]
-        else:
-            pending.pop()
-            continue
-        used.add(image[p])
-        if k + 1 < len(order):
-            pending.append(options(k + 1))
-        else:
-            found = _finish_isomorphism(x, y, sigma, dict(image))
+    state_options = [groups[fp] for fp in x_prints]
+    for sigma in _depth_first(
+        x_states, state_options, lambda k, sigma: True, meter, injective=True
+    ):
+        for path_map in _path_assignments(x, y, sigma, meter, injective=True):
+            found = _finish_isomorphism(x, y, sigma, path_map)
             if found:
                 return found
     return None
@@ -294,9 +259,6 @@ def _bijective_path_match(x, y, sigma, meter):
 def _finish_isomorphism(x, y, sigma, path_map):
     if len(set(path_map.values())) != len(y.paths):
         return None
-    for a, b in x.adjacency:
-        if not y.adjacent_star(path_map[a], path_map[b]):
-            return None
     inverse_paths = {v: k for k, v in path_map.items()}
     for u, v in y.adjacency:
         if not x.adjacent_star(inverse_paths[u], inverse_paths[v]):

@@ -55,6 +55,10 @@ def _require(doc: dict, key: str, kind, where: str):
     return value
 
 
+def _optional_list(doc: dict, key: str, where: str) -> list:
+    return _require(doc, key, list, where) if key in doc else []
+
+
 def _string_list(doc: dict, key: str, where: str, default=None) -> list[str]:
     if default is not None and key not in doc:
         return list(default)
@@ -108,7 +112,7 @@ def complex_from_doc(doc: Any) -> GlobularComplex:
             )
         )
     squares = []
-    for i, entry in enumerate(doc.get("squares", [])):
+    for i, entry in enumerate(_optional_list(doc, "squares", "complex document")):
         where = f"complex document: squares[{i}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: expected an object")
@@ -191,7 +195,7 @@ def flow_from_doc(doc: Any) -> tuple[FiniteFlow, dict[str, Any]]:
             _require(entry, "tgt", str, where),
         )
     composition = {}
-    for i, entry in enumerate(doc.get("compose", [])):
+    for i, entry in enumerate(_optional_list(doc, "compose", "flow document")):
         if isinstance(entry, list) and len(entry) == 3:
             x, y, z = entry
             if isinstance(x, str) and isinstance(y, str) and isinstance(z, str):
@@ -204,7 +208,7 @@ def flow_from_doc(doc: Any) -> tuple[FiniteFlow, dict[str, Any]]:
                 continue
         raise FormatError(f"flow document: compose[{i}]: expected a triple of path ids")
     adjacency = []
-    for i, entry in enumerate(doc.get("adjacency", [])):
+    for i, entry in enumerate(_optional_list(doc, "adjacency", "flow document")):
         if isinstance(entry, list) and len(entry) == 2:
             a, b = entry
             if isinstance(a, str) and isinstance(b, str):

@@ -10,6 +10,8 @@ implementations favor the dumbest correct algorithm available:
 - rewrite-move classes are a BFS flood fill over explicit path sets,
 - germ classes are a pairwise relation enumeration followed by a
   transitive-closure fixpoint (no union-find),
+- flow morphisms are every candidate map from `itertools.product`,
+  filtered by the axioms, with adj*-components by BFS flood fill,
 - PV analyses are a BFS over position tuples with resource counting
   done from scratch at every state.
 
@@ -18,6 +20,7 @@ and then frozen.
 """
 
 from collections import deque
+from itertools import permutations, product
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +141,108 @@ def realization(states, edges, squares):
             adjacency.add((a, b))
     path_ends = {"*".join(p): e for p, e in ends.items()}
     return frozenset(states), path_ends, composition, frozenset(adjacency)
+
+
+# ---------------------------------------------------------------------------
+# flow morphisms and the searches over them
+#
+# A flow is (skeleton, path_ends, composition, adjacency), as `realization`
+# returns it; a morphism is a pair (state_map, path_map) of dicts.
+
+
+def adj_star_components(path_ends, adjacency):
+    """path -> the first path of its adj*-component met, by BFS flood fill."""
+    neighbours = {p: [] for p in path_ends}
+    for a, b in adjacency:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    component = {}
+    for start in sorted(neighbours):
+        queue = deque([start])
+        while queue:
+            p = queue.popleft()
+            if p not in component:
+                component[p] = start
+                queue.extend(neighbours[p])
+    return component
+
+
+def flow_path_maps(dom, cod, state_map):
+    """Every path map dom -> cod over `state_map` that keeps endpoints,
+    sends each composite to the composite of the images and each adjacency
+    pair into one adj*-component: every choice of an endpoint-matching
+    image per path, paths in sorted order and images in sorted order,
+    filtered after the fact."""
+    _, dom_ends, dom_composition, dom_adjacency = dom
+    _, cod_ends, cod_composition, cod_adjacency = cod
+    component = adj_star_components(cod_ends, cod_adjacency)
+    paths = sorted(dom_ends)
+    candidates = []
+    for p in paths:
+        s, t = dom_ends[p]
+        ends = (state_map[s], state_map[t])
+        candidates.append(sorted(q for q, e in cod_ends.items() if e == ends))
+    out = []
+    for choice in product(*candidates):
+        f = dict(zip(paths, choice))
+        if all(
+            cod_composition.get((f[x], f[y])) == f[z]
+            for (x, y), z in dom_composition.items()
+        ) and all(component[f[a]] == component[f[b]] for a, b in dom_adjacency):
+            out.append(f)
+    return out
+
+
+def flow_morphisms(dom, cod):
+    """Every flow morphism dom -> cod: state maps by `product` over the
+    sorted codomain states (domain states sorted), then `flow_path_maps`."""
+    states = sorted(dom[0])
+    for choice in product(sorted(cod[0]), repeat=len(states)):
+        state_map = dict(zip(states, choice))
+        for path_map in flow_path_maps(dom, cod, state_map):
+            yield state_map, path_map
+
+
+def first_flow_isomorphism(x, y):
+    """The first morphism of `flow_morphisms(x, y)` that is bijective on
+    states and on paths and whose inverse is a morphism y -> x, or None."""
+    components = adj_star_components(x[1], x[3])
+    for state_map, path_map in flow_morphisms(x, y):
+        if sorted(state_map.values()) != sorted(y[0]):
+            continue
+        if sorted(path_map.values()) != sorted(y[1]):
+            continue
+        inverse = {q: p for p, q in path_map.items()}
+        if all(
+            x[2].get((inverse[u], inverse[v])) == inverse[w]
+            for (u, v), w in y[2].items()
+        ) and all(components[inverse[u]] == components[inverse[v]] for u, v in y[3]):
+            return state_map, path_map
+    return None
+
+
+def first_s_equivalence(x, y):
+    """The first pair of morphisms f: x -> y and g: y -> x, each as
+    (state_map, path_map), with g(f(p)) adj* p for every path of x and
+    f(g(q)) adj* q for every path of y, or None.  State maps are the
+    bijections of sorted states to `permutations` of the other's sorted
+    states; for each, f runs over `flow_path_maps` and, for each f, so
+    does g."""
+    if len(x[0]) != len(y[0]):
+        return None
+    x_components = adj_star_components(x[1], x[3])
+    y_components = adj_star_components(y[1], y[3])
+    xs = sorted(x[0])
+    for ys in permutations(sorted(y[0])):
+        sigma = dict(zip(xs, ys))
+        tau = dict(zip(ys, xs))
+        for f in flow_path_maps(x, y, sigma):
+            for g in flow_path_maps(y, x, tau):
+                if all(x_components[g[f[p]]] == x_components[p] for p in x[1]) and all(
+                    y_components[f[g[q]]] == y_components[q] for q in y[1]
+                ):
+                    return (sigma, f), (tau, g)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,22 @@ class TestAnalyze:
         assert code == 2
         assert "composition not total" in err
 
+    @pytest.mark.parametrize("field", ["compose", "adjacency"])
+    def test_malformed_flow_table_exits_1(self, capsys, tmp_path, glob_ab_flow_file, field):
+        flow = tmp_path / "bad.flow.json"
+        flow.write_text('{"skeleton": ["a"], "paths": [], "%s": 5}' % field)
+        code, _, err = run(capsys, "analyze", str(flow), "--deadlocks", "--init", "a")
+        assert code == 1
+        assert err == f"error: flow document: field {field!r} has the wrong type\n"
+        morphism = tmp_path / "bad.morphism.json"
+        morphism.write_text(
+            '{"codomain": {"skeleton": [], "paths": [], "%s": null}, '
+            '"state_map": {}, "path_map": {}}' % field
+        )
+        code, _, err = run(capsys, "analyze", glob_ab_flow_file, "--t-check", str(morphism))
+        assert code == 1
+        assert err == f"error: flow document: field {field!r} has the wrong type\n"
+
     def test_unknown_state_exits_1(self, capsys, glob_ab_flow_file):
         code, _, err = run(capsys, "analyze", glob_ab_flow_file, "--germs", "zz")
         assert code == 1
@@ -352,6 +368,14 @@ class TestDot:
         path.write_text('{"neither": true}')
         code, _, _ = run(capsys, "dot", str(path))
         assert code == 1
+
+    def test_malformed_squares_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        for value in ("5", "null"):
+            path.write_text('{"states": ["a"], "edges": [], "squares": %s}' % value)
+            code, _, err = run(capsys, "dot", str(path))
+            assert code == 1
+            assert err == "error: complex document: field 'squares' has the wrong type\n"
 
 
 class TestDeterminism:

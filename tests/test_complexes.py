@@ -206,6 +206,22 @@ class TestSquareMoves:
             for p in all_exec_paths(c):
                 assert square_move_neighbors(c, p) == oracles.move_neighbors(p, rewrites)
 
+    def test_unknown_ids_match_no_square(self):
+        grid = make_grid(True)
+        assert square_move_neighbors(grid, ("zz", "a", "b", "zz")) == {("zz", "c", "d", "zz")}
+        assert square_move_neighbors(grid, ("a", "zz", "b")) == set()
+        assert square_move_neighbors(grid, ("zz",)) == set()
+
+    def test_invalid_complex_raises(self):
+        c = GlobularComplex(
+            states=("0", "1"),
+            edges=(Edge("a", "0", "1"), Edge("b", "0", "1")),
+            squares=(Square("q", ("a",), ()),),
+        )
+        with pytest.raises(InvalidComplexError) as raised:
+            square_move_neighbors(c, ("a",))
+        assert tuple(raised.value.violations) == validate_complex(c).violations
+
 
 class TestLongChains:
     def test_walks_do_not_recurse(self):
@@ -325,6 +341,14 @@ class TestClassPropagation:
             position = {s: i for i, s in enumerate(c.topological_order)}
             assert sorted(position) == sorted(c.states)
             assert all(position[e.src] < position[e.tgt] for e in c.edges)
+
+    def test_topological_order_with_isolated_states(self):
+        c = GlobularComplex(
+            states=("z", "s2", "y", "s0", "s1", "x"),
+            edges=(Edge("b", "s1", "s2"), Edge("a", "s0", "s1"), Edge("c", "s0", "s2")),
+        )
+        assert c.topological_order == ("z", "y", "x", "s0", "s1", "s2")
+        assert GlobularComplex(states=("b", "a")).topological_order == ("b", "a")
 
 
 class TestClassesOnBadInput:

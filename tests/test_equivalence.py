@@ -1,10 +1,16 @@
+import random
+
 import pytest
 
+import oracles
 from conftest import make_chain, make_grid, make_interval, make_parallel_pair, random_complex
 from globflow import (
+    Edge,
     FiniteFlow,
     FlowMorphism,
+    GlobularComplex,
     SearchBudgetExceeded,
+    Square,
     check_t_dihomotopy,
     compose_flow_morphisms,
     enumerate_flow_morphisms,
@@ -45,6 +51,16 @@ class TestEnumerateMorphisms:
         cod = realize(make_chain(3))
         with pytest.raises(SearchBudgetExceeded):
             list(enumerate_flow_morphisms(dom, cod, budget=3))
+
+    def test_budget_charges_are_pinned(self):
+        # the smallest budgets that let each search finish
+        chain = realize(make_chain(3))
+        grid = realize(make_grid(True))
+        identity = {s: s for s in grid.skeleton}
+        for dom, state_map, budget in ((chain, None, 262), (grid, None, 296), (grid, identity, 11)):
+            list(enumerate_flow_morphisms(dom, dom, state_map, budget=budget))
+            with pytest.raises(SearchBudgetExceeded):
+                list(enumerate_flow_morphisms(dom, dom, state_map, budget=budget - 1))
 
 
 class TestSEquivalent:
@@ -143,6 +159,10 @@ class TestFindFlowIsomorphism:
             assert is_flow_morphism(inverse, renamed, flow)
             assert compose_flow_morphisms(inverse, iso) == identity_flow_morphism(flow)
 
+    def test_budget_is_enough(self):
+        grid = realize(make_grid(True))
+        assert find_flow_isomorphism(grid, grid, budget=10) is not None
+
     def test_path_count_mismatch(self):
         assert find_flow_isomorphism(glob_flow(["a"]), glob_flow(["a", "b"])) is None
 
@@ -234,3 +254,96 @@ class TestTDihomotopy:
                 realize_morphism(m, c, refined), realize(c), realize(refined)
             )
             assert report.holds, report.details
+
+
+def _plain_flow(c):
+    """The realization of `c` by the oracle, as plain tables."""
+    return oracles.realization(
+        c.states,
+        {e.id: (e.src, e.tgt) for e in c.edges},
+        [(q.left, q.right) for q in c.squares],
+    )
+
+
+def _renamed(flow, rng):
+    """A copy of a plain flow with states and paths renamed in shuffled order."""
+    skeleton, path_ends, composition, adjacency = flow
+    states = sorted(skeleton)
+    paths = sorted(path_ends)
+    rng.shuffle(states)
+    rng.shuffle(paths)
+    s_name = {s: f"S{i}" for i, s in enumerate(states)}
+    p_name = {p: f"P{i}" for i, p in enumerate(paths)}
+    return (
+        {s_name[s] for s in skeleton},
+        {p_name[p]: (s_name[s], s_name[t]) for p, (s, t) in path_ends.items()},
+        {(p_name[x], p_name[y]): p_name[z] for (x, y), z in composition.items()},
+        {tuple(sorted((p_name[a], p_name[b]))) for a, b in adjacency},
+    )
+
+
+def _library_flow(flow):
+    skeleton, path_ends, composition, adjacency = flow
+    return FiniteFlow(skeleton, path_ends, composition, adjacency)
+
+
+def _maps(f):
+    return dict(f.state_map), dict(f.path_map)
+
+
+class TestSearchOracle:
+    """The three searches against brute force over plain tables, on seeded
+    small pairs: a flow with itself, with a renamed copy, with another
+    flow, and with a renamed copy of its complex with one edge doubled
+    and the two copies joined by a square (S-equivalent, not isomorphic)."""
+
+    def test_searches_match_brute_force(self):
+        rng = random.Random(20261018)
+        isomorphic = equivalent = 0
+        for i in range(240):
+            c = random_complex(rng, min_edges=1, max_states=4, max_edges=5, max_squares=2)
+            x = _plain_flow(c)
+            if i % 4 == 0:
+                y = x
+            elif i % 4 == 1:
+                y = _renamed(x, rng)
+            elif i % 4 == 2:
+                y = _plain_flow(random_complex(rng, max_states=4, max_edges=5, max_squares=2))
+            else:
+                edge = rng.choice(c.edges)
+                twin = Edge(edge.id + "_twin", edge.src, edge.tgt)
+                doubled = GlobularComplex(
+                    states=c.states,
+                    edges=c.edges + (twin,),
+                    squares=c.squares + (Square("twin", (edge.id,), (twin.id,)),),
+                )
+                y = _renamed(_plain_flow(doubled), rng)
+            fx, fy = _library_flow(x), _library_flow(y)
+
+            found = [_maps(f) for f in enumerate_flow_morphisms(fx, fy)]
+            assert found == list(oracles.flow_morphisms(x, y))
+
+            witness = find_flow_isomorphism(fx, fy)
+            expected = oracles.first_flow_isomorphism(x, y)
+            if expected is None:
+                assert witness is None
+            else:
+                isomorphic += 1
+                iso, inverse = witness
+                assert _maps(iso) == expected
+                state_map, path_map = expected
+                assert _maps(inverse) == (
+                    {b: a for a, b in state_map.items()},
+                    {b: a for a, b in path_map.items()},
+                )
+
+            witness = s_equivalent(fx, fy)
+            expected = oracles.first_s_equivalence(x, y)
+            if expected is None:
+                assert witness is None
+            else:
+                equivalent += 1
+                assert tuple(_maps(f) for f in witness) == expected
+        # every self pair and renamed copy is isomorphic, every doubled
+        # edge S-equivalent
+        assert isomorphic >= 120 and equivalent >= 180

@@ -214,6 +214,30 @@ class TestFlowReaderErrors:
         assert str(caught.value) == "flow document: " + message
 
 
+class TestOptionalListFields:
+    """An optional list field that is present must be a list."""
+
+    @pytest.mark.parametrize("value", [5, None, "x", {}])
+    def test_complex_squares(self, value):
+        doc = {"states": ["a"], "edges": [], "squares": value}
+        with pytest.raises(FormatError) as caught:
+            loads_complex(json.dumps(doc))
+        assert str(caught.value) == "complex document: field 'squares' has the wrong type"
+
+    @pytest.mark.parametrize("field", ["compose", "adjacency"])
+    @pytest.mark.parametrize("value", [5, None, "x", {}])
+    def test_flow_tables(self, field, value):
+        doc = {"skeleton": ["a"], "paths": [], field: value}
+        message = f"flow document: field {field!r} has the wrong type"
+        with pytest.raises(FormatError) as caught:
+            loads_flow(json.dumps(doc))
+        assert str(caught.value) == message
+        morphism = {"codomain": doc, "state_map": {}, "path_map": {}}
+        with pytest.raises(FormatError) as caught:
+            loads_morphism(json.dumps(morphism))
+        assert str(caught.value) == message
+
+
 class TestMorphismDocuments:
     def test_round_trip(self):
         flow = realize(make_grid(True))
