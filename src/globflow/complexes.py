@@ -148,13 +148,22 @@ class GlobularComplex:
 
     def is_exec_path(self, path: Iterable[str]) -> bool:
         """Nonempty, every id resolves, consecutive edges composable."""
-        path = tuple(path)
-        if not path or any(e not in self.edge_map for e in path):
-            return False
-        return all(
-            self.edge_map[a].tgt == self.edge_map[b].src
-            for a, b in zip(path, path[1:])
-        )
+        return exec_path_ends(self.edge_map, path) is not None
+
+
+def exec_path_ends(
+    edge_map: Mapping[str, Edge], path: Iterable[str]
+) -> Optional[tuple[StateId, StateId]]:
+    """(source, target) of `path` as an execution path over `edge_map`, or
+    None when it is not one: it must be nonempty, every id must resolve and
+    consecutive edges must be composable."""
+    try:
+        edges = [edge_map[e] for e in path]
+    except KeyError:
+        return None
+    if not edges or any(a.tgt != b.src for a, b in zip(edges, edges[1:])):
+        return None
+    return edges[0].src, edges[-1].tgt
 
 
 def validate_complex(c: GlobularComplex) -> ValidationReport:

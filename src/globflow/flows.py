@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
@@ -66,20 +67,20 @@ class FiniteFlow:
         skeleton: frozenset[str],
         path_ends: dict[str, tuple[str, str]],
         composition: dict[tuple[str, str], str],
-        adjacency: set[tuple[str, str]],
+        adjacency: frozenset[tuple[str, str]],
     ) -> "FiniteFlow":
-        """A flow over tables already in canonical form: `path_ends` values
-        are (source, target) tuples and `adjacency` holds each unordered
-        pair once, as (a, b) with a < b.
+        """A flow that takes over tables already in canonical form:
+        `path_ends` values are (source, target) tuples and `adjacency` holds
+        each unordered pair once, as (a, b) with a < b.
 
-        Each table is copied once, so the caller may go on changing its
-        own; no entry is looked at, and the lazy indexes stay unbuilt.
+        Nothing is copied and no entry is looked at, so the caller must not
+        change the tables afterwards; the lazy indexes stay unbuilt.
         """
         flow = cls.__new__(cls)
-        flow.skeleton = frozenset(skeleton)
-        flow.path_ends = dict(path_ends)
-        flow.composition = dict(composition)
-        flow.adjacency = frozenset(adjacency)
+        flow.skeleton = skeleton
+        flow.path_ends = path_ends
+        flow.composition = composition
+        flow.adjacency = adjacency
         return flow
 
     # -- structure access ---------------------------------------------------
@@ -175,6 +176,58 @@ class FiniteFlow:
             f"FiniteFlow(states={len(self.skeleton)}, paths={len(self.path_ends)}, "
             f"composites={len(self.composition)}, adjacency={len(self.adjacency)})"
         )
+
+
+# the tables a snapshot builds on first read
+_TABLES = ("skeleton", "path_ends", "composition", "adjacency")
+
+
+class _FlowSnapshot(FiniteFlow):
+    """The flow held by the first entries of four insertion-ordered tables
+    that only grow: a realizer's states and normalized adjacency pairs
+    (dict keys), its path endpoints and its composition.
+
+    Making one records the tables and their lengths, O(1), and later
+    growth of the tables does not change it.  The first read of `skeleton`,
+    `path_ends`, `composition` or `adjacency` builds all four from those
+    prefixes, as tables of the flow's own, and lets go of the shared ones;
+    from then on it is an ordinary flow.  `__getattr__` runs only for an
+    attribute not found, so ordinary flows pay nothing for it.
+    """
+
+    def __init__(
+        self,
+        states: dict[str, None],
+        path_ends: dict[str, tuple[str, str]],
+        composition: dict[tuple[str, str], str],
+        adjacency: dict[tuple[str, str], None],
+    ):
+        self._prefixes = (
+            (states, len(states)),
+            (path_ends, len(path_ends)),
+            (composition, len(composition)),
+            (adjacency, len(adjacency)),
+        )
+
+    def __getattr__(self, name: str):
+        if name not in _TABLES or "_prefixes" not in self.__dict__:
+            raise AttributeError(name)
+        states, path_ends, composition, adjacency = self.__dict__.pop("_prefixes")
+        self.skeleton = frozenset(_first(*states))
+        self.path_ends = dict(_first_items(*path_ends))
+        self.composition = dict(_first_items(*composition))
+        self.adjacency = frozenset(_first(*adjacency))
+        return self.__dict__[name]
+
+
+def _first(table: dict, n: int):
+    """The first `n` keys of `table`: the table itself when it has no more."""
+    return table if len(table) == n else islice(table, n)
+
+
+def _first_items(table: dict, n: int):
+    """The first `n` items of `table`: the table itself when it has no more."""
+    return table if len(table) == n else islice(table.items(), n)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +596,9 @@ def deadlocks(
 
     A state counts as reachable when it is `init` itself or the target of
     some path out of `init`; since flows are composition-closed, one-path
-    reachability coincides with iterated reachability.
+    reachability coincides with iterated reachability.  One pass over the
+    path endpoints finds both the states some path leaves and the targets
+    of the paths out of `init`; no index of the flow is built.
     """
     finals = frozenset(finals)
     if init not in flow.skeleton:
@@ -551,8 +606,12 @@ def deadlocks(
     stray = finals - flow.skeleton
     if stray:
         raise UnknownIdError("unknown final states: " + ", ".join(sorted(stray)))
-    reachable = {init} | {flow.path_ends[p][1] for p in flow.paths_from(init)}
-    departing = {ends[0] for ends in flow.path_ends.values()}
+    reachable = {init}
+    departing = set()
+    for s, t in flow.path_ends.values():
+        departing.add(s)
+        if s == init:
+            reachable.add(t)
     return tuple(
         sorted(s for s in reachable if s not in finals and s not in departing)
     )

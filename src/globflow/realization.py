@@ -20,7 +20,7 @@ attaches every cell of `c`; `incremental_realize` checks a single step.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .complexes import (
     PATH_SEPARATOR,
@@ -31,13 +31,14 @@ from .complexes import (
     all_exec_paths,
     complex_morphism_violations,
     count_paths_and_composites,
+    exec_path_ends,
 )
 from .errors import (
     InvalidAttachmentError,
     InvalidMorphismError,
     RealizationLimitExceeded,
 )
-from .flows import FiniteFlow, FlowMorphism
+from .flows import FiniteFlow, FlowMorphism, _FlowSnapshot
 from .settings import env_count
 
 # the most paths and composites together that `realize` builds by default
@@ -55,15 +56,16 @@ def path_id(seq: Iterable[str]) -> str:
 def realize(c: GlobularComplex) -> FiniteFlow:
     """The flow of a complex: same states, all execution paths, square moves.
 
-    Built as `IncrementalRealizer(c).flow`.  The complex must validate;
-    acyclicity keeps the path set finite.  Before anything is built, the
+    Built by an `IncrementalRealizer` made from `c` and then dropped, so
+    the flow takes over the realizer's tables without a copy.  The complex
+    must validate; acyclicity keeps the path set finite.  Before anything is built, the
     exact numbers of paths and composites are worked out
     (`count_paths_and_composites`), and a complex whose realization would
     hold more of them together than GLOBFLOW_REALIZE_LIMIT (default
     DEFAULT_REALIZE_LIMIT) raises RealizationLimitExceeded; a variable that
     does not hold a non-negative integer raises ValueError.
     """
-    return IncrementalRealizer(c).flow
+    return IncrementalRealizer(c)._release()
 
 
 def _realize_limit() -> int:
@@ -104,36 +106,45 @@ class IncrementalRealizer:
     """Builds the realization of a complex one cell at a time.
 
     The realizer owns the realization's tables and changes them in place:
-    path endpoints, composition, the normalized adjacency pairs, the paths
-    out of and into each state, and the non-degenerate squares by source
-    and by target state.  Attaching a state grows the skeleton.  Attaching
-    an edge creates exactly the paths through it (old path into its source,
-    the edge, old path out of its target), their composites with old paths,
+    the states, edges and squares attached so far, path endpoints,
+    composition, the normalized adjacency pairs, the paths out of and into
+    each state, and the non-degenerate squares by source and by target
+    state.  Attaching a state grows the skeleton.  Attaching an edge
+    creates exactly the paths through it (old path into its source, the
+    edge, old path out of its target), their composites with old paths,
     and their move pairs from the squares already attached that end at
     their source or start at their target.  Attaching a square pairs
     pre·left·suf with pre·right·suf over the paths into its source and out
     of its target.  So each move pair is made once, from a square, and no
-    path is listed or rewritten.  Every check runs before any table
-    changes, so a rejected cell leaves the realizer as it was.  An edge
-    that would take the realization over GLOBFLOW_REALIZE_LIMIT, as read
-    when the realizer was made, raises RealizationLimitExceeded, as
-    `realize` of the extended complex would.
+    path is listed or rewritten.  Every check runs against the realizer's
+    own cells before any table changes, so a rejected cell leaves the
+    realizer as it was.  An edge that would take the realization over
+    GLOBFLOW_REALIZE_LIMIT, as read when the realizer was made, raises
+    RealizationLimitExceeded, as `realize` of the extended complex would.
 
     Making a realizer checks the limit on `c` as `realize` does, then adds
-    every edge of `c` and then every square to empty tables.  It and each
-    attach hand out a new flow that later attaches never change: one
-    C-level copy of each table, with the flow's sorted indexes unbuilt, so
-    an attach costs what it adds plus those copies.
+    every edge of `c` and then every square to empty tables.  The tables
+    only grow and are all insertion-ordered, so the flow it and each attach
+    hand out is a snapshot of their first entries, made in O(1), that later
+    attaches never change; its tables are built from those prefixes when
+    it is first read.  `complex` is `c` until the first attach, and is
+    otherwise built from the realizer's cells when read.  So an attach
+    costs what the cell adds.
     """
 
     def __init__(self, c: GlobularComplex):
         paths, composites = count_paths_and_composites(c)  # validates c first
         self._limit = _realize_limit()
         _check_limit(paths, composites, self._limit)
-        self._complex = c
+        self._base = c
+        # insertion-ordered tables that only grow; dicts with None values are
+        # ordered sets
+        self._states: dict[str, None] = dict.fromkeys(c.states)
+        self._edges: dict[str, Edge] = {}
+        self._squares: dict[str, Square] = {}
         self._path_ends: dict[str, tuple[str, str]] = {}
         self._composition: dict[tuple[str, str], str] = {}
-        self._adjacency: set[tuple[str, str]] = set()
+        self._adjacency: dict[tuple[str, str], None] = {}
         self._out: dict[str, list[str]] = {s: [] for s in c.states}
         self._into: dict[str, list[str]] = {s: [] for s in c.states}
         # (left id, right id, other end) of each non-degenerate square
@@ -143,10 +154,18 @@ class IncrementalRealizer:
             self._add_edge(edge)
         for q in c.squares:
             self._add_square(q, c.path_source(q.left), c.path_target(q.left))
-        self._hand_out(c.state_set)
+        self._hand_out()
+        self._complex: Optional[GlobularComplex] = c
 
     @property
     def complex(self) -> GlobularComplex:
+        if self._complex is None:
+            self._complex = replace(
+                self._base,
+                states=tuple(self._states),
+                edges=tuple(self._edges.values()),
+                squares=tuple(self._squares.values()),
+            )
         return self._complex
 
     @property
@@ -163,22 +182,21 @@ class IncrementalRealizer:
         raise InvalidAttachmentError(f"not an attachable cell: {cell!r}")
 
     def attach_state(self, name: str) -> FiniteFlow:
-        if name in self._complex.state_set:
+        if name in self._states:
             raise InvalidAttachmentError(f"state already present: {name}")
-        self._complex = replace(self._complex, states=self._complex.states + (name,))
+        self._states[name] = None
         self._out[name] = []
         self._into[name] = []
-        return self._hand_out(self._flow.skeleton | {name})
+        return self._hand_out()
 
     def attach_edge(self, edge: Edge) -> FiniteFlow:
-        c = self._complex
         ends, out, into = self._path_ends, self._out, self._into
-        if edge.id in c.edge_map:
+        if edge.id in self._edges:
             raise InvalidAttachmentError(f"edge id already present: {edge.id}")
         if PATH_SEPARATOR in edge.id:
             raise InvalidAttachmentError(f"reserved character in edge id: {edge.id}")
         for endpoint in (edge.src, edge.tgt):
-            if endpoint not in c.state_set:
+            if endpoint not in self._states:
                 raise InvalidAttachmentError(f"dangling endpoint: {endpoint}")
         if edge.src == edge.tgt or any(ends[p][1] == edge.src for p in out[edge.tgt]):
             raise InvalidAttachmentError(
@@ -196,31 +214,29 @@ class IncrementalRealizer:
             self._limit,
         )
         self._add_edge(edge)
-        self._complex = replace(c, edges=c.edges + (edge,))
-        return self._hand_out(self._flow.skeleton)
+        return self._hand_out()
 
     def attach_square(self, square: Square) -> FiniteFlow:
-        c = self._complex
-        if square.id in c.square_map:
+        if square.id in self._squares:
             raise InvalidAttachmentError(f"square id already present: {square.id}")
-        left, right = tuple(square.left), tuple(square.right)
-        for name, side in (("left", left), ("right", right)):
-            if not side or not c.is_exec_path(side):
+        endpoints = []
+        for name, side in (("left", square.left), ("right", square.right)):
+            side_ends = exec_path_ends(self._edges, side)
+            if side_ends is None:
                 raise InvalidAttachmentError(
                     f"square {square.id} {name} side is not an execution path"
                 )
-        src, tgt = c.path_source(left), c.path_target(left)
-        if src != c.path_source(right) or tgt != c.path_target(right):
+            endpoints.append(side_ends)
+        if endpoints[0] != endpoints[1]:
             raise InvalidAttachmentError(
                 f"square {square.id} sides do not share endpoints"
             )
-
-        self._add_square(square, src, tgt)
-        self._complex = replace(c, squares=c.squares + (square,))
-        return self._hand_out(self._flow.skeleton)
+        self._add_square(square, *endpoints[0])
+        return self._hand_out()
 
     def _add_edge(self, edge: Edge) -> None:
-        """Enter the new paths of an edge, their composites and move pairs."""
+        """Enter an edge, its new paths, their composites and move pairs."""
+        self._edges[edge.id] = edge
         ends, out, into, composition = self._path_ends, self._out, self._into, self._composition
         heads = [(edge.src, edge.id)]
         heads += [(ends[pre][0], pre + PATH_SEPARATOR + edge.id) for pre in into[edge.src]]
@@ -258,6 +274,7 @@ class IncrementalRealizer:
     def _add_square(self, square: Square, src: str, tgt: str) -> None:
         """Index a square from `src` to `tgt` and enter its move pairs; a
         degenerate square moves nothing."""
+        self._squares[square.id] = square
         left, right = path_id(square.left), path_id(square.right)
         if left == right:
             return
@@ -278,14 +295,26 @@ class IncrementalRealizer:
         for head in heads:
             for tail in tails:
                 a, b = head + left + tail, head + right + tail
-                adjacency.add((a, b) if a < b else (b, a))
+                adjacency[(a, b) if a < b else (b, a)] = None
 
-    def _hand_out(self, skeleton: frozenset[str]) -> FiniteFlow:
-        """Snapshot the owned tables as the current flow."""
-        self._flow = FiniteFlow._adopt(
-            skeleton, self._path_ends, self._composition, self._adjacency
+    def _hand_out(self) -> FiniteFlow:
+        """Snapshot the tables as the current flow, and drop the complex
+        built for the cells before."""
+        self._complex = None
+        self._flow = _FlowSnapshot(
+            self._states, self._path_ends, self._composition, self._adjacency
         )
         return self._flow
+
+    def _release(self) -> FiniteFlow:
+        """The current flow over the realizer's own tables, uncopied, for a
+        realizer that is dropped right after."""
+        return FiniteFlow._adopt(
+            frozenset(self._states),
+            self._path_ends,
+            self._composition,
+            frozenset(self._adjacency),
+        )
 
 
 def incremental_realize(c: GlobularComplex, cell: Cell) -> FiniteFlow:

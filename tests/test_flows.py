@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from conftest import make_chain, random_complex
+from conftest import make_chain, random_complex, random_pv_source
 from globflow import flows
 from globflow import (
     FiniteFlow,
@@ -20,6 +20,7 @@ from globflow import (
     realize,
     restrict,
     s_homotopic,
+    state_name,
     validate_flow,
 )
 
@@ -453,6 +454,36 @@ class TestDeadlocks:
             deadlocks(glob_flow(["a"]), "zz", ())
         with pytest.raises(UnknownIdError):
             deadlocks(glob_flow(["a"]), "0", {"zz"})
+
+    def test_builds_no_flow_index(self):
+        c = pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE))
+        flow = realize(c)
+        assert len(deadlocks(flow, c.init, c.finals)) == 1
+        assert "by_src" not in flow.__dict__
+        assert "sorted_paths" not in flow.__dict__
+
+    def test_random_complexes_match_graph_oracle(self, rng):
+        for _ in range(40):
+            c = random_complex(rng)
+            flow = realize(c)
+            edges = {e.id: (e.src, e.tgt) for e in c.edges}
+            init = rng.choice(c.states)
+            finals = rng.sample(c.states, rng.randint(0, 2))
+            reached = {init} | {
+                t for t in c.states if oracles.graph_paths(edges, init, t)
+            }
+            departing = {s for s, _ in edges.values()}
+            want = tuple(sorted(reached - departing - set(finals)))
+            assert deadlocks(flow, init, finals) == want
+
+    def test_random_pv_programs_match_pv_oracle(self, rng):
+        for _ in range(20):
+            program = parse_pv(random_pv_source(rng))
+            c = pv_to_complex(program)
+            processes = [[(step.op, step.arg) for step in p] for p in program.processes]
+            want = oracles.pv_deadlock_states(processes, program.capacities)
+            got = deadlocks(realize(c), c.init, c.finals)
+            assert got == tuple(sorted(state_name(t) for t in want))
 
 
 class TestDihomotopyClasses:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -325,6 +326,92 @@ class TestIncrementalRealizerTables:
         for flow in flows:
             assert "by_src" not in flow.__dict__
             assert "by_tgt" not in flow.__dict__
+
+    def test_snapshots_read_late_and_out_of_order_match_realize(self, rng):
+        for target in _random_targets(rng):
+            realizer = IncrementalRealizer(GlobularComplex(states=()))
+            steps = [(realizer.flow, realize(realizer.complex))]
+            for cell in _ready_order(rng, target):
+                steps.append((realizer.attach(cell), realize(realizer.complex)))
+                with pytest.raises(InvalidAttachmentError):
+                    realizer.attach(cell)  # its id or name is taken now
+                if rng.random() < 0.3:  # an earlier flow read between attaches
+                    flow, want = rng.choice(steps)
+                    assert flow == want
+            rng.shuffle(steps)
+            half = len(steps) // 2
+            for flow, want in steps[:half]:
+                assert flow == want
+                assert flow == want
+            del realizer
+            for flow, want in steps[half:]:
+                assert flow == want
+                assert flow == want
+
+    def test_complex_is_built_only_when_read(self):
+        target = pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE))
+        c = GlobularComplex(states=target.states, finals=target.finals, init=target.init)
+        realizer = IncrementalRealizer(c)
+        assert realizer.complex is c
+        with pytest.raises(InvalidAttachmentError):
+            realizer.attach(target.states[0])
+        assert realizer.complex is c
+        want = c
+        for cell in ("extra",) + target.edges + target.squares:
+            realizer.attach(cell)
+            if isinstance(cell, str):
+                want = replace(want, states=want.states + (cell,))
+            elif isinstance(cell, Edge):
+                want = replace(want, edges=want.edges + (cell,))
+            else:
+                want = replace(want, squares=want.squares + (cell,))
+            got = realizer.complex
+            assert got == want
+            assert (got.finals, got.init) == (target.finals, target.init)
+            assert realizer.complex is got
+        assert realizer.flow == realize(want)
+
+    def test_realize_returns_built_tables(self):
+        # realize's own realizer is dropped, so its flow takes the tables
+        # over at once: nothing is left to build on first read
+        flow = realize(make_grid(True))
+        assert {"skeleton", "path_ends", "composition", "adjacency"} <= vars(flow).keys()
+
+    def test_an_attach_allocates_only_what_the_cell_adds(self):
+        # the parent design copied every table per attach: megabytes here
+        realizer = IncrementalRealizer(_square_grid(5))
+        assert len(realizer.flow.path_ends) == 3346
+        tracemalloc.start()
+        try:
+            realizer.attach("x")
+            realizer.attach("y")
+            realizer.attach(Edge("xy", "x", "y"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert realizer.flow == realize(realizer.complex)
+
+
+def _square_grid(n):
+    """The n x n grid of states i,j with an edge right and up from each and
+    a square in each cell."""
+    def name(i, j):
+        return f"{i},{j}"
+
+    states = tuple(name(i, j) for i in range(n + 1) for j in range(n + 1))
+    edges, squares = [], []
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if i < n:
+                edges.append(Edge(f"h{i},{j}", name(i, j), name(i + 1, j)))
+            if j < n:
+                edges.append(Edge(f"v{i},{j}", name(i, j), name(i, j + 1)))
+            if i < n and j < n:
+                squares.append(
+                    Square(f"q{i},{j}", (f"h{i},{j}", f"v{i + 1},{j}"), (f"v{i},{j}", f"h{i},{j + 1}"))
+                )
+    return GlobularComplex(states, tuple(edges), tuple(squares))
 
 
 def _oracle_tables(c):
