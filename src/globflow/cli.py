@@ -3,6 +3,7 @@
 Three subcommands, each a thin wrapper around one library call chain:
 
     globflow realize INPUT [--pv] [-o OUT]      complex (or PV source) -> flow file
+                                                (compact: no composition triples)
     globflow analyze INPUT --deadlocks | --classes SRC TGT | --germs STATE
                            [--minus|--plus] | --t-check FILE | --s-equiv FILE
     globflow dot INPUT [-o OUT]                 complex or flow -> DOT text
@@ -17,6 +18,11 @@ together that a realization may hold (default 1000000; the counts are
 exact and checked before anything is built).  Each must be a non-negative
 integer, and any other value is an input error.  All output is sorted, so
 repeated runs are byte-identical.
+
+`realize` writes the compact flow document of `formats` (composition
+marked as concatenation, no triples); `analyze` reads either form and
+validates it (`flows.validate_flow`) before running its analysis, so both
+forms of the same flow give the same answers.
 """
 
 from __future__ import annotations

@@ -295,17 +295,27 @@ def glob_discrete(labels: Iterable[str]) -> GlobularComplex:
     )
 
 
-def _paths_from(c: GlobularComplex, src: StateId) -> Iterator[tuple[ExecPath, StateId]]:
-    """Every execution path out of `src` with its target, depth first in
-    edge-id order.
+def _paths_from(
+    c: GlobularComplex,
+    src: StateId,
+    tgt: Optional[StateId] = None,
+    steps: Optional[Mapping[str, Iterable[Edge]]] = None,
+) -> Iterator[tuple[ExecPath, StateId]]:
+    """Execution paths out of `src` with their targets, depth first in
+    edge-id order: every one, or with `tgt` given only those ending there.
+    `steps` maps a state to the out-edges the walk takes from it, in
+    edge-id order (all of them, `GlobularComplex.out_edges`, by default).
+    A path's tuple is built only when it is yielded.
 
     Raises InvalidComplexError on reaching a state already on the current
     path, so a cyclic complex fails instead of walking forever.
     """
+    if steps is None:
+        steps = c.out_edges
     prefix: list[str] = []
     reached: list[str] = []  # reached[i] is the target of edge prefix[i]
     on_path = {src}
-    pending = [iter(c.out_edges.get(src, ()))]
+    pending = [iter(steps.get(src, ()))]
     while pending:
         e = next(pending[-1], None)
         if e is None:
@@ -319,20 +329,34 @@ def _paths_from(c: GlobularComplex, src: StateId) -> Iterator[tuple[ExecPath, St
         prefix.append(e.id)
         reached.append(e.tgt)
         on_path.add(e.tgt)
-        yield tuple(prefix), e.tgt
-        pending.append(iter(c.out_edges.get(e.tgt, ())))
+        if tgt is None or e.tgt == tgt:
+            yield tuple(prefix), e.tgt
+        pending.append(iter(steps.get(e.tgt, ())))
 
 
 def enumerate_paths(c: GlobularComplex, src: StateId, tgt: StateId) -> list[ExecPath]:
     """All execution paths from src to tgt, in lexicographic edge-id order.
 
-    Raises UnknownIdError for unknown endpoints and InvalidComplexError if
-    a directed cycle is encountered while walking.
+    On a complex that validates, the walk takes only the edges into states
+    that can reach tgt, found backwards over the states between src and tgt
+    in `GlobularComplex.topological_order`.  Any other complex is walked in
+    full, so a directed cycle the walk meets raises InvalidComplexError as
+    it always has.  Raises UnknownIdError for unknown endpoints.
     """
     for s in (src, tgt):
         if s not in c.state_set:
             raise UnknownIdError(f"unknown state: {s}")
-    return sorted(p for p, end in _paths_from(c, src) if end == tgt)
+    steps = None
+    if c.validation.ok:
+        order = c.topological_order
+        ahead = {tgt}
+        steps = {}
+        for s in reversed(order[order.index(src):order.index(tgt)]):
+            onward = [e for e in c.out_edges[s] if e.tgt in ahead]
+            if onward:
+                ahead.add(s)
+                steps[s] = onward
+    return sorted(p for p, _ in _paths_from(c, src, tgt, steps))
 
 
 def all_exec_paths(c: GlobularComplex) -> list[ExecPath]:

@@ -2,15 +2,23 @@
 partial composition, and an adjacency relation standing in for the topology
 of the path space.
 
-Composition is a total table on composable pairs (target of the first equals
+Composition is a table on composable pairs (target of the first equals
 source of the second).  Adjacency relates paths sharing both endpoints; its
 reflexive-transitive closure (written adj* throughout) models which paths sit
 in the same connected component of the path space.  Validation checks the
 axioms exhaustively: endpoint laws and totality on every composable pair,
 associativity on every composable triple, plus adjacency being a congruence
-for composition.  Associativity is certified without visiting the triples
-when every composite's id is the "*"-concatenation of its operands' ids, as
-in every realized flow; any other flow gets the full walk over triples.
+for composition.
+
+A flow made by realization, or read from a document that says so, is
+*concatenative*: its paths are the "*"-joins of sequences of length-1 paths
+(the ids without "*"), and x*y is the id `x + "*" + y` exactly when
+tgt(x) = src(y).  Such a flow's composition table says nothing its ids do
+not; a flow read without the table builds it when `composition` is first
+read.  Validation certifies a concatenative flow from its ids and its
+adjacency alone (see `validate_flow`), and walks the table only when a
+certificate fails.  A flow built from explicit tables is never
+concatenative, whatever its table holds.
 
 Morphisms preserve endpoints and composition on the nose, and adjacency up
 to adj*-components.  Two morphisms with equal state maps are S-homotopic
@@ -32,7 +40,6 @@ from .unionfind import DisjointSets
 
 PathId = str
 
-
 def _normalize_adjacency(pairs) -> frozenset[tuple[str, str]]:
     out = set()
     for a, b in pairs:
@@ -49,6 +56,9 @@ class FiniteFlow:
     pairs of paths with equal source and equal target.
     """
 
+    # whether composition is concatenation of ids (see the module docstring)
+    _concatenative = False
+
     def __init__(
         self,
         skeleton: Iterable[str],
@@ -60,28 +70,6 @@ class FiniteFlow:
         self.path_ends = {p: (s, t) for p, (s, t) in dict(path_ends).items()}
         self.composition = dict(composition)
         self.adjacency = _normalize_adjacency(adjacency)
-
-    @classmethod
-    def _adopt(
-        cls,
-        skeleton: frozenset[str],
-        path_ends: dict[str, tuple[str, str]],
-        composition: dict[tuple[str, str], str],
-        adjacency: frozenset[tuple[str, str]],
-    ) -> "FiniteFlow":
-        """A flow that takes over tables already in canonical form:
-        `path_ends` values are (source, target) tuples and `adjacency` holds
-        each unordered pair once, as (a, b) with a < b.
-
-        Nothing is copied and no entry is looked at, so the caller must not
-        change the tables afterwards; the lazy indexes stay unbuilt.
-        """
-        flow = cls.__new__(cls)
-        flow.skeleton = skeleton
-        flow.path_ends = path_ends
-        flow.composition = composition
-        flow.adjacency = adjacency
-        return flow
 
     # -- structure access ---------------------------------------------------
 
@@ -178,56 +166,81 @@ class FiniteFlow:
         )
 
 
-# the tables a snapshot builds on first read
-_TABLES = ("skeleton", "path_ends", "composition", "adjacency")
+class _ConcatenativeFlow(FiniteFlow):
+    """A concatenative flow over tables already in canonical form:
+    `path_ends` values are (source, target) tuples and `adjacency` holds
+    each unordered pair once, as (a, b) with a < b.  Only realization (the
+    flow of `realize`, the realizer's snapshots) and the reader of compact
+    flow documents make one.
+
+    Nothing is copied and no entry is looked at, so the caller must not
+    change the tables afterwards.  Without a `composition` table, the
+    table {(x, y): "x*y" for every composable pair} is built when first
+    read.
+    """
+
+    _concatenative = True
+
+    def __init__(
+        self,
+        skeleton: frozenset[str],
+        path_ends: dict[str, tuple[str, str]],
+        adjacency: frozenset[tuple[str, str]],
+        composition: Optional[dict[tuple[str, str], str]] = None,
+    ):
+        self.skeleton = skeleton
+        self.path_ends = path_ends
+        self.adjacency = adjacency
+        if composition is not None:
+            self.composition = composition
+
+    @cached_property
+    def composition(self) -> dict[tuple[str, str], str]:
+        by_src = self.by_src
+        return {
+            (x, y): f"{x}{PATH_SEPARATOR}{y}"
+            for x, (_, t) in self.path_ends.items()
+            for y in by_src.get(t, ())
+        }
 
 
-class _FlowSnapshot(FiniteFlow):
-    """The flow held by the first entries of four insertion-ordered tables
+class _FlowSnapshot(_ConcatenativeFlow):
+    """The flow held by the first entries of three insertion-ordered tables
     that only grow: a realizer's states and normalized adjacency pairs
-    (dict keys), its path endpoints and its composition.
+    (dict keys) and its path endpoints.
 
     Making one records the tables and their lengths, O(1), and later
-    growth of the tables does not change it.  The first read of `skeleton`,
-    `path_ends`, `composition` or `adjacency` builds all four from those
-    prefixes, as tables of the flow's own, and lets go of the shared ones;
-    from then on it is an ordinary flow.  `__getattr__` runs only for an
-    attribute not found, so ordinary flows pay nothing for it.
+    growth of the tables does not change it.  The first read of
+    `skeleton`, `path_ends` or `adjacency` builds that table from its
+    prefix, as a table of the flow's own, and lets go of the shared one;
+    `composition` is built from `path_ends` when first read.
+    `__getattr__` runs only for an attribute not found, so ordinary flows
+    pay nothing for it.
     """
 
     def __init__(
         self,
         states: dict[str, None],
         path_ends: dict[str, tuple[str, str]],
-        composition: dict[tuple[str, str], str],
         adjacency: dict[tuple[str, str], None],
     ):
-        self._prefixes = (
-            (states, len(states)),
-            (path_ends, len(path_ends)),
-            (composition, len(composition)),
-            (adjacency, len(adjacency)),
-        )
+        self._prefixes = {
+            "skeleton": (states, len(states)),
+            "path_ends": (path_ends, len(path_ends)),
+            "adjacency": (adjacency, len(adjacency)),
+        }
 
     def __getattr__(self, name: str):
-        if name not in _TABLES or "_prefixes" not in self.__dict__:
+        prefix = self.__dict__.get("_prefixes", {}).pop(name, None)
+        if prefix is None:
             raise AttributeError(name)
-        states, path_ends, composition, adjacency = self.__dict__.pop("_prefixes")
-        self.skeleton = frozenset(_first(*states))
-        self.path_ends = dict(_first_items(*path_ends))
-        self.composition = dict(_first_items(*composition))
-        self.adjacency = frozenset(_first(*adjacency))
-        return self.__dict__[name]
-
-
-def _first(table: dict, n: int):
-    """The first `n` keys of `table`: the table itself when it has no more."""
-    return table if len(table) == n else islice(table, n)
-
-
-def _first_items(table: dict, n: int):
-    """The first `n` items of `table`: the table itself when it has no more."""
-    return table if len(table) == n else islice(table.items(), n)
+        table, n = prefix
+        if name == "path_ends":
+            value = dict(table if len(table) == n else islice(table.items(), n))
+        else:
+            value = frozenset(table if len(table) == n else islice(table, n))
+        setattr(self, name, value)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -237,24 +250,63 @@ def _first_items(table: dict, n: int):
 def validate_flow(flow: FiniteFlow) -> ValidationReport:
     """Exhaustive axiom check; reports every violation found.
 
-    Every axiom is checked on the whole flow, but two checks take a
+    Every axiom is checked on the whole flow, but some checks take a
     shortcut that cannot change the outcome.  Totality walks the
     composable pairs only when fewer composable entries exist than
     composable pairs.  Associativity is certified without the walk over
     composable triples when every composition entry (x, y) -> z has
     z = "x*y": string concatenation is associative, so (x*y)*z and
-    x*(y*z) are the same string.  Realized flows always pass that test;
-    any other flow gets the full walk (`_associativity_violations`).
+    x*(y*z) are the same string; any other flow gets the full walk
+    (`_associativity_violations`).
+
+    A concatenative flow (see the module docstring) has no table to check
+    unless one is asked for: two exact certificates stand in for the walk
+    over its composition, and its table is not read.
+      - Closure (`_closed_under_concatenation`): every id splits on "*"
+        into length-1 paths that compose in order, its ends are the first
+        piece's source and the last piece's target, and every path
+        extended by a length-1 path leaving its target is a path (shown by
+        counting).  Joining is injective, so the paths are then exactly
+        the composable sequences of length-1 paths, and the endpoint laws,
+        totality and associativity of concatenation hold.
+      - Congruence (`_adjacency_extends`): each adjacency pair (a, b)
+        extended by any length-1 path on either side is again an adjacency
+        pair; by induction on the extension, composing with any path keeps
+        adjacent paths adjacent.
+    If both hold, the only violations left are those of the endpoint
+    checks, which run as for any flow.  If either fails, the flow is
+    checked as the explicit flow holding its concatenation table, with the
+    same violations in the same order.
     """
-    violations: list[str] = []
     skeleton, ends = flow.skeleton, flow.path_ends
 
+    dangling: list[str] = []
     for p in flow.sorted_paths:
         s, t = ends[p]
         if s not in skeleton:
-            violations.append(f"dangling path endpoint: source {s} of path {p}")
+            dangling.append(f"dangling path endpoint: source {s} of path {p}")
         if t not in skeleton:
-            violations.append(f"dangling path endpoint: target {t} of path {p}")
+            dangling.append(f"dangling path endpoint: target {t} of path {p}")
+
+    adjacency = sorted(flow.adjacency)
+    unpaired: list[str] = []
+    matched: list[tuple[str, str]] = []  # pairs of known paths with equal ends
+    for a, b in adjacency:
+        if a not in ends or b not in ends:
+            unpaired.append(f"unknown path in adjacency: ({a}, {b})")
+        elif ends[a] != ends[b]:
+            unpaired.append(f"adjacency endpoints: {a} and {b} do not share endpoints")
+        else:
+            matched.append((a, b))
+
+    if flow._concatenative:
+        length_one = {p: st for p, st in ends.items() if PATH_SEPARATOR not in p}
+        if _closed_under_concatenation(flow, length_one) and _adjacency_extends(
+            flow, length_one, matched
+        ):
+            return ValidationReport(tuple(dangling + unpaired))
+
+    violations = dangling
 
     # entries are checked in table order and reported in key order
     entry_violations: list[tuple[tuple[str, str], str]] = []
@@ -293,17 +345,75 @@ def validate_flow(flow: FiniteFlow) -> ValidationReport:
     ):
         violations.extend(_associativity_violations(flow))
 
-    adjacency = sorted(flow.adjacency)
-    for a, b in adjacency:
-        if a not in ends or b not in ends:
-            violations.append(f"unknown path in adjacency: ({a}, {b})")
-            continue
-        if ends[a] != ends[b]:
-            violations.append(f"adjacency endpoints: {a} and {b} do not share endpoints")
-
+    violations.extend(unpaired)
     violations.extend(_congruence_violations(flow, adjacency))
 
     return ValidationReport(tuple(violations))
+
+
+def _closed_under_concatenation(flow: FiniteFlow, length_one: dict) -> bool:
+    """The closure certificate of `validate_flow`; `length_one` holds the
+    length-1 paths with their ends.
+
+    An id x*e, with e the piece after its last "*", splits into composable
+    length-1 paths with the right ends when e is a length-1 path, x is a
+    path that splits so and ends where e starts, and the id's ends are
+    x's source and e's target; every id is checked so, which proves it
+    for all by induction on length.
+
+    Then every path of two or more pieces is a path x extended by a
+    length-1 path e leaving x's target, and no two are the same extension.
+    So the paths are all composable sequences of length-1 paths exactly
+    when there are as many of them as such pairs (x, e): every extension
+    is then a path, and by induction on length so is every sequence.  A
+    cycle among the length-1 paths would make the sequences endless, so
+    it never passes.
+    """
+    ends = flow.path_ends
+    for p, p_ends in ends.items():
+        head, separator, e = p.rpartition(PATH_SEPARATOR)
+        if not separator:
+            continue  # a length-1 path
+        head_ends, e_ends = ends.get(head), length_one.get(e)
+        if (
+            head_ends is None
+            or e_ends is None
+            or head_ends[1] != e_ends[0]
+            or p_ends != (head_ends[0], e_ends[1])
+        ):
+            return False
+    leaving: dict[str, int] = {}  # state -> length-1 paths out of it
+    for s, _ in length_one.values():
+        leaving[s] = leaving.get(s, 0) + 1
+    extensions = sum(leaving.get(t, 0) for _, t in ends.values())
+    return extensions == len(ends) - len(length_one)
+
+
+def _adjacency_extends(flow: FiniteFlow, length_one: dict, matched) -> bool:
+    """The congruence certificate of `validate_flow`, for a flow closed
+    under concatenation; `length_one` holds the length-1 paths with their
+    ends.  Only the `matched` adjacency pairs, of known paths with equal
+    ends, are extended: the others are left to the endpoint checks, as the
+    congruence check leaves them."""
+    if not matched:
+        return True
+    ends, adjacency = flow.path_ends, flow.adjacency
+    tails: dict[str, list[str]] = {}  # state -> "*e" for each e out of it
+    heads: dict[str, list[str]] = {}  # state -> "e*" for each e into it
+    for e, (s, t) in length_one.items():
+        tails.setdefault(s, []).append(PATH_SEPARATOR + e)
+        heads.setdefault(t, []).append(e + PATH_SEPARATOR)
+    for a, b in matched:
+        s, t = ends[a]
+        for tail in tails.get(t, ()):
+            x, y = a + tail, b + tail
+            if ((x, y) if x < y else (y, x)) not in adjacency:
+                return False
+        # a < b, so the pair extended on the left is ordered already
+        for head in heads.get(s, ()):
+            if (head + a, head + b) not in adjacency:
+                return False
+    return True
 
 
 def _associativity_violations(flow: FiniteFlow) -> list[str]:

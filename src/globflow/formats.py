@@ -21,8 +21,24 @@ Flow documents:
      "init": optional state, "finals": optional [state, ...]}
 
 `init`/`finals` are analysis annotations consumed by deadlock checks; flow
-output is fully sorted, so serialization is deterministic.  `flow_to_doc`
-defines the document; `dumps_flow` writes the text that
+output is fully sorted, so serialization is deterministic.
+
+A concatenative flow (one made by realization, or read from such a
+document; see `flows`) is written without its composition triples, with a
+marker after `adjacency`:
+
+    {"skeleton": [...], "paths": [...],
+     "compose": [],
+     "adjacency": [...],
+     "composition": "concatenation",
+     "init": optional state, "finals": optional [state, ...]}
+
+Its composition is x*y = "x" + "*" + "y" for every composable pair, and
+`loads_flow` gives back a concatenative flow that builds that table only
+when it is read.  A flow built from explicit tables is written with its
+triples and no marker.  Readers accept both forms; a marker other than
+"concatenation", or the marker with compose triples, is refused.
+`flow_to_doc` defines the document; `dumps_flow` writes the text that
 `json.dumps(flow_to_doc(...), indent=2)` would give, directly from the flow,
 escaping each id once.
 
@@ -43,7 +59,7 @@ from typing import Any
 
 from .complexes import Edge, GlobularComplex, Square
 from .errors import FormatError
-from .flows import FiniteFlow, FlowMorphism
+from .flows import FiniteFlow, FlowMorphism, _ConcatenativeFlow, _normalize_adjacency
 
 
 def _require(doc: dict, key: str, kind, where: str):
@@ -146,6 +162,9 @@ def loads_complex(text: str) -> GlobularComplex:
 # ---------------------------------------------------------------------------
 # flows
 
+# the `composition` marker of a document whose composition is concatenation
+CONCATENATION = "concatenation"
+
 
 def flow_to_doc(
     flow: FiniteFlow, init: str | None = None, finals=None
@@ -156,9 +175,15 @@ def flow_to_doc(
             {"id": p, "src": flow.path_ends[p][0], "tgt": flow.path_ends[p][1]}
             for p in flow.sorted_paths
         ],
-        "compose": sorted([x, y, z] for (x, y), z in flow.composition.items()),
+        "compose": (
+            []
+            if flow._concatenative
+            else sorted([x, y, z] for (x, y), z in flow.composition.items())
+        ),
         "adjacency": sorted([a, b] for a, b in flow.adjacency),
     }
+    if flow._concatenative:
+        doc["composition"] = CONCATENATION
     if init is not None:
         doc["init"] = init
     if finals:
@@ -194,8 +219,18 @@ def flow_from_doc(doc: Any) -> tuple[FiniteFlow, dict[str, Any]]:
             _require(entry, "src", str, where),
             _require(entry, "tgt", str, where),
         )
+    concatenative = "composition" in doc
+    if concatenative and doc["composition"] != CONCATENATION:
+        raise FormatError(
+            f"flow document: field 'composition' must be {CONCATENATION!r}"
+        )
     composition = {}
-    for i, entry in enumerate(_optional_list(doc, "compose", "flow document")):
+    compose = _optional_list(doc, "compose", "flow document")
+    if concatenative and compose:
+        raise FormatError(
+            f"flow document: a {CONCATENATION} document lists no compose triples"
+        )
+    for i, entry in enumerate(compose):
         if isinstance(entry, list) and len(entry) == 3:
             x, y, z = entry
             if isinstance(x, str) and isinstance(y, str) and isinstance(z, str):
@@ -225,12 +260,17 @@ def flow_from_doc(doc: Any) -> tuple[FiniteFlow, dict[str, Any]]:
     if "finals" in doc:
         annotations["finals"] = _string_list(doc, "finals", "flow document")
 
-    flow = FiniteFlow(
-        skeleton=skeleton,
-        path_ends=path_ends,
-        composition=composition,
-        adjacency=adjacency,
-    )
+    if concatenative:
+        flow = _ConcatenativeFlow(
+            frozenset(skeleton), path_ends, _normalize_adjacency(adjacency)
+        )
+    else:
+        flow = FiniteFlow(
+            skeleton=skeleton,
+            path_ends=path_ends,
+            composition=composition,
+            adjacency=adjacency,
+        )
     return flow, annotations
 
 
@@ -262,14 +302,19 @@ def _flow_text(flow: FiniteFlow, init: str | None, finals):
         for p in flow.sorted_paths
     )
     yield ',\n  "compose": '
-    yield from _array(
-        f",\n    [\n      {q[x]},\n      {q[y]},\n      {q[z]}\n    ]"
-        for (x, y), z in sorted(flow.composition.items())
-    )
+    if flow._concatenative:
+        yield "[]"
+    else:
+        yield from _array(
+            f",\n    [\n      {q[x]},\n      {q[y]},\n      {q[z]}\n    ]"
+            for (x, y), z in sorted(flow.composition.items())
+        )
     yield ',\n  "adjacency": '
     yield from _array(
         f",\n    [\n      {q[a]},\n      {q[b]}\n    ]" for a, b in sorted(flow.adjacency)
     )
+    if flow._concatenative:
+        yield f',\n  "composition": {q[CONCATENATION]}'
     if init is not None:
         yield f',\n  "init": {q[init]}'
     if finals:

@@ -4,7 +4,11 @@ The realization of a complex keeps the same 0-skeleton and takes *all*
 execution paths as its path set, with composition given by concatenation of
 edge sequences and adjacency given by single square moves.  A composite's
 path id is its edge-id sequence joined with "*", so associativity holds by
-construction and never depends on table bookkeeping.
+construction and never depends on table bookkeeping.  Every flow made here
+is concatenative (see `flows`): it is written without its composition
+table and validated from its ids (`formats.dumps_flow`,
+`flows.validate_flow`).  In memory, `realize`'s flow keeps the table the
+realizer built; a flow an attach hands out builds it when first read.
 
 The path and composite counts grow much faster than the complex, so
 `realize` counts them exactly first (a pass over the complex, no path
@@ -38,7 +42,7 @@ from .errors import (
     InvalidMorphismError,
     RealizationLimitExceeded,
 )
-from .flows import FiniteFlow, FlowMorphism, _FlowSnapshot
+from .flows import FiniteFlow, FlowMorphism, _ConcatenativeFlow, _FlowSnapshot
 from .settings import env_count
 
 # the most paths and composites together that `realize` builds by default
@@ -126,10 +130,10 @@ class IncrementalRealizer:
     every edge of `c` and then every square to empty tables.  The tables
     only grow and are all insertion-ordered, so the flow it and each attach
     hand out is a snapshot of their first entries, made in O(1), that later
-    attaches never change; its tables are built from those prefixes when
-    it is first read.  `complex` is `c` until the first attach, and is
-    otherwise built from the realizer's cells when read.  So an attach
-    costs what the cell adds.
+    attaches never change; each of its tables is built from its prefix
+    when first read, and its composition from its path ids.  `complex` is
+    `c` until the first attach, and is otherwise built from the realizer's
+    cells when read.  So an attach costs what the cell adds.
     """
 
     def __init__(self, c: GlobularComplex):
@@ -301,19 +305,17 @@ class IncrementalRealizer:
         """Snapshot the tables as the current flow, and drop the complex
         built for the cells before."""
         self._complex = None
-        self._flow = _FlowSnapshot(
-            self._states, self._path_ends, self._composition, self._adjacency
-        )
+        self._flow = _FlowSnapshot(self._states, self._path_ends, self._adjacency)
         return self._flow
 
     def _release(self) -> FiniteFlow:
         """The current flow over the realizer's own tables, uncopied, for a
         realizer that is dropped right after."""
-        return FiniteFlow._adopt(
+        return _ConcatenativeFlow(
             frozenset(self._states),
             self._path_ends,
-            self._composition,
             frozenset(self._adjacency),
+            self._composition,
         )
 
 

@@ -1,14 +1,18 @@
 import json
+import random
 
 import pytest
 
 import oracles
-from conftest import make_chain, make_grid, make_interval, make_parallel_pair
+from conftest import make_chain, make_grid, make_interval, make_parallel_pair, random_pv_source
 from globflow import (
+    FiniteFlow,
     dumps_complex,
     dumps_flow,
     dumps_morphism,
     glob_discrete,
+    parse_pv,
+    pv_to_complex,
     realize,
     realize_morphism,
     state_name,
@@ -18,6 +22,7 @@ from globflow import (
 )
 from globflow import cli, complexes
 from globflow.cli import main
+from globflow.formats import flow_to_doc
 
 
 def run(capsys, *argv):
@@ -317,6 +322,45 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", glob_ab_flow_file, "--germs", "zz")
         assert code == 1
         assert "unknown state" in err
+
+
+class TestDocumentForms:
+    """`realize` writes compact documents; analyses answer the same on the
+    explicit document of the same flow."""
+
+    def test_both_forms_give_the_same_answers(self, capsys, tmp_path):
+        rng = random.Random(4711)
+        programs = [
+            ("mutex", oracles.MUTEX_SOURCE),
+            ("swiss", oracles.SWISS_FLAG_SOURCE),
+            ("phil3", oracles.dining_philosophers_source(3)),
+        ] + [(f"r{i}", random_pv_source(rng)) for i in range(20)]
+        for name, source in programs:
+            pv = tmp_path / f"{name}.pv"
+            pv.write_text(source)
+            compact = tmp_path / f"{name}.flow.json"
+            code, _, err = run(capsys, "realize", str(pv), "--pv", "-o", str(compact))
+            assert code == 0, err
+            doc = json.loads(compact.read_text())
+            assert doc["compose"] == [] and doc["composition"] == "concatenation"
+            c = pv_to_complex(parse_pv(source))
+            f = realize(c)
+            explicit = tmp_path / f"{name}.explicit.json"
+            explicit.write_text(
+                json.dumps(
+                    flow_to_doc(
+                        FiniteFlow(f.skeleton, f.path_ends, f.composition, f.adjacency),
+                        init=c.init,
+                        finals=c.finals,
+                    ),
+                    indent=2,
+                )
+            )
+            assert "composition" not in json.loads(explicit.read_text())
+            for analysis in (["--deadlocks"], ["--classes", "init", "final"]):
+                got = run(capsys, "analyze", str(compact), *analysis)
+                assert got[0] == 0, got
+                assert run(capsys, "analyze", str(explicit), *analysis) == got
 
 
 class TestDot:

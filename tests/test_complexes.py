@@ -156,6 +156,70 @@ class TestEnumeratePaths:
                         assert c.path_target(path) == tgt
 
 
+class TestMemberWalk:
+    """enumerate_paths walks only the states that can reach its target."""
+
+    def test_matches_the_oracle_in_order(self, rng):
+        for _ in range(40):
+            c = random_complex(rng)
+            edges = {e.id: (e.src, e.tgt) for e in c.edges}
+            for src in c.states:
+                for tgt in c.states:
+                    want = sorted(oracles.graph_paths(edges, src, tgt))
+                    assert enumerate_paths(c, src, tgt) == want
+
+    def test_pv_programs_match_the_oracle(self, rng):
+        for _ in range(10):
+            c = pv_to_complex(parse_pv(random_pv_source(rng)))
+            edges = {e.id: (e.src, e.tgt) for e in c.edges}
+            want = sorted(oracles.graph_paths(edges, c.init, c.finals[0]))
+            assert enumerate_paths(c, c.init, c.finals[0]) == want
+
+    def test_only_members_are_built(self, rng, monkeypatch):
+        walk = complexes._paths_from
+        built = []
+
+        def counted(*args):
+            for item in walk(*args):
+                built.append(item)
+                yield item
+
+        monkeypatch.setattr(complexes, "_paths_from", counted)
+        for _ in range(20):
+            c = random_complex(rng)
+            for src in c.states:
+                for tgt in c.states:
+                    built.clear()
+                    paths = enumerate_paths(c, src, tgt)
+                    assert [p for p, _ in built] == paths
+                    assert all(end == tgt for _, end in built)
+
+    def test_a_cycle_the_target_cannot_see_still_raises(self):
+        # s -> t, and a cycle out of s that never comes back to t
+        c = GlobularComplex(
+            states=("s", "t", "u", "v"),
+            edges=(
+                Edge("a", "s", "t"),
+                Edge("b", "s", "u"),
+                Edge("c", "u", "v"),
+                Edge("d", "v", "u"),
+            ),
+        )
+        with pytest.raises(InvalidComplexError) as raised:
+            enumerate_paths(c, "s", "t")
+        assert raised.value.violations == ["cyclic 1-skeleton: revisited u"]
+
+    def test_a_complex_that_does_not_validate_is_still_walked(self):
+        c = GlobularComplex(
+            states=("s", "t"),
+            edges=(Edge("a", "s", "t"), Edge("b", "s", "t")),
+            squares=(Square("q", ("a",), ("zz",)),),
+            finals=("nowhere",),
+        )
+        assert not validate_complex(c).ok
+        assert enumerate_paths(c, "s", "t") == [("a",), ("b",)]
+
+
 class TestPathClasses:
     def test_grid_with_square_one_class(self):
         assert len(path_classes(make_grid(True), "00", "11")) == 1

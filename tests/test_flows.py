@@ -1,3 +1,6 @@
+import json
+import random
+
 import pytest
 
 import oracles
@@ -6,15 +9,19 @@ from globflow import flows
 from globflow import (
     FiniteFlow,
     FlowMorphism,
+    GlobularComplex,
+    IncrementalRealizer,
     InvalidMorphismError,
     UnknownIdError,
     compose_flow_morphisms,
     deadlocks,
     dihomotopy_classes,
+    dumps_flow,
     germs,
     glob_flow,
     identity_flow_morphism,
     is_flow_morphism,
+    loads_flow,
     parse_pv,
     pv_to_complex,
     realize,
@@ -231,6 +238,139 @@ class TestValidationCertificate:
             "composite not a path",
             "adjacency congruence",
         } <= seen
+
+
+def _mutants(doc, rng):
+    """(kind, document) for mutations of a concatenation document `doc`."""
+    paths, adjacency, states = doc["paths"], doc["adjacency"], doc["skeleton"]
+    ids = [p["id"] for p in paths]
+    ends = {p["id"]: (p["src"], p["tgt"]) for p in paths}
+    single = [p for p in ids if "*" not in p]
+    multi = [p for p in ids if "*" in p]
+    extended = {p.rpartition("*")[0] for p in multi}
+
+    def changed(drop_path=None, add_paths=(), drop_pair=None, add_pairs=(), rename=None):
+        out = dict(doc)
+        out["paths"] = [
+            {**p, "id": rename.get(p["id"], p["id"])} if rename else p
+            for p in paths
+            if p["id"] != drop_path
+        ] + [{"id": i, "src": s, "tgt": t} for i, s, t in add_paths]
+        out["adjacency"] = [pair for pair in adjacency if pair != drop_pair] + list(add_pairs)
+        return out
+
+    if ids:
+        yield "drop", changed(drop_path=rng.choice(ids))
+        p = rng.choice(ids)
+        s, t = ends[p]
+        field = rng.choice(["src", "tgt"])
+        moved = rng.choice([x for x in states if x != (s if field == "src" else t)])
+        yield "ends", {**doc, "paths": [
+            {**q, field: moved} if q["id"] == p else q for q in paths
+        ]}
+    # only the path count can tell a path no other path extends is missing
+    maximal = [p for p in multi if p not in extended]
+    if maximal:
+        yield "drop unextended", changed(drop_path=rng.choice(maximal))
+    if adjacency:
+        yield "drop pair", changed(drop_pair=rng.choice(adjacency))
+    if single:
+        e = rng.choice(single)
+        yield "starred", changed(rename={e: f"{e}*{e}"})
+    u, v = rng.sample(states, 2)
+    yield "2-cycle", changed(add_paths=[("loop1", u, v), ("loop2", v, u)])
+    yield "dangling", changed(add_paths=[("dangle", u, "nowhere")])
+    # a path swapped for an incomposable join with the right ends, which
+    # keeps the path count
+    joins = [
+        (e, f) for e in single for f in single
+        if ends[e][1] != ends[f][0] and f"{e}*{f}" not in ends
+    ]
+    if joins and multi:
+        e, f = rng.choice(joins)
+        yield "incomposable", changed(
+            drop_path=rng.choice(multi), add_paths=[(f"{e}*{f}", ends[e][0], ends[f][1])]
+        )
+    if ids:
+        unpaired = [["ghost", rng.choice(ids)]]
+        apart = [(p, q) for p in ids for q in ids if p < q and ends[p] != ends[q]]
+        if apart:
+            unpaired.append(list(rng.choice(apart)))
+        yield "unpaired", changed(add_pairs=unpaired)
+
+
+def _explicit(flow):
+    """The explicit flow holding `flow`'s composition table."""
+    return FiniteFlow(flow.skeleton, flow.path_ends, flow.composition, flow.adjacency)
+
+
+class TestConcatenationCertificates:
+    """A concatenative flow is validated by two certificates, and by the
+    exact checks on its concatenation table when one fails; either way its
+    report is that of the explicit flow holding that table."""
+
+    def test_certificates_match_the_exact_checks(self):
+        rng = random.Random(90210)
+        failing = set()
+        for _ in range(200):
+            doc = json.loads(dumps_flow(realize(random_complex(rng))))
+            for kind, mutant in _mutants(doc, rng):
+                flow, _ = loads_flow(json.dumps(mutant))
+                report = validate_flow(flow)
+                assert report.violations == validate_flow(_explicit(flow)).violations, kind
+                if not report.ok:
+                    failing.add(kind)
+        assert failing == {
+            "drop", "ends", "drop unextended", "drop pair", "starred", "2-cycle",
+            "dangling", "incomposable", "unpaired",
+        }
+
+    def test_an_incomposable_join_is_refused(self):
+        doc = {
+            "skeleton": ["u", "v", "w", "x", "y"],
+            "paths": [
+                {"id": "a", "src": "u", "tgt": "v"},
+                {"id": "b", "src": "v", "tgt": "w"},
+                {"id": "c", "src": "x", "tgt": "y"},
+                {"id": "a*c", "src": "u", "tgt": "y"},
+            ],
+            "composition": "concatenation",
+        }
+        flow, _ = loads_flow(json.dumps(doc))
+        assert validate_flow(flow).violations == (
+            "composite not a path: a * b = a*b",
+        )
+
+    def test_valid_flows_take_no_walk(self, rng, monkeypatch):
+        def walked(*args):
+            raise AssertionError("the exact checks ran")
+
+        monkeypatch.setattr(flows, "_associativity_violations", walked)
+        monkeypatch.setattr(flows, "_congruence_violations", walked)
+        for _ in range(200):
+            c = random_complex(rng)
+            realized = realize(c)
+            loaded, _ = loads_flow(dumps_flow(realized))
+            realizer = IncrementalRealizer(GlobularComplex(states=c.states))
+            for cell in c.edges + c.squares:
+                realizer.attach(cell)
+            for flow in (realized, loaded, realizer.flow):
+                assert validate_flow(flow).ok
+            assert "composition" not in vars(loaded)
+            assert "composition" not in vars(realizer.flow)
+
+    def test_the_cli_path_builds_no_table(self):
+        c = pv_to_complex(parse_pv(oracles.dining_philosophers_source(3)))
+        realized = realize(c)
+        flow, _ = loads_flow(dumps_flow(realized, init=c.init, finals=c.finals))
+        assert validate_flow(flow).ok
+        assert deadlocks(flow, c.init, c.finals) == deadlocks(realized, c.init, c.finals)
+        final = c.finals[0]
+        assert dihomotopy_classes(flow, c.init, final) == dihomotopy_classes(
+            realized, c.init, final
+        )
+        assert "composition" not in vars(flow)
+        assert flow.composition == realized.composition
 
 
 class TestGlobFlow:

@@ -2,10 +2,14 @@ import json
 
 import pytest
 
-from conftest import make_grid, random_complex
+import oracles
+from conftest import make_grid, random_complex, random_pv_source
 from globflow import (
+    Edge,
     FiniteFlow,
     FormatError,
+    GlobularComplex,
+    IncrementalRealizer,
     dumps_complex,
     dumps_flow,
     dumps_morphism,
@@ -13,7 +17,10 @@ from globflow import (
     loads_complex,
     loads_flow,
     loads_morphism,
+    parse_pv,
+    pv_to_complex,
     realize,
+    restrict,
     validate_flow,
 )
 from globflow.formats import flow_to_doc
@@ -148,6 +155,20 @@ class TestFlowWriter:
             finals = rng.choice([None, [], states[-1:], states[::-1]])
             assert dumps_flow(flow, init, finals) == _reference_text(flow, init, finals)
 
+    def test_explicit_realized_flows(self, rng):
+        # realistic ids through the explicit writer's compose section
+        written = 0
+        for c in _realistic_complexes(rng):
+            f = realize(c)
+            explicit = FiniteFlow(f.skeleton, f.path_ends, f.composition, f.adjacency)
+            text = dumps_flow(explicit, c.init, c.finals)
+            assert text == _reference_text(explicit, c.init, c.finals)
+            doc = json.loads(text)
+            assert "composition" not in doc
+            assert len(doc["compose"]) == len(f.composition)
+            written += bool(f.composition)
+        assert written >= 20
+
     def test_empty_flow(self):
         empty = FiniteFlow(skeleton=(), path_ends={})
         assert dumps_flow(empty) == _reference_text(empty)
@@ -182,6 +203,105 @@ class TestFlowWriter:
         assert dumps_flow(flow, "u", ["v"]) == _reference_text(flow, "u", ["v"])
 
 
+def _realistic_complexes(rng):
+    """Seeded random complexes, random PV programs and the corpus programs."""
+    for _ in range(20):
+        yield random_complex(rng)
+    for _ in range(10):
+        yield pv_to_complex(parse_pv(random_pv_source(rng)))
+    for source in (oracles.MUTEX_SOURCE, oracles.SWISS_FLAG_SOURCE):
+        yield pv_to_complex(parse_pv(source))
+
+
+def _explicit_text(flow, init=None, finals=None):
+    """The document of `flow` with its composition written out as triples."""
+    explicit = FiniteFlow(flow.skeleton, flow.path_ends, flow.composition, flow.adjacency)
+    return json.dumps(flow_to_doc(explicit, init, finals), indent=2)
+
+
+class TestConcatenationDocuments:
+    """Realized flows are written without composition triples, with a
+    marker; readers accept both forms."""
+
+    def test_realized_documents_are_compact(self, rng):
+        for c in _realistic_complexes(rng):
+            f = realize(c)
+            text = dumps_flow(f, c.init, c.finals)
+            assert text == _reference_text(f, c.init, c.finals)
+            doc = json.loads(text)
+            keys = ["skeleton", "paths", "compose", "adjacency", "composition"]
+            keys += [k for k in ("init", "finals") if k in doc]
+            assert list(doc) == keys
+            assert doc["compose"] == []
+            assert doc["composition"] == "concatenation"
+
+    def test_incremental_flows_are_compact(self):
+        realizer = IncrementalRealizer(GlobularComplex(states=("u", "v", "w")))
+        realizer.attach(Edge("a", "u", "v"))
+        flow = realizer.attach(Edge("b", "v", "w"))
+        doc = json.loads(dumps_flow(flow))
+        assert doc["compose"] == [] and doc["composition"] == "concatenation"
+        assert flow.composition == {("a", "b"): "a*b"}
+
+    def test_explicit_tables_are_written_out(self):
+        # a hand-built flow whose table is concatenation stays explicit
+        flow = FiniteFlow(
+            skeleton=("u", "v", "w"),
+            path_ends={"a": ("u", "v"), "b": ("v", "w"), "a*b": ("u", "w")},
+            composition={("a", "b"): "a*b"},
+        )
+        doc = json.loads(dumps_flow(flow))
+        assert doc["compose"] == [["a", "b", "a*b"]] and "composition" not in doc
+        realized = realize(make_grid(True))
+        kept = restrict(realized, {"00", "10", "11"})
+        doc = json.loads(dumps_flow(kept))
+        assert doc["compose"] and "composition" not in doc
+
+    def test_compact_flow_builds_its_table_on_first_read(self, rng):
+        for c in _realistic_complexes(rng):
+            f = realize(c)
+            text = dumps_flow(f, c.init, c.finals)
+            loaded, annotations = loads_flow(text)
+            assert "composition" not in vars(loaded)
+            assert dumps_flow(loaded, **annotations) == text
+            assert "composition" not in vars(loaded)
+            assert loaded.composition == f.composition
+            assert type(loaded.composition) is dict
+            assert loaded.composition is loaded.composition
+            assert loaded == f
+            assert len(loaded.composition) == len(f.composition)
+            for (x, y), z in f.composition.items():
+                assert loaded.compose(x, y) == loaded.try_compose(x, y) == z
+
+    def test_both_forms_load_to_equal_flows(self, rng):
+        for c in _realistic_complexes(rng):
+            f = realize(c)
+            compact, compact_notes = loads_flow(dumps_flow(f, c.init, c.finals))
+            explicit, explicit_notes = loads_flow(_explicit_text(f, c.init, c.finals))
+            assert compact == explicit == f
+            assert compact_notes == explicit_notes
+            assert validate_flow(compact) == validate_flow(explicit)
+            # an explicit document is read back as an explicit flow
+            assert dumps_flow(explicit) == _explicit_text(f) + "\n"
+
+    def test_explicit_documents_validate_as_before(self, rng):
+        # perturbed explicit documents keep today's reports, as the
+        # brute-force oracle words and orders them
+        for c in _realistic_complexes(rng):
+            doc = json.loads(_explicit_text(realize(c)))
+            if not doc["compose"]:
+                continue
+            doc["compose"][rng.randrange(len(doc["compose"]))][2] = "ghost"
+            if doc["adjacency"]:
+                del doc["adjacency"][rng.randrange(len(doc["adjacency"]))]
+            flow, _ = loads_flow(json.dumps(doc))
+            want = oracles.flow_violations(
+                flow.skeleton, flow.path_ends, flow.composition, flow.adjacency
+            )
+            assert list(validate_flow(flow).violations) == want
+            assert want
+
+
 class TestFlowReaderErrors:
     """Malformed entries are named with a fixed message each."""
 
@@ -209,6 +329,22 @@ class TestFlowReaderErrors:
     )
     def test_message(self, field, entries, message):
         doc = {"skeleton": ["u", "v"], "paths": [], field: entries}
+        with pytest.raises(FormatError) as caught:
+            loads_flow(json.dumps(doc))
+        assert str(caught.value) == "flow document: " + message
+
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"composition": "explicit"}, "field 'composition' must be 'concatenation'"),
+            ({"composition": None}, "field 'composition' must be 'concatenation'"),
+            ({"composition": "concatenation", "compose": [["x", "y", "x*y"]]},
+             "a concatenation document lists no compose triples"),
+        ],
+    )
+    def test_composition_marker(self, fields, message):
+        doc = {"skeleton": ["u", "v"], "paths": [], **fields}
         with pytest.raises(FormatError) as caught:
             loads_flow(json.dumps(doc))
         assert str(caught.value) == "flow document: " + message
