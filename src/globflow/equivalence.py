@@ -12,26 +12,43 @@ An injective search skips options already in use without charging them.
   assigned, and on adjacency as soon as both paths of a pair are.
 - `s_equivalent` looks for a pair of morphisms whose two round trips are
   S-homotopic to the identities.  Since S-homotopic morphisms agree on
-  states, only mutually inverse skeleton bijections can work, which cuts
-  the search space drastically.
-- `find_flow_isomorphism` searches for an invertible morphism, pruning on
-  skeleton/path cardinalities and per-state endpoint fingerprints, then
-  runs the path search injectively.
+  states, only mutually inverse skeleton bijections can work, and of
+  those only the ones `_state_maps` yields (below).
+- `find_flow_isomorphism` searches for an invertible morphism over the
+  state maps `_state_maps` yields, after checking skeleton, path and
+  composite counts, then runs the path search injectively.
 - `check_t_dihomotopy` evaluates the three refinement conditions for a
   morphism: the corestriction onto the image skeleton is an isomorphism,
   germs at the remaining states are singletons both ways, and every path
   outside the image extends into it.
 
+The state search `_state_maps` assigns the domain's sorted states in
+order (VF2-style) and offers each only the codomain states that agree on
+a per-state-pair invariant.  For S-equivalence the invariant is K(s, t),
+the number of adj*-components of the paths from s to t (0 when there are
+none).  It is exact, not a heuristic: a witness f sends P(s, t) into
+P(sigma s, sigma t) and keeps adj*, so it induces a map on components, and
+g f adj* id and f g adj* id make that map a bijection.  So every state map
+that carries a witness keeps K, the has-a-path relation included.  An
+isomorphism keeps both the path count and K of every pair, and its search
+uses that pair as the invariant.  Only the state maps that cannot carry a
+witness are left out, in the order of `permutations`, so the first witness
+is the one an unpruned search finds.
+
 Searches are deterministic: candidates are generated in lexicographic
 order and the first witness wins.  A budget caps the number of candidates
 examined; exhausting it raises SearchBudgetExceeded so "none found" always
-means a completed search.
+means a completed search.  One candidate, one budget unit, is an option
+the depth-first search tries (a state of a state map or a path image), a
+state map handed to the path search, or a pair (f, g) of morphisms that
+`s_equivalent` checks.  Building the invariant tables costs nothing.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 from typing import Iterator, Optional
 
 from .errors import SearchBudgetExceeded
@@ -165,6 +182,69 @@ def _depth_first(keys, options, fits, budget: _Budget, injective=False) -> Itera
 
 
 # ---------------------------------------------------------------------------
+# state maps
+
+
+def _state_maps(x: FiniteFlow, y: FiniteFlow, table, meter: _Budget) -> Iterator[dict]:
+    """Every bijection sigma of x's states onto y's that keeps the
+    per-state-pair invariant `table`: table(x)[s, t] equals
+    table(y)[sigma s, sigma t] for all states s, t, an absent pair reading
+    as 0.  They come in the order of `permutations` of y's sorted states.
+
+    One depth-first search assigns x's sorted states in order.  The options
+    of a state are the y states of its colour, in sorted order, and `fits`
+    checks the new state against every state assigned so far, itself
+    included, both ways round.
+    """
+    x_table, y_table = table(x), table(y)
+    x_colours, y_colours = _colours(x, x_table), _colours(y, y_table)
+    if sorted(x_colours.values()) != sorted(y_colours.values()):
+        return
+    keys = sorted(x.skeleton)
+    targets = sorted(y.skeleton)
+    options = [[b for b in targets if y_colours[b] == x_colours[a]] for a in keys]
+
+    def fits(k, sigma):
+        s = keys[k]
+        image = sigma[s]
+        return all(
+            x_table.get((s, r), 0) == y_table.get((image, sigma[r]), 0)
+            and x_table.get((r, s), 0) == y_table.get((sigma[r], image), 0)
+            for r in keys[: k + 1]
+        )
+
+    yield from _depth_first(keys, options, fits, meter, injective=True)
+
+
+def _colours(flow: FiniteFlow, table: dict) -> dict:
+    """state -> (sorted values of its row, sorted values of its column) of
+    `table`, absent pairs left out."""
+    rows: dict = {s: [] for s in flow.skeleton}
+    columns: dict = {s: [] for s in flow.skeleton}
+    for (s, t), value in table.items():
+        rows[s].append(value)
+        columns[t].append(value)
+    return {s: (sorted(rows[s]), sorted(columns[s])) for s in rows}
+
+
+def _component_counts(flow: FiniteFlow) -> dict[tuple[str, str], int]:
+    """(s, t) -> the number of adj*-components of P(s, t), for every
+    nonempty P(s, t)."""
+    find = flow.adjacency_components.find
+    roots: dict[tuple[str, str], set] = {}
+    for p, ends in flow.path_ends.items():
+        roots.setdefault(ends, set()).add(find(p))
+    return {ends: len(r) for ends, r in roots.items()}
+
+
+def _path_and_component_counts(flow: FiniteFlow) -> dict[tuple[str, str], tuple[int, int]]:
+    """(s, t) -> (|P(s, t)|, its number of adj*-components), for every
+    nonempty P(s, t)."""
+    paths = Counter(flow.path_ends.values())
+    return {ends: (paths[ends], k) for ends, k in _component_counts(flow).items()}
+
+
+# ---------------------------------------------------------------------------
 # S-equivalence
 
 
@@ -174,25 +254,29 @@ def s_equivalent(
     """Search for morphisms f: x -> y and g: y -> x with both round trips
     S-homotopic to the identity.
 
+    The state maps tried are the bijections that keep the number of
+    adj*-components between every pair of states, which every witness
+    does (see the module docstring).  For each, the forward morphisms are
+    streamed; the backward ones are listed once the first forward one is
+    found, and each pair (f, g) is checked in turn.
+
     Returns the first witness pair in lexicographic candidate order, or
     None when the exhaustive search completes empty.  Raises
     SearchBudgetExceeded when the candidate budget (default 10**6) runs
-    out first, so the two negative outcomes cannot be confused.
+    out first, so the two negative outcomes cannot be confused.  The
+    budget counts the states and path images tried, the state maps handed
+    to the path search and the pairs checked.
     """
     meter = _Budget(budget)
     if len(x.skeleton) != len(y.skeleton):
         return None
 
-    xs = sorted(x.skeleton)
-    for ys in permutations(sorted(y.skeleton)):
-        meter.charge()
-        sigma = dict(zip(xs, ys))
+    for sigma in _state_maps(x, y, _component_counts, meter):
         tau = {b: a for a, b in sigma.items()}
-        forward = list(_morphisms(x, y, sigma, meter))
-        if not forward:
-            continue
-        backward = list(_morphisms(y, x, tau, meter))
-        for f in forward:
+        backward = None
+        for f in _morphisms(x, y, sigma, meter):
+            if backward is None:
+                backward = list(_morphisms(y, x, tau, meter))
             for g in backward:
                 meter.charge()
                 if _round_trip_is_deformable(f, g, y) and _round_trip_is_deformable(
@@ -219,11 +303,13 @@ def find_flow_isomorphism(
     """Search for an invertible morphism x -> y; returns (iso, inverse) or None.
 
     Exhaustive backtracking over skeleton bijections and path bijections,
-    pruned early on cardinalities and on per-state endpoint fingerprints
-    (outgoing and incoming path counts).  Composition and adjacency (into
-    adj*) are checked forward during assignment, as in any morphism
-    search; adjacency is checked backward once a bijection is complete,
-    which is what invertibility of morphisms requires.
+    pruned early on cardinalities.  The state maps tried are the
+    bijections that keep, for every pair of states, the number of paths
+    between them and the number of their adj*-components; an isomorphism
+    keeps both.  Composition and adjacency (into adj*) are checked forward
+    during assignment, as in any morphism search; adjacency is checked
+    backward once a bijection is complete, which is what invertibility of
+    morphisms requires.
     """
     meter = _Budget(budget)
     if (
@@ -233,22 +319,7 @@ def find_flow_isomorphism(
     ):
         return None
 
-    def fingerprint(flow, state):
-        return len(flow.paths_from(state)), len(flow.paths_into(state))
-
-    x_states = sorted(x.skeleton)
-    groups: dict[tuple[int, int], list[str]] = {}
-    for s in sorted(y.skeleton):
-        groups.setdefault(fingerprint(y, s), []).append(s)
-    x_prints = [fingerprint(x, s) for s in x_states]
-    y_prints = sorted(fp for fp, members in groups.items() for _ in members)
-    if sorted(x_prints) != y_prints:
-        return None
-
-    state_options = [groups[fp] for fp in x_prints]
-    for sigma in _depth_first(
-        x_states, state_options, lambda k, sigma: True, meter, injective=True
-    ):
+    for sigma in _state_maps(x, y, _path_and_component_counts, meter):
         for path_map in _path_assignments(x, y, sigma, meter, injective=True):
             found = _finish_isomorphism(x, y, sigma, path_map)
             if found:

@@ -592,15 +592,14 @@ def dihomotopy_classes(
     for s in (src, tgt):
         if s not in flow.skeleton:
             raise UnknownIdError(f"unknown state: {s}")
-    members = flow.paths_between(src, tgt)
-    # adjacency preserves endpoints, so restricting components to this path
-    # set is the same as computing components inside it
-    by_root: dict[str, list[str]] = {}
-    for p in members:
-        by_root.setdefault(flow.adjacency_components.find(p), []).append(p)
-    blocks = [tuple(sorted(block)) for block in by_root.values()]
-    blocks.sort(key=lambda block: block[0])
-    return tuple(blocks)
+    # adjacency preserves endpoints, so the components of the member paths
+    # under the pairs among them are their adj*-components in the flow
+    ends, pair = flow.path_ends, (src, tgt)
+    classes = DisjointSets(flow.paths_between(src, tgt))
+    for a, b in flow.adjacency:
+        if ends.get(a) == pair and ends.get(b) == pair:
+            classes.union(a, b)
+    return tuple(classes.blocks())
 
 
 # ---------------------------------------------------------------------------

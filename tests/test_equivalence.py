@@ -1,4 +1,6 @@
 import random
+from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -25,6 +27,12 @@ from globflow import (
     s_homotopic,
     subdivide_edge,
     validate_flow,
+)
+from globflow.equivalence import (
+    _Budget,
+    _component_counts,
+    _path_and_component_counts,
+    _state_maps,
 )
 
 
@@ -110,14 +118,12 @@ class TestSEquivalent:
     def test_budget_charges_are_pinned(self):
         # the smallest budgets that let each search finish
         grid = realize(make_grid(True))
-        assert s_equivalent(grid, grid, budget=24) is not None
+        assert s_equivalent(grid, grid, budget=25) is not None
         with pytest.raises(SearchBudgetExceeded):
-            s_equivalent(grid, grid, budget=23)
+            s_equivalent(grid, grid, budget=24)
         pair = realize(make_parallel_pair(with_square=False))
         edge = realize(glob_discrete(["c"]))
-        assert s_equivalent(pair, edge, budget=11) is None
-        with pytest.raises(SearchBudgetExceeded):
-            s_equivalent(pair, edge, budget=10)
+        assert s_equivalent(pair, edge, budget=0) is None
 
 
 class TestLongSearches:
@@ -347,3 +353,163 @@ class TestSearchOracle:
         # every self pair and renamed copy is isomorphic, every doubled
         # edge S-equivalent
         assert isomorphic >= 120 and equivalent >= 180
+
+
+def _with_twin(c, edge, squared):
+    """`c` plus a parallel copy of `edge`, joined to it by a square or not."""
+    twin = Edge(edge.id + "_twin", edge.src, edge.tgt)
+    square = (Square("twin", (edge.id,), (twin.id,)),) if squared else ()
+    return GlobularComplex(states=c.states, edges=c.edges + (twin,), squares=c.squares + square)
+
+
+def _equiv_cli_bases(rng, count):
+    """`count` complexes of the benchmark's equiv-cli shape: 5-6 states and
+    at most 11 paths, drawn by size alone."""
+    bases = []
+    while len(bases) < count:
+        c = random_complex(rng, max_states=6, max_edges=8, min_edges=4)
+        if len(c.states) >= 5 and len(_plain_flow(c)[1]) <= 11:
+            bases.append(c)
+    return bases
+
+
+def _equiv_cli_pairs(rng, bases):
+    """Plain flow pairs (X, Y) as equiv-cli draws them, four per base: X
+    with itself, with a renamed copy, with one edge doubled and no square
+    (not S-equivalent), and with a renamed copy of one edge doubled and
+    the copies joined by a square (S-equivalent, not isomorphic)."""
+    for c in bases:
+        x = _plain_flow(c)
+        edge = rng.choice(c.edges)
+        yield x, x
+        yield x, _renamed(x, rng)
+        yield x, _plain_flow(_with_twin(c, edge, squared=False))
+        yield x, _renamed(_plain_flow(_with_twin(c, edge, squared=True)), rng)
+
+
+def _pair_table(flow, with_paths):
+    """(s, t) -> the number of adj*-components of the paths from s to t,
+    or (number of paths, number of components) when `with_paths`; pairs
+    without paths are left out."""
+    _, path_ends, _, adjacency = flow
+    component = oracles.adj_star_components(path_ends, adjacency)
+    members = {}
+    for p, ends in path_ends.items():
+        members.setdefault(ends, []).append(p)
+    table = {}
+    for ends, ps in members.items():
+        components = len({component[p] for p in ps})
+        table[ends] = (len(ps), components) if with_paths else components
+    return table
+
+
+def _kept_state_maps(x, y, with_paths):
+    """The bijections of `permutations` order under which the pair tables
+    of x and y agree on every pair of states."""
+    x_table, y_table = _pair_table(x, with_paths), _pair_table(y, with_paths)
+    xs = sorted(x[0])
+    kept = []
+    for ys in permutations(sorted(y[0])):
+        sigma = dict(zip(xs, ys))
+        if all(
+            x_table.get((s, t), 0) == y_table.get((sigma[s], sigma[t]), 0)
+            for s in xs
+            for t in xs
+        ):
+            kept.append(sigma)
+    return kept
+
+
+def _witness_state_maps(x, y):
+    """Every bijection of states that carries an S-equivalence witness,
+    by the oracle's path maps."""
+    x_components = oracles.adj_star_components(x[1], x[3])
+    y_components = oracles.adj_star_components(y[1], y[3])
+    xs = sorted(x[0])
+    found = []
+    for ys in permutations(sorted(y[0])):
+        sigma = dict(zip(xs, ys))
+        forward = oracles.flow_path_maps(x, y, sigma)
+        backward = oracles.flow_path_maps(y, x, dict(zip(ys, xs))) if forward else []
+        if any(
+            all(x_components[g[f[p]]] == x_components[p] for p in x[1])
+            and all(y_components[f[g[q]]] == y_components[q] for q in y[1])
+            for f in forward
+            for g in backward
+        ):
+            found.append(sigma)
+    return found
+
+
+class TestStateMaps:
+    """The state search against brute force over `permutations`, on pairs
+    of the equiv-cli shapes."""
+
+    def test_refinement_is_exact(self):
+        rng = random.Random(20261019)
+        pruned = witnesses = 0
+        for x, y in _equiv_cli_pairs(rng, _equiv_cli_bases(rng, 30)):
+            fx, fy = _library_flow(x), _library_flow(y)
+            kept = list(_state_maps(fx, fy, _component_counts, _Budget(None)))
+            assert kept == _kept_state_maps(x, y, with_paths=False)
+            for sigma in _witness_state_maps(x, y):
+                witnesses += 1
+                assert sigma in kept
+            iso_kept = list(_state_maps(fx, fy, _path_and_component_counts, _Budget(None)))
+            assert iso_kept == _kept_state_maps(x, y, with_paths=True)
+            pruned += len(kept) < factorial(len(x[0]))
+        # three pairs of four have a witness; most pairs lose state maps
+        assert witnesses >= 90 and pruned >= 90
+
+
+class TestSearchOracleOnEquivCliShapes:
+    """The three searches against brute force over plain tables, witnesses
+    included, on pairs of the equiv-cli shapes and on X against an edge
+    subdivision of X."""
+
+    def test_searches_match_brute_force(self):
+        rng = random.Random(20261020)
+        bases = _equiv_cli_bases(rng, 8)
+        pairs = list(_equiv_cli_pairs(rng, bases))
+        for _ in range(12):
+            c = random_complex(rng, min_edges=1, max_states=4, max_edges=5, max_squares=2)
+            refined, _ = subdivide_edge(c, rng.choice(c.edges).id)
+            pairs += [(_plain_flow(c), _plain_flow(refined)), (_plain_flow(refined), _plain_flow(c))]
+        isomorphic = equivalent = 0
+        for x, y in pairs:
+            fx, fy = _library_flow(x), _library_flow(y)
+            # the brute-force searches try all |Y|^|X| state maps
+            if len(y[0]) ** len(x[0]) <= 5**5:
+                found = [_maps(f) for f in enumerate_flow_morphisms(fx, fy)]
+                assert found == list(oracles.flow_morphisms(x, y))
+
+            witness = find_flow_isomorphism(fx, fy)
+            if len(x[1]) != len(y[1]):
+                assert witness is None
+            elif (expected := oracles.first_flow_isomorphism(x, y)) is None:
+                assert witness is None
+            else:
+                isomorphic += 1
+                assert tuple(_maps(f) for f in witness) == (
+                    expected,
+                    tuple({b: a for a, b in m.items()} for m in expected),
+                )
+
+            witness = s_equivalent(fx, fy)
+            expected = oracles.first_s_equivalence(x, y)
+            if expected is None:
+                assert witness is None
+            else:
+                equivalent += 1
+                assert tuple(_maps(f) for f in witness) == expected
+        # per base: itself and the renamed copy are isomorphic, and with
+        # the squared twin they are S-equivalent; a subdivision has one
+        # more state
+        assert isomorphic == 2 * len(bases) and equivalent == 3 * len(bases)
+
+    def test_a_missing_square_is_refused_before_any_candidate(self):
+        squared = realize(make_grid(True))
+        plain = realize(make_grid(False))
+        for x, y in ((squared, plain), (plain, squared)):
+            assert s_equivalent(x, y, budget=0) is None
+            assert find_flow_isomorphism(x, y, budget=0) is None

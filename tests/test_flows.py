@@ -637,3 +637,30 @@ class TestDihomotopyClasses:
     def test_unknown_state(self):
         with pytest.raises(UnknownIdError):
             dihomotopy_classes(glob_flow(["a"]), "0", "zz")
+
+    def test_blocks_are_the_adj_star_components(self, rng):
+        complexes = [random_complex(rng) for _ in range(30)]
+        programs = [parse_pv(random_pv_source(rng)) for _ in range(15)]
+        complexes += [pv_to_complex(program) for program in programs]
+        for c in complexes:
+            flow, reference = realize(c), realize(c)
+            for src in c.states:
+                for tgt in c.states:
+                    by_root = {}
+                    for p in reference.paths_between(src, tgt):
+                        root = reference.adjacency_components.find(p)
+                        by_root.setdefault(root, []).append(p)
+                    want = tuple(sorted(tuple(sorted(b)) for b in by_root.values()))
+                    assert dihomotopy_classes(flow, src, tgt) == want
+            # only the member paths were grouped
+            assert "adjacency_components" not in vars(flow)
+        for program, c in zip(programs, complexes[30:]):
+            processes = [[(step.op, step.arg) for step in p] for p in program.processes]
+            got = {
+                frozenset(
+                    tuple(int(e.rsplit(">p", 1)[1]) for e in path.split("*"))
+                    for path in block
+                )
+                for block in dihomotopy_classes(realize(c), c.init, c.finals[0])
+            }
+            assert got == oracles.pv_trace_classes(processes, dict(program.resources))
