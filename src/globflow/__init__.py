@@ -86,7 +86,6 @@ from .realization import (
     DEFAULT_REALIZE_LIMIT,
     IncrementalRealizer,
     all_exec_paths,
-    incremental_realize,
     path_id,
     realize,
     realize_morphism,
@@ -107,7 +106,7 @@ __all__ = [
     "flow_morphism_violations", "identity_flow_morphism", "compose_flow_morphisms",
     "s_homotopic", "deadlocks",
     # realization
-    "realize", "realize_morphism", "incremental_realize", "IncrementalRealizer",
+    "realize", "realize_morphism", "IncrementalRealizer",
     "all_exec_paths", "path_id", "DEFAULT_REALIZE_LIMIT",
     # equivalence
     "s_equivalent", "find_flow_isomorphism", "check_t_dihomotopy",

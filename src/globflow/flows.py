@@ -174,9 +174,9 @@ class _ConcatenativeFlow(FiniteFlow):
     flow documents make one.
 
     Nothing is copied and no entry is looked at, so the caller must not
-    change the tables afterwards.  Without a `composition` table, the
-    table {(x, y): "x*y" for every composable pair} is built when first
-    read.
+    change the tables afterwards.  The composition table
+    {(x, y): "x*y" for every composable pair} is built from the path ids
+    when first read.
     """
 
     _concatenative = True
@@ -186,13 +186,10 @@ class _ConcatenativeFlow(FiniteFlow):
         skeleton: frozenset[str],
         path_ends: dict[str, tuple[str, str]],
         adjacency: frozenset[tuple[str, str]],
-        composition: Optional[dict[tuple[str, str], str]] = None,
     ):
         self.skeleton = skeleton
         self.path_ends = path_ends
         self.adjacency = adjacency
-        if composition is not None:
-            self.composition = composition
 
     @cached_property
     def composition(self) -> dict[tuple[str, str], str]:

@@ -7,8 +7,8 @@ path id is its edge-id sequence joined with "*", so associativity holds by
 construction and never depends on table bookkeeping.  Every flow made here
 is concatenative (see `flows`): it is written without its composition
 table and validated from its ids (`formats.dumps_flow`,
-`flows.validate_flow`).  In memory, `realize`'s flow keeps the table the
-realizer built; a flow an attach hands out builds it when first read.
+`flows.validate_flow`), and in memory it builds that table from its ids
+when first read.  No realizer builds one.
 
 The path and composite counts grow much faster than the complex, so
 `realize` counts them exactly first (a pass over the complex, no path
@@ -18,7 +18,7 @@ more of them together than GLOBFLOW_REALIZE_LIMIT (default 10^6), as does
 
 There is one construction, `IncrementalRealizer`: it builds a realization
 cell by cell and keeps it current while a complex is built.  `realize(c)`
-attaches every cell of `c`; `incremental_realize` checks a single step.
+attaches every cell of `c`.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ def realize(c: GlobularComplex) -> FiniteFlow:
     """The flow of a complex: same states, all execution paths, square moves.
 
     Built by an `IncrementalRealizer` made from `c` and then dropped, so
-    the flow takes over the realizer's tables without a copy.  The complex
+    the flow takes over the realizer's tables without a copy; its
+    composition is built from its path ids when first read.  The complex
     must validate; acyclicity keeps the path set finite.  Before anything is built, the
     exact numbers of paths and composites are worked out
     (`count_paths_and_composites`), and a complex whose realization would
@@ -110,19 +111,19 @@ class IncrementalRealizer:
     """Builds the realization of a complex one cell at a time.
 
     The realizer owns the realization's tables and changes them in place:
-    the states, edges and squares attached so far, path endpoints,
-    composition, the normalized adjacency pairs, the paths out of and into
-    each state, and the non-degenerate squares by source and by target
-    state.  Attaching a state grows the skeleton.  Attaching an edge
+    the states, edges and squares attached so far, path endpoints, the
+    normalized adjacency pairs, the paths out of and into each state, and
+    the non-degenerate squares by source and by target state.  It keeps no
+    composition table, only the number of composable pairs, which the
+    limit bounds.  Attaching a state grows the skeleton.  Attaching an edge
     creates exactly the paths through it (old path into its source, the
-    edge, old path out of its target), their composites with old paths,
-    and their move pairs from the squares already attached that end at
-    their source or start at their target.  Attaching a square pairs
-    pre·left·suf with pre·right·suf over the paths into its source and out
-    of its target.  So each move pair is made once, from a square, and no
-    path is listed or rewritten.  Every check runs against the realizer's
-    own cells before any table changes, so a rejected cell leaves the
-    realizer as it was.  An edge that would take the realization over
+    edge, old path out of its target) and their move pairs from the
+    squares already attached that end at their source or start at their
+    target.  Attaching a square pairs pre·left·suf with pre·right·suf over
+    the paths into its source and out of its target.  So each move pair is
+    made once, from a square, and no path is listed or rewritten.  Every
+    check runs against the realizer's own cells before any table changes,
+    so a rejected cell leaves the realizer as it was.  An edge that would take the realization over
     GLOBFLOW_REALIZE_LIMIT, as read when the realizer was made, raises
     RealizationLimitExceeded, as `realize` of the extended complex would.
 
@@ -140,6 +141,7 @@ class IncrementalRealizer:
         paths, composites = count_paths_and_composites(c)  # validates c first
         self._limit = _realize_limit()
         _check_limit(paths, composites, self._limit)
+        self._composites = composites
         self._base = c
         # insertion-ordered tables that only grow; dicts with None values are
         # ordered sets
@@ -147,7 +149,6 @@ class IncrementalRealizer:
         self._edges: dict[str, Edge] = {}
         self._squares: dict[str, Square] = {}
         self._path_ends: dict[str, tuple[str, str]] = {}
-        self._composition: dict[tuple[str, str], str] = {}
         self._adjacency: dict[tuple[str, str], None] = {}
         self._out: dict[str, list[str]] = {s: [] for s in c.states}
         self._into: dict[str, list[str]] = {s: [] for s in c.states}
@@ -208,16 +209,18 @@ class IncrementalRealizer:
             )
 
         # a new path s -> t composes with the old paths into s and out of t
+        # only: two new paths would both hold the edge, and the 1-skeleton
+        # is acyclic
         sources = [edge.src] + [ends[pre][0] for pre in into[edge.src]]
         targets = [edge.tgt] + [ends[suf][1] for suf in out[edge.tgt]]
-        _check_limit(
-            len(ends) + len(sources) * len(targets),
-            len(self._composition)
+        composites = (
+            self._composites
             + len(targets) * sum([len(into[s]) for s in sources])
-            + len(sources) * sum([len(out[t]) for t in targets]),
-            self._limit,
+            + len(sources) * sum([len(out[t]) for t in targets])
         )
+        _check_limit(len(ends) + len(sources) * len(targets), composites, self._limit)
         self._add_edge(edge)
+        self._composites = composites
         return self._hand_out()
 
     def attach_square(self, square: Square) -> FiniteFlow:
@@ -239,9 +242,9 @@ class IncrementalRealizer:
         return self._hand_out()
 
     def _add_edge(self, edge: Edge) -> None:
-        """Enter an edge, its new paths, their composites and move pairs."""
+        """Enter an edge, its new paths and their move pairs."""
         self._edges[edge.id] = edge
-        ends, out, into, composition = self._path_ends, self._out, self._into, self._composition
+        ends, out, into = self._path_ends, self._out, self._into
         heads = [(edge.src, edge.id)]
         heads += [(ends[pre][0], pre + PATH_SEPARATOR + edge.id) for pre in into[edge.src]]
         tails = [(edge.tgt, "")]
@@ -249,16 +252,6 @@ class IncrementalRealizer:
         for s, head in heads:
             for t, tail in tails:
                 new = head + tail
-                # a new path composes with old paths only: two new paths
-                # would both hold the edge, and the 1-skeleton is acyclic.
-                # For the same reason no new path is ever listed out of t
-                # or into s, so the lists read here hold old paths only.
-                # Ids are edge-id sequences joined with the separator, so
-                # "x*y" is the id of the concatenated sequence.
-                for y in out[t]:
-                    composition[(new, y)] = new + PATH_SEPARATOR + y
-                for x in into[s]:
-                    composition[(x, new)] = x + PATH_SEPARATOR + new
                 ends[new] = (s, t)
                 out[s].append(new)
                 into[t].append(new)
@@ -312,14 +305,5 @@ class IncrementalRealizer:
         """The current flow over the realizer's own tables, uncopied, for a
         realizer that is dropped right after."""
         return _ConcatenativeFlow(
-            frozenset(self._states),
-            self._path_ends,
-            frozenset(self._adjacency),
-            self._composition,
+            frozenset(self._states), self._path_ends, frozenset(self._adjacency)
         )
-
-
-def incremental_realize(c: GlobularComplex, cell: Cell) -> FiniteFlow:
-    """Realize `c` with `cell` attached by extending the realization of `c`."""
-    realizer = IncrementalRealizer(c)
-    return realizer.attach(cell)

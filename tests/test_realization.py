@@ -24,7 +24,6 @@ from globflow import (
     glob_flow,
     identity_complex_morphism,
     identity_flow_morphism,
-    incremental_realize,
     is_flow_morphism,
     parse_pv,
     path_classes,
@@ -143,13 +142,13 @@ class TestRealizeMorphism:
 class TestIncrementalRealize:
     def test_attach_edge_to_edgeless_complex(self):
         base = GlobularComplex(states=("0", "1"))
-        flow = incremental_realize(base, Edge("e", "0", "1"))
+        flow = IncrementalRealizer(base).attach(Edge("e", "0", "1"))
         assert flow == realize(make_interval())
 
     def test_attach_square_adds_exactly_the_move_pairs(self):
         base = make_grid(False)
         square = Square("q", ("a", "b"), ("c", "d"))
-        flow = incremental_realize(base, square)
+        flow = IncrementalRealizer(base).attach(square)
         full = realize(make_grid(True))
         assert flow == full
         bare = realize(base)
@@ -373,9 +372,12 @@ class TestIncrementalRealizerTables:
 
     def test_realize_returns_built_tables(self):
         # realize's own realizer is dropped, so its flow takes the tables
-        # over at once: nothing is left to build on first read
-        flow = realize(make_grid(True))
-        assert {"skeleton", "path_ends", "composition", "adjacency"} <= vars(flow).keys()
+        # over at once; composition is built from the path ids when read
+        c = make_grid(True)
+        flow = realize(c)
+        assert {"skeleton", "path_ends", "adjacency"} <= vars(flow).keys()
+        assert "composition" not in vars(flow)
+        assert flow.composition == _oracle_tables(c)[2]
 
     def test_an_attach_allocates_only_what_the_cell_adds(self):
         # the parent design copied every table per attach: megabytes here
@@ -573,7 +575,7 @@ class TestRealizationLimit:
         assert realizer.complex.edges == chain.edges[:17]
         assert realizer.flow == realize(realizer.complex)
         with pytest.raises(RealizationLimitExceeded):
-            incremental_realize(realizer.complex, chain.edges[17])
+            IncrementalRealizer(realizer.complex).attach(chain.edges[17])
 
     @pytest.mark.parametrize("value", ["-1", "abc", "1.5", ""])
     def test_malformed_environment_value(self, monkeypatch, value):
