@@ -17,7 +17,16 @@ topological order from the base state gives, at each state s, the classes
 of paths into s as the quotient of the pairs (edge e into s, class at the
 source of e) by the squares that end at s.  Moves further back in a path
 are already accounted for at the earlier states, because extending by an
-edge is well defined on classes.
+edge is well defined on classes.  The last such table is kept on the
+complex, keyed by its two endpoints, so `same_move_class` on the members
+that `path_classes` has just listed propagates no second time.
+
+On a complex that validates, the members themselves are listed by one
+depth-first loop over the edges into states that can reach the target.
+It keeps no cycle bookkeeping, since validation has proved the 1-skeleton
+acyclic, and it needs no sort: out-edges are taken in edge-id order and
+no member is a prefix of another, so the order is lexicographic by
+construction.
 
 Morphisms map states to states and edges to nonempty paths, preserving
 endpoints and sending the two boundaries of every square into the same
@@ -296,26 +305,22 @@ def glob_discrete(labels: Iterable[str]) -> GlobularComplex:
 
 
 def _paths_from(
-    c: GlobularComplex,
-    src: StateId,
-    tgt: Optional[StateId] = None,
-    steps: Optional[Mapping[str, Iterable[Edge]]] = None,
+    c: GlobularComplex, src: StateId, tgt: Optional[StateId] = None
 ) -> Iterator[tuple[ExecPath, StateId]]:
     """Execution paths out of `src` with their targets, depth first in
-    edge-id order: every one, or with `tgt` given only those ending there.
-    `steps` maps a state to the out-edges the walk takes from it, in
-    edge-id order (all of them, `GlobularComplex.out_edges`, by default).
-    A path's tuple is built only when it is yielded.
+    edge-id order over all out-edges: every one, or with `tgt` given only
+    those ending there.  A path's tuple is built only when it is yielded.
+    This is the walk for complexes that do not validate; a valid complex
+    is walked by `_members`.
 
     Raises InvalidComplexError on reaching a state already on the current
     path, so a cyclic complex fails instead of walking forever.
     """
-    if steps is None:
-        steps = c.out_edges
+    out_edges = c.out_edges
     prefix: list[str] = []
     reached: list[str] = []  # reached[i] is the target of edge prefix[i]
     on_path = {src}
-    pending = [iter(steps.get(src, ()))]
+    pending = [iter(out_edges.get(src, ()))]
     while pending:
         e = next(pending[-1], None)
         if e is None:
@@ -331,37 +336,75 @@ def _paths_from(
         on_path.add(e.tgt)
         if tgt is None or e.tgt == tgt:
             yield tuple(prefix), e.tgt
-        pending.append(iter(steps.get(e.tgt, ())))
+        pending.append(iter(out_edges.get(e.tgt, ())))
+
+
+def _members(
+    steps: Mapping[str, list[tuple[str, StateId]]],
+    src: StateId,
+    tgt: Optional[StateId] = None,
+) -> list[ExecPath]:
+    """The paths out of `src` along `steps`, depth first: every prefix, or
+    with `tgt` given only the paths ending there, which are not walked
+    further.  `steps` maps each state the walk reaches, other than `tgt`,
+    to its (edge id, target) steps in edge-id order.  The 1-skeleton must
+    be acyclic (the complex validated), so nothing guards against a cycle.
+    With `tgt` given, no member is then a prefix of another, and the list
+    comes out in lexicographic edge-id order.
+    """
+    out: list[ExecPath] = []
+    prefix: list[str] = []
+    stack = [iter(steps.get(src, ()))]
+    while stack:
+        for e_id, t in stack[-1]:
+            if t == tgt:
+                out.append((*prefix, e_id))
+                continue
+            prefix.append(e_id)
+            if tgt is None:
+                out.append(tuple(prefix))
+            stack.append(iter(steps[t]))
+            break
+        else:  # every step out of the state reached by `prefix` is taken
+            stack.pop()
+            del prefix[-1:]
+    return out
 
 
 def enumerate_paths(c: GlobularComplex, src: StateId, tgt: StateId) -> list[ExecPath]:
     """All execution paths from src to tgt, in lexicographic edge-id order.
 
-    On a complex that validates, the walk takes only the edges into states
-    that can reach tgt, found backwards over the states between src and tgt
-    in `GlobularComplex.topological_order`.  Any other complex is walked in
-    full, so a directed cycle the walk meets raises InvalidComplexError as
-    it always has.  Raises UnknownIdError for unknown endpoints.
+    On a complex that validates, one loop (`_members`) walks only the edges
+    into states that can reach tgt, found backwards over the states between
+    src and tgt in `GlobularComplex.topological_order`.  The order comes by
+    construction: out-edges are taken in edge-id order, and no path to tgt
+    is a prefix of another, the 1-skeleton being acyclic.  Any other
+    complex is walked in full and sorted, so a directed cycle the walk
+    meets raises InvalidComplexError as it always has.  Raises
+    UnknownIdError for unknown endpoints.
     """
     for s in (src, tgt):
         if s not in c.state_set:
             raise UnknownIdError(f"unknown state: {s}")
-    steps = None
-    if c.validation.ok:
-        order = c.topological_order
-        ahead = {tgt}
-        steps = {}
-        for s in reversed(order[order.index(src):order.index(tgt)]):
-            onward = [e for e in c.out_edges[s] if e.tgt in ahead]
-            if onward:
-                ahead.add(s)
-                steps[s] = onward
-    return sorted(p for p, _ in _paths_from(c, src, tgt, steps))
+    if not c.validation.ok:
+        return sorted(p for p, _ in _paths_from(c, src, tgt))
+    order = c.topological_order
+    ahead = {tgt}
+    steps = {}
+    for s in reversed(order[order.index(src):order.index(tgt)]):
+        onward = [(e.id, e.tgt) for e in c.out_edges[s] if e.tgt in ahead]
+        if onward:
+            ahead.add(s)
+            steps[s] = onward
+    return _members(steps, src, tgt)
 
 
 def all_exec_paths(c: GlobularComplex) -> list[ExecPath]:
     """Every execution path of the complex, over all endpoint pairs, sorted."""
-    return sorted(p for state in c.states for p, _ in _paths_from(c, state))
+    if not c.validation.ok:
+        return sorted(p for state in c.states for p, _ in _paths_from(c, state))
+    steps = {s: [(e.id, e.tgt) for e in es] for s, es in c.out_edges.items()}
+    return sorted(p for state in c.states for p in _members(steps, state))
 
 
 def count_paths_and_composites(c: GlobularComplex) -> tuple[int, int]:
@@ -420,7 +463,15 @@ def _class_steps(c: GlobularComplex, src: StateId, tgt: StateId) -> dict[str, li
     topological order, each once: at s, the pairs (e into s, class k at
     e.src) are merged by every square ending at s, for each class at the
     square's source.
+
+    The last result is kept on the complex, keyed by (src, tgt): one entry
+    in the instance `__dict__`, where the cached properties live too, so
+    `path_classes` followed by `same_move_class` on the same endpoints
+    propagates once.  Callers only read the table.
     """
+    cached = c.__dict__.get("_class_table")
+    if cached is not None and cached[0] == (src, tgt):
+        return cached[1]
     order = c.topological_order
     classes = {src: 1}  # number of classes at each state reached so far
     arrivals: dict[str, list[Edge]] = {}  # edges out of reached states, by target
@@ -448,6 +499,7 @@ def _class_steps(c: GlobularComplex, src: StateId, tgt: StateId) -> dict[str, li
         classes[s] = len(label)
         for e in c.out_edges[s]:
             arrivals.setdefault(e.tgt, []).append(e)
+    c.__dict__["_class_table"] = ((src, tgt), step)
     return step
 
 
@@ -474,9 +526,12 @@ def path_classes(
     Moves preserve endpoints, so the partition is well defined on each
     endpoint pair.  Each path's class is read from one propagation over
     the complex from `src` to `tgt` (see the module docstring); no move is
-    applied to any path.  Blocks are ordered by their first member, and
-    members come out sorted.  Raises InvalidComplexError if the complex
-    does not validate, and UnknownIdError for an unknown endpoint.
+    applied to any path.  The propagation's table stays on the complex as
+    its one cached class table, for a later call on the same endpoints.
+    Members are taken in the lexicographic order `enumerate_paths` lists
+    them in, so blocks are ordered by their first member and each block is
+    sorted, with no sort.  Raises InvalidComplexError if the complex does
+    not validate, and UnknownIdError for an unknown endpoint.
     """
     require_valid(c)
     paths = enumerate_paths(c, src, tgt)
@@ -493,8 +548,10 @@ def same_move_class(c: GlobularComplex, a: ExecPath, b: ExecPath) -> bool:
     Equal tuples always are.  Otherwise both must be execution paths of
     `c` with the same endpoints, and their classes are compared after one
     propagation from their common source up to their common target (see
-    the module docstring).  Raises InvalidComplexError if the complex does
-    not validate.
+    the module docstring).  That propagation is skipped when the complex's
+    cached class table is for the same endpoints, as it is right after
+    `path_classes` on them; another pair replaces the table.  Raises
+    InvalidComplexError if the complex does not validate.
     """
     require_valid(c)
     a, b = tuple(a), tuple(b)

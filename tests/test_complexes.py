@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 
@@ -176,23 +177,38 @@ class TestMemberWalk:
             assert enumerate_paths(c, c.init, c.finals[0]) == want
 
     def test_only_members_are_built(self, rng, monkeypatch):
-        walk = complexes._paths_from
-        built = []
+        # the member loop looks up the steps of `src`, then of each state it
+        # descends into: each must lie on a member path, once per prefix
+        loop = complexes._members
+        looked_up = []
 
-        def counted(*args):
-            for item in walk(*args):
-                built.append(item)
-                yield item
+        class Recorded(dict):
+            def __getitem__(self, state):
+                looked_up.append(state)
+                return super().__getitem__(state)
 
-        monkeypatch.setattr(complexes, "_paths_from", counted)
+            def get(self, state, default=None):
+                looked_up.append(state)
+                return super().get(state, default)
+
+        def recorded(steps, *args):
+            return loop(Recorded(steps), *args)
+
+        monkeypatch.setattr(complexes, "_members", recorded)
         for _ in range(20):
             c = random_complex(rng)
+            edges = {e.id: (e.src, e.tgt) for e in c.edges}
             for src in c.states:
                 for tgt in c.states:
-                    built.clear()
-                    paths = enumerate_paths(c, src, tgt)
-                    assert [p for p, _ in built] == paths
-                    assert all(end == tgt for _, end in built)
+                    looked_up.clear()
+                    members = oracles.graph_paths(edges, src, tgt)
+                    assert enumerate_paths(c, src, tgt) == sorted(members)
+                    assert looked_up[0] == src
+                    descents = looked_up[1:]
+                    assert set(descents) <= {edges[e][0] for p in members for e in p}
+                    assert len(descents) == len(
+                        {p[:i] for p in members for i in range(1, len(p))}
+                    )
 
     def test_a_cycle_the_target_cannot_see_still_raises(self):
         # s -> t, and a cycle out of s that never comes back to t
@@ -218,6 +234,26 @@ class TestMemberWalk:
         )
         assert not validate_complex(c).ok
         assert enumerate_paths(c, "s", "t") == [("a",), ("b",)]
+
+
+class TestAllExecPaths:
+    def test_matches_the_walk_and_the_oracle(self, rng):
+        for _ in range(30):
+            c = random_complex(rng)
+            edges = {e.id: (e.src, e.tgt) for e in c.edges}
+            walked = sorted(p for s in c.states for p, _ in complexes._paths_from(c, s))
+            assert all_exec_paths(c) == walked == sorted(oracles.graph_all_paths(edges))
+
+    def test_a_complex_that_does_not_validate_is_still_walked(self):
+        c = GlobularComplex(
+            states=("s", "t"),
+            edges=(Edge("a", "s", "t"), Edge("b", "t", "s")),
+        )
+        with pytest.raises(InvalidComplexError):
+            all_exec_paths(c)
+        dangling = GlobularComplex(states=("s",), edges=(Edge("a", "s", "t"),))
+        assert not validate_complex(dangling).ok
+        assert all_exec_paths(dangling) == [("a",)]
 
 
 class TestPathClasses:
@@ -299,6 +335,19 @@ class TestLongChains:
         )
         (violation,) = validate_complex(cyclic).violations
         assert violation.startswith("cyclic 1-skeleton: s0 -> s1 -> ")
+
+    def test_member_lists_are_output_linear(self):
+        chain = make_chain(3000)
+        assert enumerate_paths(chain, "s0", "s3000") == [
+            tuple(f"e{i}" for i in range(3000))
+        ]
+        # a 1,000-tooth comb: 1,001 paths s0 -> z, 501,501 edge ids in all
+        teeth = tuple(Edge(f"t{i}", f"s{i}", "z") for i in range(1001))
+        comb = make_chain(1000)
+        comb = GlobularComplex(states=comb.states + ("z",), edges=comb.edges + teeth)
+        want = [tuple(f"e{k}" for k in range(i)) + (f"t{i}",) for i in reversed(range(1001))]
+        assert enumerate_paths(comb, "s0", "z") == want
+        assert path_classes(comb, "s0", "z") == tuple((p,) for p in want)
 
     def test_same_move_class_does_not_recurse(self):
         c = make_chain(3000)
@@ -413,6 +462,73 @@ class TestClassPropagation:
         )
         assert c.topological_order == ("z", "y", "x", "s0", "s1", "s2")
         assert GlobularComplex(states=("b", "a")).topological_order == ("b", "a")
+
+
+class TestClassTable:
+    """The one-entry class table kept on a complex answers for its own
+    complex and endpoints only."""
+
+    @staticmethod
+    def _check(rng, c, pairs):
+        """Classes and move-class tests over `pairs`, in a random interleaving
+        that starts with a same_move_class, each against the oracle."""
+        edges = {e.id: (e.src, e.tgt) for e in c.edges}
+        rewrites = [(q.left, q.right) for q in c.squares]
+        want = {
+            (src, tgt): oracles.move_classes(oracles.graph_paths(edges, src, tgt), rewrites)
+            for src, tgt in pairs
+        }
+        calls = [(pair, "same") for pair in pairs] + [(pair, "classes") for pair in pairs]
+        rng.shuffle(calls)
+        first = next(i for i, (_, kind) in enumerate(calls) if kind == "same")
+        calls.insert(0, calls.pop(first))
+        for (src, tgt), kind in calls * 2:
+            blocks = want[src, tgt]
+            if kind == "classes":
+                assert {frozenset(b) for b in path_classes(c, src, tgt)} == blocks
+                continue
+            paths = sorted(p for block in blocks for p in block)
+            for a, b in [tuple(rng.choice(paths) for _ in "ab") for _ in range(4)]:
+                together = any(a in block and b in block for block in blocks)
+                assert same_move_class(c, a, b) == together, (src, tgt, a, b)
+
+    @staticmethod
+    def _pairs(c):
+        edges = {e.id: (e.src, e.tgt) for e in c.edges}
+        return [
+            (src, tgt)
+            for src in c.states
+            for tgt in c.states
+            if oracles.graph_paths(edges, src, tgt)
+        ]
+
+    def test_interleaved_endpoints_match_the_oracle(self, rng):
+        for _ in range(25):
+            c = random_complex(rng, max_states=6, max_edges=9, max_squares=3, min_edges=1)
+            self._check(rng, c, self._pairs(c))
+        for _ in range(8):
+            c = pv_to_complex(parse_pv(random_pv_source(rng)))
+            pairs = self._pairs(c)
+            ends = [pair for pair in pairs if pair == (c.init, c.finals[0])]
+            self._check(rng, c, ends + rng.sample(pairs, min(6, len(pairs))))
+
+    def test_a_replaced_complex_has_its_own_table(self, rng):
+        differ = 0
+        for _ in range(40):
+            c = random_complex(rng, max_states=6, max_edges=9, max_squares=3, min_edges=1)
+            if not c.squares:
+                continue
+            pairs = self._pairs(c)
+            self._check(rng, c, pairs)
+            fewer = dataclasses.replace(c, squares=c.squares[:-1])
+            for src, tgt in pairs:
+                # each side is asked right after the other built its table
+                # for the same endpoints
+                path_classes(c, src, tgt)
+                self._check(rng, fewer, [(src, tgt)])
+                self._check(rng, c, [(src, tgt)])
+                differ += len(path_classes(c, src, tgt)) != len(path_classes(fewer, src, tgt))
+        assert differ > 0
 
 
 class TestClassesOnBadInput:
