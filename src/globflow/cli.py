@@ -19,10 +19,13 @@ exact and checked before anything is built).  Each must be a non-negative
 integer, and any other value is an input error.  All output is sorted, so
 repeated runs are byte-identical.
 
-`realize` writes the compact flow document of `formats` (composition
-marked as concatenation, no triples); `analyze` reads either form and
-validates it (`flows.validate_flow`) before running its analysis, so both
-forms of the same flow give the same answers.
+Every document a command reads is validated before it is used: complexes
+with `complexes.validate_complex` (warnings go to stderr), and flows,
+including the codomain of a --t-check morphism and the --s-equiv flow,
+with `flows.validate_flow`.  A violation exits 2 with one "violation:"
+line per violation.  `realize` writes the compact flow document of
+`formats` (composition marked as concatenation, no triples); `analyze`
+reads either form, so both forms of the same flow give the same answers.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import argparse
 import functools
 import sys
 
-from .complexes import validate_complex
+from .complexes import GlobularComplex, validate_complex
 from .equivalence import (
     BUDGET_ENV_VAR,
     DEFAULT_SEARCH_BUDGET,
@@ -51,7 +54,7 @@ from .flows import (
     deadlocks,
     dihomotopy_classes,
     germs,
-    validate_flow,
+    require_valid_flow,
 )
 from .formats import (
     complex_from_doc,
@@ -145,22 +148,20 @@ def cmd_realize(args) -> int:
         complex_ = pv_to_complex(parse_pv(text))
     else:
         complex_ = loads_complex(text)
-    report = validate_complex(complex_)
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if not report.ok:
-        raise InvalidComplexError(report.violations)
+    _check_complex(complex_)
     flow = realize(complex_)
     _write(args.output, dumps_flow(flow, init=complex_.init, finals=complex_.finals))
     return 0
 
 
-def _load_checked_flow(text: str):
-    flow, annotations = loads_flow(text)
-    report = validate_flow(flow)
+def _check_complex(complex_: GlobularComplex) -> None:
+    """Print the complex's validation warnings on stderr, then raise
+    InvalidComplexError if it does not validate."""
+    report = validate_complex(complex_)
+    for warning in report.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     if not report.ok:
-        raise InvalidFlowError(report.violations)
-    return flow, annotations
+        raise InvalidComplexError(report.violations)
 
 
 def _resolve_state(name: str, flow: FiniteFlow, annotations) -> str:
@@ -175,7 +176,8 @@ def _resolve_state(name: str, flow: FiniteFlow, annotations) -> str:
 
 
 def cmd_analyze(args) -> int:
-    flow, annotations = _load_checked_flow(_read(args.input))
+    flow, annotations = loads_flow(_read(args.input))
+    require_valid_flow(flow)
 
     if args.deadlocks:
         init = args.init or annotations.get("init")
@@ -197,10 +199,12 @@ def cmd_analyze(args) -> int:
         print(germs_report(germs(flow, state, sign)))
     elif args.t_check is not None:
         morphism, codomain, _ = loads_morphism(_read(args.t_check))
+        require_valid_flow(codomain)
         print(t_check_report(check_t_dihomotopy(morphism, flow, codomain)))
     elif args.s_equiv is not None:
         budget = env_count(BUDGET_ENV_VAR, DEFAULT_SEARCH_BUDGET)
-        other, _ = _load_checked_flow(_read(args.s_equiv))
+        other, _ = loads_flow(_read(args.s_equiv))
+        require_valid_flow(other)
         print(s_equiv_report(s_equivalent(flow, other, budget=budget)))
     return 0
 
@@ -208,11 +212,14 @@ def cmd_analyze(args) -> int:
 def cmd_dot(args) -> int:
     doc = _parse_json(_read(args.input), "input document")
     if isinstance(doc, dict) and "states" in doc:
-        _write(args.output, export_dot(complex_from_doc(doc)))
+        obj = complex_from_doc(doc)
+        _check_complex(obj)
     elif isinstance(doc, dict) and "skeleton" in doc:
-        _write(args.output, export_dot(flow_from_doc(doc)[0]))
+        obj, _ = flow_from_doc(doc)
+        require_valid_flow(obj)
     else:
         raise FormatError("input document: neither a complex nor a flow")
+    _write(args.output, export_dot(obj))
     return 0
 
 

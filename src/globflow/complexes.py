@@ -21,12 +21,13 @@ edge is well defined on classes.  The last such table is kept on the
 complex, keyed by its two endpoints, so `same_move_class` on the members
 that `path_classes` has just listed propagates no second time.
 
-On a complex that validates, the members themselves are listed by one
-depth-first loop over the edges into states that can reach the target.
-It keeps no cycle bookkeeping, since validation has proved the 1-skeleton
-acyclic, and it needs no sort: out-edges are taken in edge-id order and
-no member is a prefix of another, so the order is lexicographic by
-construction.
+Paths are listed by one depth-first loop (`_members`), over the edges
+into states that can reach the target.  Every path listing refuses a
+complex that does not validate, with InvalidComplexError carrying its
+validation report, so the loop keeps no cycle bookkeeping: validation has
+proved the 1-skeleton acyclic.  It needs no sort either: out-edges are
+taken in edge-id order and no member is a prefix of another, so the order
+is lexicographic by construction.
 
 Morphisms map states to states and edges to nonempty paths, preserving
 endpoints and sending the two boundaries of every square into the same
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import InvalidComplexError, UnknownIdError
 
@@ -304,41 +305,6 @@ def glob_discrete(labels: Iterable[str]) -> GlobularComplex:
     )
 
 
-def _paths_from(
-    c: GlobularComplex, src: StateId, tgt: Optional[StateId] = None
-) -> Iterator[tuple[ExecPath, StateId]]:
-    """Execution paths out of `src` with their targets, depth first in
-    edge-id order over all out-edges: every one, or with `tgt` given only
-    those ending there.  A path's tuple is built only when it is yielded.
-    This is the walk for complexes that do not validate; a valid complex
-    is walked by `_members`.
-
-    Raises InvalidComplexError on reaching a state already on the current
-    path, so a cyclic complex fails instead of walking forever.
-    """
-    out_edges = c.out_edges
-    prefix: list[str] = []
-    reached: list[str] = []  # reached[i] is the target of edge prefix[i]
-    on_path = {src}
-    pending = [iter(out_edges.get(src, ()))]
-    while pending:
-        e = next(pending[-1], None)
-        if e is None:
-            pending.pop()
-            if prefix:
-                prefix.pop()
-                on_path.discard(reached.pop())
-            continue
-        if e.tgt in on_path:
-            raise InvalidComplexError([f"cyclic 1-skeleton: revisited {e.tgt}"])
-        prefix.append(e.id)
-        reached.append(e.tgt)
-        on_path.add(e.tgt)
-        if tgt is None or e.tgt == tgt:
-            yield tuple(prefix), e.tgt
-        pending.append(iter(out_edges.get(e.tgt, ())))
-
-
 def _members(
     steps: Mapping[str, list[tuple[str, StateId]]],
     src: StateId,
@@ -347,10 +313,10 @@ def _members(
     """The paths out of `src` along `steps`, depth first: every prefix, or
     with `tgt` given only the paths ending there, which are not walked
     further.  `steps` maps each state the walk reaches, other than `tgt`,
-    to its (edge id, target) steps in edge-id order.  The 1-skeleton must
-    be acyclic (the complex validated), so nothing guards against a cycle.
-    With `tgt` given, no member is then a prefix of another, and the list
-    comes out in lexicographic edge-id order.
+    to its (edge id, target) steps in edge-id order.  Its callers have
+    validated the complex, so the 1-skeleton is acyclic and nothing guards
+    against a cycle.  With `tgt` given, no member is then a prefix of
+    another, and the list comes out in lexicographic edge-id order.
     """
     out: list[ExecPath] = []
     prefix: list[str] = []
@@ -374,20 +340,17 @@ def _members(
 def enumerate_paths(c: GlobularComplex, src: StateId, tgt: StateId) -> list[ExecPath]:
     """All execution paths from src to tgt, in lexicographic edge-id order.
 
-    On a complex that validates, one loop (`_members`) walks only the edges
-    into states that can reach tgt, found backwards over the states between
-    src and tgt in `GlobularComplex.topological_order`.  The order comes by
-    construction: out-edges are taken in edge-id order, and no path to tgt
-    is a prefix of another, the 1-skeleton being acyclic.  Any other
-    complex is walked in full and sorted, so a directed cycle the walk
-    meets raises InvalidComplexError as it always has.  Raises
-    UnknownIdError for unknown endpoints.
+    One loop (`_members`) walks only the edges into states that can reach
+    tgt, found backwards over the states between src and tgt in
+    `GlobularComplex.topological_order`.  The order comes by construction:
+    out-edges are taken in edge-id order, and no path to tgt is a prefix of
+    another, the 1-skeleton being acyclic.  Raises UnknownIdError for an
+    unknown endpoint, and otherwise InvalidComplexError if the complex does
+    not validate.
     """
     for s in (src, tgt):
         if s not in c.state_set:
             raise UnknownIdError(f"unknown state: {s}")
-    if not c.validation.ok:
-        return sorted(p for p, _ in _paths_from(c, src, tgt))
     order = c.topological_order
     ahead = {tgt}
     steps = {}
@@ -400,9 +363,9 @@ def enumerate_paths(c: GlobularComplex, src: StateId, tgt: StateId) -> list[Exec
 
 
 def all_exec_paths(c: GlobularComplex) -> list[ExecPath]:
-    """Every execution path of the complex, over all endpoint pairs, sorted."""
-    if not c.validation.ok:
-        return sorted(p for state in c.states for p, _ in _paths_from(c, state))
+    """Every execution path of the complex, over all endpoint pairs, sorted.
+    Raises InvalidComplexError if the complex does not validate."""
+    require_valid(c)
     steps = {s: [(e.id, e.tgt) for e in es] for s, es in c.out_edges.items()}
     return sorted(p for state in c.states for p in _members(steps, state))
 
@@ -606,10 +569,12 @@ def complex_morphism_violations(
 ) -> list[str]:
     """Why f fails to be a morphism dom -> cod; empty when it is one.
 
-    Square preservation is checked with `same_move_class` on `cod`, so a
-    codomain that does not validate raises InvalidComplexError once the
-    state and edge checks pass.
+    Raises InvalidComplexError if `dom` does not validate.  Square
+    preservation is checked with `same_move_class` on `cod`, so a codomain
+    that does not validate raises InvalidComplexError once the state and
+    edge checks pass.
     """
+    require_valid(dom)
     out: list[str] = []
     for s in dom.states:
         image = f.state_map.get(s)

@@ -18,9 +18,11 @@ An injective search skips options already in use without charging them.
   state maps `_state_maps` yields, after checking skeleton, path and
   composite counts, then runs the path search injectively.
 - `check_t_dihomotopy` evaluates the three refinement conditions for a
-  morphism: the corestriction onto the image skeleton is an isomorphism,
-  germs at the remaining states are singletons both ways, and every path
-  outside the image extends into it.
+  morphism between flows that validate: the corestriction onto the image
+  skeleton is an isomorphism, germs at the remaining states are singletons
+  both ways, and every path outside the image extends into it.  The first
+  builds no restricted flow: past the counts, only the inverse's
+  adjacency can fail, checked by the loop `find_flow_isomorphism` runs.
 
 The state search `_state_maps` assigns the domain's sorted states in
 order (VF2-style) and offers each only the codomain states that agree on
@@ -52,14 +54,7 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .errors import SearchBudgetExceeded
-from .flows import (
-    FiniteFlow,
-    FlowMorphism,
-    germs,
-    is_flow_morphism,
-    require_flow_morphism,
-    restrict,
-)
+from .flows import FiniteFlow, FlowMorphism, germs, require_flow_morphism
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -331,14 +326,23 @@ def _finish_isomorphism(x, y, sigma, path_map):
     if len(set(path_map.values())) != len(y.paths):
         return None
     inverse_paths = {v: k for k, v in path_map.items()}
-    for u, v in y.adjacency:
-        if not x.adjacent_star(inverse_paths[u], inverse_paths[v]):
-            return None
+    if not _inverse_keeps_adjacency(x, y, inverse_paths):
+        return None
     iso = FlowMorphism(state_map=sigma, path_map=path_map)
     inverse = FlowMorphism(
         state_map={b: a for a, b in sigma.items()}, path_map=inverse_paths
     )
     return iso, inverse
+
+
+def _inverse_keeps_adjacency(x: FiniteFlow, y: FiniteFlow, inverse_paths: dict) -> bool:
+    """Whether `inverse_paths` sends every adjacency pair of y among its
+    keys into one adj*-component of x."""
+    return all(
+        x.adjacent_star(inverse_paths[u], inverse_paths[v])
+        for u, v in y.adjacency
+        if u in inverse_paths and v in inverse_paths
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +375,21 @@ def check_t_dihomotopy(
 ) -> TDihomotopyReport:
     """Decide whether a morphism x -> y is a refinement equivalence.
 
+    x and y must validate, which is not checked here.  Raises
+    InvalidMorphismError if f is not a morphism x -> y.
+
     Condition 1: corestricting f onto its image skeleton gives an
-    isomorphism onto the restricted flow.  Condition 2: at every state the
-    image skeleton misses, the backward and forward germ sets are both
-    singletons.  Condition 3: every path outside the image becomes an image
-    path after composing with some path (or nothing) on each side.
+    isomorphism onto the restricted flow, the paths of y between image
+    states.  Condition 2: at every state the image skeleton misses, the
+    backward and forward germ sets are both singletons.  Condition 3: every
+    path outside the image becomes an image path after composing with some
+    path (or nothing) on each side.
     """
     require_flow_morphism(f, x, y)
     details: list[str] = []
 
     image_states = {f.state_map[s] for s in x.skeleton}
-    restricted = restrict(y, image_states)
-    cond1 = _corestriction_is_isomorphism(f, x, restricted, details)
+    cond1 = _corestriction_is_isomorphism(f, x, y, image_states, details)
 
     cond2 = True
     for state in sorted(y.skeleton - image_states):
@@ -404,28 +411,35 @@ def check_t_dihomotopy(
     return TDihomotopyReport(cond1, cond2, cond3, tuple(details))
 
 
-def _corestriction_is_isomorphism(f, x, restricted, details) -> bool:
+def _corestriction_is_isomorphism(f, x, y, image_states, details) -> bool:
+    """Condition 1 for a morphism f: x -> y of valid flows.  f into the
+    restricted flow is then a morphism too, since adjacency pairs are
+    parallel and the paths between image states are all kept.  If f is
+    one-to-one on states and paths and onto those paths, its inverse keeps
+    endpoints and composition, so it is a morphism exactly when it keeps
+    adjacency."""
     ok = True
-    if len({f.state_map[s] for s in x.skeleton}) != len(x.skeleton):
+    if len(image_states) != len(x.skeleton):
         details.append("corestriction: state map not injective")
         ok = False
     images = set(f.path_map.values())
     if len(images) != len(x.paths):
         details.append("corestriction: path map not injective")
         ok = False
-    if images != restricted.paths:
+    restricted_paths = {
+        p for p, (s, t) in y.path_ends.items() if s in image_states and t in image_states
+    }
+    if images != restricted_paths:
         details.append("corestriction: path map not onto the restricted flow")
         ok = False
     if not ok:
         return False
-    if not is_flow_morphism(f, x, restricted):
-        details.append("corestriction: not a morphism into the restricted flow")
-        return False
-    inverse = FlowMorphism(
-        state_map={f.state_map[s]: s for s in x.skeleton},
-        path_map={v: k for k, v in f.path_map.items()},
-    )
-    if not is_flow_morphism(inverse, restricted, x):
+    # a path_map key outside x's paths can win an image; the inverse then leaves x
+    inverse_paths = {v: k for k, v in f.path_map.items()}
+    if not (
+        x.paths.issuperset(inverse_paths.values())
+        and _inverse_keeps_adjacency(x, y, inverse_paths)
+    ):
         details.append("corestriction: inverse is not a morphism")
         return False
     return True

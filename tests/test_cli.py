@@ -11,6 +11,7 @@ from globflow import (
     dumps_flow,
     dumps_morphism,
     glob_discrete,
+    glob_flow,
     parse_pv,
     pv_to_complex,
     realize,
@@ -302,6 +303,59 @@ class TestAnalyze:
         assert code == 2
         assert "composition not total" in err
 
+    @pytest.mark.parametrize(
+        "codomain, violations",
+        [
+            (
+                {
+                    "skeleton": ["0", "1"],
+                    "paths": [{"id": "a", "src": "0", "tgt": "1"}],
+                    "compose": [],
+                    "adjacency": [["a", "zz"]],
+                },
+                ["unknown path in adjacency: (a, zz)"],
+            ),
+            (
+                {
+                    "skeleton": ["0", "1", "2"],
+                    "paths": [
+                        {"id": "a", "src": "0", "tgt": "1"},
+                        {"id": "c", "src": "1", "tgt": "2"},
+                        {"id": "a*c", "src": "0", "tgt": "2"},
+                    ],
+                    "compose": [],
+                    "adjacency": [],
+                },
+                ["composition not total: (a, c) undefined"],
+            ),
+            (
+                {
+                    "skeleton": ["0", "1"],
+                    "paths": [
+                        {"id": "a", "src": "0", "tgt": "1"},
+                        {"id": "c", "src": "w", "tgt": "1"},
+                    ],
+                    "compose": [],
+                    "adjacency": [],
+                },
+                ["dangling path endpoint: source w of path c"],
+            ),
+        ],
+        ids=["unknown-adjacent-path", "composition-not-total", "dangling-endpoint"],
+    )
+    def test_t_check_codomain_is_validated(self, capsys, tmp_path, codomain, violations):
+        domain = tmp_path / "domain.flow.json"
+        domain.write_text(dumps_flow(glob_flow(["a"])))
+        morphism = tmp_path / "into.morphism.json"
+        morphism.write_text(
+            json.dumps(
+                {"codomain": codomain, "state_map": {"0": "0", "1": "1"}, "path_map": {"a": "a"}}
+            )
+        )
+        code, out, err = run(capsys, "analyze", str(domain), "--t-check", str(morphism))
+        assert (code, out) == (2, "")
+        assert err == "".join(f"violation: {v}\n" for v in violations)
+
     @pytest.mark.parametrize("field", ["compose", "adjacency"])
     def test_malformed_flow_table_exits_1(self, capsys, tmp_path, glob_ab_flow_file, field):
         flow = tmp_path / "bad.flow.json"
@@ -412,6 +466,44 @@ class TestDot:
         path.write_text('{"neither": true}')
         code, _, _ = run(capsys, "dot", str(path))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "doc, violation",
+        [
+            (
+                {
+                    "states": ["s", "t"],
+                    "edges": [{"id": "a", "src": "s", "tgt": "t"}],
+                    "squares": [{"id": "q", "left": ["zz"], "right": ["a"]}],
+                },
+                "bad square boundary: square q left side uses unknown edges zz",
+            ),
+            (
+                {
+                    "states": ["s", "t"],
+                    "edges": [{"id": "a", "src": "s", "tgt": "t"}],
+                    "squares": [{"id": "q", "left": [], "right": ["a"]}],
+                },
+                "bad square boundary: square q has empty left side",
+            ),
+            (
+                {
+                    "skeleton": ["0", "1"],
+                    "paths": [{"id": "b", "src": "0", "tgt": "1"}],
+                    "compose": [],
+                    "adjacency": [["b", "a"]],
+                },
+                "unknown path in adjacency: (a, b)",
+            ),
+        ],
+        ids=["square-unknown-edge", "square-empty-side", "flow-unknown-adjacent-path"],
+    )
+    def test_invalid_document_exits_2(self, capsys, tmp_path, doc, violation):
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "dot", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"violation: {violation}\n"
 
     def test_malformed_squares_exit_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

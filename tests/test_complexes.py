@@ -15,6 +15,7 @@ from globflow import (
     UnknownIdError,
     all_exec_paths,
     complexes,
+    complex_morphism_violations,
     compose_complex_morphisms,
     enumerate_paths,
     glob_discrete,
@@ -23,6 +24,7 @@ from globflow import (
     parse_pv,
     path_classes,
     pv_to_complex,
+    realize_morphism,
     same_move_class,
     square_move_neighbors,
     subdivide_edge,
@@ -223,17 +225,21 @@ class TestMemberWalk:
         )
         with pytest.raises(InvalidComplexError) as raised:
             enumerate_paths(c, "s", "t")
-        assert raised.value.violations == ["cyclic 1-skeleton: revisited u"]
+        assert raised.value.violations == list(validate_complex(c).violations)
+        assert raised.value.violations == ["cyclic 1-skeleton: u -> v -> u"]
 
-    def test_a_complex_that_does_not_validate_is_still_walked(self):
+    def test_a_complex_that_does_not_validate_is_refused(self):
         c = GlobularComplex(
             states=("s", "t"),
             edges=(Edge("a", "s", "t"), Edge("b", "s", "t")),
             squares=(Square("q", ("a",), ("zz",)),),
             finals=("nowhere",),
         )
-        assert not validate_complex(c).ok
-        assert enumerate_paths(c, "s", "t") == [("a",), ("b",)]
+        report = validate_complex(c)
+        assert not report.ok
+        with pytest.raises(InvalidComplexError) as raised:
+            enumerate_paths(c, "s", "t")
+        assert raised.value.violations == list(report.violations)
 
 
 class TestAllExecPaths:
@@ -241,19 +247,20 @@ class TestAllExecPaths:
         for _ in range(30):
             c = random_complex(rng)
             edges = {e.id: (e.src, e.tgt) for e in c.edges}
-            walked = sorted(p for s in c.states for p, _ in complexes._paths_from(c, s))
-            assert all_exec_paths(c) == walked == sorted(oracles.graph_all_paths(edges))
+            assert all_exec_paths(c) == sorted(oracles.graph_all_paths(edges))
 
-    def test_a_complex_that_does_not_validate_is_still_walked(self):
+    def test_a_complex_that_does_not_validate_is_refused(self):
         c = GlobularComplex(
             states=("s", "t"),
             edges=(Edge("a", "s", "t"), Edge("b", "t", "s")),
         )
-        with pytest.raises(InvalidComplexError):
-            all_exec_paths(c)
         dangling = GlobularComplex(states=("s",), edges=(Edge("a", "s", "t"),))
-        assert not validate_complex(dangling).ok
-        assert all_exec_paths(dangling) == [("a",)]
+        for invalid in (c, dangling):
+            report = validate_complex(invalid)
+            assert not report.ok
+            with pytest.raises(InvalidComplexError) as raised:
+                all_exec_paths(invalid)
+            assert raised.value.violations == list(report.violations)
 
 
 class TestPathClasses:
@@ -614,6 +621,22 @@ class TestComplexMorphisms:
         composite = compose_complex_morphisms(m2, m1)
         assert is_complex_morphism(composite, c0, c2)
         assert composite.path_image(("e",)) == m2.path_image(m1.edge_map["e"])
+
+    def test_a_domain_that_does_not_validate_is_refused(self):
+        # the square names an edge the domain does not have
+        dom = GlobularComplex(
+            states=("s", "t"),
+            edges=(Edge("a", "s", "t"),),
+            squares=(Square("q", ("a",), ("zz",)),),
+        )
+        cod = make_interval()
+        f = ComplexMorphism(state_map={"s": "0", "t": "1"}, edge_map={"a": ("e",)})
+        report = validate_complex(dom)
+        assert not report.ok
+        for check in (complex_morphism_violations, is_complex_morphism, realize_morphism):
+            with pytest.raises(InvalidComplexError) as raised:
+                check(f, dom, cod)
+            assert raised.value.violations == list(report.violations)
 
 
 class TestSubdivideEdge:

@@ -1,5 +1,6 @@
 import random
-from itertools import permutations
+from collections import Counter
+from itertools import islice, permutations
 from math import factorial
 
 import pytest
@@ -19,10 +20,12 @@ from globflow import (
     find_flow_isomorphism,
     glob_discrete,
     glob_flow,
+    identity_complex_morphism,
     identity_flow_morphism,
     is_flow_morphism,
     realize,
     realize_morphism,
+    restrict,
     s_equivalent,
     s_homotopic,
     subdivide_edge,
@@ -293,6 +296,11 @@ def _library_flow(flow):
     return FiniteFlow(skeleton, path_ends, composition, adjacency)
 
 
+def _explicit(flow):
+    """The explicit flow holding `flow`'s composition table."""
+    return FiniteFlow(flow.skeleton, flow.path_ends, flow.composition, flow.adjacency)
+
+
 def _maps(f):
     return dict(f.state_map), dict(f.path_map)
 
@@ -513,3 +521,81 @@ class TestSearchOracleOnEquivCliShapes:
         for x, y in ((squared, plain), (plain, squared)):
             assert s_equivalent(x, y, budget=0) is None
             assert find_flow_isomorphism(x, y, budget=0) is None
+
+
+def _corestriction_by_restriction(f, x, y):
+    """Condition 1 of the T-check by the definition: build the restricted
+    flow, then check f into it and its inverse back with
+    `is_flow_morphism`.  Returns the verdict and its details."""
+    image_states = {f.state_map[s] for s in x.skeleton}
+    restricted = restrict(y, image_states)
+    details = []
+    if len(image_states) != len(x.skeleton):
+        details.append("corestriction: state map not injective")
+    images = set(f.path_map.values())
+    if len(images) != len(x.paths):
+        details.append("corestriction: path map not injective")
+    if images != restricted.paths:
+        details.append("corestriction: path map not onto the restricted flow")
+    if details:
+        return False, details
+    if not is_flow_morphism(f, x, restricted):
+        return False, ["corestriction: not a morphism into the restricted flow"]
+    inverse = FlowMorphism(
+        state_map={f.state_map[s]: s for s in x.skeleton},
+        path_map={v: k for k, v in f.path_map.items()},
+    )
+    if not is_flow_morphism(inverse, restricted, x):
+        return False, ["corestriction: inverse is not a morphism"]
+    return True, []
+
+
+def _t_check_cases(c, rng):
+    """(f, x, y) for morphisms out of and into the realization of `c`."""
+    x = realize(c)
+    refined, m = subdivide_edge(c, rng.choice(c.edges).id)
+    subdivision = realize_morphism(m, c, refined)
+    yield subdivision, x, realize(refined)
+    # a path_map key outside x's paths, losing and then winning an image
+    image = subdivision.path_map[rng.choice(x.sorted_paths)]
+    for path_map in ({"stray": image, **subdivision.path_map},
+                     {**subdivision.path_map, "stray": image}):
+        yield FlowMorphism(subdivision.state_map, path_map), x, realize(refined)
+    twin = rng.choice(c.edges)
+    doubled = GlobularComplex(c.states, c.edges + (Edge("extra", twin.src, twin.tgt),), c.squares)
+    yield realize_morphism(identity_complex_morphism(c), c, doubled), x, realize(doubled)
+    bare = GlobularComplex(c.states, c.edges)
+    yield realize_morphism(identity_complex_morphism(bare), bare, c), realize(bare), x
+    for y in (x, realize(refined)):
+        for f in islice(enumerate_flow_morphisms(x, y), 3):
+            yield f, x, y
+
+
+class TestCorestrictionByRestriction:
+    """Condition 1 of `check_t_dihomotopy` against the definition's route
+    through the restricted flow, on realized flows and their explicit
+    copies: subdivisions (also with a path_map key outside the domain),
+    inclusions into a copy with a parallel edge, identities from the
+    complex without its squares, and the first maps the morphism search
+    finds."""
+
+    def test_reports_match(self):
+        rng = random.Random(20261021)
+        outcomes = Counter()
+        for _ in range(30):
+            c = random_complex(rng, min_edges=1, max_states=5, max_edges=7, max_squares=3)
+            for f, x, y in _t_check_cases(c, rng):
+                for fx, fy in ((x, y), (_explicit(x), _explicit(y))):
+                    report = check_t_dihomotopy(f, fx, fy)
+                    holds, details = _corestriction_by_restriction(f, fx, fy)
+                    assert report.restriction_isomorphism == holds
+                    later = [d for d in report.details if not d.startswith("corestriction:")]
+                    assert list(report.details) == details + later
+                    outcomes[details[0] if details else "holds"] += 1
+        assert set(outcomes) == {
+            "holds",
+            "corestriction: state map not injective",
+            "corestriction: path map not injective",
+            "corestriction: path map not onto the restricted flow",
+            "corestriction: inverse is not a morphism",
+        }, outcomes

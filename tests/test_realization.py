@@ -471,7 +471,6 @@ class TestRealizationOracle:
             raise AssertionError("realization walked paths or applied square moves")
 
         monkeypatch.setattr(complexes, "square_move_neighbors", unreachable)
-        monkeypatch.setattr(complexes, "_paths_from", unreachable)
         monkeypatch.setattr(realization, "all_exec_paths", unreachable)
         want = _oracle_tables(target)
         assert _tables(realize(target)) == want
