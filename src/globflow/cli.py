@@ -216,7 +216,6 @@ def cmd_dot(args) -> int:
         _check_complex(obj)
     elif isinstance(doc, dict) and "skeleton" in doc:
         obj, _ = flow_from_doc(doc)
-        require_valid_flow(obj)
     else:
         raise FormatError("input document: neither a complex nor a flow")
     _write(args.output, export_dot(obj))

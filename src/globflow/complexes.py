@@ -109,10 +109,6 @@ class GlobularComplex:
         return {e.id: e for e in self.edges}
 
     @cached_property
-    def square_map(self) -> dict[str, Square]:
-        return {q.id: q for q in self.squares}
-
-    @cached_property
     def out_edges(self) -> dict[str, tuple[Edge, ...]]:
         by_src: dict[str, list[Edge]] = {s: [] for s in self.states}
         for e in self.edges:

@@ -81,18 +81,6 @@ class FiniteFlow:
     def sorted_paths(self) -> tuple[str, ...]:
         return tuple(sorted(self.path_ends))
 
-    def src(self, p: PathId) -> str:
-        try:
-            return self.path_ends[p][0]
-        except KeyError:
-            raise UnknownIdError(f"unknown path: {p}") from None
-
-    def tgt(self, p: PathId) -> str:
-        try:
-            return self.path_ends[p][1]
-        except KeyError:
-            raise UnknownIdError(f"unknown path: {p}") from None
-
     @cached_property
     def by_src(self) -> dict[str, tuple[str, ...]]:
         table: dict[str, list[str]] = {s: [] for s in self.skeleton}
@@ -162,7 +150,7 @@ class FiniteFlow:
     def __repr__(self) -> str:
         return (
             f"FiniteFlow(states={len(self.skeleton)}, paths={len(self.path_ends)}, "
-            f"composites={len(self.composition)}, adjacency={len(self.adjacency)})"
+            f"adjacency={len(self.adjacency)})"
         )
 
 
@@ -551,10 +539,6 @@ class GermSet:
 
     def __len__(self) -> int:
         return len(self.classes)
-
-    @property
-    def representatives(self) -> tuple[str, ...]:
-        return tuple(block[0] for block in self.classes)
 
 
 def germs(flow: FiniteFlow, state: str, sign: str) -> GermSet:

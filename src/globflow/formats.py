@@ -57,9 +57,15 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .complexes import Edge, GlobularComplex, Square
+from .complexes import Edge, GlobularComplex, Square, require_valid
 from .errors import FormatError
-from .flows import FiniteFlow, FlowMorphism, _ConcatenativeFlow, _normalize_adjacency
+from .flows import (
+    FiniteFlow,
+    FlowMorphism,
+    _ConcatenativeFlow,
+    _normalize_adjacency,
+    require_valid_flow,
+)
 
 
 def _require(doc: dict, key: str, kind, where: str):
@@ -398,9 +404,12 @@ def export_dot(obj) -> str:
 
     States become nodes (finals doubly circled, the init bold); edges or
     paths become labeled arrows; squares and adjacency pairs become dashed
-    links between the shared endpoints.
+    links between the shared endpoints.  Raises InvalidComplexError or
+    InvalidFlowError, with the report's violations, for an object that
+    does not validate.
     """
     if isinstance(obj, GlobularComplex):
+        require_valid(obj)
         lines = ["digraph complex {"]
         finals = set(obj.finals)
         for s in sorted(obj.states):
@@ -423,6 +432,7 @@ def export_dot(obj) -> str:
         return "\n".join(lines) + "\n"
 
     if isinstance(obj, FiniteFlow):
+        require_valid_flow(obj)
         lines = ["digraph flow {"]
         for s in sorted(obj.skeleton):
             lines.append(f"  {_quote(s)};")

@@ -76,9 +76,12 @@ class PvProgram:
         return tuple(table)
 
     def holds(self, process_index: int, position: int) -> dict[str, int]:
-        """Resources held by one process after its first `position` steps."""
-        steps = len(self.processes[process_index][:position])  # slice bound semantics
-        return dict(self._held[process_index][steps])
+        """Resources held by one process after its first `position` steps;
+        ValueError for a process or a position the program does not have."""
+        held = self._held
+        if not (0 <= process_index < len(held) and 0 <= position < len(held[process_index])):
+            raise ValueError(f"process {process_index} has no position {position}")
+        return dict(held[process_index][position])
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +237,14 @@ def pv_to_complex(program: PvProgram) -> GlobularComplex:
     commutation of two steps of distinct processes when all four corners
     are permitted.  The initial state is all-zeros; the final state is the
     all-finished tuple when it is permitted.
+
+    Two tables carry the grid.  `names` maps each permitted tuple to its
+    state name, in `product` order.  `after` maps each step (t, k) between
+    permitted tuples to the tuple it leads to and its edge id, in (t, k)
+    order.  Its entries are the edges, and entries (t, k), (t, l) with
+    k < l make a square when both routes, (after[t, k], l) and
+    (after[t, l], k), are entries.  Each state name and edge id is one
+    string, shared by every edge and square that names it.
     """
     lengths = [len(p) for p in program.processes]
     holds_table = program._held
@@ -246,59 +257,42 @@ def pv_to_complex(program: PvProgram) -> GlobularComplex:
                 usage[res] = usage.get(res, 0) + n
         return all(n <= capacities[res] for res, n in usage.items())
 
-    tuples = [t for t in product(*[range(n + 1) for n in lengths]) if permitted(t)]
-    permitted_set = set(tuples)
-
-    def advance(positions: tuple[int, ...], k: int) -> tuple[int, ...] | None:
-        if positions[k] >= lengths[k]:
-            return None
-        nxt = positions[:k] + (positions[k] + 1,) + positions[k + 1:]
-        return nxt if nxt in permitted_set else None
-
-    states = tuple(state_name(t) for t in tuples)
-    edges = []
-    edge_ids: dict[tuple[tuple[int, ...], int], str] = {}
-    for t in tuples:
+    names = {
+        t: state_name(t)
+        for t in product(*[range(n + 1) for n in lengths])
+        if permitted(t)
+    }
+    after: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], str]] = {}
+    for t, name in names.items():
         for k in range(len(lengths)):
-            nxt = advance(t, k)
-            if nxt is None:
-                continue
-            eid = f"{state_name(t)}>p{k}"
-            edge_ids[(t, k)] = eid
-            edges.append(
-                Edge(
-                    id=eid,
-                    src=state_name(t),
-                    tgt=state_name(nxt),
-                    label=str(program.processes[k][t[k]]),
-                )
-            )
+            nxt = t[:k] + (t[k] + 1,) + t[k + 1:]
+            if nxt in names:
+                after[t, k] = (nxt, f"{name}>p{k}")
 
+    edges = tuple(
+        Edge(id=eid, src=names[t], tgt=names[nxt], label=str(program.processes[k][t[k]]))
+        for (t, k), (nxt, eid) in after.items()
+    )
     squares = []
-    for t in tuples:
-        for k in range(len(lengths)):
-            after_k = advance(t, k)
-            if after_k is None:
-                continue
-            for l in range(k + 1, len(lengths)):
-                after_l = advance(t, l)
-                if after_l is None:
-                    continue
-                if advance(after_k, l) is None or advance(after_l, k) is None:
-                    continue
+    for (t, k), (t_k, e_k) in after.items():
+        for l in range(k + 1, len(lengths)):
+            # both routes leave a permitted tuple for t with steps k and l
+            # taken, so one is an entry exactly when the other is
+            if (t, l) in after and (t_k, l) in after:
+                t_l, e_l = after[t, l]
                 squares.append(
                     Square(
-                        id=f"{state_name(t)}#p{k}p{l}",
-                        left=(edge_ids[(t, k)], edge_ids[(after_k, l)]),
-                        right=(edge_ids[(t, l)], edge_ids[(after_l, k)]),
+                        id=f"{names[t]}#p{k}p{l}",
+                        left=(e_k, after[t_k, l][1]),
+                        right=(e_l, after[t_l, k][1]),
                     )
                 )
 
     final = tuple(lengths)
     return GlobularComplex(
-        states=states,
-        edges=tuple(edges),
+        states=tuple(names.values()),
+        edges=edges,
         squares=tuple(squares),
-        finals=(state_name(final),) if final in permitted_set else (),
-        init=state_name(tuple(0 for _ in lengths)),
+        finals=(names[final],) if final in names else (),
+        init=names[tuple(0 for _ in lengths)],
     )

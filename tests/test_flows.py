@@ -372,6 +372,15 @@ class TestConcatenationCertificates:
         assert "composition" not in vars(flow)
         assert flow.composition == realized.composition
 
+    def test_repr_builds_no_table(self):
+        c = pv_to_complex(parse_pv(oracles.dining_philosophers_source(3)))
+        flow = realize(c)
+        assert repr(flow) == (
+            f"FiniteFlow(states={len(c.states)}, paths={len(flow.path_ends)}, "
+            f"adjacency={len(flow.adjacency)})"
+        )
+        assert "composition" not in vars(flow)
+
 
 class TestGlobFlow:
     def test_singleton(self):

@@ -10,9 +10,12 @@ from globflow import (
     FormatError,
     GlobularComplex,
     IncrementalRealizer,
+    InvalidComplexError,
+    InvalidFlowError,
     dumps_complex,
     dumps_flow,
     dumps_morphism,
+    export_dot,
     identity_flow_morphism,
     loads_complex,
     loads_flow,
@@ -23,7 +26,7 @@ from globflow import (
     restrict,
     validate_flow,
 )
-from globflow.formats import flow_to_doc
+from globflow.formats import complex_from_doc, flow_from_doc, flow_to_doc
 
 
 class TestComplexDocuments:
@@ -400,3 +403,45 @@ class TestMorphismDocuments:
                     }
                 )
             )
+
+
+class TestDotExport:
+    @pytest.mark.parametrize(
+        "doc, error, violation",
+        [
+            (
+                {
+                    "states": ["s", "t"],
+                    "edges": [{"id": "a", "src": "s", "tgt": "t"}],
+                    "squares": [{"id": "q", "left": ["zz"], "right": ["a"]}],
+                },
+                InvalidComplexError,
+                "bad square boundary: square q left side uses unknown edges zz",
+            ),
+            (
+                {
+                    "states": ["s", "t"],
+                    "edges": [{"id": "a", "src": "s", "tgt": "t"}],
+                    "squares": [{"id": "q", "left": [], "right": ["a"]}],
+                },
+                InvalidComplexError,
+                "bad square boundary: square q has empty left side",
+            ),
+            (
+                {
+                    "skeleton": ["0", "1"],
+                    "paths": [{"id": "b", "src": "0", "tgt": "1"}],
+                    "compose": [],
+                    "adjacency": [["b", "a"]],
+                },
+                InvalidFlowError,
+                "unknown path in adjacency: (a, b)",
+            ),
+        ],
+        ids=["square-unknown-edge", "square-empty-side", "flow-unknown-adjacent-path"],
+    )
+    def test_invalid_input_raises_with_the_report(self, doc, error, violation):
+        obj = complex_from_doc(doc) if "states" in doc else flow_from_doc(doc)[0]
+        with pytest.raises(error) as caught:
+            export_dot(obj)
+        assert caught.value.violations == [violation]

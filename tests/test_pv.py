@@ -1,11 +1,18 @@
+from itertools import combinations, product
+
 import pytest
 
 import oracles
+from conftest import random_pv_source
 from globflow import (
+    Edge,
+    GlobularComplex,
     PvError,
     PvSyntaxError,
+    Square,
     deadlocks,
     dihomotopy_classes,
+    dumps_complex,
     parse_pv,
     path_classes,
     pv_to_complex,
@@ -19,6 +26,42 @@ from globflow import (
 def trace_of(path):
     """Process-index schedule of an edge-id path (edge ids end in '>p<k>')."""
     return tuple(int(eid.rsplit(">p", 1)[1]) for eid in path)
+
+
+def oracle_grid(processes, capacities):
+    """The compiled complex, built from the oracles' permitted tuples and
+    successors: states in `product` order, each state's edges by process
+    index, each state's squares by process pair (k, l) with k < l."""
+
+    def name(t):
+        return ",".join(f"p{k}:{i}" for k, i in enumerate(t))
+
+    grid = product(*[range(len(p) + 1) for p in processes])
+    states = [t for t in grid if oracles.pv_permitted(processes, capacities, t)]
+    succ = {t: dict(oracles.pv_successors(processes, capacities, t)) for t in states}
+    edges, squares = [], []
+    for t in states:
+        for k, nxt in succ[t].items():
+            op, arg = processes[k][t[k]]
+            edges.append(Edge(f"{name(t)}>p{k}", name(t), name(nxt), f"{op}({arg})"))
+        for k, l in combinations(succ[t], 2):
+            t_k, t_l = succ[t][k], succ[t][l]
+            if l in succ[t_k] and k in succ[t_l]:
+                squares.append(
+                    Square(
+                        f"{name(t)}#p{k}p{l}",
+                        (f"{name(t)}>p{k}", f"{name(t_k)}>p{l}"),
+                        (f"{name(t)}>p{l}", f"{name(t_l)}>p{k}"),
+                    )
+                )
+    final = tuple(len(p) for p in processes)
+    return GlobularComplex(
+        states=tuple(name(t) for t in states),
+        edges=tuple(edges),
+        squares=tuple(squares),
+        finals=(name(final),) if final in succ else (),
+        init=name(tuple(0 for _ in processes)),
+    )
 
 
 class TestParse:
@@ -76,6 +119,13 @@ class TestParse:
         assert program.holds(0, 0) == {}
         assert program.holds(0, 2) == {"a": 2}
         assert program.holds(0, 4) == {}
+
+    @pytest.mark.parametrize("process_index, position", [(0, -1), (0, 4), (-1, 0), (1, 0)])
+    def test_holds_refuses_out_of_range_indices(self, process_index, position):
+        program = parse_pv("res a 1; proc: P(a).V(a).A(x)")
+        assert program.holds(0, 3) == {}
+        with pytest.raises(ValueError):
+            program.holds(process_index, position)
 
 
 class TestCompile:
@@ -199,6 +249,24 @@ class TestCompile:
         assert squares1 == squares2
         assert transpose(c2.init) == c1.init
         assert {transpose(s) for s in c2.finals} == set(c1.finals)
+
+    def test_grid_matches_the_oracles(self, rng):
+        # pins every state, edge and square with its id, label and order
+        corpus = [
+            (oracles.MUTEX_SOURCE, oracles.MUTEX),
+            (oracles.SWISS_FLAG_SOURCE, oracles.SWISS_FLAG),
+        ] + [
+            (oracles.dining_philosophers_source(n), oracles.dining_philosophers(n))
+            for n in (2, 3, 4)
+        ]
+        programs = [(parse_pv(source), semantics) for source, semantics in corpus]
+        for _ in range(200):
+            program = parse_pv(random_pv_source(rng))
+            processes = [[(s.op, s.arg) for s in p] for p in program.processes]
+            programs.append((program, (processes, program.capacities)))
+        for program, (processes, capacities) in programs:
+            want = oracle_grid(processes, capacities)
+            assert dumps_complex(pv_to_complex(program)) == dumps_complex(want)
 
     def test_realized_grid_flows_validate(self):
         c = pv_to_complex(parse_pv(oracles.MUTEX_SOURCE))
