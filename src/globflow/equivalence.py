@@ -122,7 +122,10 @@ def _path_assignments(dom, cod, sigma, budget, injective=False) -> Iterator[dict
     # each constraint fires once its last participant is assigned
     position = {p: k for k, p in enumerate(order)}
     comp_at: list[list[tuple[str, str, str]]] = [[] for _ in order]
-    for (x, y), z in dom.composition.items():
+    for x, y in dom.composable_pairs():
+        z = dom.try_compose(x, y)
+        if z not in position:  # no path map keeps a composite dom lacks
+            return
         comp_at[max(position[x], position[y], position[z])].append((x, y, z))
     adj_at: list[list[tuple[str, str]]] = [[] for _ in order]
     for a, b in dom.adjacency:
@@ -315,24 +318,16 @@ def find_flow_isomorphism(
         return None
 
     for sigma in _state_maps(x, y, _path_and_component_counts, meter):
+        # injective over all of x's paths into y's, as many: a bijection
         for path_map in _path_assignments(x, y, sigma, meter, injective=True):
-            found = _finish_isomorphism(x, y, sigma, path_map)
-            if found:
-                return found
+            inverse_paths = {v: k for k, v in path_map.items()}
+            if _inverse_keeps_adjacency(x, y, inverse_paths):
+                iso = FlowMorphism(state_map=sigma, path_map=path_map)
+                inverse = FlowMorphism(
+                    state_map={b: a for a, b in sigma.items()}, path_map=inverse_paths
+                )
+                return iso, inverse
     return None
-
-
-def _finish_isomorphism(x, y, sigma, path_map):
-    if len(set(path_map.values())) != len(y.paths):
-        return None
-    inverse_paths = {v: k for k, v in path_map.items()}
-    if not _inverse_keeps_adjacency(x, y, inverse_paths):
-        return None
-    iso = FlowMorphism(state_map=sigma, path_map=path_map)
-    inverse = FlowMorphism(
-        state_map={b: a for a, b in sigma.items()}, path_map=inverse_paths
-    )
-    return iso, inverse
 
 
 def _inverse_keeps_adjacency(x: FiniteFlow, y: FiniteFlow, inverse_paths: dict) -> bool:

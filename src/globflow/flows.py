@@ -14,10 +14,13 @@ A flow made by realization, or read from a document that says so, is
 *concatenative*: its paths are the "*"-joins of sequences of length-1 paths
 (the ids without "*"), and x*y is the id `x + "*" + y` exactly when
 tgt(x) = src(y).  Such a flow's composition table says nothing its ids do
-not; a flow read without the table builds it when `composition` is first
-read.  Validation certifies a concatenative flow from its ids and its
-adjacency alone (see `validate_flow`), and walks the table only when a
-certificate fails.  A flow built from explicit tables is never
+not, so it answers `try_compose` and `compose` from its ids, and builds the
+table only when `composition` is read by name.  Analyses ask for
+composites pair by pair and never read the table; `restrict`, the
+composite count of `equivalence.find_flow_isomorphism` and the fallback of
+`validate_flow` do.  Validation certifies a concatenative flow from its ids
+and its adjacency alone (see `validate_flow`), and walks the table only
+when a certificate fails.  A flow built from explicit tables is never
 concatenative, whatever its table holds.
 
 Morphisms preserve endpoints and composition on the nose, and adjacency up
@@ -40,12 +43,12 @@ from .unionfind import DisjointSets
 
 PathId = str
 
-def _normalize_adjacency(pairs) -> frozenset[tuple[str, str]]:
-    out = set()
+def _normalize_adjacency(pairs) -> dict[tuple[str, str], None]:
+    out = {}
     for a, b in pairs:
         if a != b:
-            out.add((a, b) if a <= b else (b, a))
-    return frozenset(out)
+            out[(a, b) if a <= b else (b, a)] = None
+    return out
 
 
 class FiniteFlow:
@@ -69,7 +72,7 @@ class FiniteFlow:
         self.skeleton = frozenset(skeleton)
         self.path_ends = {p: (s, t) for p, (s, t) in dict(path_ends).items()}
         self.composition = dict(composition)
-        self.adjacency = _normalize_adjacency(adjacency)
+        self.adjacency = frozenset(_normalize_adjacency(adjacency))
 
     # -- structure access ---------------------------------------------------
 
@@ -112,10 +115,10 @@ class FiniteFlow:
                     yield x, y
 
     def compose(self, x: PathId, y: PathId) -> PathId:
-        try:
-            return self.composition[(x, y)]
-        except KeyError:
-            raise UnknownIdError(f"composite undefined: ({x}, {y})") from None
+        z = self.try_compose(x, y)
+        if z is None:
+            raise UnknownIdError(f"composite undefined: ({x}, {y})")
+        return z
 
     def try_compose(self, x: PathId, y: PathId) -> Optional[PathId]:
         return self.composition.get((x, y))
@@ -141,7 +144,11 @@ class FiniteFlow:
         return (
             self.skeleton == other.skeleton
             and self.path_ends == other.path_ends
-            and self.composition == other.composition
+            # a concatenative flow's composition follows from its path ends
+            and (
+                self._concatenative and other._concatenative
+                or self.composition == other.composition
+            )
             and self.adjacency == other.adjacency
         )
 
@@ -155,53 +162,26 @@ class FiniteFlow:
 
 
 class _ConcatenativeFlow(FiniteFlow):
-    """A concatenative flow over tables already in canonical form:
-    `path_ends` values are (source, target) tuples and `adjacency` holds
-    each unordered pair once, as (a, b) with a < b.  Only realization (the
-    flow of `realize`, the realizer's snapshots) and the reader of compact
-    flow documents make one.
+    """A concatenative flow (see the module docstring), held by the first
+    entries of three insertion-ordered tables: states and normalized
+    adjacency pairs (dict keys; each unordered pair once, as (a, b) with
+    a < b) and path endpoints ((source, target) tuples).  Only realization
+    (every flow a realizer hands out) and the reader of compact flow
+    documents make one.
 
-    Nothing is copied and no entry is looked at, so the caller must not
-    change the tables afterwards.  The composition table
-    {(x, y): "x*y" for every composable pair} is built from the path ids
-    when first read.
+    Making one records the tables and their lengths, O(1), and later
+    growth of the tables does not change it; the caller must not change
+    their first entries.  The first read of `skeleton`, `path_ends` or
+    `adjacency` builds that table from its prefix, as a table of the
+    flow's own, and lets go of the shared one.  `__getattr__` runs only
+    for an attribute not found, so ordinary flows pay nothing for it.
+
+    Composition is answered from the path ids: x*y is "x" + "*" + "y" when
+    tgt(x) = src(y).  The table {(x, y): x*y for every composable pair} is
+    built only when `composition` is read.
     """
 
     _concatenative = True
-
-    def __init__(
-        self,
-        skeleton: frozenset[str],
-        path_ends: dict[str, tuple[str, str]],
-        adjacency: frozenset[tuple[str, str]],
-    ):
-        self.skeleton = skeleton
-        self.path_ends = path_ends
-        self.adjacency = adjacency
-
-    @cached_property
-    def composition(self) -> dict[tuple[str, str], str]:
-        by_src = self.by_src
-        return {
-            (x, y): f"{x}{PATH_SEPARATOR}{y}"
-            for x, (_, t) in self.path_ends.items()
-            for y in by_src.get(t, ())
-        }
-
-
-class _FlowSnapshot(_ConcatenativeFlow):
-    """The flow held by the first entries of three insertion-ordered tables
-    that only grow: a realizer's states and normalized adjacency pairs
-    (dict keys) and its path endpoints.
-
-    Making one records the tables and their lengths, O(1), and later
-    growth of the tables does not change it.  The first read of
-    `skeleton`, `path_ends` or `adjacency` builds that table from its
-    prefix, as a table of the flow's own, and lets go of the shared one;
-    `composition` is built from `path_ends` when first read.
-    `__getattr__` runs only for an attribute not found, so ordinary flows
-    pay nothing for it.
-    """
 
     def __init__(
         self,
@@ -226,6 +206,22 @@ class _FlowSnapshot(_ConcatenativeFlow):
             value = frozenset(table if len(table) == n else islice(table, n))
         setattr(self, name, value)
         return value
+
+    @cached_property
+    def composition(self) -> dict[tuple[str, str], str]:
+        by_src = self.by_src
+        return {
+            (x, y): f"{x}{PATH_SEPARATOR}{y}"
+            for x, (_, t) in self.path_ends.items()
+            for y in by_src.get(t, ())
+        }
+
+    def try_compose(self, x: PathId, y: PathId) -> Optional[PathId]:
+        ends = self.path_ends
+        x_ends, y_ends = ends.get(x), ends.get(y)
+        if x_ends is None or y_ends is None or x_ends[1] != y_ends[0]:
+            return None
+        return f"{x}{PATH_SEPARATOR}{y}"
 
 
 # ---------------------------------------------------------------------------
@@ -546,23 +542,26 @@ def germs(flow: FiniteFlow, state: str, sign: str) -> GermSet:
 
     Minus identifies a path with every right extension (gamma with
     gamma * gamma'), plus with every left extension.  Computed as a
-    union-find closure over the composition table; class members and
-    class order are deterministic, ties broken by lexicographic path id.
+    union-find closure that joins each member with its composites: with
+    the paths out of its target (minus) or into its source (plus).  Class
+    members and class order are deterministic, ties broken by
+    lexicographic path id.
     """
     if sign not in ("minus", "plus"):
         raise ValueError(f"germs: sign must be 'minus' or 'plus', got {sign!r}")
     if state not in flow.skeleton:
         raise UnknownIdError(f"unknown state: {state}")
 
-    if sign == "minus":
-        members = set(flow.paths_from(state))
-    else:
-        members = set(flow.paths_into(state))
-    closure = DisjointSets(sorted(members))
-    for (x, y), z in flow.composition.items():
-        anchor = x if sign == "minus" else y
-        if anchor in members and z in members:
-            closure.union(anchor, z)
+    minus = sign == "minus"
+    members = flow.paths_from(state) if minus else flow.paths_into(state)
+    member_set, compose = set(members), flow.try_compose
+    closure = DisjointSets(members)
+    for p in members:
+        s, t = flow.path_ends[p]
+        for q in flow.paths_from(t) if minus else flow.paths_into(s):
+            z = compose(p, q) if minus else compose(q, p)
+            if z in member_set:
+                closure.union(p, z)
     return GermSet(state=state, sign=sign, classes=tuple(closure.blocks()))
 
 
@@ -635,6 +634,9 @@ def flow_morphism_violations(
         xy = dom.try_compose(x, y)
         if xy is None:
             out.append(f"domain composition not total at ({x}, {y})")
+            continue
+        if xy not in dom.path_ends:
+            out.append(f"domain composite not a path: {x} * {y} = {xy}")
             continue
         image = cod.try_compose(f.path_map[x], f.path_map[y])
         if image is None:

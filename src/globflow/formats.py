@@ -268,7 +268,7 @@ def flow_from_doc(doc: Any) -> tuple[FiniteFlow, dict[str, Any]]:
 
     if concatenative:
         flow = _ConcatenativeFlow(
-            frozenset(skeleton), path_ends, _normalize_adjacency(adjacency)
+            dict.fromkeys(skeleton), path_ends, _normalize_adjacency(adjacency)
         )
     else:
         flow = FiniteFlow(

@@ -7,8 +7,8 @@ path id is its edge-id sequence joined with "*", so associativity holds by
 construction and never depends on table bookkeeping.  Every flow made here
 is concatenative (see `flows`): it is written without its composition
 table and validated from its ids (`formats.dumps_flow`,
-`flows.validate_flow`), and in memory it builds that table from its ids
-when first read.  No realizer builds one.
+`flows.validate_flow`), and in memory it answers composites from its ids.
+No realizer builds a composition table.
 
 The path and composite counts grow much faster than the complex, so
 `realize` counts them exactly first (a pass over the complex, no path
@@ -17,8 +17,9 @@ more of them together than GLOBFLOW_REALIZE_LIMIT (default 10^6), as does
 `realize_morphism`.
 
 There is one construction, `IncrementalRealizer`: it builds a realization
-cell by cell and keeps it current while a complex is built.  `realize(c)`
-attaches every cell of `c`.
+cell by cell and keeps it current while a complex is built, and one way
+to hand a flow out, as a snapshot of its tables.  `realize(c)` is the
+flow of a realizer made from `c`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
     InvalidMorphismError,
     RealizationLimitExceeded,
 )
-from .flows import FiniteFlow, FlowMorphism, _ConcatenativeFlow, _FlowSnapshot
+from .flows import FiniteFlow, FlowMorphism, _ConcatenativeFlow
 from .settings import env_count
 
 # the most paths and composites together that `realize` builds by default
@@ -60,17 +61,17 @@ def path_id(seq: Iterable[str]) -> str:
 def realize(c: GlobularComplex) -> FiniteFlow:
     """The flow of a complex: same states, all execution paths, square moves.
 
-    Built by an `IncrementalRealizer` made from `c` and then dropped, so
-    the flow takes over the realizer's tables without a copy; its
-    composition is built from its path ids when first read.  The complex
-    must validate; acyclicity keeps the path set finite.  Before anything is built, the
+    The flow of an `IncrementalRealizer` made from `c`: a snapshot of the
+    realizer's tables, each copied into the flow when first read, that
+    answers composites from its path ids.  The complex must validate;
+    acyclicity keeps the path set finite.  Before anything is built, the
     exact numbers of paths and composites are worked out
     (`count_paths_and_composites`), and a complex whose realization would
     hold more of them together than GLOBFLOW_REALIZE_LIMIT (default
     DEFAULT_REALIZE_LIMIT) raises RealizationLimitExceeded; a variable that
     does not hold a non-negative integer raises ValueError.
     """
-    return IncrementalRealizer(c)._release()
+    return IncrementalRealizer(c).flow
 
 
 def _realize_limit() -> int:
@@ -132,9 +133,9 @@ class IncrementalRealizer:
     only grow and are all insertion-ordered, so the flow it and each attach
     hand out is a snapshot of their first entries, made in O(1), that later
     attaches never change; each of its tables is built from its prefix
-    when first read, and its composition from its path ids.  `complex` is
-    `c` until the first attach, and is otherwise built from the realizer's
-    cells when read.  So an attach costs what the cell adds.
+    when first read, and it answers composites from its path ids.
+    `complex` is `c` until the first attach, and is otherwise built from
+    the realizer's cells when read.  So an attach costs what the cell adds.
     """
 
     def __init__(self, c: GlobularComplex):
@@ -298,12 +299,5 @@ class IncrementalRealizer:
         """Snapshot the tables as the current flow, and drop the complex
         built for the cells before."""
         self._complex = None
-        self._flow = _FlowSnapshot(self._states, self._path_ends, self._adjacency)
+        self._flow = _ConcatenativeFlow(self._states, self._path_ends, self._adjacency)
         return self._flow
-
-    def _release(self) -> FiniteFlow:
-        """The current flow over the realizer's own tables, uncopied, for a
-        realizer that is dropped right after."""
-        return _ConcatenativeFlow(
-            frozenset(self._states), self._path_ends, frozenset(self._adjacency)
-        )

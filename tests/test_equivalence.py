@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 from math import factorial
 
 import pytest
@@ -12,17 +12,21 @@ from globflow import (
     FiniteFlow,
     FlowMorphism,
     GlobularComplex,
+    IncrementalRealizer,
     SearchBudgetExceeded,
     Square,
     check_t_dihomotopy,
     compose_flow_morphisms,
+    dumps_flow,
     enumerate_flow_morphisms,
     find_flow_isomorphism,
+    germs,
     glob_discrete,
     glob_flow,
     identity_complex_morphism,
     identity_flow_morphism,
     is_flow_morphism,
+    loads_flow,
     realize,
     realize_morphism,
     restrict,
@@ -31,6 +35,7 @@ from globflow import (
     subdivide_edge,
     validate_flow,
 )
+from globflow import equivalence
 from globflow.equivalence import (
     _Budget,
     _component_counts,
@@ -72,6 +77,41 @@ class TestEnumerateMorphisms:
             list(enumerate_flow_morphisms(dom, dom, state_map, budget=budget))
             with pytest.raises(SearchBudgetExceeded):
                 list(enumerate_flow_morphisms(dom, dom, state_map, budget=budget - 1))
+
+
+def _morphisms_by_check(dom, cod):
+    """Every map dom -> cod that `is_flow_morphism` accepts, by brute force
+    over all state and path maps."""
+    states, paths = sorted(dom.skeleton), dom.sorted_paths
+    for state_choice in product(sorted(cod.skeleton), repeat=len(states)):
+        for path_choice in product(cod.sorted_paths, repeat=len(paths)):
+            f = FlowMorphism(dict(zip(states, state_choice)), dict(zip(paths, path_choice)))
+            if is_flow_morphism(f, dom, cod):
+                yield _maps(f)
+
+
+class TestSearchAgreesWithCheck:
+    """The search constrains composition on exactly the pairs the morphism
+    check looks at, the composable ones, also on flows that do not
+    validate."""
+
+    def test_an_entry_on_an_incomposable_pair_constrains_nothing(self):
+        dom = FiniteFlow(
+            ("0", "1", "2", "3"),
+            {"a": ("0", "1"), "b": ("2", "3")},
+            composition={("a", "b"): "a"},
+        )
+        cod = FiniteFlow(("u", "v"), {"p": ("u", "v"), "q": ("u", "v")})
+        found = [_maps(f) for f in enumerate_flow_morphisms(dom, cod)]
+        assert len(found) == 4
+        assert found == list(_morphisms_by_check(dom, cod))
+
+    @pytest.mark.parametrize("composition", [{}, {("a", "b"): "zz"}], ids=["none", "not-a-path"])
+    def test_a_missing_composite_admits_no_map(self, composition):
+        dom = FiniteFlow(("0", "1", "2"), {"a": ("0", "1"), "b": ("1", "2")}, composition)
+        cod = realize(make_chain(2))
+        assert list(enumerate_flow_morphisms(dom, cod)) == []
+        assert list(_morphisms_by_check(dom, cod)) == []
 
 
 class TestSEquivalent:
@@ -599,3 +639,83 @@ class TestCorestrictionByRestriction:
             "corestriction: path map not onto the restricted flow",
             "corestriction: inverse is not a morphism",
         }, outcomes
+
+
+
+class _Meter(_Budget):
+    """A budget that keeps the last one made, to read its charges."""
+
+    last = None
+
+    def __init__(self, limit):
+        super().__init__(limit)
+        _Meter.last = self
+
+
+def _concatenative_cases(rng, count):
+    """(c, f, ys) for seeded small complexes c: f the flow morphism of a
+    subdivision of c, and ys the subdivision's flow three ways, realized,
+    read back from its compact document and built by a realizer."""
+    for _ in range(count):
+        c = random_complex(rng, min_edges=1, max_states=5, max_edges=6, max_squares=2)
+        refined, m = subdivide_edge(c, rng.choice(c.edges).id)
+        realizer = IncrementalRealizer(GlobularComplex(states=refined.states))
+        for cell in refined.edges + refined.squares:
+            realizer.attach(cell)
+        realized = realize(refined)
+        loaded, _ = loads_flow(dumps_flow(realized))
+        yield c, realize_morphism(m, c, refined), (realized, loaded, realizer.flow)
+
+
+class TestConcatenativeFlows:
+    """Analyses ask a concatenative flow for composites pair by pair: they
+    build no composition table, and they answer as on the explicit flow
+    holding that table."""
+
+    def test_analyses_build_no_table(self, rng):
+        for c, f, ys in _concatenative_cases(rng, 20):
+            x = realize(c)
+            for y in ys:
+                for state in sorted(y.skeleton):
+                    germs(y, state, "minus")
+                    germs(y, state, "plus")
+                assert check_t_dihomotopy(f, x, y).holds
+                assert s_equivalent(y, y) is not None
+                for a, b in y.composable_pairs():
+                    y.compose(a, b)
+            assert ys[0] == ys[1] == ys[2] == ys[0]
+            for flow in (x,) + ys:
+                assert "composition" not in vars(flow)
+
+    def test_explicit_copies_answer_alike(self, rng, monkeypatch):
+        monkeypatch.setattr(equivalence, "_Budget", _Meter)
+        for c, f, ys in _concatenative_cases(rng, 15):
+            x, y = realize(c), rng.choice(ys)
+            twin = realize(_with_twin(c, rng.choice(c.edges), squared=True))
+            for flow in (x, y):
+                explicit = _explicit(flow)
+                for state in sorted(flow.skeleton):
+                    for sign in ("minus", "plus"):
+                        assert germs(flow, state, sign) == germs(explicit, state, sign)
+            for dom, cod in ((x, x), (x, y), (y, x), (x, twin), (twin, x)):
+                answers = []
+                for a, b in ((dom, cod), (_explicit(dom), _explicit(cod))):
+                    maps = [_maps(g) for g in islice(enumerate_flow_morphisms(a, b), 40)]
+                    charged = _Meter.last.used
+                    witness = s_equivalent(a, b)
+                    witness = witness and tuple(_maps(g) for g in witness)
+                    answers.append((maps, charged, witness, _Meter.last.used))
+                assert answers[0] == answers[1]
+
+    def test_equality_with_explicit_flows_compares_composition(self, rng):
+        for _, _, ys in _concatenative_cases(rng, 10):
+            for y in ys:
+                explicit = _explicit(y)
+                assert y == explicit and explicit == y
+                pair = next(iter(explicit.composition))
+                for composition in (
+                    {k: v for k, v in explicit.composition.items() if k != pair},
+                    explicit.composition | {pair: pair[0]},
+                ):
+                    other = FiniteFlow(y.skeleton, y.path_ends, composition, y.adjacency)
+                    assert y != other and other != y

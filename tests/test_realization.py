@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
@@ -15,16 +16,19 @@ from globflow import (
     InvalidComplexError,
     RealizationLimitExceeded,
     Square,
+    UnknownIdError,
     all_exec_paths,
     compose_complex_morphisms,
     compose_flow_morphisms,
     dihomotopy_classes,
+    dumps_flow,
     find_flow_isomorphism,
     glob_discrete,
     glob_flow,
     identity_complex_morphism,
     identity_flow_morphism,
     is_flow_morphism,
+    loads_flow,
     parse_pv,
     path_classes,
     path_id,
@@ -371,11 +375,10 @@ class TestIncrementalRealizerTables:
         assert realizer.flow == realize(want)
 
     def test_realize_returns_built_tables(self):
-        # realize's own realizer is dropped, so its flow takes the tables
-        # over at once; composition is built from the path ids when read
+        # composition is answered from the path ids, and its table is built
+        # only when read by name
         c = make_grid(True)
         flow = realize(c)
-        assert {"skeleton", "path_ends", "adjacency"} <= vars(flow).keys()
         assert "composition" not in vars(flow)
         assert flow.composition == _oracle_tables(c)[2]
 
@@ -393,6 +396,51 @@ class TestIncrementalRealizerTables:
             tracemalloc.stop()
         assert peak < 64 * 1024
         assert realizer.flow == realize(realizer.complex)
+
+
+def _check_compose_by_id(flow, composition, rng):
+    """`try_compose` and `compose` of `flow` against the oracle table
+    `composition`: on every composable pair, and on every path paired
+    either way with up to 30 sampled paths and with unknown ids."""
+    for (x, y), z in composition.items():
+        assert flow.try_compose(x, y) == z
+        assert flow.compose(x, y) == z
+    ids = sorted(flow.path_ends)
+    unknown = ["ghost"] + [p + "*ghost" for p in ids[:1]]
+    others = rng.sample(ids, min(30, len(ids))) + unknown
+    for x in ids + unknown:
+        for y in others:
+            for pair in ((x, y), (y, x)):
+                want = composition.get(pair)
+                assert flow.try_compose(*pair) == want
+                if want is None:
+                    with pytest.raises(UnknownIdError):
+                        flow.compose(*pair)
+    assert "composition" not in vars(flow)
+
+
+class TestCompositionById:
+    """Concatenative flows answer composites from their ids as the
+    realization's definition does, without building a table."""
+
+    def test_realized_and_read_flows_match_the_oracle(self, rng):
+        for target in _random_targets(rng):
+            composition = _oracle_tables(target)[2]
+            realized = realize(target)
+            loaded, _ = loads_flow(dumps_flow(realized))
+            for flow in (realized, loaded):
+                _check_compose_by_id(flow, composition, rng)
+
+    def test_mid_build_flows_match_the_oracle(self, rng):
+        # each flow is read only after the whole build; two PV programs
+        for target in islice(_random_targets(rng), 12):
+            realizer = IncrementalRealizer(GlobularComplex(states=()))
+            steps = [
+                (realizer.attach(cell), realizer.complex)
+                for cell in _ready_order(rng, target)
+            ]
+            for flow, c in steps:
+                _check_compose_by_id(flow, _oracle_tables(c)[2], rng)
 
 
 def _square_grid(n):
