@@ -17,6 +17,7 @@ from .complexes import (
     Square,
     StateId,
     ValidationReport,
+    complex_deadlocks,
     complex_morphism_violations,
     compose_complex_morphisms,
     enumerate_paths,
@@ -72,6 +73,7 @@ from .formats import (
     dumps_complex,
     dumps_flow,
     dumps_morphism,
+    dumps_realization,
     export_dot,
     flow_from_doc,
     flow_to_doc,
@@ -80,6 +82,7 @@ from .formats import (
     loads_morphism,
     morphism_from_doc,
     morphism_to_doc,
+    realization_from_doc,
 )
 from .pv import PvProgram, PvStep, parse_pv, pv_to_complex, state_name
 from .realization import (
@@ -100,6 +103,7 @@ __all__ = [
     "path_classes", "square_move_neighbors", "same_move_class",
     "is_complex_morphism", "complex_morphism_violations",
     "identity_complex_morphism", "compose_complex_morphisms", "subdivide_edge",
+    "complex_deadlocks",
     # flows
     "FiniteFlow", "FlowMorphism", "GermSet", "validate_flow", "glob_flow",
     "restrict", "germs", "dihomotopy_classes", "is_flow_morphism",
@@ -117,6 +121,7 @@ __all__ = [
     "complex_to_doc", "complex_from_doc", "dumps_complex", "loads_complex",
     "flow_to_doc", "flow_from_doc", "dumps_flow", "loads_flow",
     "morphism_to_doc", "morphism_from_doc", "dumps_morphism", "loads_morphism",
+    "dumps_realization", "realization_from_doc",
     "export_dot",
     # errors
     "GlobflowError", "UnknownIdError", "InvalidComplexError", "InvalidFlowError",

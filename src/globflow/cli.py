@@ -2,11 +2,12 @@
 
 Three subcommands, each a thin wrapper around one library call chain:
 
-    globflow realize INPUT [--pv] [-o OUT]      complex (or PV source) -> flow file
-                                                (compact: no composition triples)
+    globflow realize INPUT [--pv] [-o OUT]      complex (or PV source) ->
+                                                realization document
     globflow analyze INPUT --deadlocks | --classes SRC TGT | --germs STATE
                            [--minus|--plus] | --t-check FILE | --s-equiv FILE
-    globflow dot INPUT [-o OUT]                 complex or flow -> DOT text
+    globflow dot INPUT [-o OUT]                 complex, flow or realization
+                                                -> DOT text
 
 Exit codes: 0 success, 1 input error, 2 axiom violation, 3 search budget
 exhausted or realization limit exceeded, 4 internal error (an unexpected
@@ -16,16 +17,29 @@ GLOBFLOW_SEARCH_BUDGET overrides the default candidate budget of the
 --s-equiv search, and GLOBFLOW_REALIZE_LIMIT the most paths and composites
 together that a realization may hold (default 1000000; the counts are
 exact and checked before anything is built).  Each must be a non-negative
-integer, and any other value is an input error.  All output is sorted, so
+integer, and any other value is an input error.  All output is sorted, or
+in declaration order for the complex a realization document holds, so
 repeated runs are byte-identical.
 
-Every document a command reads is validated before it is used: complexes
-with `complexes.validate_complex` (warnings go to stderr), and flows,
-including the codomain of a --t-check morphism and the --s-equiv flow,
-with `flows.validate_flow`.  A violation exits 2 with one "violation:"
-line per violation.  `realize` writes the compact flow document of
-`formats` (composition marked as concatenation, no triples); `analyze`
-reads either form, so both forms of the same flow give the same answers.
+Every document a command reads is validated before it is used: complexes,
+including the one an input realization document holds, with
+`complexes.validate_complex` (warnings go to stderr), and flows, including
+the codomain of a --t-check morphism and the --s-equiv flow, with
+`flows.validate_flow`.  Those two are read by `formats.loads_morphism` and
+`formats.loads_flow`, which also take realization documents and validate
+their complex without a warning.  A violation exits 2 with one
+"violation:" line per violation.
+
+`realize` checks the realization limit by realizing, then writes the
+realization document of `formats`: the complex it realized, not the flow.
+`analyze` and `dot` read it as the flow it stands for, and answer on it as
+on that flow's flow document, byte for byte.  --deadlocks and --classes
+answer on the complex and never realize it: after refusing what `realize`
+refuses (exit 3), the deadlocks are the reachable, non-final states no edge
+leaves (`complexes.complex_deadlocks`), and the classes are
+`complexes.path_classes` with each member written as its path id.  The
+other analyses and `dot` realize the complex, whose flow needs no second
+validation.
 """
 
 from __future__ import annotations
@@ -34,7 +48,7 @@ import argparse
 import functools
 import sys
 
-from .complexes import GlobularComplex, validate_complex
+from .complexes import GlobularComplex, complex_deadlocks, path_classes, validate_complex
 from .equivalence import (
     BUDGET_ENV_VAR,
     DEFAULT_SEARCH_BUDGET,
@@ -50,7 +64,6 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .flows import (
-    FiniteFlow,
     deadlocks,
     dihomotopy_classes,
     germs,
@@ -58,16 +71,17 @@ from .flows import (
 )
 from .formats import (
     complex_from_doc,
-    dumps_flow,
+    dumps_realization,
     export_dot,
     flow_from_doc,
     loads_complex,
     loads_flow,
     loads_morphism,
+    realization_from_doc,
     _parse_json,
 )
 from .pv import parse_pv, pv_to_complex
-from .realization import realize
+from .realization import check_realize_limit, path_id, realize
 from .settings import env_count
 
 
@@ -149,8 +163,11 @@ def cmd_realize(args) -> int:
     else:
         complex_ = loads_complex(text)
     _check_complex(complex_)
-    flow = realize(complex_)
-    _write(args.output, dumps_flow(flow, init=complex_.init, finals=complex_.finals))
+    # the document holds the complex, not the flow, but `realize` is where
+    # the limit refuses a complex (exit 3), and the traced benchmark counts
+    # the paths and composites of this realization
+    realize(complex_)
+    _write(args.output, dumps_realization(complex_))
     return 0
 
 
@@ -164,9 +181,9 @@ def _check_complex(complex_: GlobularComplex) -> None:
         raise InvalidComplexError(report.violations)
 
 
-def _resolve_state(name: str, flow: FiniteFlow, annotations) -> str:
+def _resolve_state(name: str, states, annotations) -> str:
     """Allow the literals "init" and "final" when annotations pin them down."""
-    if name in flow.skeleton:
+    if name in states:
         return name
     if name == "init" and "init" in annotations:
         return annotations["init"]
@@ -175,26 +192,57 @@ def _resolve_state(name: str, flow: FiniteFlow, annotations) -> str:
     return name
 
 
+def _deadlock_ends(args, annotations) -> tuple[str, list[str]]:
+    """The init and finals of --deadlocks: the flags, else the annotations."""
+    init = args.init or annotations.get("init")
+    if init is None:
+        raise FormatError(
+            "deadlock analysis needs --init or an init annotation in the flow file"
+        )
+    if args.finals is not None:
+        return init, [s for s in args.finals.split(",") if s]
+    return init, annotations.get("finals", [])
+
+
+def _realized_classes(c: GlobularComplex, src: str, tgt: str) -> list[list[str]]:
+    """`dihomotopy_classes` on the realization of `c`, from `path_classes`:
+    each member as its path id, members and blocks in string order.  That
+    order is not the edge-id tuple order of `path_classes` when an edge id
+    holds a character below "*", as "a" and "a!" do."""
+    blocks = [sorted(map(path_id, block)) for block in path_classes(c, src, tgt)]
+    return sorted(blocks, key=lambda block: block[0])
+
+
 def cmd_analyze(args) -> int:
-    flow, annotations = loads_flow(_read(args.input))
-    require_valid_flow(flow)
+    doc = _parse_json(_read(args.input), "flow document")
+    realization = realization_from_doc(doc)
+    if realization is None:
+        flow, annotations = flow_from_doc(doc)
+        require_valid_flow(flow)
+    else:
+        complex_, annotations = realization
+        _check_complex(complex_)
+        if args.deadlocks or args.classes is not None:
+            # answered on the complex, after refusing what `realize` refuses
+            check_realize_limit(complex_)
+            if args.deadlocks:
+                found = complex_deadlocks(complex_, *_deadlock_ends(args, annotations))
+                print(deadlocks_report(found))
+            else:
+                src, tgt = (
+                    _resolve_state(s, complex_.state_set, annotations) for s in args.classes
+                )
+                print(classes_report(_realized_classes(complex_, src, tgt)))
+            return 0
+        flow = realize(complex_)  # the flow of a valid complex is valid
 
     if args.deadlocks:
-        init = args.init or annotations.get("init")
-        if init is None:
-            raise FormatError(
-                "deadlock analysis needs --init or an init annotation in the flow file"
-            )
-        if args.finals is not None:
-            finals = [s for s in args.finals.split(",") if s]
-        else:
-            finals = annotations.get("finals", [])
-        print(deadlocks_report(deadlocks(flow, init, finals)))
+        print(deadlocks_report(deadlocks(flow, *_deadlock_ends(args, annotations))))
     elif args.classes is not None:
-        src, tgt = (_resolve_state(s, flow, annotations) for s in args.classes)
+        src, tgt = (_resolve_state(s, flow.skeleton, annotations) for s in args.classes)
         print(classes_report(dihomotopy_classes(flow, src, tgt)))
     elif args.germs is not None:
-        state = _resolve_state(args.germs, flow, annotations)
+        state = _resolve_state(args.germs, flow.skeleton, annotations)
         sign = "plus" if args.plus else "minus"
         print(germs_report(germs(flow, state, sign)))
     elif args.t_check is not None:
@@ -211,7 +259,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_dot(args) -> int:
     doc = _parse_json(_read(args.input), "input document")
-    if isinstance(doc, dict) and "states" in doc:
+    realization = realization_from_doc(doc)
+    if realization is not None:
+        complex_, _ = realization
+        _check_complex(complex_)
+        obj = realize(complex_)
+    elif isinstance(doc, dict) and "states" in doc:
         obj = complex_from_doc(doc)
         _check_complex(obj)
     elif isinstance(doc, dict) and "skeleton" in doc:
@@ -236,14 +289,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    realize_p = sub.add_parser("realize", help="realize a complex (or PV program) as a flow")
+    realize_p = sub.add_parser(
+        "realize",
+        help="realize a complex (or PV program) as a flow, and write the realization document",
+    )
     realize_p.add_argument("input", help="complex JSON file, or PV source with --pv ('-' = stdin)")
     realize_p.add_argument("--pv", action="store_true", help="treat input as PV source")
-    realize_p.add_argument("-o", "--output", default="-", help="flow JSON output ('-' = stdout)")
+    realize_p.add_argument(
+        "-o", "--output", default="-",
+        help="realization document output, the realized complex ('-' = stdout)",
+    )
     realize_p.set_defaults(func=cmd_realize)
 
-    analyze_p = sub.add_parser("analyze", help="run one analysis on a flow file")
-    analyze_p.add_argument("input", help="flow JSON file ('-' = stdin)")
+    analyze_p = sub.add_parser(
+        "analyze", help="run one analysis on a flow or realization document"
+    )
+    analyze_p.add_argument("input", help="flow or realization JSON file ('-' = stdin)")
     what = analyze_p.add_mutually_exclusive_group(required=True)
     what.add_argument("--deadlocks", action="store_true", help="reachable stuck states")
     what.add_argument("--classes", nargs=2, metavar=("SRC", "TGT"),
@@ -261,7 +322,9 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze_p.set_defaults(func=cmd_analyze)
 
     dot_p = sub.add_parser("dot", help="export a complex or flow as DOT")
-    dot_p.add_argument("input", help="complex or flow JSON file ('-' = stdin)")
+    dot_p.add_argument(
+        "input", help="complex, flow or realization JSON file ('-' = stdin)"
+    )
     dot_p.add_argument("-o", "--output", default="-", help="DOT output ('-' = stdout)")
     dot_p.set_defaults(func=cmd_dot)
 

@@ -29,6 +29,9 @@ proved the 1-skeleton acyclic.  It needs no sort either: out-edges are
 taken in edge-id order and no member is a prefix of another, so the order
 is lexicographic by construction.
 
+The deadlocks of the realization are read off the edges the same way,
+without listing a path (`complex_deadlocks`).
+
 Morphisms map states to states and edges to nonempty paths, preserving
 endpoints and sending the two boundaries of every square into the same
 move class of the codomain.
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
 from .errors import InvalidComplexError, UnknownIdError
@@ -111,10 +115,10 @@ class GlobularComplex:
     @cached_property
     def out_edges(self) -> dict[str, tuple[Edge, ...]]:
         by_src: dict[str, list[Edge]] = {s: [] for s in self.states}
-        for e in self.edges:
+        for e in sorted(self.edges, key=attrgetter("id")):
             if e.src in by_src:
                 by_src[e.src].append(e)
-        return {s: tuple(sorted(es, key=lambda e: e.id)) for s, es in by_src.items()}
+        return {s: tuple(es) for s, es in by_src.items()}
 
     @cached_property
     def topological_order(self) -> tuple[StateId, ...]:
@@ -123,7 +127,8 @@ class GlobularComplex:
         order of the acyclicity check (`_find_cycle`) reversed.  Raises
         InvalidComplexError if the complex does not validate."""
         require_valid(self)
-        _, finished = _find_cycle(self)
+        _, finished = self._cycle_walk
+        del self.__dict__["_cycle_walk"]  # validation has read it already
         return tuple(s for s in self.states if s not in finished) + tuple(
             reversed(finished)
         )
@@ -140,6 +145,12 @@ class GlobularComplex:
             if left != right:
                 index.setdefault(self.path_target(left), []).append((left, right))
         return {s: tuple(squares) for s, squares in index.items()}
+
+    @cached_property
+    def _cycle_walk(self) -> tuple[Optional[list[str]], dict[str, None]]:
+        """`_find_cycle` on this complex, walked once: validation reads its
+        cycle, then `topological_order` its finishing order, and lets it go."""
+        return _find_cycle(self)
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -203,7 +214,7 @@ def _validation_report(c: GlobularComplex) -> ValidationReport:
             if endpoint not in seen_states:
                 violations.append(f"dangling endpoint: {role} {endpoint} of edge {e.id}")
 
-    cycle, _ = _find_cycle(c)
+    cycle, _ = c._cycle_walk
     if cycle is not None:
         violations.append("cyclic 1-skeleton: " + " -> ".join(cycle))
 
@@ -226,24 +237,25 @@ def _validation_report(c: GlobularComplex) -> ValidationReport:
 
 
 def _square_violations(c: GlobularComplex, q: Square) -> list[str]:
+    edge_map = c.edge_map
     out = []
-    sides = {"left": tuple(q.left), "right": tuple(q.right)}
-    for name, side in sides.items():
+    ends = []
+    for name, side in (("left", q.left), ("right", q.right)):
         if not side:
             out.append(f"bad square boundary: square {q.id} has empty {name} side")
-        elif any(e not in c.edge_map for e in side):
-            missing = sorted(e for e in side if e not in c.edge_map)
+        elif any(e not in edge_map for e in side):
+            missing = sorted(e for e in side if e not in edge_map)
             out.append(
                 f"bad square boundary: square {q.id} {name} side uses unknown edges "
                 + ", ".join(missing)
             )
-        elif not c.is_exec_path(side):
-            out.append(f"bad square boundary: square {q.id} {name} side is not composable")
-    if not out:
-        if c.path_source(sides["left"]) != c.path_source(sides["right"]) or (
-            c.path_target(sides["left"]) != c.path_target(sides["right"])
-        ):
-            out.append(f"bad square boundary: square {q.id} sides do not share endpoints")
+        else:
+            side_ends = exec_path_ends(edge_map, side)
+            if side_ends is None:
+                out.append(f"bad square boundary: square {q.id} {name} side is not composable")
+            ends.append(side_ends)
+    if not out and ends[0] != ends[1]:
+        out.append(f"bad square boundary: square {q.id} sides do not share endpoints")
     return out
 
 
@@ -385,6 +397,36 @@ def count_paths_and_composites(c: GlobularComplex) -> tuple[int, int]:
     for s in reversed(order):
         out[s] = sum(1 + out[e.tgt] for e in c.out_edges[s])
     return sum(out.values()), sum(into[s] * out[s] for s in c.states)
+
+
+def complex_deadlocks(
+    c: GlobularComplex, init: StateId, finals: Iterable[StateId] = ()
+) -> tuple[StateId, ...]:
+    """Reachable, non-final states that no edge leaves: `flows.deadlocks`
+    on the realization of `c`, without realizing it.
+
+    A path leaves a state exactly when an edge does, and the targets of the
+    paths out of `init` are the states its edges reach, so one search over
+    the edges from `init` finds them, O(V + E).  Raises InvalidComplexError
+    if the complex does not validate, and otherwise UnknownIdError for an
+    unknown `init` or final state, with the texts of `flows.deadlocks`.
+    """
+    require_valid(c)
+    finals = frozenset(finals)
+    if init not in c.state_set:
+        raise UnknownIdError(f"unknown state: {init}")
+    stray = finals - c.state_set
+    if stray:
+        raise UnknownIdError("unknown final states: " + ", ".join(sorted(stray)))
+    out = c.out_edges
+    reached = {init}
+    frontier = [init]
+    while frontier:
+        for e in out[frontier.pop()]:
+            if e.tgt not in reached:
+                reached.add(e.tgt)
+                frontier.append(e.tgt)
+    return tuple(sorted(s for s in reached if not out[s] and s not in finals))
 
 
 def square_move_neighbors(c: GlobularComplex, path: ExecPath) -> set[ExecPath]:

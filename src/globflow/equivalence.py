@@ -313,7 +313,7 @@ def find_flow_isomorphism(
     if (
         len(x.skeleton) != len(y.skeleton)
         or len(x.paths) != len(y.paths)
-        or len(x.composition) != len(y.composition)
+        or _composite_count(x) != _composite_count(y)
     ):
         return None
 
@@ -328,6 +328,16 @@ def find_flow_isomorphism(
                 )
                 return iso, inverse
     return None
+
+
+def _composite_count(flow: FiniteFlow) -> int:
+    """`len(flow.composition)`, without building a concatenative flow's
+    table: there, every composable pair has its composite, so the count is
+    the sum over states s of |paths into s| * |paths out of s|."""
+    if not flow._concatenative:
+        return len(flow.composition)
+    by_src = flow.by_src
+    return sum(len(into) * len(by_src.get(s, ())) for s, into in flow.by_tgt.items())
 
 
 def _inverse_keeps_adjacency(x: FiniteFlow, y: FiniteFlow, inverse_paths: dict) -> bool:

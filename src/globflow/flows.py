@@ -16,11 +16,10 @@ A flow made by realization, or read from a document that says so, is
 tgt(x) = src(y).  Such a flow's composition table says nothing its ids do
 not, so it answers `try_compose` and `compose` from its ids, and builds the
 table only when `composition` is read by name.  Analyses ask for
-composites pair by pair and never read the table; `restrict`, the
-composite count of `equivalence.find_flow_isomorphism` and the fallback of
-`validate_flow` do.  Validation certifies a concatenative flow from its ids
-and its adjacency alone (see `validate_flow`), and walks the table only
-when a certificate fails.  A flow built from explicit tables is never
+composites pair by pair and never read the table; `restrict` and the
+fallback of `validate_flow` do.  Validation certifies a concatenative flow
+from its ids and its adjacency alone (see `validate_flow`), and walks the
+table only when a certificate fails.  A flow built from explicit tables is never
 concatenative, whatever its table holds.
 
 Morphisms preserve endpoints and composition on the nose, and adjacency up

@@ -42,6 +42,22 @@ triples and no marker.  Readers accept both forms; a marker other than
 `json.dumps(flow_to_doc(...), indent=2)` would give, directly from the flow,
 escaping each id once.
 
+Realization documents stand for the realization of the complex they hold,
+which fixes the flow (see `realization`):
+
+    {"realization_of": <complex document>}
+
+This is what `globflow realize` writes (`dumps_realization`): the complex
+in declaration order, on one line from the C JSON encoder, so a realized
+flow costs the size of its complex on disk and not that of its path set.
+`flow_from_doc` and `loads_flow` read one as `realize` of its complex, which
+validates the complex and refuses one over the realization limit, with
+the complex's `init`, and its `finals` sorted when it has any, as
+annotations: the flow and annotations that the flow document of that
+realization gives.  `realization_from_doc` hands out the complex
+unrealized, for analyses that answer on it.  REALIZATION_OF is the field
+that marks one; only this module knows the format.
+
 Morphism documents carry the codomain inline:
 
     {"codomain": <flow document>,
@@ -55,7 +71,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Optional
 
 from .complexes import Edge, GlobularComplex, Square, require_valid
 from .errors import FormatError
@@ -66,6 +82,7 @@ from .flows import (
     _normalize_adjacency,
     require_valid_flow,
 )
+from .realization import realize
 
 
 def _require(doc: dict, key: str, kind, where: str):
@@ -81,11 +98,15 @@ def _optional_list(doc: dict, key: str, where: str) -> list:
     return _require(doc, key, list, where) if key in doc else []
 
 
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
 def _string_list(doc: dict, key: str, where: str, default=None) -> list[str]:
     if default is not None and key not in doc:
         return list(default)
     value = _require(doc, key, list, where)
-    if not all(isinstance(s, str) for s in value):
+    if not _is_string_list(value):
         raise FormatError(f"{where}: field {key!r} must be a list of strings")
     return value
 
@@ -119,6 +140,18 @@ def complex_from_doc(doc: Any) -> GlobularComplex:
     states = _string_list(doc, "states", "complex document")
     edges = []
     for i, entry in enumerate(_require(doc, "edges", list, "complex document")):
+        if isinstance(entry, dict):
+            eid, src, tgt = entry.get("id"), entry.get("src"), entry.get("tgt")
+            label = entry.get("label")
+            if (
+                isinstance(eid, str)
+                and isinstance(src, str)
+                and isinstance(tgt, str)
+                and (label is None or isinstance(label, str))
+            ):
+                edges.append(Edge(eid, src, tgt, label))
+                continue
+        # something is wrong with this entry: name it, checking in field order
         where = f"complex document: edges[{i}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: expected an object")
@@ -135,6 +168,12 @@ def complex_from_doc(doc: Any) -> GlobularComplex:
         )
     squares = []
     for i, entry in enumerate(_optional_list(doc, "squares", "complex document")):
+        if isinstance(entry, dict):
+            qid, left, right = entry.get("id"), entry.get("left"), entry.get("right")
+            if isinstance(qid, str) and _is_string_list(left) and _is_string_list(right):
+                squares.append(Square(qid, tuple(left), tuple(right)))
+                continue
+        # something is wrong with this entry: name it, checking in field order
         where = f"complex document: squares[{i}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: expected an object")
@@ -198,7 +237,15 @@ def flow_to_doc(
 
 
 def flow_from_doc(doc: Any) -> tuple[FiniteFlow, dict[str, Any]]:
-    """Returns the flow and its annotations ({"init": ..., "finals": [...]})."""
+    """Returns the flow and its annotations ({"init": ..., "finals": [...]}).
+
+    A realization document gives `realize` of its complex, which validates
+    the complex and applies the realization limit, with the annotations
+    `realization_from_doc` takes from the complex."""
+    realization = realization_from_doc(doc)
+    if realization is not None:
+        c, annotations = realization
+        return realize(c), annotations
     if not isinstance(doc, dict):
         raise FormatError("flow document: expected an object")
     skeleton = _string_list(doc, "skeleton", "flow document")
@@ -343,6 +390,35 @@ def _array(entries):
 
 def loads_flow(text: str) -> tuple[FiniteFlow, dict[str, Any]]:
     return flow_from_doc(_parse_json(text, "flow document"))
+
+
+# ---------------------------------------------------------------------------
+# realizations
+
+# the field of a realization document, which holds the realized complex
+REALIZATION_OF = "realization_of"
+
+
+def dumps_realization(c: GlobularComplex) -> str:
+    """The realization document of `c`: its complex document under
+    REALIZATION_OF, in declaration order, written compact by the C encoder."""
+    return json.dumps({REALIZATION_OF: complex_to_doc(c)}, separators=(",", ":")) + "\n"
+
+
+def realization_from_doc(doc: Any) -> Optional[tuple[GlobularComplex, dict[str, Any]]]:
+    """The complex a realization document holds, not yet validated, and
+    the annotations of its realization: `init` when the complex has one,
+    and its `finals`, sorted, when it has any.  None for any other
+    document."""
+    if not isinstance(doc, dict) or REALIZATION_OF not in doc:
+        return None
+    c = complex_from_doc(_require(doc, REALIZATION_OF, dict, "realization document"))
+    annotations: dict[str, Any] = {}
+    if c.init is not None:
+        annotations["init"] = c.init
+    if c.finals:
+        annotations["finals"] = sorted(c.finals)
+    return c, annotations
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,15 @@ def realize(c: GlobularComplex) -> FiniteFlow:
     return IncrementalRealizer(c).flow
 
 
+def check_realize_limit(c: GlobularComplex) -> None:
+    """Raise what `realize(c)` raises before it builds anything:
+    InvalidComplexError if `c` does not validate, RealizationLimitExceeded
+    over the limit, ValueError for a malformed GLOBFLOW_REALIZE_LIMIT.  An
+    analysis that answers on the complex calls it to refuse the inputs the
+    flow route would."""
+    _check_limit(*count_paths_and_composites(c), _realize_limit())
+
+
 def _realize_limit() -> int:
     """GLOBFLOW_REALIZE_LIMIT, or DEFAULT_REALIZE_LIMIT when it is unset."""
     return env_count(REALIZE_LIMIT_ENV_VAR, DEFAULT_REALIZE_LIMIT)
@@ -93,7 +102,7 @@ def realize_morphism(
     violations = complex_morphism_violations(m, dom, cod)
     if violations:
         raise InvalidMorphismError("not a complex morphism: " + "; ".join(violations))
-    _check_limit(*count_paths_and_composites(dom), _realize_limit())
+    check_realize_limit(dom)
     return FlowMorphism(
         state_map=dict(m.state_map),
         path_map={

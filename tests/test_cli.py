@@ -60,9 +60,12 @@ class TestRealize:
     def test_interval_to_flow(self, capsys, interval_file):
         code, out, _ = run(capsys, "realize", interval_file)
         assert code == 0
+        assert out.count("\n") == 1  # one compact line
         doc = json.loads(out)
-        assert [p["id"] for p in doc["paths"]] == ["e"]
-        assert doc["compose"] == []
+        assert list(doc) == ["realization_of"]
+        assert doc["realization_of"]["edges"] == [{"id": "e", "src": "0", "tgt": "1"}]
+        flow, _ = loads_flow(out)
+        assert flow.sorted_paths == ("e",)
 
     def test_output_file_round_trips(self, capsys, interval_file, tmp_path):
         out_path = tmp_path / "interval.flow.json"
@@ -101,7 +104,7 @@ class TestRealize:
         source.write_text(oracles.SWISS_FLAG_SOURCE)
         code, out, err = run(capsys, "realize", str(source), "--pv")
         assert code == 0, err
-        assert json.loads(out)["init"]
+        assert json.loads(out)["realization_of"]["init"]
         assert len(calls) == 1
 
     def test_warnings_print_before_violations(self, capsys, tmp_path):
@@ -379,8 +382,8 @@ class TestAnalyze:
 
 
 class TestDocumentForms:
-    """`realize` writes compact documents; analyses answer the same on the
-    explicit document of the same flow."""
+    """`realize` writes realization documents; analyses answer the same on
+    the compact and the explicit document of the same flow."""
 
     def test_both_forms_give_the_same_answers(self, capsys, tmp_path):
         rng = random.Random(4711)
@@ -392,13 +395,16 @@ class TestDocumentForms:
         for name, source in programs:
             pv = tmp_path / f"{name}.pv"
             pv.write_text(source)
-            compact = tmp_path / f"{name}.flow.json"
-            code, _, err = run(capsys, "realize", str(pv), "--pv", "-o", str(compact))
+            realization = tmp_path / f"{name}.realization.json"
+            code, _, err = run(capsys, "realize", str(pv), "--pv", "-o", str(realization))
             assert code == 0, err
-            doc = json.loads(compact.read_text())
-            assert doc["compose"] == [] and doc["composition"] == "concatenation"
+            assert list(json.loads(realization.read_text())) == ["realization_of"]
             c = pv_to_complex(parse_pv(source))
             f = realize(c)
+            compact = tmp_path / f"{name}.flow.json"
+            compact.write_text(dumps_flow(f, init=c.init, finals=c.finals))
+            doc = json.loads(compact.read_text())
+            assert doc["compose"] == [] and doc["composition"] == "concatenation"
             explicit = tmp_path / f"{name}.explicit.json"
             explicit.write_text(
                 json.dumps(
@@ -412,8 +418,9 @@ class TestDocumentForms:
             )
             assert "composition" not in json.loads(explicit.read_text())
             for analysis in (["--deadlocks"], ["--classes", "init", "final"]):
-                got = run(capsys, "analyze", str(compact), *analysis)
+                got = run(capsys, "analyze", str(realization), *analysis)
                 assert got[0] == 0, got
+                assert run(capsys, "analyze", str(compact), *analysis) == got
                 assert run(capsys, "analyze", str(explicit), *analysis) == got
 
 

@@ -15,6 +15,7 @@ from globflow import (
     UnknownIdError,
     all_exec_paths,
     complexes,
+    complex_deadlocks,
     complex_morphism_violations,
     compose_complex_morphisms,
     enumerate_paths,
@@ -23,10 +24,13 @@ from globflow import (
     is_complex_morphism,
     parse_pv,
     path_classes,
+    deadlocks,
     pv_to_complex,
+    realize,
     realize_morphism,
     same_move_class,
     square_move_neighbors,
+    state_name,
     subdivide_edge,
     validate_complex,
 )
@@ -462,6 +466,29 @@ class TestClassPropagation:
             assert sorted(position) == sorted(c.states)
             assert all(position[e.src] < position[e.tgt] for e in c.edges)
 
+    def test_one_cycle_walk_per_complex(self, monkeypatch):
+        calls = []
+        walk = complexes._find_cycle
+
+        def counted(c):
+            calls.append(c)
+            return walk(c)
+
+        monkeypatch.setattr(complexes, "_find_cycle", counted)
+        c = pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE))
+        assert validate_complex(c).ok
+        realize(c)
+        assert len(path_classes(c, c.init, c.finals[0])) == 2
+        assert complex_deadlocks(c, c.init, c.finals)
+        assert calls == [c]
+        cyclic = GlobularComplex(
+            states=("u", "v"), edges=(Edge("a", "u", "v"), Edge("b", "v", "u"))
+        )
+        assert not validate_complex(cyclic).ok
+        with pytest.raises(InvalidComplexError):
+            cyclic.topological_order
+        assert calls == [c, cyclic]
+
     def test_topological_order_with_isolated_states(self):
         c = GlobularComplex(
             states=("z", "s2", "y", "s0", "s1", "x"),
@@ -577,6 +604,39 @@ class TestClassesOnBadInput:
     def test_unknown_state(self):
         with pytest.raises(UnknownIdError):
             path_classes(make_grid(True), "00", "zz")
+
+
+class TestComplexDeadlocks:
+    """`complex_deadlocks` answers as `flows.deadlocks` on the realization."""
+
+    def test_matches_the_flow_route_on_random_complexes(self, rng):
+        for _ in range(40):
+            c = random_complex(rng)
+            flow = realize(c)
+            for init in c.states:
+                finals = rng.sample(c.states, rng.randint(0, 2))
+                assert complex_deadlocks(c, init, finals) == deadlocks(flow, init, finals)
+
+    def test_random_pv_programs_match_the_oracle(self, rng):
+        for _ in range(30):
+            program = parse_pv(random_pv_source(rng))
+            c = pv_to_complex(program)
+            want = {state_name(t) for t in oracles.pv_deadlock_states(*_pv_oracle_input(program))}
+            assert set(complex_deadlocks(c, c.init, c.finals)) == want
+
+    def test_unknown_states_raise_the_flow_texts(self):
+        c = make_chain(2)
+        with pytest.raises(UnknownIdError, match="^unknown state: zz$"):
+            complex_deadlocks(c, "zz")
+        with pytest.raises(UnknownIdError, match="^unknown final states: x, y$"):
+            complex_deadlocks(c, "s0", ["y", "s2", "x"])
+        assert complex_deadlocks(c, "s0") == ("s2",)
+        assert complex_deadlocks(c, "s1", ["s2"]) == ()
+
+    def test_refuses_an_invalid_complex(self):
+        c = GlobularComplex(states=("u",), edges=(Edge("e", "u", "v"),))
+        with pytest.raises(InvalidComplexError):
+            complex_deadlocks(c, "u")
 
 
 class TestComplexMorphisms:

@@ -208,6 +208,21 @@ class TestFindFlowIsomorphism:
             assert is_flow_morphism(inverse, renamed, flow)
             assert compose_flow_morphisms(inverse, iso) == identity_flow_morphism(flow)
 
+    def test_composites_are_counted_without_the_tables(self, rng):
+        globe = realize(glob_discrete(["a", "b"]))
+        other = realize(glob_discrete(["c", "d"]))
+        assert find_flow_isomorphism(globe, other) is not None
+        grid = realize(make_grid(True))
+        assert find_flow_isomorphism(grid, realize(make_grid(True))) is not None
+        assert find_flow_isomorphism(grid, realize(make_grid(False))) is None
+        for flow in (globe, other, grid):
+            assert "composition" not in vars(flow)
+        for _ in range(30):
+            flow = realize(random_complex(rng))
+            explicit = FiniteFlow(flow.skeleton, flow.path_ends, flow.composition)
+            assert equivalence._composite_count(flow) == len(flow.composition)
+            assert equivalence._composite_count(explicit) == len(flow.composition)
+
     def test_budget_is_enough(self):
         grid = realize(make_grid(True))
         assert find_flow_isomorphism(grid, grid, budget=10) is not None
