@@ -45,6 +45,7 @@ from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
 from .errors import InvalidComplexError, UnknownIdError
+from .unionfind import class_numbers
 
 StateId = str
 ExecPath = tuple[str, ...]
@@ -462,8 +463,10 @@ def _class_steps(c: GlobularComplex, src: StateId, tgt: StateId) -> dict[str, li
     at e.src extended by e, so a path's class is read off edge by edge
     (`_class_of`).  Works over the states between `src` and `tgt` in
     topological order, each once: at s, the pairs (e into s, class k at
-    e.src) are merged by every square ending at s, for each class at the
-    square's source.
+    e.src) are numbered 0, 1, ... and each square ending at s joins two of
+    them for each class at the square's source; the classes at s are the
+    blocks of the partition those joins generate (`class_numbers`), in
+    order of each block's first pair.
 
     The last result is kept on the complex, keyed by (src, tgt): one entry
     in the instance `__dict__`, where the cached properties live too, so
@@ -488,26 +491,20 @@ def _class_steps(c: GlobularComplex, src: StateId, tgt: StateId) -> dict[str, li
         for e in edges:
             first[e.id] = pairs
             pairs += classes[e.src]
-        parent = list(range(pairs))  # a union-find forest over the pairs
-        for left, right in c.squares_into.get(s, ()):
-            for k in range(classes.get(c.path_source(left), 0)):
-                a = _root(parent, first[left[-1]] + _class_of(step, left[:-1], k))
-                parent[a] = _root(parent, first[right[-1]] + _class_of(step, right[:-1], k))
-        label: dict[int, int] = {}
-        klass = [label.setdefault(_root(parent, i), len(label)) for i in range(pairs)]
+        moves = (  # the two pairs that a square into s joins, per class at its source
+            (first[left[-1]] + _class_of(step, left[:-1], k),
+             first[right[-1]] + _class_of(step, right[:-1], k))
+            for left, right in c.squares_into.get(s, ())
+            for k in range(classes.get(c.path_source(left), 0))
+        )
+        klass = class_numbers(pairs, moves)
         for e in edges:
             step[e.id] = klass[first[e.id]:first[e.id] + classes[e.src]]
-        classes[s] = len(label)
+        classes[s] = max(klass) + 1
         for e in c.out_edges[s]:
             arrivals.setdefault(e.tgt, []).append(e)
     c.__dict__["_class_table"] = ((src, tgt), step)
     return step
-
-
-def _root(parent: list[int], i: int) -> int:
-    while parent[i] != i:
-        parent[i] = i = parent[parent[i]]  # path halving
-    return i
 
 
 def _class_of(step: dict[str, list[int]], path: ExecPath, k: int = 0) -> int:

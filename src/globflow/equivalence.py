@@ -228,11 +228,11 @@ def _colours(flow: FiniteFlow, table: dict) -> dict:
 def _component_counts(flow: FiniteFlow) -> dict[tuple[str, str], int]:
     """(s, t) -> the number of adj*-components of P(s, t), for every
     nonempty P(s, t)."""
-    find = flow.adjacency_components.find
-    roots: dict[tuple[str, str], set] = {}
+    component = flow.adjacency_components
+    numbers: dict[tuple[str, str], set] = {}
     for p, ends in flow.path_ends.items():
-        roots.setdefault(ends, set()).add(find(p))
-    return {ends: len(r) for ends, r in roots.items()}
+        numbers.setdefault(ends, set()).add(component[p])
+    return {ends: len(k) for ends, k in numbers.items()}
 
 
 def _path_and_component_counts(flow: FiniteFlow) -> dict[tuple[str, str], tuple[int, int]]:

@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Optional
 
 from .complexes import PATH_SEPARATOR, ValidationReport
 from .errors import InvalidFlowError, InvalidMorphismError, UnknownIdError
-from .unionfind import DisjointSets
+from .unionfind import class_numbers_of
 
 PathId = str
 
@@ -125,15 +125,16 @@ class FiniteFlow:
     # -- adjacency ----------------------------------------------------------
 
     @cached_property
-    def adjacency_components(self) -> DisjointSets:
-        components = DisjointSets(self.path_ends)
-        for a, b in self.adjacency:
-            components.union(a, b)
-        return components
+    def adjacency_components(self) -> dict[PathId, int]:
+        """path id -> the number of its adj*-component, for every path and
+        every id that an adjacency pair names."""
+        return class_numbers_of(self.path_ends, self.adjacency)
 
     def adjacent_star(self, a: PathId, b: PathId) -> bool:
-        """Whether a and b lie in the same adj*-component."""
-        return self.adjacency_components.same(a, b)
+        """Whether a and b lie in the same adj*-component; an id the
+        components do not know is only in its own."""
+        component = self.adjacency_components
+        return component.get(a, a) == component.get(b, b)
 
     # -- value semantics ----------------------------------------------------
 
@@ -420,16 +421,12 @@ def _congruence_violations(flow: FiniteFlow, adjacency) -> list[str]:
     """Adjacency must be a congruence: composing with an adjacent path on
     either side lands in the same adj*-component.
 
-    `adjacency` is the sorted adjacency.  Components are compared by their
-    roots, looked up once per path.
+    `adjacency` is the sorted adjacency.  Components are compared by
+    number; an id the components do not know is only in its own, as in
+    `adjacent_star`.
     """
     ends, compose = flow.path_ends, flow.composition.get
-    find = flow.adjacency_components.find
-    root = _Roots({p: find(p) for p in ends})
-    for pair in flow.adjacency:
-        for p in pair:
-            if p not in root:  # unknown ids in adjacency have components too
-                root[p] = find(p)
+    component = flow.adjacency_components.get
     out = []
     for a, b in adjacency:
         if a not in ends or b not in ends or ends[a] != ends[b]:
@@ -439,7 +436,7 @@ def _congruence_violations(flow: FiniteFlow, adjacency) -> list[str]:
             ay, by = compose((a, y)), compose((b, y))
             if ay is None or by is None:
                 continue
-            if root[ay] != root[by]:
+            if component(ay, ay) != component(by, by):
                 out.append(
                     f"adjacency congruence: {a} ~ {b} but {a} * {y} and {b} * {y} "
                     "are in distinct components"
@@ -448,20 +445,12 @@ def _congruence_violations(flow: FiniteFlow, adjacency) -> list[str]:
             za, zb = compose((z, a)), compose((z, b))
             if za is None or zb is None:
                 continue
-            if root[za] != root[zb]:
+            if component(za, za) != component(zb, zb):
                 out.append(
                     f"adjacency congruence: {a} ~ {b} but {z} * {a} and {z} * {b} "
                     "are in distinct components"
                 )
     return out
-
-
-class _Roots(dict):
-    """path id -> adj*-component root; an id the components do not know is
-    its own component, as in `DisjointSets.same`."""
-
-    def __missing__(self, key):
-        return key
 
 
 def require_valid_flow(flow: FiniteFlow) -> None:
@@ -540,11 +529,11 @@ def germs(flow: FiniteFlow, state: str, sign: str) -> GermSet:
     """Quotient of the paths leaving (minus) or entering (plus) `state`.
 
     Minus identifies a path with every right extension (gamma with
-    gamma * gamma'), plus with every left extension.  Computed as a
-    union-find closure that joins each member with its composites: with
-    the paths out of its target (minus) or into its source (plus).  Class
-    members and class order are deterministic, ties broken by
-    lexicographic path id.
+    gamma * gamma'), plus with every left extension.  The classes are
+    those of the partition generated by joining each member with its
+    composites: with the paths out of its target (minus) or into its
+    source (plus).  Each class is sorted, and classes are ordered by their
+    first member.
     """
     if sign not in ("minus", "plus"):
         raise ValueError(f"germs: sign must be 'minus' or 'plus', got {sign!r}")
@@ -554,14 +543,14 @@ def germs(flow: FiniteFlow, state: str, sign: str) -> GermSet:
     minus = sign == "minus"
     members = flow.paths_from(state) if minus else flow.paths_into(state)
     member_set, compose = set(members), flow.try_compose
-    closure = DisjointSets(members)
+    joins = []
     for p in members:
         s, t = flow.path_ends[p]
         for q in flow.paths_from(t) if minus else flow.paths_into(s):
             z = compose(p, q) if minus else compose(q, p)
             if z in member_set:
-                closure.union(p, z)
-    return GermSet(state=state, sign=sign, classes=tuple(closure.blocks()))
+                joins.append((p, z))
+    return GermSet(state=state, sign=sign, classes=_blocks(members, joins))
 
 
 def dihomotopy_classes(
@@ -574,11 +563,20 @@ def dihomotopy_classes(
     # adjacency preserves endpoints, so the components of the member paths
     # under the pairs among them are their adj*-components in the flow
     ends, pair = flow.path_ends, (src, tgt)
-    classes = DisjointSets(flow.paths_between(src, tgt))
-    for a, b in flow.adjacency:
-        if ends.get(a) == pair and ends.get(b) == pair:
-            classes.union(a, b)
-    return tuple(classes.blocks())
+    joins = [
+        (a, b) for a, b in flow.adjacency if ends.get(a) == pair and ends.get(b) == pair
+    ]
+    return _blocks(flow.paths_between(src, tgt), joins)
+
+
+def _blocks(members: tuple[str, ...], joins) -> tuple[tuple[str, ...], ...]:
+    """The classes of the sorted `members` under the equivalence that
+    `joins`, pairs of members, generate: each sorted, ordered by first
+    member."""
+    blocks: dict[int, list[str]] = {}
+    for p, k in class_numbers_of(members, joins).items():
+        blocks.setdefault(k, []).append(p)
+    return tuple(map(tuple, blocks.values()))
 
 
 # ---------------------------------------------------------------------------

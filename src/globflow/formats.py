@@ -38,9 +38,9 @@ Its composition is x*y = "x" + "*" + "y" for every composable pair, and
 when it is read.  A flow built from explicit tables is written with its
 triples and no marker.  Readers accept both forms; a marker other than
 "concatenation", or the marker with compose triples, is refused.
-`flow_to_doc` defines the document; `dumps_flow` writes the text that
-`json.dumps(flow_to_doc(...), indent=2)` would give, directly from the flow,
-escaping each id once.
+`flow_to_doc` defines the document, and `dumps_flow` writes it with
+`json.dumps(..., indent=2)`, as `dumps_complex` and `dumps_morphism` do
+theirs.
 
 Realization documents stand for the realization of the complex they hold,
 which fixes the flow (see `realization`):
@@ -70,7 +70,6 @@ Morphism documents carry the codomain inline:
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from .complexes import Edge, GlobularComplex, Square, require_valid
@@ -328,64 +327,7 @@ def flow_from_doc(doc: Any) -> tuple[FiniteFlow, dict[str, Any]]:
 
 
 def dumps_flow(flow: FiniteFlow, init: str | None = None, finals=None) -> str:
-    """`json.dumps(flow_to_doc(flow, init, finals), indent=2) + "\n"`, written
-    directly: the same text, without building the document first."""
-    return "".join(_flow_text(flow, init, finals))
-
-
-class _Quoted(dict):
-    """id -> its JSON string literal, escaped once per id on first use."""
-
-    def __missing__(self, key: str) -> str:
-        literal = self[key] = encode_basestring_ascii(key)
-        return literal
-
-
-def _flow_text(flow: FiniteFlow, init: str | None, finals):
-    """The pieces of a flow document, laid out as `json.dumps(..., indent=2)`
-    lays out the `flow_to_doc` document."""
-    q = _Quoted()
-    ends = flow.path_ends
-    yield '{\n  "skeleton": '
-    yield from _array(f",\n    {q[s]}" for s in sorted(flow.skeleton))
-    yield ',\n  "paths": '
-    yield from _array(
-        f',\n    {{\n      "id": {q[p]},\n      "src": {q[ends[p][0]]},'
-        f'\n      "tgt": {q[ends[p][1]]}\n    }}'
-        for p in flow.sorted_paths
-    )
-    yield ',\n  "compose": '
-    if flow._concatenative:
-        yield "[]"
-    else:
-        yield from _array(
-            f",\n    [\n      {q[x]},\n      {q[y]},\n      {q[z]}\n    ]"
-            for (x, y), z in sorted(flow.composition.items())
-        )
-    yield ',\n  "adjacency": '
-    yield from _array(
-        f",\n    [\n      {q[a]},\n      {q[b]}\n    ]" for a, b in sorted(flow.adjacency)
-    )
-    if flow._concatenative:
-        yield f',\n  "composition": {q[CONCATENATION]}'
-    if init is not None:
-        yield f',\n  "init": {q[init]}'
-    if finals:
-        yield ',\n  "finals": '
-        yield from _array(f",\n    {q[s]}" for s in sorted(finals))
-    yield "\n}\n"
-
-
-def _array(entries):
-    """A top-level field's JSON array from entry texts that each start with ",\n"."""
-    entries = iter(entries)
-    first = next(entries, None)
-    if first is None:
-        yield "[]"
-        return
-    yield "[" + first[1:]
-    yield from entries
-    yield "\n  ]"
+    return json.dumps(flow_to_doc(flow, init, finals), indent=2) + "\n"
 
 
 def loads_flow(text: str) -> tuple[FiniteFlow, dict[str, Any]]:

@@ -1,63 +1,40 @@
-"""Disjoint-set forest over hashable items, with deterministic class output."""
+"""The partition that pairs generate, as one class number per item.
+
+A forest with path halving (Tarjan, "Efficiency of a good but not linear
+set union algorithm", JACM 22, 1975).  Classes are numbered 0, 1, ... in
+order of each class's smallest member, so the numbers do not depend on
+the order of the pairs.
+"""
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable
 
 
-class DisjointSets:
-    """Union-find with path compression and union by size.
+def class_numbers(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Entry i is the class of i among 0..n-1 under the equivalence that
+    `pairs` generate."""
+    parent = list(range(n))
 
-    Items are registered lazily; `blocks()` renders the partition with
-    every class sorted and classes ordered by their smallest member, so
-    callers get a stable result regardless of union order.
-    """
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]  # path halving
+        return i
 
-    def __init__(self, items: Iterable[Hashable] = ()):
-        self._parent: dict = {}
-        self._size: dict = {}
-        for item in items:
-            self.add(item)
+    for a, b in pairs:
+        parent[root(a)] = root(b)
+    label: dict[int, int] = {}
+    return [label.setdefault(root(i), len(label)) for i in range(n)]
 
-    def add(self, item) -> None:
-        if item not in self._parent:
-            self._parent[item] = item
-            self._size[item] = 1
 
-    def find(self, item):
-        parent = self._parent
-        if item not in parent:
-            self.add(item)
-            return item
-        root = item
-        while parent[root] != root:
-            root = parent[root]
-        while parent[item] != root:
-            parent[item], item = root, parent[item]
-        return root
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        return True
-
-    def same(self, a, b) -> bool:
-        if a not in self._parent or b not in self._parent:
-            return a == b
-        return self.find(a) == self.find(b)
-
-    def blocks(self) -> list[tuple]:
-        by_root: dict = {}
-        for item in self._parent:
-            by_root.setdefault(self.find(item), []).append(item)
-        out = [tuple(sorted(members)) for members in by_root.values()]
-        out.sort(key=lambda block: block[0])
-        return out
-
-    def __len__(self) -> int:
-        return len(self._parent)
+def class_numbers_of(items: Iterable[Hashable], pairs: Iterable[tuple]) -> dict:
+    """item -> its class number under the equivalence that `pairs`
+    generate, the distinct `items` taken in order; an id that only a pair
+    names is added after them."""
+    index = {item: i for i, item in enumerate(items)}
+    # a list, so that every id is indexed before the count is read
+    numbered = [
+        (index.setdefault(a, len(index)), index.setdefault(b, len(index)))
+        for a, b in pairs
+    ]
+    return dict(zip(index, class_numbers(len(index), numbered)))

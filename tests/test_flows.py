@@ -657,7 +657,7 @@ class TestDihomotopyClasses:
                 for tgt in c.states:
                     by_root = {}
                     for p in reference.paths_between(src, tgt):
-                        root = reference.adjacency_components.find(p)
+                        root = reference.adjacency_components[p]
                         by_root.setdefault(root, []).append(p)
                     want = tuple(sorted(tuple(sorted(b)) for b in by_root.values()))
                     assert dihomotopy_classes(flow, src, tgt) == want

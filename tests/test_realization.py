@@ -242,11 +242,14 @@ def _ready_order(rng, target):
 
 
 def _views(flow):
+    blocks = {}
+    for p, k in flow.adjacency_components.items():
+        blocks.setdefault(k, []).append(p)
     return (
         flow.sorted_paths,
         flow.by_src,
         flow.by_tgt,
-        flow.adjacency_components.blocks(),
+        sorted(sorted(block) for block in blocks.values()),
     )
 
 
