@@ -38,8 +38,9 @@ answer on the complex and never realize it: after refusing what `realize`
 refuses (exit 3), the deadlocks are the reachable, non-final states no edge
 leaves (`complexes.complex_deadlocks`), and the classes are
 `complexes.path_classes` with each member written as its path id.  The
-other analyses and `dot` realize the complex, whose flow needs no second
-validation.
+other analyses realize the complex and use its flow without validating it
+again.  `dot` realizes it too, and `formats.export_dot` validates that
+flow, as it does every flow it renders.
 """
 
 from __future__ import annotations

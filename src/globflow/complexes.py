@@ -224,8 +224,10 @@ def _validation_report(c: GlobularComplex) -> ValidationReport:
         if q.id in seen_squares:
             violations.append(f"duplicate square id: {q.id}")
         seen_squares.add(q.id)
-        violations.extend(_square_violations(c, q))
-        if tuple(q.left) == tuple(q.right):
+        boundary = _square_violations(c, q)
+        violations.extend(boundary)
+        # equal sides make a no-op only of a square that is well formed
+        if not boundary and tuple(q.left) == tuple(q.right):
             warnings.append(f"degenerate square (no-op): {q.id}")
 
     for s in c.finals:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
@@ -42,12 +41,9 @@ from .unionfind import class_numbers_of
 
 PathId = str
 
-def _normalize_adjacency(pairs) -> dict[tuple[str, str], None]:
-    out = {}
-    for a, b in pairs:
-        if a != b:
-            out[(a, b) if a <= b else (b, a)] = None
-    return out
+def _normalize_adjacency(pairs) -> frozenset[tuple[str, str]]:
+    """Each unordered pair of distinct paths once, as (a, b) with a < b."""
+    return frozenset((a, b) if a < b else (b, a) for a, b in pairs if a != b)
 
 
 class FiniteFlow:
@@ -71,7 +67,7 @@ class FiniteFlow:
         self.skeleton = frozenset(skeleton)
         self.path_ends = {p: (s, t) for p, (s, t) in dict(path_ends).items()}
         self.composition = dict(composition)
-        self.adjacency = frozenset(_normalize_adjacency(adjacency))
+        self.adjacency = _normalize_adjacency(adjacency)
 
     # -- structure access ---------------------------------------------------
 
@@ -162,19 +158,12 @@ class FiniteFlow:
 
 
 class _ConcatenativeFlow(FiniteFlow):
-    """A concatenative flow (see the module docstring), held by the first
-    entries of three insertion-ordered tables: states and normalized
-    adjacency pairs (dict keys; each unordered pair once, as (a, b) with
-    a < b) and path endpoints ((source, target) tuples).  Only realization
-    (every flow a realizer hands out) and the reader of compact flow
-    documents make one.
-
-    Making one records the tables and their lengths, O(1), and later
-    growth of the tables does not change it; the caller must not change
-    their first entries.  The first read of `skeleton`, `path_ends` or
-    `adjacency` builds that table from its prefix, as a table of the
-    flow's own, and lets go of the shared one.  `__getattr__` runs only
-    for an attribute not found, so ordinary flows pay nothing for it.
+    """A concatenative flow (see the module docstring), made from finished
+    tables that it keeps as given: the states, the path endpoints
+    ((source, target) tuples) and the normalized adjacency pairs (each
+    unordered pair once, as (a, b) with a < b).  Only realization and the
+    reader of compact flow documents make one, and each hands over tables
+    of the flow's own, which nothing changes afterwards.
 
     Composition is answered from the path ids: x*y is "x" + "*" + "y" when
     tgt(x) = src(y).  The table {(x, y): x*y for every composable pair} is
@@ -185,27 +174,13 @@ class _ConcatenativeFlow(FiniteFlow):
 
     def __init__(
         self,
-        states: dict[str, None],
+        skeleton: frozenset[str],
         path_ends: dict[str, tuple[str, str]],
-        adjacency: dict[tuple[str, str], None],
+        adjacency: frozenset[tuple[str, str]],
     ):
-        self._prefixes = {
-            "skeleton": (states, len(states)),
-            "path_ends": (path_ends, len(path_ends)),
-            "adjacency": (adjacency, len(adjacency)),
-        }
-
-    def __getattr__(self, name: str):
-        prefix = self.__dict__.get("_prefixes", {}).pop(name, None)
-        if prefix is None:
-            raise AttributeError(name)
-        table, n = prefix
-        if name == "path_ends":
-            value = dict(table if len(table) == n else islice(table.items(), n))
-        else:
-            value = frozenset(table if len(table) == n else islice(table, n))
-        setattr(self, name, value)
-        return value
+        self.skeleton = skeleton
+        self.path_ends = path_ends
+        self.adjacency = adjacency
 
     @cached_property
     def composition(self) -> dict[tuple[str, str], str]:

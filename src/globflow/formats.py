@@ -34,10 +34,12 @@ marker after `adjacency`:
      "init": optional state, "finals": optional [state, ...]}
 
 Its composition is x*y = "x" + "*" + "y" for every composable pair, and
-`loads_flow` gives back a concatenative flow that builds that table only
-when it is read.  A flow built from explicit tables is written with its
-triples and no marker.  Readers accept both forms; a marker other than
-"concatenation", or the marker with compose triples, is refused.
+`loads_flow` gives back a concatenative flow that keeps the skeleton, path
+and adjacency tables the reader built, each built once, and builds its
+composition table only when that is read.  A flow built from explicit
+tables is written with its triples and no marker.  Readers accept both
+forms; a marker other than "concatenation", or the marker with compose
+triples, is refused.
 `flow_to_doc` defines the document, and `dumps_flow` writes it with
 `json.dumps(..., indent=2)`, as `dumps_complex` and `dumps_morphism` do
 theirs.
@@ -314,7 +316,7 @@ def flow_from_doc(doc: Any) -> tuple[FiniteFlow, dict[str, Any]]:
 
     if concatenative:
         flow = _ConcatenativeFlow(
-            dict.fromkeys(skeleton), path_ends, _normalize_adjacency(adjacency)
+            frozenset(skeleton), path_ends, _normalize_adjacency(adjacency)
         )
     else:
         flow = FiniteFlow(

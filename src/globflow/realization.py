@@ -17,9 +17,9 @@ more of them together than GLOBFLOW_REALIZE_LIMIT (default 10^6), as does
 `realize_morphism`.
 
 There is one construction, `IncrementalRealizer`: it builds a realization
-cell by cell and keeps it current while a complex is built, and one way
-to hand a flow out, as a snapshot of its tables.  `realize(c)` is the
-flow of a realizer made from `c`.
+cell by cell and keeps its tables current while a complex is built, and
+makes its flow from copies of them when the flow is read.  `realize(c)`
+is the flow of a realizer made from `c`.
 """
 
 from __future__ import annotations
@@ -61,15 +61,15 @@ def path_id(seq: Iterable[str]) -> str:
 def realize(c: GlobularComplex) -> FiniteFlow:
     """The flow of a complex: same states, all execution paths, square moves.
 
-    The flow of an `IncrementalRealizer` made from `c`: a snapshot of the
-    realizer's tables, each copied into the flow when first read, that
-    answers composites from its path ids.  The complex must validate;
-    acyclicity keeps the path set finite.  Before anything is built, the
-    exact numbers of paths and composites are worked out
-    (`count_paths_and_composites`), and a complex whose realization would
-    hold more of them together than GLOBFLOW_REALIZE_LIMIT (default
-    DEFAULT_REALIZE_LIMIT) raises RealizationLimitExceeded; a variable that
-    does not hold a non-negative integer raises ValueError.
+    The flow of an `IncrementalRealizer` made from `c`, which holds
+    copies of the realizer's tables and answers composites from its path
+    ids.  The complex must validate; acyclicity keeps the path set
+    finite.  Before anything is built, the exact numbers of paths and
+    composites are worked out (`count_paths_and_composites`), and a
+    complex whose realization would hold more of them together than
+    GLOBFLOW_REALIZE_LIMIT (default DEFAULT_REALIZE_LIMIT) raises
+    RealizationLimitExceeded; a variable that does not hold a non-negative
+    integer raises ValueError.
     """
     return IncrementalRealizer(c).flow
 
@@ -138,13 +138,13 @@ class IncrementalRealizer:
     RealizationLimitExceeded, as `realize` of the extended complex would.
 
     Making a realizer checks the limit on `c` as `realize` does, then adds
-    every edge of `c` and then every square to empty tables.  The tables
-    only grow and are all insertion-ordered, so the flow it and each attach
-    hand out is a snapshot of their first entries, made in O(1), that later
-    attaches never change; each of its tables is built from its prefix
-    when first read, and it answers composites from its path ids.
-    `complex` is `c` until the first attach, and is otherwise built from
-    the realizer's cells when read.  So an attach costs what the cell adds.
+    every edge of `c` and then every square to empty tables.  The attach
+    methods return nothing.  `flow` is made when read, from copies of the
+    tables, so no later attach changes a flow already read, and it is kept
+    until the next attach goes through.  `complex` is `c` until the first
+    attach, and is otherwise built from the realizer's cells, in attach
+    order, when read.  So an attach costs what the cell adds, and the
+    first read of `flow` after it costs a copy of the tables.
     """
 
     def __init__(self, c: GlobularComplex):
@@ -153,13 +153,13 @@ class IncrementalRealizer:
         _check_limit(paths, composites, self._limit)
         self._composites = composites
         self._base = c
-        # insertion-ordered tables that only grow; dicts with None values are
-        # ordered sets
+        # the states in attach order (a dict with None values is an ordered
+        # set), as `complex` lists them
         self._states: dict[str, None] = dict.fromkeys(c.states)
         self._edges: dict[str, Edge] = {}
         self._squares: dict[str, Square] = {}
         self._path_ends: dict[str, tuple[str, str]] = {}
-        self._adjacency: dict[tuple[str, str], None] = {}
+        self._adjacency: set[tuple[str, str]] = set()
         self._out: dict[str, list[str]] = {s: [] for s in c.states}
         self._into: dict[str, list[str]] = {s: [] for s in c.states}
         # (left id, right id, other end) of each non-degenerate square
@@ -169,7 +169,7 @@ class IncrementalRealizer:
             self._add_edge(edge)
         for q in c.squares:
             self._add_square(q, c.path_source(q.left), c.path_target(q.left))
-        self._hand_out()
+        self._flow: Optional[FiniteFlow] = None
         self._complex: Optional[GlobularComplex] = c
 
     @property
@@ -185,26 +185,33 @@ class IncrementalRealizer:
 
     @property
     def flow(self) -> FiniteFlow:
+        if self._flow is None:
+            self._flow = _ConcatenativeFlow(
+                frozenset(self._states),
+                dict(self._path_ends),
+                frozenset(self._adjacency),
+            )
         return self._flow
 
-    def attach(self, cell: Cell) -> FiniteFlow:
+    def attach(self, cell: Cell) -> None:
         if isinstance(cell, str):
-            return self.attach_state(cell)
-        if isinstance(cell, Edge):
-            return self.attach_edge(cell)
-        if isinstance(cell, Square):
-            return self.attach_square(cell)
-        raise InvalidAttachmentError(f"not an attachable cell: {cell!r}")
+            self.attach_state(cell)
+        elif isinstance(cell, Edge):
+            self.attach_edge(cell)
+        elif isinstance(cell, Square):
+            self.attach_square(cell)
+        else:
+            raise InvalidAttachmentError(f"not an attachable cell: {cell!r}")
 
-    def attach_state(self, name: str) -> FiniteFlow:
+    def attach_state(self, name: str) -> None:
         if name in self._states:
             raise InvalidAttachmentError(f"state already present: {name}")
         self._states[name] = None
         self._out[name] = []
         self._into[name] = []
-        return self._hand_out()
+        self._changed()
 
-    def attach_edge(self, edge: Edge) -> FiniteFlow:
+    def attach_edge(self, edge: Edge) -> None:
         ends, out, into = self._path_ends, self._out, self._into
         if edge.id in self._edges:
             raise InvalidAttachmentError(f"edge id already present: {edge.id}")
@@ -231,9 +238,9 @@ class IncrementalRealizer:
         _check_limit(len(ends) + len(sources) * len(targets), composites, self._limit)
         self._add_edge(edge)
         self._composites = composites
-        return self._hand_out()
+        self._changed()
 
-    def attach_square(self, square: Square) -> FiniteFlow:
+    def attach_square(self, square: Square) -> None:
         if square.id in self._squares:
             raise InvalidAttachmentError(f"square id already present: {square.id}")
         endpoints = []
@@ -249,7 +256,7 @@ class IncrementalRealizer:
                 f"square {square.id} sides do not share endpoints"
             )
         self._add_square(square, *endpoints[0])
-        return self._hand_out()
+        self._changed()
 
     def _add_edge(self, edge: Edge) -> None:
         """Enter an edge, its new paths and their move pairs."""
@@ -302,11 +309,8 @@ class IncrementalRealizer:
         for head in heads:
             for tail in tails:
                 a, b = head + left + tail, head + right + tail
-                adjacency[(a, b) if a < b else (b, a)] = None
+                adjacency.add((a, b) if a < b else (b, a))
 
-    def _hand_out(self) -> FiniteFlow:
-        """Snapshot the tables as the current flow, and drop the complex
-        built for the cells before."""
-        self._complex = None
-        self._flow = _ConcatenativeFlow(self._states, self._path_ends, self._adjacency)
-        return self._flow
+    def _changed(self) -> None:
+        """Drop the flow and the complex built for the cells before."""
+        self._flow = self._complex = None

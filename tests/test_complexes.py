@@ -92,6 +92,21 @@ class TestValidateComplex:
         assert report.ok
         assert any("degenerate square" in w for w in report.warnings)
 
+    @pytest.mark.parametrize(
+        "side, violation",
+        [((), "has empty left side"), (("zz",), "left side uses unknown edges zz")],
+        ids=["empty", "unknown-edge"],
+    )
+    def test_malformed_square_with_equal_sides_is_not_degenerate(self, side, violation):
+        c = GlobularComplex(
+            states=("0", "1"),
+            edges=(Edge("a", "0", "1"),),
+            squares=(Square("q", side, side),),
+        )
+        report = validate_complex(c)
+        assert any(violation in v for v in report.violations)
+        assert report.warnings == ()
+
     def test_duplicate_ids(self):
         c = GlobularComplex(
             states=("u", "u"),

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -241,7 +242,8 @@ class TestConcatenationDocuments:
     def test_incremental_flows_are_compact(self):
         realizer = IncrementalRealizer(GlobularComplex(states=("u", "v", "w")))
         realizer.attach(Edge("a", "u", "v"))
-        flow = realizer.attach(Edge("b", "v", "w"))
+        realizer.attach(Edge("b", "v", "w"))
+        flow = realizer.flow
         doc = json.loads(dumps_flow(flow))
         assert doc["compose"] == [] and doc["composition"] == "concatenation"
         assert flow.composition == {("a", "b"): "a*b"}
@@ -275,6 +277,22 @@ class TestConcatenationDocuments:
             assert len(loaded.composition) == len(f.composition)
             for (x, y), z in f.composition.items():
                 assert loaded.compose(x, y) == loaded.try_compose(x, y) == z
+
+    def test_compact_flow_adopts_the_tables_read(self):
+        # the reader builds each table once and the flow keeps it, so
+        # reading one allocates nothing
+        c = pv_to_complex(parse_pv(oracles.dining_philosophers_source(3)))
+        realized = realize(c)
+        loaded, _ = loads_flow(dumps_flow(realized))
+        tracemalloc.start()
+        try:
+            loaded.skeleton, loaded.path_ends, loaded.adjacency
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512
+        assert (len(loaded.path_ends), len(loaded.adjacency)) == (5022, 5172)
+        assert loaded == realized
 
     def test_both_forms_load_to_equal_flows(self, rng):
         for c in _realistic_complexes(rng):

@@ -146,13 +146,17 @@ class TestRealizeMorphism:
 class TestIncrementalRealize:
     def test_attach_edge_to_edgeless_complex(self):
         base = GlobularComplex(states=("0", "1"))
-        flow = IncrementalRealizer(base).attach(Edge("e", "0", "1"))
+        realizer = IncrementalRealizer(base)
+        realizer.attach(Edge("e", "0", "1"))
+        flow = realizer.flow
         assert flow == realize(make_interval())
 
     def test_attach_square_adds_exactly_the_move_pairs(self):
         base = make_grid(False)
         square = Square("q", ("a", "b"), ("c", "d"))
-        flow = IncrementalRealizer(base).attach(square)
+        realizer = IncrementalRealizer(base)
+        realizer.attach(square)
+        flow = realizer.flow
         full = realize(make_grid(True))
         assert flow == full
         bare = realize(base)
@@ -181,7 +185,8 @@ class TestIncrementalRealize:
             Edge("z", "a", "c"),
             Square("q", ("x", "y"), ("z",)),
         ):
-            flow = realizer.attach(cell)
+            realizer.attach(cell)
+            flow = realizer.flow
             assert flow == realize(realizer.complex)
 
     @pytest.mark.parametrize(
@@ -266,7 +271,8 @@ class TestIncrementalRealizerTables:
             realizer = IncrementalRealizer(GlobularComplex(states=()))
             handed_out = []
             for cell in _ready_order(rng, target):
-                flow = realizer.attach(cell)
+                realizer.attach(cell)
+                flow = realizer.flow
                 want = realize(realizer.complex)
                 assert flow == want
                 assert _views(flow) == _views(want)
@@ -281,7 +287,8 @@ class TestIncrementalRealizerTables:
         realizer = IncrementalRealizer(GlobularComplex(states=target.states))
         steps = []
         for cell in target.edges + target.squares:
-            steps.append((realizer.attach(cell), realizer.complex))
+            realizer.attach(cell)
+            steps.append((realizer.flow, realizer.complex))
         for flow, complex_at_step in steps:
             assert flow == realize(complex_at_step)
 
@@ -319,7 +326,8 @@ class TestIncrementalRealizerTables:
     def test_degenerate_square_adds_no_adjacency(self):
         realizer = IncrementalRealizer(make_grid(False))
         before = realizer.flow
-        flow = realizer.attach(Square("z", ("a", "b"), ("a", "b")))
+        realizer.attach(Square("z", ("a", "b"), ("a", "b")))
+        flow = realizer.flow
         assert flow.adjacency == before.adjacency == frozenset()
         assert flow == realize(realizer.complex)
 
@@ -328,7 +336,10 @@ class TestIncrementalRealizerTables:
         # has its sorted by-endpoint tables built unless a caller asks
         target = pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE))
         realizer = IncrementalRealizer(GlobularComplex(states=target.states))
-        flows = [realizer.attach(cell) for cell in target.edges + target.squares]
+        flows = []
+        for cell in target.edges + target.squares:
+            realizer.attach(cell)
+            flows.append(realizer.flow)
         for flow in flows:
             assert "by_src" not in flow.__dict__
             assert "by_tgt" not in flow.__dict__
@@ -338,7 +349,8 @@ class TestIncrementalRealizerTables:
             realizer = IncrementalRealizer(GlobularComplex(states=()))
             steps = [(realizer.flow, realize(realizer.complex))]
             for cell in _ready_order(rng, target):
-                steps.append((realizer.attach(cell), realize(realizer.complex)))
+                realizer.attach(cell)
+                steps.append((realizer.flow, realize(realizer.complex)))
                 with pytest.raises(InvalidAttachmentError):
                     realizer.attach(cell)  # its id or name is taken now
                 if rng.random() < 0.3:  # an earlier flow read between attaches
@@ -438,10 +450,10 @@ class TestCompositionById:
         # each flow is read only after the whole build; two PV programs
         for target in islice(_random_targets(rng), 12):
             realizer = IncrementalRealizer(GlobularComplex(states=()))
-            steps = [
-                (realizer.attach(cell), realizer.complex)
-                for cell in _ready_order(rng, target)
-            ]
+            steps = []
+            for cell in _ready_order(rng, target):
+                realizer.attach(cell)
+                steps.append((realizer.flow, realizer.complex))
             for flow, c in steps:
                 _check_compose_by_id(flow, _oracle_tables(c)[2], rng)
 
@@ -594,7 +606,8 @@ class TestRealizationLimit:
                 extended = replace(realizer.complex, edges=realizer.complex.edges + (cell,))
                 counts = count_paths_and_composites(extended)
                 if sum(counts) <= limit:
-                    assert realizer.attach(cell) == realize(extended)
+                    realizer.attach(cell)
+                    assert realizer.flow == realize(extended)
                     continue
                 before = realizer.flow
                 with pytest.raises(RealizationLimitExceeded) as caught:
