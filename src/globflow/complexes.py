@@ -389,6 +389,8 @@ def count_paths_and_composites(c: GlobularComplex) -> tuple[int, int]:
     One pass over a topological order, O(V + E) with Python ints:
     paths out of s = sum over out-edges e of 1 + paths out of tgt(e),
     likewise into s, and composites = sum over s of in(s) * out(s).
+    A path of k edges is k - 1 composable pairs, so the sum is the number
+    of edge ids all path ids spell out; adjacency pairs are not counted.
     Raises InvalidComplexError if the complex does not validate.
     """
     order = c.topological_order

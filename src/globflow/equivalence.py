@@ -1,19 +1,21 @@
 """Exhaustive equivalence checks on finite flows.
 
-Everything here is a bounded search over finitely many structure maps,
-and every search over maps runs the one depth-first search `_depth_first`:
-it assigns keys in order, tries each key's options in order, backtracks
-with an explicit stack, and charges one budget unit per option it tries.
-An injective search skips options already in use without charging them.
+Everything here is a bounded search over finitely many structure maps.
+Path maps and state bijections are searched by the one depth-first search
+`_depth_first`: it assigns keys in order, tries each key's options in
+order, backtracks with an explicit stack, and charges one budget unit per
+option it tries; an injective search skips options in use for free.
 
-- `enumerate_flow_morphisms` tries every state map and backtracks over
-  path images compatible with it, pruning on endpoints, on composition
-  preservation as soon as all three participants of a composable pair are
-  assigned, and on adjacency as soon as both paths of a pair are.
+- `enumerate_flow_morphisms` tries every state map in `product` order,
+  one budget unit each, and backtracks over path images compatible with
+  it, pruning on endpoints, on composition preservation as soon as all
+  three participants of a composable pair are assigned, and on adjacency
+  as soon as both paths of a pair are.
 - `s_equivalent` looks for a pair of morphisms whose two round trips are
   S-homotopic to the identities.  Since S-homotopic morphisms agree on
   states, only mutually inverse skeleton bijections can work, and of
-  those only the ones `_state_maps` yields (below).
+  those only the ones `_state_maps` yields (below).  For each forward
+  morphism f, the round trips filter g's options (see `s_equivalent`).
 - `find_flow_isomorphism` searches for an invertible morphism over the
   state maps `_state_maps` yields, after checking skeleton, path and
   composite counts, then runs the path search injectively.
@@ -41,9 +43,9 @@ Searches are deterministic: candidates are generated in lexicographic
 order and the first witness wins.  A budget caps the number of candidates
 examined; exhausting it raises SearchBudgetExceeded so "none found" always
 means a completed search.  One candidate, one budget unit, is an option
-the depth-first search tries (a state of a state map or a path image), a
-state map handed to the path search, or a pair (f, g) of morphisms that
-`s_equivalent` checks.  Building the invariant tables costs nothing.
+the depth-first search tries (a state of a state map or a path image),
+or, in `enumerate_flow_morphisms`, a state map handed to the path search.
+Building the invariant tables and filtering options are not charged.
 """
 
 from __future__ import annotations
@@ -85,36 +87,33 @@ def enumerate_flow_morphisms(
     is charged once per candidate considered (state maps and partial path
     assignments alike).
     """
-    yield from _morphisms(dom, cod, state_map, _Budget(budget))
-
-
-def _morphisms(dom, cod, state_map, budget: _Budget) -> Iterator[FlowMorphism]:
-    """enumerate_flow_morphisms charging a meter the caller may share."""
+    meter = _Budget(budget)
+    states, targets = sorted(dom.skeleton), sorted(cod.skeleton)
     if state_map is not None:
         state_maps = [state_map]
     else:
-        states = sorted(dom.skeleton)
-        targets = sorted(cod.skeleton)
-        state_maps = (
-            dict(zip(states, choice)) for choice in product(targets, repeat=len(states))
-        )
+        choices = product(targets, repeat=len(states))
+        state_maps = (dict(zip(states, choice)) for choice in choices)
     for sigma in state_maps:
-        budget.charge()
+        meter.charge()
         if any(sigma.get(s) not in cod.skeleton for s in dom.skeleton):
             continue
-        for path_map in _path_assignments(dom, cod, sigma, budget):
+        for path_map in _path_assignments(dom, cod, sigma, meter):
             yield FlowMorphism(state_map=dict(sigma), path_map=path_map)
 
 
-def _path_assignments(dom, cod, sigma, budget, injective=False) -> Iterator[dict]:
+def _path_assignments(dom, cod, sigma, budget, injective=False, keep=None) -> Iterator[dict]:
     """Every path map over `sigma` that preserves endpoints, composition
     and adjacency (into adj*), in sorted path order; with `injective`,
-    only the one-to-one ones."""
+    only the one-to-one ones; with `keep`, only those whose every value q
+    at a path p passes keep(p, q)."""
     order = dom.sorted_paths
     candidates = []
     for p in order:
         s, t = dom.path_ends[p]
         options = cod.paths_between(sigma[s], sigma[t])
+        if keep is not None:
+            options = [q for q in options if keep(p, q)]
         if not options:
             return
         candidates.append(options)
@@ -129,6 +128,8 @@ def _path_assignments(dom, cod, sigma, budget, injective=False) -> Iterator[dict
         comp_at[max(position[x], position[y], position[z])].append((x, y, z))
     adj_at: list[list[tuple[str, str]]] = [[] for _ in order]
     for a, b in dom.adjacency:
+        if a not in position or b not in position:  # nor a pair naming a non-path
+            return
         adj_at[max(position[a], position[b])].append((a, b))
 
     def fits(k, image):
@@ -254,16 +255,17 @@ def s_equivalent(
 
     The state maps tried are the bijections that keep the number of
     adj*-components between every pair of states, which every witness
-    does (see the module docstring).  For each, the forward morphisms are
-    streamed; the backward ones are listed once the first forward one is
-    found, and each pair (f, g) is checked in turn.
+    does (see the module docstring).  For each, every forward morphism f
+    is streamed, then one backward search runs over the options that keep
+    both round trips: g f adj* id iff g(q) adj* p whenever f(p) = q, and
+    f g adj* id iff f(g(q)) adj* q.  Filtering keeps the depth-first
+    order, so the first g found is the first that passes both checks.
 
     Returns the first witness pair in lexicographic candidate order, or
     None when the exhaustive search completes empty.  Raises
     SearchBudgetExceeded when the candidate budget (default 10**6) runs
     out first, so the two negative outcomes cannot be confused.  The
-    budget counts the states and path images tried, the state maps handed
-    to the path search and the pairs checked.
+    budget counts the states and path images tried.
     """
     meter = _Budget(budget)
     if len(x.skeleton) != len(y.skeleton):
@@ -271,24 +273,18 @@ def s_equivalent(
 
     for sigma in _state_maps(x, y, _component_counts, meter):
         tau = {b: a for a, b in sigma.items()}
-        backward = None
-        for f in _morphisms(x, y, sigma, meter):
-            if backward is None:
-                backward = list(_morphisms(y, x, tau, meter))
-            for g in backward:
-                meter.charge()
-                if _round_trip_is_deformable(f, g, y) and _round_trip_is_deformable(
-                    g, f, x
-                ):
-                    return f, g
+        for f in _path_assignments(x, y, sigma, meter):
+            sent: dict[str, list[str]] = {}
+            for p, q in f.items():
+                sent.setdefault(q, []).append(p)
+            # f g adj* id at q, and g f adj* id at every p that f sends to q
+            def keep(q, image):
+                return y.adjacent_star(f[image], q) and all(
+                    x.adjacent_star(image, p) for p in sent.get(q, ())
+                )
+            for g in _path_assignments(y, x, tau, meter, keep=keep):
+                return FlowMorphism(sigma, f), FlowMorphism(tau, g)
     return None
-
-
-def _round_trip_is_deformable(f: FlowMorphism, g: FlowMorphism, flow: FiniteFlow) -> bool:
-    """Whether f∘g moves every path of `flow` only within its adj*-component."""
-    return all(
-        flow.adjacent_star(f.path_map[g.path_map[p]], p) for p in flow.paths
-    )
 
 
 # ---------------------------------------------------------------------------

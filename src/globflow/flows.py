@@ -244,10 +244,9 @@ def validate_flow(flow: FiniteFlow) -> ValidationReport:
         if t not in skeleton:
             dangling.append(f"dangling path endpoint: target {t} of path {p}")
 
-    adjacency = sorted(flow.adjacency)
     unpaired: list[str] = []
     matched: list[tuple[str, str]] = []  # pairs of known paths with equal ends
-    for a, b in adjacency:
+    for a, b in sorted(flow.adjacency):
         if a not in ends or b not in ends:
             unpaired.append(f"unknown path in adjacency: ({a}, {b})")
         elif ends[a] != ends[b]:
@@ -302,7 +301,7 @@ def validate_flow(flow: FiniteFlow) -> ValidationReport:
         violations.extend(_associativity_violations(flow))
 
     violations.extend(unpaired)
-    violations.extend(_congruence_violations(flow, adjacency))
+    violations.extend(_congruence_violations(flow, matched))
 
     return ValidationReport(tuple(violations))
 
@@ -392,20 +391,19 @@ def _associativity_violations(flow: FiniteFlow) -> list[str]:
     return out
 
 
-def _congruence_violations(flow: FiniteFlow, adjacency) -> list[str]:
+def _congruence_violations(flow: FiniteFlow, matched) -> list[str]:
     """Adjacency must be a congruence: composing with an adjacent path on
     either side lands in the same adj*-component.
 
-    `adjacency` is the sorted adjacency.  Components are compared by
-    number; an id the components do not know is only in its own, as in
-    `adjacent_star`.
+    `matched` holds the pairs of the sorted adjacency whose paths are
+    known and share both ends; `validate_flow` reports the others.
+    Components are compared by number; an id the components do not know
+    is only in its own, as in `adjacent_star`.
     """
     ends, compose = flow.path_ends, flow.composition.get
     component = flow.adjacency_components.get
     out = []
-    for a, b in adjacency:
-        if a not in ends or b not in ends or ends[a] != ends[b]:
-            continue
+    for a, b in matched:
         s, t = ends[a]
         for y in flow.paths_from(t):
             ay, by = compose((a, y)), compose((b, y))
@@ -616,7 +614,9 @@ def flow_morphism_violations(
         elif image != f.path_map[xy]:
             out.append(f"composition not preserved on ({x}, {y})")
     for a, b in sorted(dom.adjacency):
-        if not cod.adjacent_star(f.path_map[a], f.path_map[b]):
+        if a not in dom.path_ends or b not in dom.path_ends:
+            out.append(f"domain adjacency names a non-path: ({a}, {b})")
+        elif not cod.adjacent_star(f.path_map[a], f.path_map[b]):
             out.append(f"adjacency not preserved on ({a}, {b})")
     return out
 

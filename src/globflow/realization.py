@@ -14,7 +14,8 @@ The path and composite counts grow much faster than the complex, so
 `realize` counts them exactly first (a pass over the complex, no path
 listed) and refuses, with RealizationLimitExceeded, a realization holding
 more of them together than GLOBFLOW_REALIZE_LIMIT (default 10^6), as does
-`realize_morphism`.
+`realize_morphism`.  The sum is the number of edge ids all path ids spell
+out (`count_paths_and_composites`); adjacency pairs are outside the limit.
 
 There is one construction, `IncrementalRealizer`: it builds a realization
 cell by cell and keeps its tables current while a complex is built, and

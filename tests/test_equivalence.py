@@ -13,6 +13,7 @@ from globflow import (
     FlowMorphism,
     GlobularComplex,
     IncrementalRealizer,
+    InvalidMorphismError,
     SearchBudgetExceeded,
     Square,
     check_t_dihomotopy,
@@ -20,6 +21,7 @@ from globflow import (
     dumps_flow,
     enumerate_flow_morphisms,
     find_flow_isomorphism,
+    flow_morphism_violations,
     germs,
     glob_discrete,
     glob_flow,
@@ -113,6 +115,20 @@ class TestSearchAgreesWithCheck:
         assert list(enumerate_flow_morphisms(dom, cod)) == []
         assert list(_morphisms_by_check(dom, cod)) == []
 
+    def test_an_adjacency_naming_a_non_path_admits_no_map(self):
+        dom = FiniteFlow(("0", "1"), {"a": ("0", "1"), "b": ("0", "1")}, {}, [("a", "zz")])
+        cod = glob_flow(["c"])
+        assert list(enumerate_flow_morphisms(dom, cod)) == []
+        assert list(_morphisms_by_check(dom, cod)) == []
+        f = FlowMorphism({"0": "0", "1": "1"}, {"a": "c", "b": "c"})
+        assert flow_morphism_violations(f, dom, cod) == [
+            "domain adjacency names a non-path: (a, zz)"
+        ]
+        with pytest.raises(InvalidMorphismError):
+            s_homotopic(f, f, dom, cod)
+        assert s_equivalent(dom, dom) is None
+        assert find_flow_isomorphism(dom, dom) is None
+
 
 class TestSEquivalent:
     def test_identical_flows_yield_identity_witness(self):
@@ -161,9 +177,9 @@ class TestSEquivalent:
     def test_budget_charges_are_pinned(self):
         # the smallest budgets that let each search finish
         grid = realize(make_grid(True))
-        assert s_equivalent(grid, grid, budget=25) is not None
+        assert s_equivalent(grid, grid, budget=20) is not None
         with pytest.raises(SearchBudgetExceeded):
-            s_equivalent(grid, grid, budget=24)
+            s_equivalent(grid, grid, budget=19)
         pair = realize(make_parallel_pair(with_square=False))
         edge = realize(glob_discrete(["c"]))
         assert s_equivalent(pair, edge, budget=0) is None
@@ -576,6 +592,30 @@ class TestSearchOracleOnEquivCliShapes:
         for x, y in ((squared, plain), (plain, squared)):
             assert s_equivalent(x, y, budget=0) is None
             assert find_flow_isomorphism(x, y, budget=0) is None
+
+
+def _twin_pair(seed):
+    """The first complex of 18-20 paths that `random_complex` draws from
+    `seed`, and its copy with a random edge doubled, the copies joined by
+    a square, both realized."""
+    rng = random.Random(seed)
+    while True:
+        c = random_complex(rng, max_states=6, max_edges=10, min_edges=5)
+        if 18 <= len(realize(c).paths) <= 20:
+            return realize(c), realize(_with_twin(c, rng.choice(c.edges), squared=True))
+
+
+class TestRoundTripFilter:
+    """The round trips filter the options of g, so no g that fails them
+    is tried: on these pairs that keeps the search within the default
+    budget."""
+
+    @pytest.mark.parametrize("seed", [9, 22, 23])
+    def test_doubled_edge_is_found_within_the_default_budget(self, seed):
+        x, y = _twin_pair(seed)
+        f, g = s_equivalent(x, y)
+        assert s_homotopic(compose_flow_morphisms(f, g), identity_flow_morphism(y), y, y)
+        assert s_homotopic(compose_flow_morphisms(g, f), identity_flow_morphism(x), x, x)
 
 
 def _corestriction_by_restriction(f, x, y):

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from dataclasses import replace
 from itertools import islice
@@ -553,6 +554,15 @@ class TestRealizationLimit:
                 len(flow.path_ends),
                 len(flow.composition),
             )
+
+    def test_limit_counts_the_edges_path_ids_spell(self):
+        # a path of k edges splits into exactly k - 1 composable pairs
+        rng = random.Random(20261019)
+        targets = [random_complex(rng) for _ in range(200)]
+        targets += [pv_to_complex(parse_pv(random_pv_source(rng))) for _ in range(60)]
+        for target in targets:
+            edges = sum(p.count("*") + 1 for p in realize(target).path_ends)
+            assert edges == sum(count_paths_and_composites(target))
 
     def test_long_chain_counted_without_realizing(self):
         # n(n+1)/2 paths and C(n+1, 3) composites on an n-edge chain
