@@ -39,6 +39,7 @@ from .equivalence import (
     s_equivalent,
 )
 from .errors import (
+    CompileLimitExceeded,
     FormatError,
     GlobflowError,
     InvalidAttachmentError,
@@ -84,7 +85,7 @@ from .formats import (
     morphism_to_doc,
     realization_from_doc,
 )
-from .pv import PvProgram, PvStep, parse_pv, pv_to_complex, state_name
+from .pv import DEFAULT_COMPILE_LIMIT, PvProgram, PvStep, parse_pv, pv_to_complex, state_name
 from .realization import (
     DEFAULT_REALIZE_LIMIT,
     IncrementalRealizer,
@@ -117,6 +118,7 @@ __all__ = [
     "TDihomotopyReport", "enumerate_flow_morphisms", "DEFAULT_SEARCH_BUDGET",
     # pv
     "PvProgram", "PvStep", "parse_pv", "pv_to_complex", "state_name",
+    "DEFAULT_COMPILE_LIMIT",
     # formats
     "complex_to_doc", "complex_from_doc", "dumps_complex", "loads_complex",
     "flow_to_doc", "flow_from_doc", "dumps_flow", "loads_flow",
@@ -126,6 +128,6 @@ __all__ = [
     # errors
     "GlobflowError", "UnknownIdError", "InvalidComplexError", "InvalidFlowError",
     "InvalidMorphismError", "InvalidAttachmentError", "SearchBudgetExceeded",
-    "RealizationLimitExceeded",
+    "RealizationLimitExceeded", "CompileLimitExceeded",
     "FormatError", "PvError", "PvSyntaxError",
 ]

@@ -10,16 +10,17 @@ Three subcommands, each a thin wrapper around one library call chain:
                                                 -> DOT text
 
 Exit codes: 0 success, 1 input error, 2 axiom violation, 3 search budget
-exhausted or realization limit exceeded, 4 internal error (an unexpected
-exception, reported on one line as "internal error: <type>: <message>"
-rather than as a traceback).  The environment variable
+exhausted, realization limit or compile limit exceeded, 4 internal error
+(an unexpected exception, reported on one line as "internal error:
+<type>: <message>" rather than as a traceback).  The environment variable
 GLOBFLOW_SEARCH_BUDGET overrides the default candidate budget of the
---s-equiv search, and GLOBFLOW_REALIZE_LIMIT the most paths and composites
-together that a realization may hold (default 1000000; the counts are
-exact and checked before anything is built).  Each must be a non-negative
-integer, and any other value is an input error.  All output is sorted, or
-in declaration order for the complex a realization document holds, so
-repeated runs are byte-identical.
+--s-equiv search, GLOBFLOW_REALIZE_LIMIT the most paths and composites
+together that a realization may hold, and GLOBFLOW_COMPILE_LIMIT the most
+states, edges and squares together that `--pv` compiles (each limit
+default 1000000; the counts are exact and checked before anything is
+built).  Each must be a non-negative integer, and any other value is an
+input error.  All output is sorted, or in declaration order for the
+complex a realization document holds, so repeated runs are byte-identical.
 
 Every document a command reads is validated before it is used: complexes,
 including the one an input realization document holds, with
@@ -28,7 +29,8 @@ the codomain of a --t-check morphism and the --s-equiv flow, with
 `flows.validate_flow`.  Those two are read by `formats.loads_morphism` and
 `formats.loads_flow`, which also take realization documents and validate
 their complex without a warning.  A violation exits 2 with one
-"violation:" line per violation.
+"violation:" line per violation.  A complex compiled from `--pv` source
+enters certified, with its empty report, and is not checked again.
 
 `realize` checks the realization limit by realizing, then writes the
 realization document of `formats`: the complex it realized, not the flow.
@@ -57,6 +59,7 @@ from .equivalence import (
     s_equivalent,
 )
 from .errors import (
+    CompileLimitExceeded,
     FormatError,
     GlobflowError,
     InvalidComplexError,
@@ -340,7 +343,7 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except (SearchBudgetExceeded, RealizationLimitExceeded) as exc:
+    except (SearchBudgetExceeded, RealizationLimitExceeded, CompileLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (InvalidComplexError, InvalidFlowError) as exc:

@@ -32,6 +32,9 @@ is lexicographic by construction.
 The deadlocks of the realization are read off the edges the same way,
 without listing a path (`complex_deadlocks`).
 
+A complex is validated where it enters the engine; compiler output enters
+certified (`pv.pv_to_complex` seeds `validation` and `topological_order`).
+
 Morphisms map states to states and edges to nonempty paths, preserving
 endpoints and sending the two boundaries of every square into the same
 move class of the codomain.
@@ -125,8 +128,10 @@ class GlobularComplex:
     def topological_order(self) -> tuple[StateId, ...]:
         """Every state, each before the targets of its out-edges: the states
         no edge touches, in declaration order, then the depth-first finishing
-        order of the acyclicity check (`_find_cycle`) reversed.  Raises
-        InvalidComplexError if the complex does not validate."""
+        order of the acyclicity check (`_find_cycle`) reversed.  A compiled
+        PV complex carries the compiler's order instead, its states in
+        declaration order (`pv.pv_to_complex`).  Raises InvalidComplexError
+        if the complex does not validate."""
         require_valid(self)
         _, finished = self._cycle_walk
         del self.__dict__["_cycle_walk"]  # validation has read it already

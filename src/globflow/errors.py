@@ -2,8 +2,9 @@
 
 The CLI maps these onto exit codes: input problems (bad files, unknown
 ids, grammar errors) exit 1, structural axiom violations exit 2, and an
-exhausted search budget or a realization over its size limit exits 3.  Any
-other exception is an internal error and exits 4.
+exhausted search budget, a realization over its size limit or a PV
+program whose grid is over the compile limit exits 3.  Any other
+exception is an internal error and exits 4.
 """
 
 from __future__ import annotations
@@ -69,6 +70,25 @@ class RealizationLimitExceeded(GlobflowError, RuntimeError):
         self.limit = limit
         super().__init__(
             f"realization limit exceeded: {paths} paths + {composites} composites "
+            f"> limit {limit}"
+        )
+
+
+class CompileLimitExceeded(GlobflowError, RuntimeError):
+    """A PV program's grid would hold more cells than the compile limit.
+
+    Raised before any position tuple is built, from exact counts of the
+    states, edges and squares, so a program too large to compile fails fast
+    instead of exhausting memory.
+    """
+
+    def __init__(self, states: int, edges: int, squares: int, limit: int):
+        self.states = states
+        self.edges = edges
+        self.squares = squares
+        self.limit = limit
+        super().__init__(
+            f"compile limit exceeded: {states} states + {edges} edges + {squares} squares "
             f"> limit {limit}"
         )
 

@@ -105,6 +105,13 @@ class TestRealize:
         code, out, err = run(capsys, "realize", str(source), "--pv")
         assert code == 0, err
         assert json.loads(out)["realization_of"]["init"]
+        # compiled complexes enter certified
+        assert len(calls) == 0
+        document = tmp_path / "swiss.json"
+        document.write_text(dumps_complex(pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE))))
+        code, out, err = run(capsys, "realize", str(document))
+        assert code == 0, err
+        assert json.loads(out)["realization_of"]["init"]
         assert len(calls) == 1
 
     def test_warnings_print_before_violations(self, capsys, tmp_path):

@@ -25,6 +25,8 @@ from globflow import (
     parse_pv,
     path_classes,
     deadlocks,
+    dumps_complex,
+    loads_complex,
     pv_to_complex,
     realize,
     realize_morphism,
@@ -490,7 +492,13 @@ class TestClassPropagation:
             return walk(c)
 
         monkeypatch.setattr(complexes, "_find_cycle", counted)
-        c = pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE))
+        compiled = pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE))
+        assert validate_complex(compiled).ok
+        realize(compiled)
+        assert len(path_classes(compiled, compiled.init, compiled.finals[0])) == 2
+        assert complex_deadlocks(compiled, compiled.init, compiled.finals)
+        assert calls == []  # compiled complexes enter certified
+        c = loads_complex(dumps_complex(compiled))
         assert validate_complex(c).ok
         realize(c)
         assert len(path_classes(c, c.init, c.finals[0])) == 2
