@@ -32,8 +32,10 @@ their complex without a warning.  A violation exits 2 with one
 "violation:" line per violation.  A complex compiled from `--pv` source
 enters certified, with its empty report, and is not checked again.
 
-`realize` checks the realization limit by realizing, then writes the
-realization document of `formats`: the complex it realized, not the flow.
+`realize` refuses what `realization.realize` refuses (exit 3 over the
+realization limit), from the exact counts and without building the flow,
+then writes the realization document of `formats`: the complex it
+realized, not the flow.
 `analyze` and `dot` read it as the flow it stands for, and answer on it as
 on that flow's flow document, byte for byte.  --deadlocks and --classes
 answer on the complex and never realize it: after refusing what `realize`
@@ -167,9 +169,11 @@ def cmd_realize(args) -> int:
     else:
         complex_ = loads_complex(text)
     _check_complex(complex_)
-    # the document holds the complex, not the flow, but `realize` is where
-    # the limit refuses a complex (exit 3), and the traced benchmark counts
-    # the paths and composites of this realization
+    # the document holds the complex, not the flow: `realize` refuses an
+    # over-limit complex (exit 3) from its counts and builds no table until
+    # one is read.  The call stays rather than `check_realize_limit`
+    # because the traced benchmark counts the paths and composites of the
+    # flow it returns.
     realize(complex_)
     _write(args.output, dumps_realization(complex_))
     return 0

@@ -163,7 +163,9 @@ class _ConcatenativeFlow(FiniteFlow):
     ((source, target) tuples) and the normalized adjacency pairs (each
     unordered pair once, as (a, b) with a < b).  Only realization and the
     reader of compact flow documents make one, and each hands over tables
-    of the flow's own, which nothing changes afterwards.
+    of the flow's own, which nothing changes afterwards.  The flow
+    `realization.realize` returns holds its complex instead and builds
+    those tables from it when one is first read.
 
     Composition is answered from the path ids: x*y is "x" + "*" + "y" when
     tgt(x) = src(y).  The table {(x, y): x*y for every composable pair} is

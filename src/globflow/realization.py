@@ -13,19 +13,23 @@ No realizer builds a composition table.
 The path and composite counts grow much faster than the complex, so
 `realize` counts them exactly first (a pass over the complex, no path
 listed) and refuses, with RealizationLimitExceeded, a realization holding
-more of them together than GLOBFLOW_REALIZE_LIMIT (default 10^6), as does
-`realize_morphism`.  The sum is the number of edge ids all path ids spell
-out (`count_paths_and_composites`); adjacency pairs are outside the limit.
+more of them together than GLOBFLOW_REALIZE_LIMIT (default 10^6), as do
+`check_realize_limit`, `realize_morphism` and `IncrementalRealizer`.  The
+sum is the number of edge ids all path ids spell out
+(`count_paths_and_composites`); adjacency pairs are outside the limit.
 
 There is one construction, `IncrementalRealizer`: it builds a realization
 cell by cell and keeps its tables current while a complex is built, and
 makes its flow from copies of them when the flow is read.  `realize(c)`
-is the flow of a realizer made from `c`.
+refuses what the realizer refuses and then returns a flow that holds `c`
+and has a realizer build its tables the first time one is read, so a
+caller that only needs the refusal pays only the count.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from .complexes import (
@@ -62,31 +66,37 @@ def path_id(seq: Iterable[str]) -> str:
 def realize(c: GlobularComplex) -> FiniteFlow:
     """The flow of a complex: same states, all execution paths, square moves.
 
-    The flow of an `IncrementalRealizer` made from `c`, which holds
-    copies of the realizer's tables and answers composites from its path
-    ids.  The complex must validate; acyclicity keeps the path set
-    finite.  Before anything is built, the exact numbers of paths and
-    composites are worked out (`count_paths_and_composites`), and a
-    complex whose realization would hold more of them together than
-    GLOBFLOW_REALIZE_LIMIT (default DEFAULT_REALIZE_LIMIT) raises
-    RealizationLimitExceeded; a variable that does not hold a non-negative
-    integer raises ValueError.
+    The complex must validate; acyclicity keeps the path set finite.
+    First the exact numbers of paths and composites are worked out
+    (`count_paths_and_composites`), and whatever `check_realize_limit(c)`
+    raises is raised here, before anything is built.  The flow returned
+    holds `c` and equals the flow of an `IncrementalRealizer` made from
+    `c`: the first read of its `path_ends` or `adjacency` has such a
+    realizer build both tables, without counting again, and the flow
+    keeps them.  It answers composites from its path ids.
     """
-    return IncrementalRealizer(c).flow
+    _admit(c)
+    return _RealizedFlow(c)
 
 
 def check_realize_limit(c: GlobularComplex) -> None:
     """Raise what `realize(c)` raises before it builds anything:
     InvalidComplexError if `c` does not validate, RealizationLimitExceeded
-    over the limit, ValueError for a malformed GLOBFLOW_REALIZE_LIMIT.  An
-    analysis that answers on the complex calls it to refuse the inputs the
-    flow route would."""
-    _check_limit(*count_paths_and_composites(c), _realize_limit())
+    if its realization would hold more paths and composites together than
+    GLOBFLOW_REALIZE_LIMIT (default DEFAULT_REALIZE_LIMIT), ValueError if
+    that variable does not hold a non-negative integer.  An analysis that
+    answers on the complex calls it to refuse the inputs the flow route
+    would."""
+    _admit(c)
 
 
-def _realize_limit() -> int:
-    """GLOBFLOW_REALIZE_LIMIT, or DEFAULT_REALIZE_LIMIT when it is unset."""
-    return env_count(REALIZE_LIMIT_ENV_VAR, DEFAULT_REALIZE_LIMIT)
+def _admit(c: GlobularComplex) -> tuple[int, int]:
+    """Refuse `c` as `check_realize_limit` does; else return the number of
+    composites of its realization and the limit read."""
+    paths, composites = count_paths_and_composites(c)  # validates c first
+    limit = env_count(REALIZE_LIMIT_ENV_VAR, DEFAULT_REALIZE_LIMIT)
+    _check_limit(paths, composites, limit)
+    return composites, limit
 
 
 def _check_limit(paths: int, composites: int, limit: int) -> None:
@@ -138,8 +148,8 @@ class IncrementalRealizer:
     GLOBFLOW_REALIZE_LIMIT, as read when the realizer was made, raises
     RealizationLimitExceeded, as `realize` of the extended complex would.
 
-    Making a realizer checks the limit on `c` as `realize` does, then adds
-    every edge of `c` and then every square to empty tables.  The attach
+    Making a realizer refuses `c` as `realize` does, then adds every edge
+    of `c` and then every square to empty tables.  The attach
     methods return nothing.  `flow` is made when read, from copies of the
     tables, so no later attach changes a flow already read, and it is kept
     until the next attach goes through.  `complex` is `c` until the first
@@ -149,10 +159,13 @@ class IncrementalRealizer:
     """
 
     def __init__(self, c: GlobularComplex):
-        paths, composites = count_paths_and_composites(c)  # validates c first
-        self._limit = _realize_limit()
-        _check_limit(paths, composites, self._limit)
-        self._composites = composites
+        self._composites, self._limit = _admit(c)
+        self._fill(c)
+
+    def _fill(self, c: GlobularComplex) -> None:
+        """Set up the tables of `c` from empty: every edge, then every
+        square.  A realizer a `realize` flow fills this way, without
+        `__init__`, has not counted `c` and is read once, never attached to."""
         self._base = c
         # the states in attach order (a dict with None values is an ordered
         # set), as `complex` lists them
@@ -315,3 +328,33 @@ class IncrementalRealizer:
     def _changed(self) -> None:
         """Drop the flow and the complex built for the cells before."""
         self._flow = self._complex = None
+
+
+class _RealizedFlow(_ConcatenativeFlow):
+    """The flow `realize` returns for a complex it has admitted.  It holds
+    the complex and its states; the first read of `path_ends` or
+    `adjacency` has a realizer fill both tables from the complex, without
+    counting it again, and the flow keeps them.  Everything else is
+    `_ConcatenativeFlow`'s."""
+
+    def __init__(self, c: GlobularComplex):
+        self.skeleton = frozenset(c.states)
+        self._complex = c
+
+    @cached_property
+    def path_ends(self) -> dict[str, tuple[str, str]]:
+        self._build()
+        return self.path_ends
+
+    @cached_property
+    def adjacency(self) -> frozenset[tuple[str, str]]:
+        self._build()
+        return self.adjacency
+
+    def _build(self) -> None:
+        """Keep the realizer's tables as the instance's own, where the
+        cached properties would put them."""
+        realizer = IncrementalRealizer.__new__(IncrementalRealizer)
+        realizer._fill(self._complex)
+        self.path_ends = realizer._path_ends
+        self.adjacency = frozenset(realizer._adjacency)

@@ -7,8 +7,9 @@ import pytest
 
 import oracles
 from conftest import make_chain, make_grid, make_interval, random_complex, random_pv_source
-from globflow import complexes, realization
+from globflow import cli, complexes, realization
 from globflow.complexes import count_paths_and_composites
+from globflow.flows import _ConcatenativeFlow
 from globflow import (
     Edge,
     GlobularComplex,
@@ -22,7 +23,9 @@ from globflow import (
     compose_complex_morphisms,
     compose_flow_morphisms,
     dihomotopy_classes,
+    dumps_complex,
     dumps_flow,
+    dumps_realization,
     find_flow_isomorphism,
     glob_discrete,
     glob_flow,
@@ -681,3 +684,107 @@ class TestHomotopyAgreement:
         paths = all_exec_paths(grid)
         assert paths == sorted(paths)
         assert len(paths) == 6
+
+
+def _deferred_inputs(rng):
+    """Seeded random complexes, random PV programs and the PV corpus."""
+    corpus = (oracles.MUTEX_SOURCE, oracles.SWISS_FLAG_SOURCE, oracles.dining_philosophers_source(3))
+    return list(_random_targets(rng)) + [pv_to_complex(parse_pv(s)) for s in corpus]
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Replace `owner.name` by a wrapper that records each call; return
+    the list of calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestDeferredRealization:
+    """`realize` refuses from the counts alone, and its flow has a realizer
+    fill its tables the first time one is read.  Every realizer that
+    builds tables goes through `IncrementalRealizer._fill`."""
+
+    def test_equals_the_realizer_flow(self, rng):
+        for c in _deferred_inputs(rng):
+            want = IncrementalRealizer(c).flow
+            # each comparison is the first read of a fresh flow
+            assert realize(c) == want
+            assert want == realize(c)
+            assert dumps_flow(realize(c), c.init, c.finals) == dumps_flow(want, c.init, c.finals)
+            assert validate_flow(realize(c)) == validate_flow(want)
+            flow = realize(c)
+            assert isinstance(flow, _ConcatenativeFlow)
+            assert repr(flow) == repr(want)
+
+    def test_tables_are_built_when_first_read(self, rng, monkeypatch):
+        fills = _count_calls(monkeypatch, IncrementalRealizer, "_fill")
+        counts = _count_calls(monkeypatch, realization, "count_paths_and_composites")
+        for c in _deferred_inputs(rng):
+            for first in ("path_ends", "adjacency"):
+                del fills[:], counts[:]
+                flow = realize(c)
+                assert (len(fills), len(counts)) == (0, 1)
+                for name in ("path_ends", "adjacency", "by_src", "sorted_paths", "composition"):
+                    assert name not in vars(flow)
+                assert flow.skeleton == frozenset(c.states)
+                getattr(flow, first)
+                assert "path_ends" in vars(flow) and "adjacency" in vars(flow)
+                assert "composition" not in vars(flow)
+                tables = flow.path_ends, flow.adjacency
+                dumps_flow(flow)
+                assert validate_flow(flow).ok
+                assert (flow.path_ends, flow.adjacency) == tables
+                assert flow.path_ends is tables[0] and flow.adjacency is tables[1]
+                # one fill, and the count is not redone on read
+                assert (len(fills), len(counts)) == (1, 1)
+
+    def test_refusals_build_nothing(self, rng, monkeypatch):
+        fills = _count_calls(monkeypatch, IncrementalRealizer, "_fill")
+        for c in _deferred_inputs(rng):
+            paths, composites = count_paths_and_composites(c)
+            if paths + composites == 0:
+                continue
+            monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", str(paths + composites - 1))
+            for refuse in (realize, realization.check_realize_limit, IncrementalRealizer):
+                with pytest.raises(RealizationLimitExceeded) as caught:
+                    refuse(c)
+                assert (caught.value.paths, caught.value.composites) == (paths, composites)
+                assert caught.value.limit == paths + composites - 1
+            monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", str(paths + composites))
+            flow = realize(c)
+            assert fills == []
+            assert len(flow.path_ends) == paths
+            del fills[:]
+
+        cyclic = GlobularComplex(
+            states=("u", "v"), edges=(Edge("a", "u", "v"), Edge("b", "v", "u"))
+        )
+        monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", "abc")
+        for refuse in (realize, realization.check_realize_limit, IncrementalRealizer):
+            with pytest.raises(InvalidComplexError):
+                refuse(cyclic)  # the complex is checked before the variable
+            with pytest.raises(ValueError, match="GLOBFLOW_REALIZE_LIMIT must be a non-negative integer"):
+                refuse(make_chain(3))
+        assert fills == []
+
+    def test_cli_realize_builds_no_table(self, rng, monkeypatch, tmp_path, capsys):
+        fills = _count_calls(monkeypatch, IncrementalRealizer, "_fill")
+        for i, c in enumerate(_deferred_inputs(rng)):
+            source = tmp_path / f"c{i}.json"
+            source.write_text(dumps_complex(c))
+            out = tmp_path / f"c{i}.realization.json"
+            assert cli.main(["realize", str(source), "-o", str(out)]) == 0
+            assert out.read_text() == dumps_realization(c)
+        pv = tmp_path / "swiss.pv"
+        pv.write_text(oracles.SWISS_FLAG_SOURCE)
+        assert cli.main(["realize", str(pv), "--pv", "-o", "-"]) == 0
+        swiss = pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE))
+        assert capsys.readouterr().out == dumps_realization(swiss)
+        assert fills == []
