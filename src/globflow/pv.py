@@ -240,13 +240,18 @@ def _check_releases(program: PvProgram) -> None:
 
 def _check_program(program: PvProgram) -> None:
     """Raise the PvError `parse_pv` raises on the source of `program`, if
-    any, without its position.  So every count a process holds is >= 0."""
+    any, without its position, or "process k has no steps" for a process
+    no source can write.  So every count a process holds is >= 0."""
     declared: set[str] = set()
     for name, capacity in program.resources:
         _check_capacity(capacity)
         _check_new_resource(name, declared)
         declared.add(name)
-    for process in program.processes:
+    if not program.processes:
+        raise PvSyntaxError("program declares no processes")
+    for k, process in enumerate(program.processes):
+        if not process:
+            raise PvError(f"process {k} has no steps")
         for step in process:
             _check_op(step.op)
             _check_resource(step.op, step.arg, declared)

@@ -1,12 +1,15 @@
-"""Shared builders for the test suite.
+"""Shared builders and helpers for the test suite.
 
 Random complexes are generated over an index-ordered state set, so
 acyclicity holds by construction; squares are sampled from actual pairs of
 parallel paths, so every generated complex validates.
 """
 
+import io
 import os
 import random
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
 
@@ -14,8 +17,10 @@ import pytest
 
 from globflow import (
     Edge,
+    FiniteFlow,
     GlobularComplex,
     Square,
+    cli,
     enumerate_paths,
 )
 
@@ -124,3 +129,54 @@ def random_pv_source(rng: random.Random):
         processes.append("proc: " + ".".join(steps))
     resources = " ".join(f"res {r} {n};" for r, n in sorted(capacities.items()))
     return resources + "\n" + "\n".join(processes) + "\n"
+
+
+def ready_order(rng: random.Random, target: GlobularComplex):
+    """The cells of `target` in a random order in which each can be
+    attached: a state any time, an edge once both endpoints are there, a
+    square once all its edges are, with its sides in either order."""
+    states, edges, squares = list(target.states), list(target.edges), list(target.squares)
+    present_states, present_edges = set(), set()
+    while states or edges or squares:
+        ready = states + [e for e in edges if {e.src, e.tgt} <= present_states]
+        ready += [q for q in squares if set(q.left + q.right) <= present_edges]
+        cell = rng.choice(ready)
+        if isinstance(cell, str):
+            states.remove(cell)
+            present_states.add(cell)
+        elif isinstance(cell, Edge):
+            edges.remove(cell)
+            present_edges.add(cell.id)
+        else:
+            squares.remove(cell)
+            if rng.random() < 0.5:  # either side may come first
+                cell = Square(cell.id, cell.right, cell.left)
+        yield cell
+
+
+def pv_oracle_input(program):
+    """`program` as `oracles` take PV programs: (processes, capacities)."""
+    processes = [[(step.op, step.arg) for step in p] for p in program.processes]
+    return processes, dict(program.resources)
+
+
+def trace_of(path):
+    """Process-index schedule of a compiled path (edge ids end in '>p<k>')."""
+    return tuple(int(e.rsplit(">p", 1)[1]) for e in path)
+
+
+def explicit(flow):
+    """The explicit flow holding `flow`'s composition table."""
+    return FiniteFlow(flow.skeleton, flow.path_ends, flow.composition, flow.adjacency)
+
+
+def run(*argv, stdin=""):
+    """`globflow *argv` in-process, reading `stdin`: (exit code, stdout, stderr)."""
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()

@@ -5,7 +5,10 @@ from itertools import combinations
 import pytest
 
 import oracles
-from conftest import make_chain, make_grid, make_interval, random_complex, random_pv_source
+from conftest import (
+    make_chain, make_grid, make_interval, pv_oracle_input, random_complex, random_pv_source,
+    trace_of,
+)
 from globflow import (
     ComplexMorphism,
     Edge,
@@ -24,7 +27,6 @@ from globflow import (
     is_complex_morphism,
     parse_pv,
     path_classes,
-    deadlocks,
     dumps_complex,
     loads_complex,
     pv_to_complex,
@@ -32,7 +34,6 @@ from globflow import (
     realize_morphism,
     same_move_class,
     square_move_neighbors,
-    state_name,
     subdivide_edge,
     validate_complex,
 )
@@ -413,16 +414,6 @@ def _with_square_after(c):
     )
 
 
-def _pv_oracle_input(program):
-    processes = [[(step.op, step.arg) for step in p] for p in program.processes]
-    return processes, dict(program.resources)
-
-
-def _trace_of(path):
-    """Process-index schedule of a compiled path (edge ids end in '>p<k>')."""
-    return tuple(int(e.rsplit(">p", 1)[1]) for e in path)
-
-
 class TestClassPropagation:
     def _check_every_pair_of_paths(self, c):
         rewrites = [(q.left, q.right) for q in c.squares]
@@ -449,10 +440,10 @@ class TestClassPropagation:
             c = pv_to_complex(program)
             self._check_every_pair_of_paths(c)
             got = {
-                frozenset(_trace_of(p) for p in block)
+                frozenset(trace_of(p) for p in block)
                 for block in path_classes(c, c.init, c.finals[0])
             }
-            assert got == oracles.pv_trace_classes(*_pv_oracle_input(program))
+            assert got == oracles.pv_trace_classes(*pv_oracle_input(program))
 
     def test_path_classes_keep_the_block_order(self, rng):
         for _ in range(25):
@@ -630,22 +621,8 @@ class TestClassesOnBadInput:
 
 
 class TestComplexDeadlocks:
-    """`complex_deadlocks` answers as `flows.deadlocks` on the realization."""
-
-    def test_matches_the_flow_route_on_random_complexes(self, rng):
-        for _ in range(40):
-            c = random_complex(rng)
-            flow = realize(c)
-            for init in c.states:
-                finals = rng.sample(c.states, rng.randint(0, 2))
-                assert complex_deadlocks(c, init, finals) == deadlocks(flow, init, finals)
-
-    def test_random_pv_programs_match_the_oracle(self, rng):
-        for _ in range(30):
-            program = parse_pv(random_pv_source(rng))
-            c = pv_to_complex(program)
-            want = {state_name(t) for t in oracles.pv_deadlock_states(*_pv_oracle_input(program))}
-            assert set(complex_deadlocks(c, c.init, c.finals)) == want
+    """`complex_deadlocks` answers as `flows.deadlocks` on the realization
+    (`tests/test_routes.py`, the `library-complex` route), with its texts."""
 
     def test_unknown_states_raise_the_flow_texts(self):
         c = make_chain(2)

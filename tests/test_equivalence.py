@@ -6,7 +6,9 @@ from math import factorial
 import pytest
 
 import oracles
-from conftest import make_chain, make_grid, make_interval, make_parallel_pair, random_complex
+from conftest import (
+    explicit, make_chain, make_grid, make_interval, make_parallel_pair, random_complex,
+)
 from globflow import (
     Edge,
     FiniteFlow,
@@ -367,11 +369,6 @@ def _library_flow(flow):
     return FiniteFlow(skeleton, path_ends, composition, adjacency)
 
 
-def _explicit(flow):
-    """The explicit flow holding `flow`'s composition table."""
-    return FiniteFlow(flow.skeleton, flow.path_ends, flow.composition, flow.adjacency)
-
-
 def _maps(f):
     return dict(f.state_map), dict(f.path_map)
 
@@ -680,7 +677,7 @@ class TestCorestrictionByRestriction:
         for _ in range(30):
             c = random_complex(rng, min_edges=1, max_states=5, max_edges=7, max_squares=3)
             for f, x, y in _t_check_cases(c, rng):
-                for fx, fy in ((x, y), (_explicit(x), _explicit(y))):
+                for fx, fy in ((x, y), (explicit(x), explicit(y))):
                     report = check_t_dihomotopy(f, fx, fy)
                     holds, details = _corestriction_by_restriction(f, fx, fy)
                     assert report.restriction_isomorphism == holds
@@ -748,13 +745,13 @@ class TestConcatenativeFlows:
             x, y = realize(c), rng.choice(ys)
             twin = realize(_with_twin(c, rng.choice(c.edges), squared=True))
             for flow in (x, y):
-                explicit = _explicit(flow)
+                copy = explicit(flow)
                 for state in sorted(flow.skeleton):
                     for sign in ("minus", "plus"):
-                        assert germs(flow, state, sign) == germs(explicit, state, sign)
+                        assert germs(flow, state, sign) == germs(copy, state, sign)
             for dom, cod in ((x, x), (x, y), (y, x), (x, twin), (twin, x)):
                 answers = []
-                for a, b in ((dom, cod), (_explicit(dom), _explicit(cod))):
+                for a, b in ((dom, cod), (explicit(dom), explicit(cod))):
                     maps = [_maps(g) for g in islice(enumerate_flow_morphisms(a, b), 40)]
                     charged = _Meter.last.used
                     witness = s_equivalent(a, b)
@@ -765,12 +762,12 @@ class TestConcatenativeFlows:
     def test_equality_with_explicit_flows_compares_composition(self, rng):
         for _, _, ys in _concatenative_cases(rng, 10):
             for y in ys:
-                explicit = _explicit(y)
-                assert y == explicit and explicit == y
-                pair = next(iter(explicit.composition))
+                copy = explicit(y)
+                assert y == copy and copy == y
+                pair = next(iter(copy.composition))
                 for composition in (
-                    {k: v for k, v in explicit.composition.items() if k != pair},
-                    explicit.composition | {pair: pair[0]},
+                    {k: v for k, v in copy.composition.items() if k != pair},
+                    copy.composition | {pair: pair[0]},
                 ):
                     other = FiniteFlow(y.skeleton, y.path_ends, composition, y.adjacency)
                     assert y != other and other != y

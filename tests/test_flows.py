@@ -4,7 +4,9 @@ import random
 import pytest
 
 import oracles
-from conftest import make_chain, random_complex, random_pv_source
+from conftest import (
+    explicit, make_chain, pv_oracle_input, random_complex, random_pv_source, trace_of,
+)
 from globflow import flows
 from globflow import (
     FiniteFlow,
@@ -27,7 +29,6 @@ from globflow import (
     realize,
     restrict,
     s_homotopic,
-    state_name,
     validate_flow,
 )
 
@@ -299,11 +300,6 @@ def _mutants(doc, rng):
         yield "unpaired", changed(add_pairs=unpaired)
 
 
-def _explicit(flow):
-    """The explicit flow holding `flow`'s composition table."""
-    return FiniteFlow(flow.skeleton, flow.path_ends, flow.composition, flow.adjacency)
-
-
 class TestConcatenationCertificates:
     """A concatenative flow is validated by two certificates, and by the
     exact checks on its concatenation table when one fails; either way its
@@ -317,7 +313,7 @@ class TestConcatenationCertificates:
             for kind, mutant in _mutants(doc, rng):
                 flow, _ = loads_flow(json.dumps(mutant))
                 report = validate_flow(flow)
-                assert report.violations == validate_flow(_explicit(flow)).violations, kind
+                assert report.violations == validate_flow(explicit(flow)).violations, kind
                 if not report.ok:
                     failing.add(kind)
         assert failing == {
@@ -625,15 +621,6 @@ class TestDeadlocks:
             want = tuple(sorted(reached - departing - set(finals)))
             assert deadlocks(flow, init, finals) == want
 
-    def test_random_pv_programs_match_pv_oracle(self, rng):
-        for _ in range(20):
-            program = parse_pv(random_pv_source(rng))
-            c = pv_to_complex(program)
-            processes = [[(step.op, step.arg) for step in p] for p in program.processes]
-            want = oracles.pv_deadlock_states(processes, program.capacities)
-            got = deadlocks(realize(c), c.init, c.finals)
-            assert got == tuple(sorted(state_name(t) for t in want))
-
 
 class TestDihomotopyClasses:
     def test_parallel_paths_without_adjacency(self):
@@ -664,12 +651,8 @@ class TestDihomotopyClasses:
             # only the member paths were grouped
             assert "adjacency_components" not in vars(flow)
         for program, c in zip(programs, complexes[30:]):
-            processes = [[(step.op, step.arg) for step in p] for p in program.processes]
             got = {
-                frozenset(
-                    tuple(int(e.rsplit(">p", 1)[1]) for e in path.split("*"))
-                    for path in block
-                )
+                frozenset(trace_of(path.split("*")) for path in block)
                 for block in dihomotopy_classes(realize(c), c.init, c.finals[0])
             }
-            assert got == oracles.pv_trace_classes(processes, dict(program.resources))
+            assert got == oracles.pv_trace_classes(*pv_oracle_input(program))

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 import oracles
-from conftest import make_grid, random_complex, random_pv_source
+from conftest import explicit, make_grid, random_complex, random_pv_source
 from globflow import (
     Edge,
     FiniteFlow,
@@ -164,9 +164,9 @@ class TestFlowWriter:
         written = 0
         for c in _realistic_complexes(rng):
             f = realize(c)
-            explicit = FiniteFlow(f.skeleton, f.path_ends, f.composition, f.adjacency)
-            text = dumps_flow(explicit, c.init, c.finals)
-            assert text == _reference_text(explicit, c.init, c.finals)
+            copy = explicit(f)
+            text = dumps_flow(copy, c.init, c.finals)
+            assert text == _reference_text(copy, c.init, c.finals)
             doc = json.loads(text)
             assert "composition" not in doc
             assert len(doc["compose"]) == len(f.composition)
@@ -219,8 +219,7 @@ def _realistic_complexes(rng):
 
 def _explicit_text(flow, init=None, finals=None):
     """The document of `flow` with its composition written out as triples."""
-    explicit = FiniteFlow(flow.skeleton, flow.path_ends, flow.composition, flow.adjacency)
-    return json.dumps(flow_to_doc(explicit, init, finals), indent=2)
+    return json.dumps(flow_to_doc(explicit(flow), init, finals), indent=2)
 
 
 class TestConcatenationDocuments:

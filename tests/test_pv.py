@@ -3,7 +3,7 @@ from itertools import combinations, product
 import pytest
 
 import oracles
-from conftest import random_pv_source
+from conftest import pv_oracle_input, random_pv_source, trace_of
 from globflow import (
     Edge,
     GlobularComplex,
@@ -21,11 +21,6 @@ from globflow import (
     validate_complex,
     validate_flow,
 )
-
-
-def trace_of(path):
-    """Process-index schedule of an edge-id path (edge ids end in '>p<k>')."""
-    return tuple(int(eid.rsplit(">p", 1)[1]) for eid in path)
 
 
 def oracle_grid(processes, capacities):
@@ -262,8 +257,7 @@ class TestCompile:
         programs = [(parse_pv(source), semantics) for source, semantics in corpus]
         for _ in range(200):
             program = parse_pv(random_pv_source(rng))
-            processes = [[(s.op, s.arg) for s in p] for p in program.processes]
-            programs.append((program, (processes, program.capacities)))
+            programs.append((program, pv_oracle_input(program)))
         for program, (processes, capacities) in programs:
             want = oracle_grid(processes, capacities)
             assert dumps_complex(pv_to_complex(program)) == dumps_complex(want)

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import oracles
-from conftest import random_pv_source
+from conftest import random_pv_source, run
 from globflow import (
     CompileLimitExceeded,
     DEFAULT_COMPILE_LIMIT,
@@ -25,7 +25,6 @@ from globflow import (
     pv_to_complex,
 )
 from globflow import complexes
-from globflow.cli import main
 from globflow.pv import _grid_counts, _tokenize, _usage
 
 # sha256 of dumps_complex over `_frozen_set`, each document followed by a
@@ -48,12 +47,6 @@ def compiled():
 
 def mutex_source(n, capacity=1):
     return f"res a {capacity}; " + " ".join(["proc: P(a).V(a)"] * n)
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 class TestCertifiedOutput:
@@ -150,26 +143,26 @@ class TestCompileLimit:
             )
             assert caught.value.limit == cells - 1
 
-    def test_cli_exits_3_at_count_minus_one(self, capsys, tmp_path, monkeypatch):
+    def test_cli_exits_3_at_count_minus_one(self, tmp_path, monkeypatch):
         source = tmp_path / "swiss.pv"
         source.write_text(oracles.SWISS_FLAG_SOURCE)
         monkeypatch.setenv("GLOBFLOW_COMPILE_LIMIT", "48")  # 20 + 24 + 4 cells
-        code, out, err = run(capsys, "realize", str(source), "--pv")
+        code, out, err = run("realize", str(source), "--pv")
         assert code == 0, err
         assert json.loads(out)["realization_of"]["init"] == "p0:0,p1:0"
         monkeypatch.setenv("GLOBFLOW_COMPILE_LIMIT", "47")
-        assert run(capsys, "realize", str(source), "--pv") == (
+        assert run("realize", str(source), "--pv") == (
             3,
             "",
             "error: compile limit exceeded: 20 states + 24 edges + 4 squares > limit 47\n",
         )
 
     @pytest.mark.parametrize("value", ["-1", "abc", "1.5", ""])
-    def test_cli_rejects_a_malformed_limit(self, capsys, tmp_path, monkeypatch, value):
+    def test_cli_rejects_a_malformed_limit(self, tmp_path, monkeypatch, value):
         source = tmp_path / "mutex.pv"
         source.write_text(oracles.MUTEX_SOURCE)
         monkeypatch.setenv("GLOBFLOW_COMPILE_LIMIT", value)
-        assert run(capsys, "realize", str(source), "--pv") == (
+        assert run("realize", str(source), "--pv") == (
             1,
             "",
             "error: GLOBFLOW_COMPILE_LIMIT must be a non-negative integer\n",
@@ -236,8 +229,12 @@ class TestProgramCheck:
                 PvProgram((("a", 1), ("a", 2)), ((PvStep("P", "a"), PvStep("V", "a")),)),
                 "res a 1; res a 2; proc: P(a).V(a)",
             ),
+            (PvProgram((("a", 1),), ()), "res a 1;"),
         ],
-        ids=["unknown op", "undeclared resource", "capacity", "release", "declared twice"],
+        ids=[
+            "unknown op", "undeclared resource", "capacity", "release", "declared twice",
+            "no processes",
+        ],
     )
     def test_faults_are_refused_with_the_parser_text(self, program, source):
         with pytest.raises(PvError) as parsed:
@@ -250,6 +247,13 @@ class TestProgramCheck:
         if parsed.value.line is not None:
             text = text.split(": ", 1)[1]
         assert str(built.value) == text
+
+    def test_a_process_without_steps_is_refused(self):
+        # no source writes a process without steps, so the text is the check's own
+        with pytest.raises(PvError) as built:
+            pv_to_complex(PvProgram((), ((),)))
+        assert type(built.value) is PvError
+        assert (str(built.value), built.value.line) == ("process 0 has no steps", None)
 
     def test_a_parsed_program_passes(self):
         program = parse_pv(oracles.SWISS_FLAG_SOURCE)

@@ -6,7 +6,9 @@ from itertools import islice
 import pytest
 
 import oracles
-from conftest import make_chain, make_grid, make_interval, random_complex, random_pv_source
+from conftest import (
+    make_chain, make_grid, make_interval, random_complex, random_pv_source, ready_order,
+)
 from globflow import cli, complexes, realization
 from globflow.complexes import count_paths_and_composites
 from globflow.flows import _ConcatenativeFlow
@@ -227,29 +229,6 @@ class TestIncrementalRealize:
             realizer.attach(Edge("e", "0", "1"))
 
 
-def _ready_order(rng, target):
-    """The cells of `target` in a random order in which each can be
-    attached: a state any time, an edge once both endpoints are there, a
-    square once all its edges are, with its sides in either order."""
-    states, edges, squares = list(target.states), list(target.edges), list(target.squares)
-    present_states, present_edges = set(), set()
-    while states or edges or squares:
-        ready = states + [e for e in edges if {e.src, e.tgt} <= present_states]
-        ready += [q for q in squares if set(q.left + q.right) <= present_edges]
-        cell = rng.choice(ready)
-        if isinstance(cell, str):
-            states.remove(cell)
-            present_states.add(cell)
-        elif isinstance(cell, Edge):
-            edges.remove(cell)
-            present_edges.add(cell.id)
-        else:
-            squares.remove(cell)
-            if rng.random() < 0.5:  # either side may come first
-                cell = Square(cell.id, cell.right, cell.left)
-        yield cell
-
-
 def _views(flow):
     blocks = {}
     for p, k in flow.adjacency_components.items():
@@ -274,7 +253,7 @@ class TestIncrementalRealizerTables:
         for target in _random_targets(rng):
             realizer = IncrementalRealizer(GlobularComplex(states=()))
             handed_out = []
-            for cell in _ready_order(rng, target):
+            for cell in ready_order(rng, target):
                 realizer.attach(cell)
                 flow = realizer.flow
                 want = realize(realizer.complex)
@@ -327,6 +306,15 @@ class TestIncrementalRealizerTables:
         realizer.attach(Edge("e", "00", "11"))
         assert realizer.flow == realize(realizer.complex)
 
+    @pytest.mark.parametrize("cell", [42, ("e", "00", "11")], ids=["int", "tuple"])
+    def test_a_value_that_is_no_cell_is_refused(self, cell):
+        realizer = IncrementalRealizer(make_grid(True))
+        flow, complex_ = realizer.flow, realizer.complex
+        with pytest.raises(InvalidAttachmentError) as raised:
+            realizer.attach(cell)
+        assert str(raised.value) == f"not an attachable cell: {cell!r}"
+        assert realizer.flow is flow and realizer.complex is complex_
+
     def test_degenerate_square_adds_no_adjacency(self):
         realizer = IncrementalRealizer(make_grid(False))
         before = realizer.flow
@@ -352,7 +340,7 @@ class TestIncrementalRealizerTables:
         for target in _random_targets(rng):
             realizer = IncrementalRealizer(GlobularComplex(states=()))
             steps = [(realizer.flow, realize(realizer.complex))]
-            for cell in _ready_order(rng, target):
+            for cell in ready_order(rng, target):
                 realizer.attach(cell)
                 steps.append((realizer.flow, realize(realizer.complex)))
                 with pytest.raises(InvalidAttachmentError):
@@ -455,7 +443,7 @@ class TestCompositionById:
         for target in islice(_random_targets(rng), 12):
             realizer = IncrementalRealizer(GlobularComplex(states=()))
             steps = []
-            for cell in _ready_order(rng, target):
+            for cell in ready_order(rng, target):
                 realizer.attach(cell)
                 steps.append((realizer.flow, realizer.complex))
             for flow, c in steps:
@@ -507,7 +495,7 @@ def _build(rng, target):
     ready order, and how many edges came after some square."""
     realizer = IncrementalRealizer(GlobularComplex(states=()))
     squares_seen, late_edges = False, 0
-    for cell in _ready_order(rng, target):
+    for cell in ready_order(rng, target):
         squares_seen = squares_seen or isinstance(cell, Square)
         late_edges += squares_seen and isinstance(cell, Edge)
         realizer.attach(cell)
@@ -612,7 +600,7 @@ class TestRealizationLimit:
             limit = rng.randrange(paths + composites)
             monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", str(limit))
             realizer = IncrementalRealizer(GlobularComplex(states=()))
-            for cell in _ready_order(rng, target):
+            for cell in ready_order(rng, target):
                 if not isinstance(cell, Edge):
                     realizer.attach(cell)
                     continue
@@ -635,7 +623,7 @@ class TestRealizationLimit:
             # at the full size exactly, the whole build goes through
             monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", str(paths + composites))
             realizer = IncrementalRealizer(GlobularComplex(states=()))
-            for cell in _ready_order(rng, target):
+            for cell in ready_order(rng, target):
                 realizer.attach(cell)
             assert realizer.flow == realize(target)
 
