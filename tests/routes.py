@@ -25,9 +25,9 @@ from functools import cached_property, partial
 import oracles
 from conftest import explicit, pv_oracle_input, random_complex, random_pv_source, ready_order, run
 from globflow import (
-    GermSet, GlobflowError, GlobularComplex, IncrementalRealizer, cli, complex_deadlocks,
-    deadlocks, dihomotopy_classes, dumps_complex, export_dot, germs, parse_pv,
-    pv_to_complex, realize, state_name,
+    GermSet, GlobflowError, GlobularComplex, IncrementalRealizer, UnknownIdError, cli,
+    complex_deadlocks, deadlocks, dihomotopy_classes, dumps_complex, export_dot, germs,
+    parse_pv, pv_to_complex, realize, state_name,
 )
 from globflow.complexes import count_paths_and_composites
 from globflow.formats import flow_to_doc
@@ -127,7 +127,7 @@ def _parse(argv: tuple[str, ...]):
 
 def _answer(argv, annotations, states, deadlocks_of, classes_of, germs_of=None, dot_of=None):
     """`argv` answered by the analyses given, rendered as `cli.main` renders
-    them; None for a question none of them answers."""
+    them; None for a question none of them answers, or one answers None to."""
     args = _parse(argv)
     if args.command == "dot":
         return None if dot_of is None else (dot_of(), 0)
@@ -135,16 +135,17 @@ def _answer(argv, annotations, states, deadlocks_of, classes_of, germs_of=None, 
         return None
     try:
         if args.deadlocks:
-            text = cli.deadlocks_report(deadlocks_of(*cli._deadlock_ends(args, annotations)))
+            init, finals = cli._deadlock_ends(args, annotations)
+            report, found = cli.deadlocks_report, deadlocks_of(init, finals)
         elif args.classes is not None:
             src, tgt = (cli._resolve_state(s, states, annotations) for s in args.classes)
-            text = cli.classes_report(classes_of(src, tgt))
+            report, found = cli.classes_report, classes_of(src, tgt)
         else:
             state = cli._resolve_state(args.germs, states, annotations)
-            text = cli.germs_report(germs_of(state, "plus" if args.plus else "minus"))
+            report, found = cli.germs_report, germs_of(state, "plus" if args.plus else "minus")
     except GlobflowError:
         return "", 1
-    return text + "\n", 0
+    return None if found is None else (report(found) + "\n", 0)
 
 
 def _flow_route(flow_of):
@@ -209,50 +210,44 @@ def _sorted_blocks(blocks):
 
 
 def oracle_answer(inp: Input, argv):
-    """What `oracles` say the reference route prints for `argv`; None for
-    `dot`, and past ORACLE_PATHS for all but the deadlocks and init-final
-    classes of a PV program."""
-    args, c, program, realized = _parse(argv), inp.complex, inp.program, inp.oracle_realization
-    if args.command == "dot":
-        return None
-    if args.deadlocks:
-        try:
-            init, finals = cli._deadlock_ends(args, inp.annotations)
-        except GlobflowError:
-            return "", 1
-        if init not in c.state_set or not set(finals) <= c.state_set:
-            return "", 1
+    """What `oracles` say the reference route prints for `argv`, or None where
+    they are silent: on `dot`, and past ORACLE_PATHS on all but the deadlocks
+    and the init-final classes of a PV program."""
+    c, program, realized = inp.complex, inp.program, inp.oracle_realization
+
+    def known(*states):
+        if not set(states) <= c.state_set:
+            raise UnknownIdError(", ".join(states))
+
+    def deadlocks_of(init, finals):
+        known(init, *finals)
         if program is not None and (init, sorted(finals)) == (c.init, sorted(c.finals)):
-            found = {state_name(t) for t in oracles.pv_deadlock_states(*program)}
-        elif realized is not None:  # reachable, not final, and no path leaves it
+            return sorted(state_name(t) for t in oracles.pv_deadlock_states(*program))
+        if realized is not None:  # reachable, not final, and no path leaves it
             ends = realized[1].values()
             found = {init} | {t for s, t in ends if s == init}
-            found -= set(finals) | {s for s, _ in ends}
-        else:
-            return None
-        return cli.deadlocks_report(sorted(found)) + "\n", 0
-    if args.classes is not None:
-        src, tgt = (cli._resolve_state(s, c.state_set, inp.annotations) for s in args.classes)
-        if not {src, tgt} <= c.state_set:
-            return "", 1
+            return sorted(found - set(finals) - {s for s, _ in ends})
+        return None
+
+    def classes_of(src, tgt):
+        known(src, tgt)
         if program is not None and (src, tgt) == (c.init, *c.finals):
             path_of = partial(_path_of_trace, len(program[0]))
-            blocks = [map(path_of, b) for b in oracles.pv_trace_classes(*program)]
-        elif realized is not None:
+            return _sorted_blocks(map(path_of, b) for b in oracles.pv_trace_classes(*program))
+        if realized is not None:
             paths = oracles.graph_paths({e.id: (e.src, e.tgt) for e in c.edges}, src, tgt)
             moves = oracles.move_classes(paths, [(q.left, q.right) for q in c.squares])
-            blocks = [map("*".join, b) for b in moves]
-        else:
-            return None
-        return cli.classes_report(_sorted_blocks(blocks)) + "\n", 0
-    state = cli._resolve_state(args.germs, c.state_set, inp.annotations)
-    if state not in c.state_set:
-        return "", 1
-    if realized is None:
+            return _sorted_blocks(map("*".join, b) for b in moves)
         return None
-    sign = "plus" if args.plus else "minus"
-    blocks = _sorted_blocks(oracles.germ_classes(realized[1], realized[2], state, sign))
-    return cli.germs_report(GermSet(state, sign, blocks)) + "\n", 0
+
+    def germs_of(state, sign):
+        known(state)
+        if realized is None:
+            return None
+        blocks = oracles.germ_classes(realized[1], realized[2], state, sign)
+        return GermSet(state, sign, _sorted_blocks(blocks))
+
+    return _answer(argv, inp.annotations, c.state_set, deadlocks_of, classes_of, germs_of)
 
 
 # ---------------------------------------------------------------------------
