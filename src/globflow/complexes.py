@@ -21,13 +21,11 @@ edge is well defined on classes.  The last such table is kept on the
 complex, keyed by its two endpoints, so `same_move_class` on the members
 that `path_classes` has just listed propagates no second time.
 
-Paths are listed by one depth-first loop (`_members`), over the edges
-into states that can reach the target.  Every path listing refuses a
-complex that does not validate, with InvalidComplexError carrying its
-validation report, so the loop keeps no cycle bookkeeping: validation has
-proved the 1-skeleton acyclic.  It needs no sort either: out-edges are
-taken in edge-id order and no member is a prefix of another, so the order
-is lexicographic by construction.
+Paths are listed from one backward suffix table (`_suffix_table`): the
+paths out of a state are its out-edges, in edge-id order, each put before
+the paths out of its target, so every list is lexicographic with no stack
+and no sort.  Every path listing refuses a complex that does not validate,
+with InvalidComplexError carrying its validation report.
 
 The deadlocks of the realization are read off the edges the same way,
 without listing a path (`complex_deadlocks`).
@@ -321,69 +319,71 @@ def glob_discrete(labels: Iterable[str]) -> GlobularComplex:
     )
 
 
-def _members(
-    steps: Mapping[str, list[tuple[str, StateId]]],
-    src: StateId,
-    tgt: Optional[StateId] = None,
-) -> list[ExecPath]:
-    """The paths out of `src` along `steps`, depth first: every prefix, or
-    with `tgt` given only the paths ending there, which are not walked
-    further.  `steps` maps each state the walk reaches, other than `tgt`,
-    to its (edge id, target) steps in edge-id order.  Its callers have
-    validated the complex, so the 1-skeleton is acyclic and nothing guards
-    against a cycle.  With `tgt` given, no member is then a prefix of
-    another, and the list comes out in lexicographic edge-id order.
-    """
-    out: list[ExecPath] = []
-    prefix: list[str] = []
-    stack = [iter(steps.get(src, ()))]
-    while stack:
-        for e_id, t in stack[-1]:
-            if t == tgt:
-                out.append((*prefix, e_id))
-                continue
-            prefix.append(e_id)
-            if tgt is None:
-                out.append(tuple(prefix))
-            stack.append(iter(steps[t]))
-            break
-        else:  # every step out of the state reached by `prefix` is taken
-            stack.pop()
-            del prefix[-1:]
-    return out
-
-
 def enumerate_paths(c: GlobularComplex, src: StateId, tgt: StateId) -> list[ExecPath]:
-    """All execution paths from src to tgt, in lexicographic edge-id order.
-
-    One loop (`_members`) walks only the edges into states that can reach
-    tgt, found backwards over the states between src and tgt in
-    `GlobularComplex.topological_order`.  The order comes by construction:
-    out-edges are taken in edge-id order, and no path to tgt is a prefix of
-    another, the 1-skeleton being acyclic.  Raises UnknownIdError for an
-    unknown endpoint, and otherwise InvalidComplexError if the complex does
-    not validate.
-    """
+    """All execution paths from src to tgt, in lexicographic edge-id order,
+    from the suffix table over the states between them in topological order.
+    Raises UnknownIdError for an unknown endpoint, and otherwise
+    InvalidComplexError if the complex does not validate."""
     for s in (src, tgt):
         if s not in c.state_set:
             raise UnknownIdError(f"unknown state: {s}")
     order = c.topological_order
-    ahead = {tgt}
-    steps = {}
-    for s in reversed(order[order.index(src):order.index(tgt)]):
-        onward = [(e.id, e.tgt) for e in c.out_edges[s] if e.tgt in ahead]
-        if onward:
-            ahead.add(s)
-            steps[s] = onward
-    return _members(steps, src, tgt)
+    span = order[order.index(src):order.index(tgt)]
+    table = _suffix_table(c, span, {tgt: [[()]]}) if span else {}
+    return table[src][0] if src in table else []
+
+
+def _suffix_table(c: GlobularComplex, span: tuple[StateId, ...], table: dict) -> dict:
+    """The paths to the target from the states span[0] reaches, filled into
+    `table`, which holds the target's entry `[[()]]`.  An entry is a list of
+    chains: a list of paths, or (edge id, chain) for the edge before each.
+
+    A forward pass counts each state's readers, the edges into it from
+    reached states.  Backwards over `span`, the entry of s is then, for each
+    out-edge e in edge-id order, `(e.id, chain)` for each chain of e.tgt's.
+    A state with one reader keeps that for its reader to read through; any
+    other is built into one list, each chain let go once read.  An entry
+    goes once its last reader has taken it, so only unread ones are left."""
+    readers = {span[0]: 0}
+    for s in span:
+        for e in c.out_edges[s] if s in readers else ():
+            readers[e.tgt] = readers.get(e.tgt, 0) + 1
+    for s in reversed(span):
+        chains = []
+        for e in c.out_edges[s] if s in readers else ():
+            if e.tgt in table:
+                for chain in table[e.tgt]:
+                    chains.append((e.id, chain))
+                readers[e.tgt] -= 1
+                if not readers[e.tgt]:
+                    del table[e.tgt]
+        if chains and readers[s] != 1:  # built, not read through
+            chains.reverse()
+            paths = []
+            while chains:
+                chain, ids = chains.pop(), []
+                while type(chain) is tuple:
+                    ids.append(chain[0])
+                    chain = chain[1]
+                head = tuple(ids)
+                paths += [head + q for q in chain]
+            chains = [paths]
+        if chains:
+            table[s] = chains
+    return table
 
 
 def all_exec_paths(c: GlobularComplex) -> list[ExecPath]:
-    """Every execution path of the complex, over all endpoint pairs, sorted.
-    Raises InvalidComplexError if the complex does not validate."""
-    require_valid(c)
-    steps = {s: [(e.id, e.tgt) for e in es] for s, es in c.out_edges.items()}
-    return sorted(p for state in c.states for p in _members(steps, state))
+    """Every execution path, sorted, from the suffix table with every prefix
+    kept: for each out-edge e of s, `(e.id,)` then `(e.id,) + q` for q in
+    e.tgt's list.  Raises InvalidComplexError if the complex does not validate."""
+    table: dict[StateId, list[ExecPath]] = {}
+    for s in reversed(c.topological_order):
+        table[s] = paths = []
+        for e in c.out_edges[s]:
+            paths.append((e.id,))
+            paths += [(e.id,) + q for q in table[e.tgt]]
+    return sorted(p for paths in table.values() for p in paths)
 
 
 def count_paths_and_composites(c: GlobularComplex) -> tuple[int, int]:

@@ -37,6 +37,7 @@ from globflow import (
     subdivide_edge,
     validate_complex,
 )
+from globflow.complexes import count_paths_and_composites
 
 
 class TestValidateComplex:
@@ -181,8 +182,20 @@ class TestEnumeratePaths:
                         assert c.path_target(path) == tgt
 
 
+def _spelled(entry):
+    """The paths an entry of `complexes._suffix_table` stands for."""
+    out = []
+    for chain in entry:
+        head = []
+        while isinstance(chain, tuple):
+            head.append(chain[0])
+            chain = chain[1]
+        out += [tuple(head) + q for q in chain]
+    return out
+
+
 class TestMemberWalk:
-    """enumerate_paths walks only the states that can reach its target."""
+    """enumerate_paths builds only suffixes of its members."""
 
     def test_matches_the_oracle_in_order(self, rng):
         for _ in range(40):
@@ -200,39 +213,83 @@ class TestMemberWalk:
             want = sorted(oracles.graph_paths(edges, c.init, c.finals[0]))
             assert enumerate_paths(c, c.init, c.finals[0]) == want
 
-    def test_only_members_are_built(self, rng, monkeypatch):
-        # the member loop looks up the steps of `src`, then of each state it
-        # descends into: each must lie on a member path, once per prefix
-        loop = complexes._members
-        looked_up = []
+    def test_the_suffix_table_builds_members_once_and_drops_them(self, rng, monkeypatch):
+        # the table sets one entry per state that src reaches and that reaches
+        # tgt, spelling that state's paths to tgt; src and the states read by
+        # two or more edges are built, one tuple per suffix, and the others
+        # read through; every entry but src's goes when its last reader takes it
+        fill = complexes._suffix_table
+        events = []
 
         class Recorded(dict):
-            def __getitem__(self, state):
-                looked_up.append(state)
-                return super().__getitem__(state)
+            def __setitem__(self, state, entry):
+                events.append(("set", state, entry))
+                super().__setitem__(state, entry)
 
-            def get(self, state, default=None):
-                looked_up.append(state)
-                return super().get(state, default)
+            def __delitem__(self, state):
+                events.append(("del", state, None))
+                super().__delitem__(state)
 
-        def recorded(steps, *args):
-            return loop(Recorded(steps), *args)
+        left = []
 
-        monkeypatch.setattr(complexes, "_members", recorded)
+        def recorded(c, span, table):
+            table = fill(c, span, Recorded(table))
+            left.append(set(table))
+            return table
+
+        monkeypatch.setattr(complexes, "_suffix_table", recorded)
         for _ in range(20):
             c = random_complex(rng)
             edges = {e.id: (e.src, e.tgt) for e in c.edges}
             for src in c.states:
+                reached = {src} | {t for t in c.states if oracles.graph_paths(edges, src, t)}
                 for tgt in c.states:
-                    looked_up.clear()
-                    members = oracles.graph_paths(edges, src, tgt)
-                    assert enumerate_paths(c, src, tgt) == sorted(members)
-                    assert looked_up[0] == src
-                    descents = looked_up[1:]
-                    assert set(descents) <= {edges[e][0] for p in members for e in p}
-                    assert len(descents) == len(
-                        {p[:i] for p in members for i in range(1, len(p))}
-                    )
+                    events.clear()
+                    left.clear()
+                    members = sorted(oracles.graph_paths(edges, src, tgt))
+                    assert enumerate_paths(c, src, tgt) == members
+                    if not left:  # tgt does not come after src: nothing to fill
+                        assert not members and not events
+                        continue
+                    suffixes = {s: sorted(oracles.graph_paths(edges, s, tgt)) for s in reached}
+                    readers = {
+                        t: [a for a, b in edges.values() if a in reached and b == t]
+                        for t in reached | {tgt}
+                    }
+                    at = {s: i for i, (kind, s, _) in enumerate(events) if kind == "set"}
+                    dropped = [s for kind, s, _ in events if kind == "del"]
+                    assert len(at) + len(dropped) == len(events)
+                    assert set(at) == {s for s in reached if suffixes[s]}
+                    built = 0
+                    for kind, s, entry in events:
+                        if kind == "set":
+                            assert _spelled(entry) == suffixes[s]
+                            if len(readers[s]) == 1:  # read through: nothing built
+                                assert all(isinstance(chain, tuple) for chain in entry)
+                            else:
+                                assert len(entry) == 1 and isinstance(entry[0], list)
+                                built += len(entry[0])
+                    assert built == sum(len(suffixes[s]) for s in at if len(readers[s]) != 1)
+                    assert len(dropped) == len(set(dropped))
+                    for t in dropped:
+                        last, *others = sorted(set(readers[t]), key=at.get, reverse=True)
+                        gone = events.index(("del", t, None))
+                        assert all(at[r] < gone for r in others) and gone < at[last]
+                    assert left == [(set(at) | {tgt}) - set(dropped)]
+                    assert left[0] <= {src, tgt}
+
+    def test_the_phil_ladder_matches_the_oracle(self):
+        for n in (2, 3, 4):
+            c = pv_to_complex(parse_pv(oracles.dining_philosophers_source(n)))
+            edges = {e.id: (e.src, e.tgt) for e in c.edges}
+            final = c.finals[0]
+            want = sorted(oracles.graph_paths(edges, c.init, final))
+            assert enumerate_paths(c, c.init, final) == want
+            if n > 3:
+                continue
+            for s in c.states:
+                assert enumerate_paths(c, s, final) == sorted(oracles.graph_paths(edges, s, final))
+            assert all_exec_paths(c) == sorted(oracles.graph_all_paths(edges))
 
     def test_a_cycle_the_target_cannot_see_still_raises(self):
         # s -> t, and a cycle out of s that never comes back to t
@@ -270,6 +327,12 @@ class TestAllExecPaths:
             c = random_complex(rng)
             edges = {e.id: (e.src, e.tgt) for e in c.edges}
             assert all_exec_paths(c) == sorted(oracles.graph_all_paths(edges))
+
+    def test_the_listing_has_the_size_the_limit_counts(self, rng):
+        inputs = [random_complex(rng) for _ in range(60)]
+        inputs += [pv_to_complex(parse_pv(random_pv_source(rng))) for _ in range(30)]
+        for c in inputs:
+            assert len(all_exec_paths(c)) == count_paths_and_composites(c)[0]
 
     def test_a_complex_that_does_not_validate_is_refused(self):
         c = GlobularComplex(
