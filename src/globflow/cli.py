@@ -190,12 +190,13 @@ def _check_complex(complex_: GlobularComplex) -> None:
 
 
 def _resolve_state(name: str, states, annotations) -> str:
-    """Allow the literals "init" and "final" when annotations pin them down."""
+    """Allow the literals "init" and "final" when annotations pin them down:
+    an init, and one distinct final state."""
     if name in states:
         return name
     if name == "init" and "init" in annotations:
         return annotations["init"]
-    if name == "final" and len(annotations.get("finals", ())) == 1:
+    if name == "final" and len(set(annotations.get("finals", ()))) == 1:
         return annotations["finals"][0]
     return name
 

@@ -30,6 +30,21 @@ with InvalidComplexError carrying its validation report.
 The deadlocks of the realization are read off the edges the same way,
 without listing a path (`complex_deadlocks`).
 
+A complex keeps its cells as rows: an edge is (id, src, tgt, label) and a
+square (id, left, right).  Two indexes are read off the edge rows and
+hold the rows themselves: id -> row, which every walk along a side uses
+(`exec_path_ends`), and the rows of each state's out-edges in edge-id
+order.  The document reader (`formats.complex_from_doc`) and the compiler
+(`pv.pv_to_complex`) fill the rows directly, and the `edges`, `squares`
+and `edge_map` of such a complex are built as `Edge` and `Square` values
+only when a caller reads them.  A complex built from those values derives
+its rows the first time they are needed.  Validation and its cycle walk,
+`topological_order`, `squares_into`, the path counts and listings,
+`complex_deadlocks`, the class propagation, `path_source`, `path_target`
+and `is_exec_path` read only the rows, as does `formats.complex_to_doc`;
+so reading, validating, counting and answering deadlocks and classes on
+a document builds no cell object.
+
 A complex is validated where it enters the engine; compiler output enters
 certified (`pv.pv_to_complex` seeds `validation` and `topological_order`).
 
@@ -41,8 +56,8 @@ move class of the codomain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import attrgetter
+from itertools import starmap
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from .errors import InvalidComplexError, UnknownIdError
@@ -50,6 +65,8 @@ from .unionfind import class_numbers
 
 StateId = str
 ExecPath = tuple[str, ...]
+EdgeRow = tuple[str, StateId, StateId, Optional[str]]  # (id, src, tgt, label)
+SquareRow = tuple[str, ExecPath, ExecPath]  # (id, left, right)
 
 # realized path ids join edge ids with this; validation rejects it in edge ids
 PATH_SEPARATOR = "*"
@@ -91,6 +108,37 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+class _cached_property:
+    """`functools.cached_property` without its lock: the value is worked
+    out by `build` on the first read and kept in the instance `__dict__`,
+    where later reads find it first.  Python 3.11 takes a lock on every
+    first read, which costs about as much as indexing a small complex."""
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, c, owner=None):
+        if c is None:
+            return self
+        value = c.__dict__[self.name] = self.build(c)
+        return value
+
+
+class _Cells(_cached_property):
+    """The `edges` or `squares` field of `GlobularComplex`.  A complex made
+    from rows (`GlobularComplex._from_rows`) has no value for the field in
+    its instance `__dict__`, so the first read builds one from the rows;
+    `__init__` puts the value of any other complex there.  Read off the
+    class, it is the field's default, ()."""
+
+    def __get__(self, c, owner=None):
+        return () if c is None else super().__get__(c, owner)
+
+
 @dataclass(frozen=True)
 class GlobularComplex:
     """Finite presentation of a globular complex (dimension <= 2).
@@ -98,31 +146,71 @@ class GlobularComplex:
     `finals` and `init` are analysis annotations used by deadlock checks;
     they carry no geometric meaning.  Declaration order is preserved so
     documents round-trip; all operations iterate in sorted order.
+
+    The cells are kept as rows (see the module docstring).  A complex read
+    from a document or compiled from PV source holds only the rows, and
+    builds `edges` and `squares` from them on first read; one built from
+    `Edge` and `Square` values derives the rows on first use.  Equality,
+    hashing, `repr` and `dataclasses.replace` read the fields, so both
+    kinds compare, hash and copy as the same values.
     """
 
     states: tuple[StateId, ...]
-    edges: tuple[Edge, ...] = ()
-    squares: tuple[Square, ...] = ()
+    edges: tuple[Edge, ...] = _Cells(lambda c: tuple(starmap(Edge, c._edge_rows)))
+    squares: tuple[Square, ...] = _Cells(lambda c: tuple(starmap(Square, c._square_rows)))
     finals: tuple[StateId, ...] = ()
     init: Optional[StateId] = None
 
-    @cached_property
+    @classmethod
+    def _from_rows(
+        cls,
+        states: tuple[StateId, ...],
+        edge_rows: tuple[EdgeRow, ...],
+        square_rows: tuple[SquareRow, ...],
+        finals: tuple[StateId, ...] = (),
+        init: Optional[StateId] = None,
+    ) -> GlobularComplex:
+        """The complex of these rows, its `edges` and `squares` not built;
+        square sides must be tuples."""
+        c = cls.__new__(cls)
+        c.__dict__.update(
+            states=states, finals=finals, init=init,
+            _edge_rows=edge_rows, _square_rows=square_rows,
+        )
+        return c
+
+    @_cached_property
+    def _edge_rows(self) -> tuple[EdgeRow, ...]:
+        return tuple((e.id, e.src, e.tgt, e.label) for e in self.edges)
+
+    @_cached_property
+    def _square_rows(self) -> tuple[SquareRow, ...]:
+        return tuple((q.id, tuple(q.left), tuple(q.right)) for q in self.squares)
+
+    @_cached_property
+    def _edge_row(self) -> dict[str, EdgeRow]:
+        """Edge id -> its row; the last row of a repeated id wins, as in
+        `edge_map`."""
+        return {row[0]: row for row in self._edge_rows}
+
+    @_cached_property
+    def _out(self) -> dict[StateId, tuple[EdgeRow, ...]]:
+        """The rows of the edges out of each state, in edge-id order."""
+        by_src: dict[str, list[EdgeRow]] = {s: [] for s in self.states}
+        for row in sorted(self._edge_rows, key=itemgetter(0)):
+            if row[1] in by_src:
+                by_src[row[1]].append(row)
+        return {s: tuple(rows) for s, rows in by_src.items()}
+
+    @_cached_property
     def state_set(self) -> frozenset[str]:
         return frozenset(self.states)
 
-    @cached_property
+    @_cached_property
     def edge_map(self) -> dict[str, Edge]:
         return {e.id: e for e in self.edges}
 
-    @cached_property
-    def out_edges(self) -> dict[str, tuple[Edge, ...]]:
-        by_src: dict[str, list[Edge]] = {s: [] for s in self.states}
-        for e in sorted(self.edges, key=attrgetter("id")):
-            if e.src in by_src:
-                by_src[e.src].append(e)
-        return {s: tuple(es) for s, es in by_src.items()}
-
-    @cached_property
+    @_cached_property
     def topological_order(self) -> tuple[StateId, ...]:
         """Every state, each before the targets of its out-edges: the states
         no edge touches, in declaration order, then the depth-first finishing
@@ -133,58 +221,61 @@ class GlobularComplex:
         require_valid(self)
         _, finished = self._cycle_walk
         del self.__dict__["_cycle_walk"]  # validation has read it already
-        return tuple(s for s in self.states if s not in finished) + tuple(
-            reversed(finished)
-        )
+        return (*[s for s in self.states if s not in finished], *reversed(finished))
 
-    @cached_property
-    def squares_into(self) -> dict[str, tuple[tuple[ExecPath, ExecPath], ...]]:
-        """Non-degenerate squares as (left, right), keyed by the state both
+    @_cached_property
+    def squares_into(self) -> dict[str, list[SquareRow]]:
+        """The rows of the non-degenerate squares, keyed by the state both
         sides end at.  Raises InvalidComplexError if the complex does not
         validate."""
         require_valid(self)
-        index: dict[str, list[tuple[ExecPath, ExecPath]]] = {}
-        for q in self.squares:
-            left, right = tuple(q.left), tuple(q.right)
-            if left != right:
-                index.setdefault(self.path_target(left), []).append((left, right))
-        return {s: tuple(squares) for s, squares in index.items()}
+        edge_row = self._edge_row
+        index: dict[str, list[SquareRow]] = {}
+        for row in self._square_rows:
+            if row[1] != row[2]:
+                index.setdefault(edge_row[row[1][-1]][2], []).append(row)
+        return index
 
-    @cached_property
+    @_cached_property
     def _cycle_walk(self) -> tuple[Optional[list[str]], dict[str, None]]:
         """`_find_cycle` on this complex, walked once: validation reads its
         cycle, then `topological_order` its finishing order, and lets it go."""
         return _find_cycle(self)
 
-    @cached_property
+    @_cached_property
     def validation(self) -> ValidationReport:
         """The `validate_complex` report, worked out once per complex."""
         return _validation_report(self)
 
     def path_source(self, path: ExecPath) -> StateId:
-        return self.edge_map[path[0]].src
+        return self._edge_row[path[0]][1]
 
     def path_target(self, path: ExecPath) -> StateId:
-        return self.edge_map[path[-1]].tgt
+        return self._edge_row[path[-1]][2]
 
     def is_exec_path(self, path: Iterable[str]) -> bool:
         """Nonempty, every id resolves, consecutive edges composable."""
-        return exec_path_ends(self.edge_map, path) is not None
+        return exec_path_ends(self._edge_row, path) is not None
 
 
 def exec_path_ends(
-    edge_map: Mapping[str, Edge], path: Iterable[str]
+    edge_row: Mapping[str, EdgeRow], path: Iterable[str]
 ) -> Optional[tuple[StateId, StateId]]:
-    """(source, target) of `path` as an execution path over `edge_map`, or
-    None when it is not one: it must be nonempty, every id must resolve and
-    consecutive edges must be composable."""
+    """(source, target) of `path` as an execution path over `edge_row`,
+    which maps each edge id to its row, or None when it is not one: it must
+    be nonempty, every id must resolve and consecutive edges must be
+    composable."""
+    walk = iter(path)
     try:
-        edges = [edge_map[e] for e in path]
-    except KeyError:
+        _, src, tgt, _ = edge_row[next(walk)]
+        for e in walk:
+            _, e_src, e_tgt, _ = edge_row[e]
+            if e_src != tgt:
+                return None
+            tgt = e_tgt
+    except (StopIteration, KeyError):
         return None
-    if not edges or any(a.tgt != b.src for a, b in zip(edges, edges[1:])):
-        return None
-    return edges[0].src, edges[-1].tgt
+    return src, tgt
 
 
 def validate_complex(c: GlobularComplex) -> ValidationReport:
@@ -201,67 +292,85 @@ def _validation_report(c: GlobularComplex) -> ValidationReport:
     violations: list[str] = []
     warnings: list[str] = []
 
-    seen_states = set()
-    for s in c.states:
-        if s in seen_states:
-            violations.append(f"duplicate state: {s}")
-        seen_states.add(s)
+    states = c.state_set
+    if len(states) < len(c.states):
+        seen_states = set()
+        for s in c.states:
+            if s in seen_states:
+                violations.append(f"duplicate state: {s}")
+            seen_states.add(s)
 
-    seen_edges = set()
-    for e in c.edges:
-        if e.id in seen_edges:
-            violations.append(f"duplicate edge id: {e.id}")
-        seen_edges.add(e.id)
-        if PATH_SEPARATOR in e.id:
-            violations.append(f"reserved character '{PATH_SEPARATOR}' in edge id: {e.id}")
-        for endpoint, role in ((e.src, "source"), (e.tgt, "target")):
-            if endpoint not in seen_states:
-                violations.append(f"dangling endpoint: {role} {endpoint} of edge {e.id}")
+    rows, edge_row = c._edge_rows, c._edge_row
+    if (  # some edge is at fault: name each fault, edge by edge
+        len(edge_row) < len(rows)
+        or PATH_SEPARATOR in "".join(edge_row)
+        or not states.issuperset(map(itemgetter(1), rows))
+        or not states.issuperset(map(itemgetter(2), rows))
+    ):
+        seen_edges = set()
+        for eid, src, tgt, _ in rows:
+            if eid in seen_edges:
+                violations.append(f"duplicate edge id: {eid}")
+            seen_edges.add(eid)
+            if PATH_SEPARATOR in eid:
+                violations.append(f"reserved character '{PATH_SEPARATOR}' in edge id: {eid}")
+            if src not in states:
+                violations.append(f"dangling endpoint: source {src} of edge {eid}")
+            if tgt not in states:
+                violations.append(f"dangling endpoint: target {tgt} of edge {eid}")
 
     cycle, _ = c._cycle_walk
     if cycle is not None:
         violations.append("cyclic 1-skeleton: " + " -> ".join(cycle))
 
     seen_squares = set()
-    for q in c.squares:
-        if q.id in seen_squares:
-            violations.append(f"duplicate square id: {q.id}")
-        seen_squares.add(q.id)
-        boundary = _square_violations(c, q)
-        violations.extend(boundary)
-        # equal sides make a no-op only of a square that is well formed
-        if not boundary and tuple(q.left) == tuple(q.right):
-            warnings.append(f"degenerate square (no-op): {q.id}")
+    for qid, left, right in c._square_rows:
+        if qid in seen_squares:
+            violations.append(f"duplicate square id: {qid}")
+        seen_squares.add(qid)
+        side_ends = exec_path_ends(edge_row, left)
+        if side_ends is None or side_ends != exec_path_ends(edge_row, right):
+            violations.extend(_square_violations(edge_row, qid, left, right))
+        elif left == right:  # a no-op only of a square that is well formed
+            warnings.append(f"degenerate square (no-op): {qid}")
 
     for s in c.finals:
-        if s not in c.state_set:
+        if s not in states:
             violations.append(f"unknown final state: {s}")
-    if c.init is not None and c.init not in c.state_set:
+    if c.init is not None and c.init not in states:
         violations.append(f"unknown initial state: {c.init}")
 
+    if not (violations or warnings):
+        return _VALID
     return ValidationReport(tuple(violations), tuple(warnings))
 
 
-def _square_violations(c: GlobularComplex, q: Square) -> list[str]:
-    edge_map = c.edge_map
+_VALID = ValidationReport()
+
+
+def _square_violations(
+    edge_row: Mapping[str, EdgeRow], qid: str, left: ExecPath, right: ExecPath
+) -> list[str]:
+    """What is wrong with the boundary of a square whose sides are not two
+    execution paths with the same ends."""
     out = []
-    ends = []
-    for name, side in (("left", q.left), ("right", q.right)):
+    sides = []
+    for name, side in (("left", left), ("right", right)):
         if not side:
-            out.append(f"bad square boundary: square {q.id} has empty {name} side")
-        elif any(e not in edge_map for e in side):
-            missing = sorted(e for e in side if e not in edge_map)
+            out.append(f"bad square boundary: square {qid} has empty {name} side")
+        elif any(e not in edge_row for e in side):
+            missing = sorted(e for e in side if e not in edge_row)
             out.append(
-                f"bad square boundary: square {q.id} {name} side uses unknown edges "
+                f"bad square boundary: square {qid} {name} side uses unknown edges "
                 + ", ".join(missing)
             )
         else:
-            side_ends = exec_path_ends(edge_map, side)
+            side_ends = exec_path_ends(edge_row, side)
             if side_ends is None:
-                out.append(f"bad square boundary: square {q.id} {name} side is not composable")
-            ends.append(side_ends)
-    if not out and ends[0] != ends[1]:
-        out.append(f"bad square boundary: square {q.id} sides do not share endpoints")
+                out.append(f"bad square boundary: square {qid} {name} side is not composable")
+            sides.append(side_ends)
+    if not out and sides[0] != sides[1]:
+        out.append(f"bad square boundary: square {qid} sides do not share endpoints")
     return out
 
 
@@ -271,30 +380,30 @@ def _find_cycle(c: GlobularComplex) -> tuple[Optional[list[str]], dict[str, None
     taken in sorted order, and the first cycle met is returned.  Tolerates
     dangling ids.  When there is no cycle, every edge's target finishes
     before its source."""
-    adjacent: dict[str, list[str]] = {}
-    for e in c.edges:
-        adjacent.setdefault(e.src, []).append(e.tgt)
+    adjacent: dict[str, list[str]] = {}  # sources and their targets, sorted
+    for _, src, tgt, _ in sorted(c._edge_rows, key=itemgetter(1, 2)):
+        adjacent.setdefault(src, []).append(tgt)
     finished: dict[str, None] = {}  # insertion-ordered
-    for root in sorted(adjacent):
+    for root in adjacent:
         if root in finished:
             continue
-        # depth-first, with the states on the current path in `trail`
-        trail = [root]
-        on_trail = {root}
-        pending = [iter(sorted(adjacent[root]))]
+        # depth-first, with the states on the current path in `trail`, in order
+        trail = {root: None}
+        pending = [iter(adjacent[root])]
         while pending:
-            v = next(pending[-1], None)
-            if v is None:
+            for v in pending[-1]:
+                if v in trail:
+                    cycle = list(trail)
+                    return cycle[cycle.index(v):] + [v], finished
+                if v not in finished:
+                    if v in adjacent:
+                        trail[v] = None
+                        pending.append(iter(adjacent[v]))
+                        break
+                    finished[v] = None  # a state no edge leaves
+            else:
                 pending.pop()
-                u = trail.pop()
-                on_trail.discard(u)
-                finished[u] = None
-            elif v in on_trail:
-                return trail[trail.index(v):] + [v], finished
-            elif v not in finished:
-                trail.append(v)
-                on_trail.add(v)
-                pending.append(iter(sorted(adjacent.get(v, ()))))
+                finished[trail.popitem()[0]] = None
     return None, finished
 
 
@@ -344,19 +453,20 @@ def _suffix_table(c: GlobularComplex, span: tuple[StateId, ...], table: dict) ->
     A state with one reader keeps that for its reader to read through; any
     other is built into one list, each chain let go once read.  An entry
     goes once its last reader has taken it, so only unread ones are left."""
+    out = c._out
     readers = {span[0]: 0}
     for s in span:
-        for e in c.out_edges[s] if s in readers else ():
-            readers[e.tgt] = readers.get(e.tgt, 0) + 1
+        for _, _, tgt, _ in out[s] if s in readers else ():
+            readers[tgt] = readers.get(tgt, 0) + 1
     for s in reversed(span):
         chains = []
-        for e in c.out_edges[s] if s in readers else ():
-            if e.tgt in table:
-                for chain in table[e.tgt]:
-                    chains.append((e.id, chain))
-                readers[e.tgt] -= 1
-                if not readers[e.tgt]:
-                    del table[e.tgt]
+        for eid, _, tgt, _ in out[s] if s in readers else ():
+            if tgt in table:
+                for chain in table[tgt]:
+                    chains.append((eid, chain))
+                readers[tgt] -= 1
+                if not readers[tgt]:
+                    del table[tgt]
         if chains and readers[s] != 1:  # built, not read through
             chains.reverse()
             paths = []
@@ -377,12 +487,13 @@ def all_exec_paths(c: GlobularComplex) -> list[ExecPath]:
     """Every execution path, sorted, from the suffix table with every prefix
     kept: for each out-edge e of s, `(e.id,)` then `(e.id,) + q` for q in
     e.tgt's list.  Raises InvalidComplexError if the complex does not validate."""
+    out = c._out
     table: dict[StateId, list[ExecPath]] = {}
     for s in reversed(c.topological_order):
         table[s] = paths = []
-        for e in c.out_edges[s]:
-            paths.append((e.id,))
-            paths += [(e.id,) + q for q in table[e.tgt]]
+        for eid, _, tgt, _ in out[s]:
+            paths.append((eid,))
+            paths += [(eid,) + q for q in table[tgt]]
     return sorted(p for paths in table.values() for p in paths)
 
 
@@ -399,14 +510,22 @@ def count_paths_and_composites(c: GlobularComplex) -> tuple[int, int]:
     Raises InvalidComplexError if the complex does not validate.
     """
     order = c.topological_order
-    into = dict.fromkeys(c.states, 0)
+    edges = c._out
+    into = dict.fromkeys(order, 0)
     for s in order:  # every edge into s is counted before s is reached
-        for e in c.out_edges[s]:
-            into[e.tgt] += 1 + into[s]
-    out = dict.fromkeys(c.states, 0)
-    for s in reversed(order):
-        out[s] = sum(1 + out[e.tgt] for e in c.out_edges[s])
-    return sum(out.values()), sum(into[s] * out[s] for s in c.states)
+        n = 1 + into[s]
+        for row in edges[s]:
+            into[row[2]] += n
+    out = {}
+    paths = composites = 0
+    for s in reversed(order):  # likewise every edge out of s
+        n = 0
+        for row in edges[s]:
+            n += 1 + out[row[2]]
+        out[s] = n
+        paths += n
+        composites += into[s] * n
+    return paths, composites
 
 
 def complex_deadlocks(
@@ -428,14 +547,14 @@ def complex_deadlocks(
     stray = finals - c.state_set
     if stray:
         raise UnknownIdError("unknown final states: " + ", ".join(sorted(stray)))
-    out = c.out_edges
+    out = c._out
     reached = {init}
     frontier = [init]
     while frontier:
-        for e in out[frontier.pop()]:
-            if e.tgt not in reached:
-                reached.add(e.tgt)
-                frontier.append(e.tgt)
+        for _, _, tgt, _ in out[frontier.pop()]:
+            if tgt not in reached:
+                reached.add(tgt)
+                frontier.append(tgt)
     return tuple(sorted(s for s in reached if not out[s] and s not in finals))
 
 
@@ -452,10 +571,10 @@ def square_move_neighbors(c: GlobularComplex, path: ExecPath) -> set[ExecPath]:
     squares_into = c.squares_into
     neighbors: set[ExecPath] = set()
     for end, e_id in enumerate(path, 1):
-        edge = c.edge_map.get(e_id)
+        edge = c._edge_row.get(e_id)
         if edge is None:
             continue
-        for left, right in squares_into.get(edge.tgt, ()):
+        for _, left, right in squares_into.get(edge[2], ()):
             for lhs, rhs in ((left, right), (right, left)):
                 start = end - len(lhs)
                 if start >= 0 and path[start:end] == lhs:
@@ -486,10 +605,11 @@ def _class_steps(c: GlobularComplex, src: StateId, tgt: StateId) -> dict[str, li
     if cached is not None and cached[0] == (src, tgt):
         return cached[1]
     order = c.topological_order
+    out, edge_row = c._out, c._edge_row
     classes = {src: 1}  # number of classes at each state reached so far
-    arrivals: dict[str, list[Edge]] = {}  # edges out of reached states, by target
-    for e in c.out_edges[src]:
-        arrivals.setdefault(e.tgt, []).append(e)
+    arrivals: dict[str, list[EdgeRow]] = {}  # edges out of reached states, by target
+    for row in out[src]:
+        arrivals.setdefault(row[2], []).append(row)
     step: dict[str, list[int]] = {}
     for s in order[order.index(src) + 1:order.index(tgt) + 1]:
         edges = arrivals.pop(s, None)
@@ -497,21 +617,21 @@ def _class_steps(c: GlobularComplex, src: StateId, tgt: StateId) -> dict[str, li
             continue
         first = {}  # edge id -> index of its first pair
         pairs = 0
-        for e in edges:
-            first[e.id] = pairs
-            pairs += classes[e.src]
+        for eid, e_src, _, _ in edges:
+            first[eid] = pairs
+            pairs += classes[e_src]
         moves = (  # the two pairs that a square into s joins, per class at its source
             (first[left[-1]] + _class_of(step, left[:-1], k),
              first[right[-1]] + _class_of(step, right[:-1], k))
-            for left, right in c.squares_into.get(s, ())
-            for k in range(classes.get(c.path_source(left), 0))
+            for _, left, right in c.squares_into.get(s, ())
+            for k in range(classes.get(edge_row[left[0]][1], 0))
         )
         klass = class_numbers(pairs, moves)
-        for e in edges:
-            step[e.id] = klass[first[e.id]:first[e.id] + classes[e.src]]
+        for eid, e_src, _, _ in edges:
+            step[eid] = klass[first[eid]:first[eid] + classes[e_src]]
         classes[s] = max(klass) + 1
-        for e in c.out_edges[s]:
-            arrivals.setdefault(e.tgt, []).append(e)
+        for row in out[s]:
+            arrivals.setdefault(row[2], []).append(row)
     c.__dict__["_class_table"] = ((src, tgt), step)
     return step
 

@@ -74,7 +74,7 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
-from .complexes import Edge, GlobularComplex, Square, require_valid
+from .complexes import GlobularComplex, require_valid
 from .errors import FormatError
 from .flows import (
     FiniteFlow,
@@ -99,8 +99,12 @@ def _optional_list(doc: dict, key: str, where: str) -> list:
     return _require(doc, key, list, where) if key in doc else []
 
 
+# isinstance(x, str), as a function of x to map
+_is_str = str.__instancecheck__
+
+
 def _is_string_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+    return isinstance(value, list) and all(map(_is_str, value))
 
 
 def _string_list(doc: dict, key: str, where: str, default=None) -> list[str]:
@@ -117,16 +121,18 @@ def _string_list(doc: dict, key: str, where: str, default=None) -> list[str]:
 
 
 def complex_to_doc(c: GlobularComplex) -> dict[str, Any]:
+    """The complex document of `c`, written from its cell rows."""
     doc: dict[str, Any] = {
         "states": list(c.states),
         "edges": [
-            {"id": e.id, "src": e.src, "tgt": e.tgt}
-            | ({"label": e.label} if e.label is not None else {})
-            for e in c.edges
+            {"id": eid, "src": src, "tgt": tgt}
+            if label is None
+            else {"id": eid, "src": src, "tgt": tgt, "label": label}
+            for eid, src, tgt, label in c._edge_rows
         ],
         "squares": [
-            {"id": q.id, "left": list(q.left), "right": list(q.right)}
-            for q in c.squares
+            {"id": qid, "left": list(left), "right": list(right)}
+            for qid, left, right in c._square_rows
         ],
         "finals": list(c.finals),
     }
@@ -136,6 +142,8 @@ def complex_to_doc(c: GlobularComplex) -> dict[str, Any]:
 
 
 def complex_from_doc(doc: Any) -> GlobularComplex:
+    """The complex of a complex document, as cell rows: its `edges` and
+    `squares` are built when first read."""
     if not isinstance(doc, dict):
         raise FormatError("complex document: expected an object")
     states = _string_list(doc, "states", "complex document")
@@ -150,7 +158,7 @@ def complex_from_doc(doc: Any) -> GlobularComplex:
                 and isinstance(tgt, str)
                 and (label is None or isinstance(label, str))
             ):
-                edges.append(Edge(eid, src, tgt, label))
+                edges.append((eid, src, tgt, label))
                 continue
         # something is wrong with this entry: name it, checking in field order
         where = f"complex document: edges[{i}]"
@@ -159,41 +167,37 @@ def complex_from_doc(doc: Any) -> GlobularComplex:
         label = entry.get("label")
         if label is not None and not isinstance(label, str):
             raise FormatError(f"{where}: label must be a string")
-        edges.append(
-            Edge(
-                id=_require(entry, "id", str, where),
-                src=_require(entry, "src", str, where),
-                tgt=_require(entry, "tgt", str, where),
-                label=label,
-            )
-        )
+        edges.append((
+            _require(entry, "id", str, where),
+            _require(entry, "src", str, where),
+            _require(entry, "tgt", str, where),
+            label,
+        ))
     squares = []
     for i, entry in enumerate(_optional_list(doc, "squares", "complex document")):
         if isinstance(entry, dict):
             qid, left, right = entry.get("id"), entry.get("left"), entry.get("right")
             if isinstance(qid, str) and _is_string_list(left) and _is_string_list(right):
-                squares.append(Square(qid, tuple(left), tuple(right)))
+                squares.append((qid, tuple(left), tuple(right)))
                 continue
         # something is wrong with this entry: name it, checking in field order
         where = f"complex document: squares[{i}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: expected an object")
-        squares.append(
-            Square(
-                id=_require(entry, "id", str, where),
-                left=tuple(_string_list(entry, "left", where)),
-                right=tuple(_string_list(entry, "right", where)),
-            )
-        )
+        squares.append((
+            _require(entry, "id", str, where),
+            tuple(_string_list(entry, "left", where)),
+            tuple(_string_list(entry, "right", where)),
+        ))
     init = doc.get("init")
     if init is not None and not isinstance(init, str):
         raise FormatError("complex document: init must be a string")
-    return GlobularComplex(
-        states=tuple(states),
-        edges=tuple(edges),
-        squares=tuple(squares),
-        finals=tuple(_string_list(doc, "finals", "complex document", default=())),
-        init=init,
+    return GlobularComplex._from_rows(
+        tuple(states),
+        tuple(edges),
+        tuple(squares),
+        tuple(_string_list(doc, "finals", "complex document", default=())),
+        init,
     )
 
 

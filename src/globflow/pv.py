@@ -42,7 +42,7 @@ from functools import cached_property
 from math import prod
 from operator import add, le
 
-from .complexes import Edge, GlobularComplex, Square, ValidationReport
+from .complexes import GlobularComplex, ValidationReport
 from .errors import CompileLimitExceeded, PvError, PvSyntaxError
 from .settings import env_count
 
@@ -348,7 +348,8 @@ def pv_to_complex(program: PvProgram) -> GlobularComplex:
     steps k < l of t make a square when step l of after[t][k] is an entry;
     then so is step k of after[t][l], the other route to the same tuple.
     Each state name and edge id is one string, shared by every edge and
-    square that names it.
+    square that names it.  The cells are written as rows, so the complex
+    builds its `edges` and `squares` only when they are read.
 
     The complex is returned certified: its `validation` is the empty
     report and its `topological_order` its states, which are in `product`
@@ -394,7 +395,7 @@ def pv_to_complex(program: PvProgram) -> GlobularComplex:
 
     labels = [[str(step) for step in process] for process in program.processes]
     edges = tuple(
-        Edge(eid, name, names[nxt], labels[k][t[k]])
+        (eid, name, names[nxt], labels[k][t[k]])
         for index, t, _, name in prefixes
         for k, (nxt, eid) in after[index].items()
     )
@@ -404,21 +405,19 @@ def pv_to_complex(program: PvProgram) -> GlobularComplex:
             further = after[t_k]
             for l, (t_l, e_l) in steps.items():
                 if l > k and l in further:
-                    squares.append(
-                        Square(
-                            f"{names[index]}#p{k}p{l}",
-                            (e_k, further[l][1]),
-                            (e_l, after[t_l][k][1]),
-                        )
-                    )
+                    squares.append((
+                        f"{names[index]}#p{k}p{l}",
+                        (e_k, further[l][1]),
+                        (e_l, after[t_l][k][1]),
+                    ))
 
     final = prod(sizes) - 1
-    c = GlobularComplex(
-        states=tuple(names.values()),
-        edges=edges,
-        squares=tuple(squares),
-        finals=(names[final],) if final in names else (),
-        init=names[0],
+    c = GlobularComplex._from_rows(
+        tuple(names.values()),
+        edges,
+        tuple(squares),
+        (names[final],) if final in names else (),
+        names[0],
     )
     # distinct states, edge ids and square ids, no "*" in an edge id, every
     # square well formed with distinct sides: the report is empty

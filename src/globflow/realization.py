@@ -36,6 +36,7 @@ from .complexes import (
     PATH_SEPARATOR,
     ComplexMorphism,
     Edge,
+    EdgeRow,
     GlobularComplex,
     Square,
     all_exec_paths,
@@ -171,6 +172,7 @@ class IncrementalRealizer:
         # set), as `complex` lists them
         self._states: dict[str, None] = dict.fromkeys(c.states)
         self._edges: dict[str, Edge] = {}
+        self._edge_row: dict[str, EdgeRow] = {}
         self._squares: dict[str, Square] = {}
         self._path_ends: dict[str, tuple[str, str]] = {}
         self._adjacency: set[tuple[str, str]] = set()
@@ -259,7 +261,7 @@ class IncrementalRealizer:
             raise InvalidAttachmentError(f"square id already present: {square.id}")
         endpoints = []
         for name, side in (("left", square.left), ("right", square.right)):
-            side_ends = exec_path_ends(self._edges, side)
+            side_ends = exec_path_ends(self._edge_row, side)
             if side_ends is None:
                 raise InvalidAttachmentError(
                     f"square {square.id} {name} side is not an execution path"
@@ -275,6 +277,7 @@ class IncrementalRealizer:
     def _add_edge(self, edge: Edge) -> None:
         """Enter an edge, its new paths and their move pairs."""
         self._edges[edge.id] = edge
+        self._edge_row[edge.id] = (edge.id, edge.src, edge.tgt, edge.label)
         ends, out, into = self._path_ends, self._out, self._into
         heads = [(edge.src, edge.id)]
         heads += [(ends[pre][0], pre + PATH_SEPARATOR + edge.id) for pre in into[edge.src]]

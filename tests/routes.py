@@ -27,7 +27,7 @@ from conftest import explicit, pv_oracle_input, random_complex, random_pv_source
 from globflow import (
     GermSet, GlobflowError, GlobularComplex, IncrementalRealizer, UnknownIdError, cli,
     complex_deadlocks, deadlocks, dihomotopy_classes, dumps_complex, export_dot, germs,
-    parse_pv, pv_to_complex, realize, state_name,
+    loads_complex, parse_pv, pv_to_complex, realize, state_name,
 )
 from globflow.complexes import count_paths_and_composites
 from globflow.formats import flow_to_doc
@@ -55,6 +55,12 @@ class Input:
     @cached_property
     def flow(self):
         return realize(self.complex)
+
+    @cached_property
+    def read(self) -> GlobularComplex:
+        """The complex as `loads_complex` reads its document: its cells as
+        rows, with no `Edge` or `Square` built."""
+        return loads_complex(dumps_complex(self.complex))
 
     @cached_property
     def realization(self) -> str:
@@ -161,12 +167,17 @@ def _flow_route(flow_of):
     return route
 
 
-def library_complex(inp: Input, argv):
+def _complex_route(complex_of):
     """`complex_deadlocks`, and `path_classes` as `cli._realized_classes`
-    writes its blocks; no germs and no `dot`."""
-    c = inp.complex
-    return _answer(argv, inp.annotations, c.state_set,
-                   partial(complex_deadlocks, c), partial(cli._realized_classes, c))
+    writes its blocks, on the complex `complex_of(inp)`; no germs and no
+    `dot`."""
+
+    def route(inp: Input, argv):
+        c = complex_of(inp)
+        return _answer(argv, inp.annotations, c.state_set,
+                       partial(complex_deadlocks, c), partial(cli._realized_classes, c))
+
+    return route
 
 
 def _document_route(form: str):
@@ -187,7 +198,8 @@ ROUTES = {
     "realization-document": _document_route("realization"),
     "compact-flow-document": _document_route("compact"),
     "explicit-flow-document": _document_route("explicit"),
-    "library-complex": library_complex,
+    "library-complex": _complex_route(lambda inp: inp.complex),
+    "library-complex-read": _complex_route(lambda inp: inp.read),
     "incremental-realizer": _flow_route(lambda inp: inp.incremental),
 }
 

@@ -1,0 +1,233 @@
+"""A complex keeps its cells as rows.
+
+A complex read from a document or compiled from PV source holds its cells
+as rows and builds `Edge` and `Square` values only when they are read; one
+built from those values derives its rows.  The two are the same value:
+they compare, hash, print, copy, pickle, write and validate alike.  The
+`globflow` path from PV source to deadlocks and classes builds no cell
+object at all.
+"""
+
+import dataclasses
+import json
+import pickle
+import random
+
+import pytest
+
+import oracles
+from conftest import random_complex, random_pv_source, run
+from globflow import (
+    Edge,
+    GlobularComplex,
+    Square,
+    complex_from_doc,
+    dumps_complex,
+    loads_complex,
+    parse_pv,
+    pv_to_complex,
+    validate_complex,
+)
+
+
+def objects_of(doc: dict) -> GlobularComplex:
+    """The complex of a complex document, built from `Edge` and `Square`
+    values."""
+    return GlobularComplex(
+        states=tuple(doc["states"]),
+        edges=tuple(
+            Edge(e["id"], e["src"], e["tgt"], e.get("label")) for e in doc["edges"]
+        ),
+        squares=tuple(
+            Square(q["id"], tuple(q["left"]), tuple(q["right"]))
+            for q in doc.get("squares", ())
+        ),
+        finals=tuple(doc.get("finals", ())),
+        init=doc.get("init"),
+    )
+
+
+def _valid_inputs():
+    """(name, document text, the complexes holding rows) of each input."""
+    rng = random.Random(2718)
+    out = []
+    for i in range(40):
+        c = random_complex(rng)
+        if i % 2:
+            c = dataclasses.replace(c, init=c.states[0], finals=(c.states[-1],))
+        text = dumps_complex(c)
+        out.append((f"random-{i}", text, [loads_complex(text)]))
+    for name, source in (
+        ("mutex", oracles.MUTEX_SOURCE),
+        ("swiss", oracles.SWISS_FLAG_SOURCE),
+        ("phil3", oracles.dining_philosophers_source(3)),
+    ):
+        text = dumps_complex(pv_to_complex(parse_pv(source)))
+        out.append((name, text, [pv_to_complex(parse_pv(source)), loads_complex(text)]))
+    return out
+
+
+VALID = _valid_inputs()
+
+
+@pytest.mark.parametrize("name, text, read", VALID, ids=[v[0] for v in VALID])
+def test_rows_and_objects_are_one_value(name, text, read):
+    for rows in read:
+        objects = objects_of(json.loads(text))
+        assert dumps_complex(rows) == dumps_complex(objects) == text
+        assert "edges" not in rows.__dict__ and "squares" not in rows.__dict__
+        assert rows == objects and objects == rows
+        assert hash(rows) == hash(objects)
+        assert repr(rows) == repr(objects)
+        assert rows.edges == objects.edges and rows.squares == objects.squares
+        assert rows.edge_map == objects.edge_map
+        copy = dataclasses.replace(rows, init=rows.states[-1])
+        assert copy == dataclasses.replace(objects, init=objects.states[-1])
+        assert pickle.loads(pickle.dumps(rows)) == objects
+
+
+@pytest.mark.parametrize("name, text, read", VALID, ids=[v[0] for v in VALID])
+def test_rows_are_read_as_the_objects_are(name, text, read):
+    """Each reader of the rows answers on a complex that holds them as on
+    the same cells built as objects, which derives them."""
+    for rows in read:
+        objects = objects_of(json.loads(text))
+        if "topological_order" not in rows.__dict__:  # compiled ones carry theirs
+            assert rows.topological_order == objects.topological_order
+        assert validate_complex(rows) == validate_complex(objects)
+        assert rows.squares_into == objects.squares_into
+        for e in objects.edges:
+            path = (e.id,)
+            assert rows.path_source(path) == e.src and rows.path_target(path) == e.tgt
+            assert rows.is_exec_path(path)
+        for q in objects.squares:
+            assert rows.is_exec_path(q.left) and rows.is_exec_path(q.right)
+        assert not rows.is_exec_path(()) and not rows.is_exec_path(("no such edge",))
+
+
+# Every malformed complex of tests/test_complexes.py::TestValidateComplex,
+# tests/test_formats.py::TestDotExport and
+# tests/test_realization_documents.py::TestRefusals, as documents, and
+# repeated ids of each kind.
+MALFORMED = {
+    "dangling-endpoint": {"states": ["u"], "edges": [{"id": "e", "src": "u", "tgt": "v"}]},
+    "two-edge-cycle": {
+        "states": ["u", "v"],
+        "edges": [{"id": "a", "src": "u", "tgt": "v"}, {"id": "b", "src": "v", "tgt": "u"}],
+    },
+    "self-loop": {"states": ["u"], "edges": [{"id": "a", "src": "u", "tgt": "u"}]},
+    "cycle-and-degenerate-square": {
+        "states": ["u", "v"],
+        "edges": [{"id": "a", "src": "u", "tgt": "v"}, {"id": "b", "src": "v", "tgt": "u"}],
+        "squares": [{"id": "q", "left": ["a"], "right": ["a"]}],
+        "init": "u",
+    },
+    "sides-not-composable": {
+        "states": ["00", "01", "10", "11"],
+        "edges": [
+            {"id": "a", "src": "00", "tgt": "10"}, {"id": "b", "src": "10", "tgt": "11"},
+            {"id": "c", "src": "00", "tgt": "01"}, {"id": "d", "src": "01", "tgt": "11"},
+        ],
+        "squares": [{"id": "q", "left": ["a", "d"], "right": ["c", "d"]}],
+    },
+    "ends-not-shared": {
+        "states": ["00", "01", "10", "11"],
+        "edges": [
+            {"id": "a", "src": "00", "tgt": "10"}, {"id": "b", "src": "10", "tgt": "11"},
+            {"id": "c", "src": "00", "tgt": "01"}, {"id": "d", "src": "01", "tgt": "11"},
+        ],
+        "squares": [{"id": "q", "left": ["a"], "right": ["c"]}],
+    },
+    "degenerate-square": {
+        "states": ["0", "1"],
+        "edges": [{"id": "a", "src": "0", "tgt": "1"}],
+        "squares": [{"id": "q", "left": ["a"], "right": ["a"]}],
+    },
+    "equal-empty-sides": {
+        "states": ["0", "1"],
+        "edges": [{"id": "a", "src": "0", "tgt": "1"}],
+        "squares": [{"id": "q", "left": [], "right": []}],
+    },
+    "equal-unknown-sides": {
+        "states": ["0", "1"],
+        "edges": [{"id": "a", "src": "0", "tgt": "1"}],
+        "squares": [{"id": "q", "left": ["zz"], "right": ["zz"]}],
+    },
+    "unknown-edge-in-side": {
+        "states": ["s", "t"],
+        "edges": [{"id": "a", "src": "s", "tgt": "t"}],
+        "squares": [{"id": "q", "left": ["zz"], "right": ["a"]}],
+    },
+    "empty-left-side": {
+        "states": ["s", "t"],
+        "edges": [{"id": "a", "src": "s", "tgt": "t"}],
+        "squares": [{"id": "q", "left": [], "right": ["a"]}],
+    },
+    "duplicate-state": {"states": ["u", "u"], "edges": [{"id": "e", "src": "u", "tgt": "u"}]},
+    "reserved-separator": {"states": ["u", "v"], "edges": [{"id": "a*b", "src": "u", "tgt": "v"}]},
+    "unknown-final-and-init": {"states": ["u"], "edges": [], "finals": ["w"], "init": "z"},
+    "duplicate-edge-and-square-ids": {
+        "states": ["0", "1", "2"],
+        "edges": [
+            {"id": "a", "src": "0", "tgt": "1"}, {"id": "a", "src": "1", "tgt": "2"},
+            {"id": "b", "src": "0", "tgt": "2"},
+        ],
+        "squares": [
+            {"id": "q", "left": ["b"], "right": ["b"]},
+            {"id": "q", "left": ["b"], "right": ["b"]},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_complexes_have_one_report(doc):
+    rows, objects = complex_from_doc(doc), objects_of(doc)
+    report = validate_complex(rows)
+    assert report == validate_complex(objects)
+    assert report.violations or report.warnings
+    assert "edges" not in rows.__dict__ and "squares" not in rows.__dict__
+
+
+# ---------------------------------------------------------------------------
+# laziness on the PV path
+
+
+def _programs():
+    rng = random.Random(31337)
+    sources = [oracles.MUTEX_SOURCE, oracles.SWISS_FLAG_SOURCE,
+               oracles.dining_philosophers_source(3)]
+    return sources + [random_pv_source(rng) for _ in range(10)]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The number of `Edge` and `Square` values made so far."""
+    made = []
+    for cls in (Edge, Square):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, **kwargs):
+            made.append(self)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+def test_the_pv_path_builds_no_cell_object(tmp_path, built):
+    source, document = tmp_path / "p.pv", str(tmp_path / "p.realization.json")
+    for text in _programs():
+        source.write_text(text)
+        assert run("realize", str(source), "--pv", "-o", document) == (0, "", "")
+        assert run("analyze", document, "--deadlocks")[0] == 0
+        code, out, err = run("analyze", document, "--classes", "init", "final")
+        assert (code, err) == (0, "") and out.split()[1] == "classes"
+        assert built == []
+        with open(document) as handle:
+            rows = complex_from_doc(json.load(handle)["realization_of"])
+        objects = objects_of(json.loads(dumps_complex(pv_to_complex(parse_pv(text)))))
+        del built[:]
+        assert rows.edges == objects.edges and rows.squares == objects.squares
+        assert len(built) == len(objects.edges) + len(objects.squares)
+        del built[:]

@@ -31,9 +31,11 @@ from globflow import (
 
 
 def _answer(name, c, *argv):
-    """(exit code, stdout) of `argv` on `c`, which every route must give."""
+    """(exit code, stdout) of `argv` on `c`, which every route and the
+    oracles must give."""
     inp = routes.complex_input(name, c)
-    answers = {route(inp, argv) for route in routes.ROUTES.values()} - {None}
+    answers = {route(inp, argv) for route in routes.ROUTES.values()}
+    answers = (answers | {routes.oracle_answer(inp, argv)}) - {None}
     assert len(answers) == 1, answers
     out, code = answers.pop()
     return code, out
@@ -46,6 +48,19 @@ def test_missing_init():
         0, "1 deadlocks\n  1\n",
     )
     assert _answer("no-init", c, "analyze", "--classes", "init", "final")[0] == 1
+
+
+def test_a_repeated_final_state_is_final():
+    # the annotations pin "final" down: one distinct final state
+    c = GlobularComplex(states=("a", "b"), edges=(Edge("e", "a", "b"),),
+                        finals=("b", "b"), init="a")
+    assert _answer("final-twice", c, "analyze", "--classes", "init", "final") == (
+        0, "1 classes\n  class 0: e\n",
+    )
+    assert _answer("final-twice", c, "analyze", "--germs", "final", "--plus") == (
+        0, "1 germs\n  germ 0: e\n",
+    )
+    assert _answer("final-twice", c, "analyze", "--deadlocks") == (0, "0 deadlocks\n")
 
 
 class TestStringOrder:
