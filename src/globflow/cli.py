@@ -1,15 +1,24 @@
 """Batch command-line surface.
 
-Three subcommands, each a thin wrapper around one library call chain:
+usage: globflow realize INPUT [--pv] [-o OUT]
+       globflow analyze INPUT (--deadlocks [--init STATE] [--finals S1,S2,...]
+                               | --classes SRC TGT | --germs STATE [--minus | --plus]
+                               | --t-check FILE | --s-equiv FILE)
+       globflow dot INPUT [-o OUT]
+       globflow -h | --help
 
-    globflow realize INPUT [--pv] [-o OUT]      complex (or PV source) ->
-                                                realization document
-    globflow analyze INPUT --deadlocks | --classes SRC TGT | --germs STATE
-                           [--minus|--plus] | --t-check FILE | --s-equiv FILE
-    globflow dot INPUT [-o OUT]                 complex, flow or realization
-                                                -> DOT text
+  realize   a complex (or PV source, with --pv) -> its realization document
+  analyze   one analysis of a flow or realization document
+  dot       a complex, flow or realization document -> DOT text
 
-Exit codes: 0 success, 1 input error, 2 axiom violation, 3 search budget
+INPUT and OUT may be "-", standard input and standard output (the default
+OUT).  Options go before or after INPUT, as "--opt value", "--opt=value"
+or, for -o, "-oOUT"; a long option may be cut to any prefix that no other
+option of its subcommand shares ("--dead"); the last of a repeated option
+wins, and every argument after "--" is positional.
+
+Exit codes: 0 success (and -h), 1 input error (a malformed command line
+too, reported as a "usage:" line and an "error:" line), 2 axiom violation, 3 search budget
 exhausted, realization limit or compile limit exceeded, 4 internal error
 (an unexpected exception, reported on one line as "internal error:
 <type>: <message>" rather than as a traceback).  The environment variable
@@ -49,9 +58,9 @@ flow, as it does every flow it renders.
 
 from __future__ import annotations
 
-import argparse
-import functools
+import re
 import sys
+from types import SimpleNamespace
 
 from .complexes import GlobularComplex, complex_deadlocks, path_classes, validate_complex
 from .equivalence import (
@@ -203,7 +212,7 @@ def _resolve_state(name: str, states, annotations) -> str:
 
 def _deadlock_ends(args, annotations) -> tuple[str, list[str]]:
     """The init and finals of --deadlocks: the flags, else the annotations."""
-    init = args.init or annotations.get("init")
+    init = annotations.get("init") if args.init is None else args.init
     if init is None:
         raise FormatError(
             "deadlock analysis needs --init or an init annotation in the flow file"
@@ -288,63 +297,175 @@ def cmd_dot(args) -> int:
 # argument parsing and dispatch
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it
-    unchanged, and building it costs about as much as a small analysis."""
-    parser = argparse.ArgumentParser(
-        prog="globflow",
-        description="Globular-complex and flow analyses for concurrent programs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each subcommand's options: option string -> (namespace attribute, number
+# of values).  An option of no values stores True; one of one value stores
+# it, and --classes a list of its two.
+_HELP = {"-h": ("help", 0), "--help": ("help", 0)}
+_OUTPUT = {"-o": ("output", 1), "--output": ("output", 1)}
+_COMMANDS = {
+    "realize": (cmd_realize, {**_HELP, "--pv": ("pv", 0), **_OUTPUT}),
+    "analyze": (cmd_analyze, {
+        **_HELP,
+        "--deadlocks": ("deadlocks", 0),
+        "--classes": ("classes", 2),
+        "--germs": ("germs", 1),
+        "--t-check": ("t_check", 1),
+        "--s-equiv": ("s_equiv", 1),
+        "--minus": ("minus", 0),
+        "--plus": ("plus", 0),
+        "--init": ("init", 1),
+        "--finals": ("finals", 1),
+    }),
+    "dot": (cmd_dot, {**_HELP, **_OUTPUT}),
+}
+# the attributes of each subcommand's namespace, at their defaults
+_DEFAULTS = {
+    command: {
+        "command": command, "func": func, "input": None,
+        **{dest: False if n == 0 else "-" if dest == "output" else None
+           for dest, n in options.values() if dest != "help"},
+    }
+    for command, (func, options) in _COMMANDS.items()
+}
+# at most one option of each set is given; analyze needs one of the analyses
+_ANALYSES = frozenset(("deadlocks", "classes", "germs", "t_check", "s_equiv"))
+_CONFLICTS = {
+    dest: group - {dest} for group in (_ANALYSES, frozenset(("minus", "plus"))) for dest in group
+}
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+_END = ("--", None)  # the "--" that makes every later argument positional
+_USAGE = "usage: globflow {realize,analyze,dot} INPUT [OPTION]... (globflow -h for more)"
+# what -h prints: the synopsis at the head of this module's docstring, or
+# the usage line where `python -OO` has stripped the docstrings
+_SYNOPSIS = (
+    "usage:" + __doc__.partition("usage:")[2].partition("\n\nExit codes")[0] if __doc__ else _USAGE
+)
 
-    realize_p = sub.add_parser(
-        "realize",
-        help="realize a complex (or PV program) as a flow, and write the realization document",
-    )
-    realize_p.add_argument("input", help="complex JSON file, or PV source with --pv ('-' = stdin)")
-    realize_p.add_argument("--pv", action="store_true", help="treat input as PV source")
-    realize_p.add_argument(
-        "-o", "--output", default="-",
-        help="realization document output, the realized complex ('-' = stdout)",
-    )
-    realize_p.set_defaults(func=cmd_realize)
 
-    analyze_p = sub.add_parser(
-        "analyze", help="run one analysis on a flow or realization document"
-    )
-    analyze_p.add_argument("input", help="flow or realization JSON file ('-' = stdin)")
-    what = analyze_p.add_mutually_exclusive_group(required=True)
-    what.add_argument("--deadlocks", action="store_true", help="reachable stuck states")
-    what.add_argument("--classes", nargs=2, metavar=("SRC", "TGT"),
-                      help="dihomotopy classes of paths SRC -> TGT")
-    what.add_argument("--germs", metavar="STATE", help="germ classes at STATE")
-    what.add_argument("--t-check", metavar="FILE", dest="t_check",
-                      help="check the morphism in FILE (domain = input flow) for T-dihomotopy")
-    what.add_argument("--s-equiv", metavar="FILE", dest="s_equiv",
-                      help="search for an S-equivalence with the flow in FILE")
-    sign = analyze_p.add_mutually_exclusive_group()
-    sign.add_argument("--minus", action="store_true", help="backward germs (default)")
-    sign.add_argument("--plus", action="store_true", help="forward germs")
-    analyze_p.add_argument("--init", help="initial state for --deadlocks")
-    analyze_p.add_argument("--finals", help="comma-separated final states for --deadlocks")
-    analyze_p.set_defaults(func=cmd_analyze)
+class _UsageError(Exception):
+    """A command line that the synopsis does not allow; `main` exits 1."""
 
-    dot_p = sub.add_parser("dot", help="export a complex or flow as DOT")
-    dot_p.add_argument(
-        "input", help="complex, flow or realization JSON file ('-' = stdin)"
-    )
-    dot_p.add_argument("-o", "--output", default="-", help="DOT output ('-' = stdout)")
-    dot_p.set_defaults(func=cmd_dot)
 
-    return parser
+def _lookup(options, token: str):
+    """What `token` is among `options`: None for a positional argument,
+    else (option, the value it carries or None), with option None when no
+    option matches.  A token carries a value as "--opt=value" or, after a
+    one-letter option, as "-oVALUE"; "-", negative numbers and tokens with
+    a space are positional, as the standard `argparse` reads them."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in options:
+        return name, value
+    if token[1] == "-":
+        matches = [option for option in options if option.startswith(name)]
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token[:2] in options:
+        return token[:2], token[2:]
+    elif _NEGATIVE_NUMBER.match(token):
+        return None
+    return None if " " in token else (None, None)
+
+
+def _scan(options, tokens, upto_positional=False) -> list:
+    """`_lookup` of each token, up to a "--" after which all are positional,
+    or with `upto_positional`, up to the first positional."""
+    hits = []
+    for token in tokens:
+        if token == "--":
+            return hits + [_END] + [None] * (len(tokens) - len(hits) - 1)
+        hits.append(_lookup(options, token))
+        if upto_positional and hits[-1] is None:
+            break
+    return hits
+
+
+def _parse_args(argv) -> SimpleNamespace | None:
+    """The namespace of a command line (the arguments after the program
+    name), or None when it asks for help.  Raises _UsageError for what the
+    synopsis does not allow.  Every error but an unknown option, an extra
+    argument or a missing one is found from left to right, so an -h before
+    it asks for help."""
+    options, args, extra, seen = _HELP, None, [], set()
+    # before the subcommand only -h/--help is an option; what follows the
+    # subcommand is looked up among its options once it is read
+    hits = _scan(options, argv, upto_positional=True)
+    i = 0
+    while i < len(argv):
+        token, hit = argv[i], hits[i]
+        i += 1
+        if hit is None or hit is _END and args is None:  # the subcommand, then INPUT
+            if args is None:
+                if token not in _COMMANDS:
+                    raise _UsageError(
+                        f"argument command: invalid choice: {token!r} "
+                        "(choose from 'realize', 'analyze', 'dot')"
+                    )
+                options = _COMMANDS[token][1]
+                args = dict(_DEFAULTS[token])
+                hits[i:] = _scan(options, argv[i:])
+            elif args["input"] is None:
+                args["input"] = token
+            else:
+                extra.append(token)
+            continue
+        if hit is _END:
+            continue
+        option, value = hit
+        if option is None:
+            extra.append(token)
+            continue
+        dest, n = options[option]
+        asks_help = dest == "help"
+        while value and n == 0 and option[1] != "-":
+            # "-hX": X goes on as a cluster of one-letter options
+            option, value = "-" + value[0], value[1:] or None
+            if option not in options:
+                raise _UsageError(f"argument {token}: {option} is not an option")
+            dest, n = options[option]
+        if value is not None:
+            if n != 1:
+                raise _UsageError(f"argument {option}: ignored explicit argument {value!r}")
+            given = value
+        elif hits[i:i + n] != [None] * n:
+            raise _UsageError(f"argument {option}: expected {n} argument{'s' * (n > 1)}")
+        else:
+            given = True if n == 0 else argv[i] if n == 1 else argv[i:i + n]
+            i += n
+        if asks_help:
+            return None
+        clash = seen.intersection(_CONFLICTS.get(dest, ()))
+        if clash:
+            raise _UsageError(f"argument {option}: not allowed with --{clash.pop().replace('_', '-')}")
+        seen.add(dest)
+        args[dest] = given
+    if args is None:
+        raise _UsageError("the following arguments are required: command")
+    if args["input"] is None:
+        raise _UsageError("the following arguments are required: input")
+    if args["command"] == "analyze" and seen.isdisjoint(_ANALYSES):
+        raise _UsageError(
+            "one of the arguments --deadlocks --classes --germs --t-check --s-equiv is required"
+        )
+    if extra:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    except _UsageError as exc:
+        print(f"{_USAGE}\nerror: {exc}", file=sys.stderr)
+        return 1
+    if args is None:
+        print(_SYNOPSIS)
+        return 0
 
     try:
         return args.func(args)

@@ -128,7 +128,7 @@ def pv_input(name: str, source: str) -> Input:
 
 @functools.cache
 def _parse(argv: tuple[str, ...]):
-    return cli._build_parser().parse_args([argv[0], "-", *argv[1:]])
+    return cli._parse_args([argv[0], "-", *argv[1:]])
 
 
 def _answer(argv, annotations, states, deadlocks_of, classes_of, germs_of=None, dot_of=None):

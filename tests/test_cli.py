@@ -1,4 +1,12 @@
+import argparse
+import io
 import json
+import random
+import subprocess
+import sys
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -360,6 +368,17 @@ class TestAnalyze:
         assert code == 1
         assert err == f"error: flow document: field {field!r} has the wrong type\n"
 
+    @pytest.mark.parametrize("document", ["realization", "flow"])
+    def test_an_empty_init_is_an_unknown_state(self, swiss_flow_file, tmp_path, document):
+        path = swiss_flow_file
+        if document == "flow":
+            flow, annotations = loads_flow(Path(path).read_text())
+            path = tmp_path / "swiss.compact.json"
+            path.write_text(dumps_flow(flow, annotations["init"], annotations["finals"]))
+        assert run("analyze", str(path), "--deadlocks", "--init", "") == (
+            1, "", "error: unknown state: \n"
+        )
+
     def test_unknown_state_exits_1(self, glob_ab_flow_file):
         code, _, err = run("analyze", glob_ab_flow_file, "--germs", "zz")
         assert code == 1
@@ -510,24 +529,191 @@ class TestDispatch:
         assert err == "internal error: RuntimeError: boom\n"
 
 
-class TestParserReuse:
-    def test_one_parser_answers_like_a_fresh_one(self, monkeypatch,
-                                                 interval_file, glob_ab_flow_file,
-                                                 swiss_flow_file):
-        commands = [
-            ("realize", interval_file),
-            ("analyze", swiss_flow_file, "--deadlocks"),
-            ("analyze", glob_ab_flow_file, "--classes", "0", "1"),
-            ("realize", interval_file, "--bogus"),
-            ("--help",),
-            ("analyze", glob_ab_flow_file, "--germs", "0", "--plus"),
-            ("dot", interval_file),
-            ("analyze", "--help"),
-            ("analyze", glob_ab_flow_file, "--deadlocks", "--init", "0"),
-        ]
-        reused = [run(*argv) for argv in commands]
-        assert cli._build_parser() is cli._build_parser()
-        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
-        fresh = [run(*argv) for argv in commands]
-        assert reused == fresh
-        assert [code for code, _, _ in reused] == [0, 0, 0, 1, 0, 0, 0, 0, 0]
+def _reference_parser():
+    """The argparse parser that `globflow` used before its own: the
+    reference that `cli._parse_args` must answer like."""
+    parser = argparse.ArgumentParser(
+        prog="globflow",
+        description="Globular-complex and flow analyses for concurrent programs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    realize_p = sub.add_parser(
+        "realize",
+        help="realize a complex (or PV program) as a flow, and write the realization document",
+    )
+    realize_p.add_argument("input", help="complex JSON file, or PV source with --pv ('-' = stdin)")
+    realize_p.add_argument("--pv", action="store_true", help="treat input as PV source")
+    realize_p.add_argument(
+        "-o", "--output", default="-",
+        help="realization document output, the realized complex ('-' = stdout)",
+    )
+    realize_p.set_defaults(func=cli.cmd_realize)
+
+    analyze_p = sub.add_parser(
+        "analyze", help="run one analysis on a flow or realization document"
+    )
+    analyze_p.add_argument("input", help="flow or realization JSON file ('-' = stdin)")
+    what = analyze_p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--deadlocks", action="store_true", help="reachable stuck states")
+    what.add_argument("--classes", nargs=2, metavar=("SRC", "TGT"),
+                      help="dihomotopy classes of paths SRC -> TGT")
+    what.add_argument("--germs", metavar="STATE", help="germ classes at STATE")
+    what.add_argument("--t-check", metavar="FILE", dest="t_check",
+                      help="check the morphism in FILE (domain = input flow) for T-dihomotopy")
+    what.add_argument("--s-equiv", metavar="FILE", dest="s_equiv",
+                      help="search for an S-equivalence with the flow in FILE")
+    sign = analyze_p.add_mutually_exclusive_group()
+    sign.add_argument("--minus", action="store_true", help="backward germs (default)")
+    sign.add_argument("--plus", action="store_true", help="forward germs")
+    analyze_p.add_argument("--init", help="initial state for --deadlocks")
+    analyze_p.add_argument("--finals", help="comma-separated final states for --deadlocks")
+    analyze_p.set_defaults(func=cli.cmd_analyze)
+
+    dot_p = sub.add_parser("dot", help="export a complex or flow as DOT")
+    dot_p.add_argument(
+        "input", help="complex, flow or realization JSON file ('-' = stdin)"
+    )
+    dot_p.add_argument("-o", "--output", default="-", help="DOT output ('-' = stdout)")
+    dot_p.set_defaults(func=cli.cmd_dot)
+
+    return parser
+
+
+def _reference(parser, argv):
+    """The reference's attributes for `argv`, or "help" or "refused"."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return "help" if exc.code in (0, None) else "refused"
+
+
+def _parsed(argv):
+    """`cli._parse_args` answered as `_reference` answers, after checking
+    the exit code and output of `cli.main` on a help or refused command."""
+    try:
+        args = cli._parse_args(argv)
+    except cli._UsageError:
+        code, out, err = run(*argv)
+        lines = err.splitlines()
+        assert (code, out, len(lines)) == (1, "", 2), argv
+        assert lines[0].startswith("usage: globflow ") and lines[1].startswith("error: "), argv
+        return "refused"
+    if args is None:
+        assert run(*argv) == (0, cli._SYNOPSIS + "\n", ""), argv
+        return "help"
+    return vars(args)
+
+
+# Tokens every argparse from Python 3.10 on reads alike: the subcommands and
+# a misspelt one, every option in full, with "=value" and as its shortest
+# unique prefix, -o with a value attached, -h, plain names, "-" and misspelt
+# options.  No name starts with "h" or "o" ("-h=o" once went on as a cluster
+# of one-letter options), and "--" and values that start with "-" are left
+# to `test_pinned_command_lines`.
+_NAMES = ("a", "b", "F.json", "init", "final", "0", "-")
+_PREFIX = {"--pv": "--p", "--output": "--o", "--deadlocks": "--d", "--classes": "--c",
+           "--germs": "--g", "--t-check": "--t", "--s-equiv": "--s", "--minus": "--m",
+           "--plus": "--p", "--init": "--i", "--finals": "--f", "--help": "--h"}
+_OTHER_WORDS = ("realize", "analyze", "dot", "analyse", "-o", *_PREFIX, *_PREFIX.values(),
+                "--pv=a", "--d=a", "--classes=a", "--plus=", "-h=a", "--help=a",
+                "--bogus", "--dedlocks", "--outptu")
+
+
+def _spell(rng, option, values):
+    """`option` and its values as argument groups, in one of the spellings."""
+    option = rng.choice((option, _PREFIX.get(option, option)))
+    if len(values) == 1 and rng.random() < 0.4:
+        joined = "" if option == "-o" and rng.random() < 0.5 else "="
+        return [[option + joined + values[0]]]
+    return [[option, *values]]
+
+
+def _draw_argv(rng):
+    """A command line that the synopsis allows, then, half the time, one to
+    three words inserted, deleted or replaced."""
+    command = rng.choice(("realize", "analyze", "dot"))
+
+    def name():
+        return rng.choice(_NAMES)
+
+    groups = [[name()]]
+    if command == "realize" and rng.random() < 0.5:
+        groups += _spell(rng, "--pv", [])
+    if command != "analyze" and rng.random() < 0.5:
+        groups += _spell(rng, rng.choice(("-o", "--output")), [name()])
+    if command == "analyze":
+        analysis = rng.choice(("--deadlocks", "--classes", "--germs", "--t-check", "--s-equiv"))
+        arity = {"--deadlocks": 0, "--classes": 2}.get(analysis, 1)
+        groups += _spell(rng, analysis, [name() for _ in range(arity)])
+        for option, arity in (("--minus", 0), ("--plus", 0), ("--init", 1), ("--finals", 1)):
+            if rng.random() < 0.2:
+                groups += _spell(rng, option, [name() for _ in range(arity)])
+    rng.shuffle(groups)
+    argv = [command] + [word for group in groups for word in group]
+    for _ in range(rng.randint(1, 3) if rng.random() < 0.5 else 0):
+        at = rng.randint(0, len(argv))
+        word = rng.choice((name(), rng.choice(_OTHER_WORDS), rng.choice(("-h", "--help", "--h"))))
+        kind = rng.randrange(3)
+        if kind == 0:
+            argv.insert(at, word)
+        elif at < len(argv):
+            argv[at:at + 1] = [word] if kind == 1 else []
+    return argv
+
+
+class TestParser:
+    def test_answers_like_argparse(self):
+        rng = random.Random(25)
+        parser = _reference_parser()
+        outcomes = Counter()
+        for _ in range(2500):
+            argv = _draw_argv(rng)
+            want = _reference(parser, argv)
+            assert _parsed(argv) == want, argv
+            outcomes[want if isinstance(want, str) else want["command"]] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+
+    @pytest.mark.parametrize("argv, want", [
+        # values that start with "-": a negative number or one with a space
+        # is a value, anything else an option
+        (("analyze", "F", "--germs", "-1"), {"germs": "-1"}),
+        (("analyze", "--init", "-1", "F", "--deadlocks"), {"init": "-1", "deadlocks": True}),
+        (("analyze", "F", "--germs", "-x b"), {"germs": "-x b"}),
+        (("analyze", "F", "--germs", "-x"), "refused"),
+        (("realize", "F", "-o", "--pv"), "refused"),
+        # after "--" every argument is positional, and no option takes "--"
+        (("realize", "--pv", "--", "-x"), {"input": "-x", "pv": True}),
+        (("analyze", "--deadlocks", "--", "-"), {"input": "-", "deadlocks": True}),
+        (("realize", "--", "-h"), {"input": "-h"}),
+        (("dot", "--", "--"), {"input": "--"}),
+        (("dot", "F", "--", "-oG"), "refused"),
+        (("--", "dot", "F"), "refused"),  # a subcommand named "--"
+        (("realize", "F", "--", "--pv"), "refused"),
+        (("analyze", "F", "--germs", "--", "x"), "refused"),
+        # "-h" goes on as a cluster of one-letter options
+        (("realize", "F", "-hh"), "help"),
+        (("realize", "F", "-ho", "G"), "help"),
+        (("realize", "F", "-ho"), "refused"),
+        (("analyze", "F", "-hx"), "refused"),
+        # an ambiguous prefix is refused before anything else is read
+        (("analyze", "F", "-h", "--=x"), "refused"),
+    ])
+    def test_pinned_command_lines(self, argv, want):
+        got = _parsed(list(argv))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got == {**cli._DEFAULTS[argv[0]], "input": "F", **want}
+
+    def test_readme_shows_the_synopsis(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert "```\n%s\n```" % cli._SYNOPSIS.partition("\n\n")[0] in readme
+
+    def test_importing_the_cli_leaves_argparse_out(self):
+        child = subprocess.run(
+            [sys.executable, "-c", "import sys, globflow.cli; print('argparse' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+        )
+        assert child.stdout == "False\n"
