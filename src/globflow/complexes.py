@@ -27,9 +27,6 @@ the paths out of its target, so every list is lexicographic with no stack
 and no sort.  Every path listing refuses a complex that does not validate,
 with InvalidComplexError carrying its validation report.
 
-The deadlocks of the realization are read off the edges the same way,
-without listing a path (`complex_deadlocks`).
-
 A complex keeps its cells as rows: an edge is (id, src, tgt, label) and a
 square (id, left, right).  Two indexes are read off the edge rows and
 hold the rows themselves: id -> row, which every walk along a side uses
@@ -38,15 +35,21 @@ order.  The document reader (`formats.complex_from_doc`) and the compiler
 (`pv.pv_to_complex`) fill the rows directly, and the `edges`, `squares`
 and `edge_map` of such a complex are built as `Edge` and `Square` values
 only when a caller reads them.  A complex built from those values derives
-its rows the first time they are needed.  Validation and its cycle walk,
-`topological_order`, `squares_into`, the path counts and listings,
-`complex_deadlocks`, the class propagation, `path_source`, `path_target`
-and `is_exec_path` read only the rows, as does `formats.complex_to_doc`;
-so reading, validating, counting and answering deadlocks and classes on
-a document builds no cell object.
+its rows the first time they are needed.  Validation, `topological_order`,
+`squares_into`, the path counts and listings, `complex_deadlocks`, the
+class propagation, `path_source`, `path_target` and `is_exec_path` read
+only the rows, as does `formats.complex_to_doc`; so reading, validating,
+counting and answering deadlocks and classes on a document builds no cell
+object.
 
 A complex is validated where it enters the engine; compiler output enters
 certified (`pv.pv_to_complex` seeds `validation` and `topological_order`).
+One pass of Kahn's algorithm (`_kahn_order`) settles acyclicity and order:
+a cycle is reported exactly when the order misses a state, and named by the
+walk back from the least missed state along in-edges, least edge id first,
+read forward from the first state it repeats (`_cycle`).  One forward pass
+over a run of the order (`_reach`) gives the states its first one reaches,
+with their in-edges, to the path listings, class propagation and deadlocks.
 
 Morphisms map states to states and edges to nonempty paths, preserving
 endpoints and sending the two boundaries of every square into the same
@@ -195,10 +198,10 @@ class GlobularComplex:
 
     @_cached_property
     def _out(self) -> dict[StateId, tuple[EdgeRow, ...]]:
-        """The rows of the edges out of each state, in edge-id order."""
+        """The rows of the edges between states out of each, in edge-id order."""
         by_src: dict[str, list[EdgeRow]] = {s: [] for s in self.states}
         for row in sorted(self._edge_rows, key=itemgetter(0)):
-            if row[1] in by_src:
+            if row[1] in by_src and row[2] in by_src:
                 by_src[row[1]].append(row)
         return {s: tuple(rows) for s, rows in by_src.items()}
 
@@ -212,16 +215,13 @@ class GlobularComplex:
 
     @_cached_property
     def topological_order(self) -> tuple[StateId, ...]:
-        """Every state, each before the targets of its out-edges: the states
-        no edge touches, in declaration order, then the depth-first finishing
-        order of the acyclicity check (`_find_cycle`) reversed.  A compiled
-        PV complex carries the compiler's order instead, its states in
-        declaration order (`pv.pv_to_complex`).  Raises InvalidComplexError
-        if the complex does not validate."""
+        """Every state, each before the targets of its out-edges, in Kahn's
+        order: the states no edge enters, in declaration order, then each
+        state once every edge into it is taken, out-edges in edge-id order.
+        A compiled PV complex carries its states instead (`pv.pv_to_complex`).
+        Raises InvalidComplexError if the complex does not validate."""
         require_valid(self)
-        _, finished = self._cycle_walk
-        del self.__dict__["_cycle_walk"]  # validation has read it already
-        return (*[s for s in self.states if s not in finished], *reversed(finished))
+        return self._kahn_order
 
     @_cached_property
     def squares_into(self) -> dict[str, list[SquareRow]]:
@@ -237,10 +237,8 @@ class GlobularComplex:
         return index
 
     @_cached_property
-    def _cycle_walk(self) -> tuple[Optional[list[str]], dict[str, None]]:
-        """`_find_cycle` on this complex, walked once: validation reads its
-        cycle, then `topological_order` its finishing order, and lets it go."""
-        return _find_cycle(self)
+    def _kahn_order(self) -> tuple[StateId, ...]:
+        return _kahn_order(self)  # one walk, for validation and the order
 
     @_cached_property
     def validation(self) -> ValidationReport:
@@ -319,9 +317,9 @@ def _validation_report(c: GlobularComplex) -> ValidationReport:
             if tgt not in states:
                 violations.append(f"dangling endpoint: target {tgt} of edge {eid}")
 
-    cycle, _ = c._cycle_walk
-    if cycle is not None:
-        violations.append("cyclic 1-skeleton: " + " -> ".join(cycle))
+    order = c._kahn_order
+    if len(order) < len(c._out):
+        violations.append("cyclic 1-skeleton: " + " -> ".join(_cycle(c, order)))
 
     seen_squares = set()
     for qid, left, right in c._square_rows:
@@ -374,37 +372,38 @@ def _square_violations(
     return out
 
 
-def _find_cycle(c: GlobularComplex) -> tuple[Optional[list[str]], dict[str, None]]:
-    """A directed cycle through the edge graph, or None, and the states the
-    depth-first walk finished, in finishing order.  Roots and targets are
-    taken in sorted order, and the first cycle met is returned.  Tolerates
-    dangling ids.  When there is no cycle, every edge's target finishes
-    before its source."""
-    adjacent: dict[str, list[str]] = {}  # sources and their targets, sorted
-    for _, src, tgt, _ in sorted(c._edge_rows, key=itemgetter(1, 2)):
-        adjacent.setdefault(src, []).append(tgt)
-    finished: dict[str, None] = {}  # insertion-ordered
-    for root in adjacent:
-        if root in finished:
-            continue
-        # depth-first, with the states on the current path in `trail`, in order
-        trail = {root: None}
-        pending = [iter(adjacent[root])]
-        while pending:
-            for v in pending[-1]:
-                if v in trail:
-                    cycle = list(trail)
-                    return cycle[cycle.index(v):] + [v], finished
-                if v not in finished:
-                    if v in adjacent:
-                        trail[v] = None
-                        pending.append(iter(adjacent[v]))
-                        break
-                    finished[v] = None  # a state no edge leaves
-            else:
-                pending.pop()
-                finished[trail.popitem()[0]] = None
-    return None, finished
+def _kahn_order(c: GlobularComplex) -> tuple[StateId, ...]:
+    """Kahn's order of the states (`GlobularComplex.topological_order`);
+    it holds every state exactly when the edges close no directed cycle."""
+    out = c._out
+    waiting = dict.fromkeys(out, 0)  # the edges into each state not yet taken
+    for rows in out.values():
+        for _, _, tgt, _ in rows:
+            waiting[tgt] += 1
+    order = [s for s, n in waiting.items() if not n]
+    for s in order:  # the order grows as states are freed
+        for _, _, tgt, _ in out[s]:
+            waiting[tgt] -= 1
+            if not waiting[tgt]:
+                order.append(tgt)
+    return tuple(order)
+
+
+def _cycle(c: GlobularComplex, order: tuple[StateId, ...]) -> list[StateId]:
+    """A directed cycle among the states Kahn's `order` misses, each of
+    which an edge from another enters: the loop of the walk back from the
+    least of them, forward from the state it repeats, named at both ends."""
+    missed = c._out.keys() - set(order)
+    back = {}  # missed state -> source of its least in-edge from one, written last
+    for _, src, tgt, _ in sorted(c._edge_rows, key=itemgetter(0, 1), reverse=True):
+        if src in missed and tgt in missed:
+            back[tgt] = src
+    s, walk = min(missed), {}
+    while s not in walk:
+        walk[s] = None
+        s = back[s]
+    loop = list(walk)
+    return [s, *reversed(loop[loop.index(s):])]
 
 
 def require_valid(c: GlobularComplex) -> None:
@@ -442,32 +441,41 @@ def enumerate_paths(c: GlobularComplex, src: StateId, tgt: StateId) -> list[Exec
     return table[src][0] if src in table else []
 
 
+def _reach(c: GlobularComplex, span: tuple[StateId, ...]) -> dict[StateId, list[EdgeRow]]:
+    """The states span[0] reaches by edges out of `span`, a run of a
+    topological order, each with the rows of those edges into it, by source
+    as in `span`, then by edge id.  An empty span reaches nothing."""
+    out = c._out
+    into: dict[StateId, list[EdgeRow]] = {s: [] for s in span[:1]}
+    for s in span:
+        if s in into:
+            for row in out[s]:
+                into.setdefault(row[2], []).append(row)
+    return into
+
+
 def _suffix_table(c: GlobularComplex, span: tuple[StateId, ...], table: dict) -> dict:
     """The paths to the target from the states span[0] reaches, filled into
     `table`, which holds the target's entry `[[()]]`.  An entry is a list of
     chains: a list of paths, or (edge id, chain) for the edge before each.
 
-    A forward pass counts each state's readers, the edges into it from
-    reached states.  Backwards over `span`, the entry of s is then, for each
-    out-edge e in edge-id order, `(e.id, chain)` for each chain of e.tgt's.
-    A state with one reader keeps that for its reader to read through; any
-    other is built into one list, each chain let go once read.  An entry
-    goes once its last reader has taken it, so only unread ones are left."""
+    Backwards over `span`, the entry of s is, for each out-edge e in edge-id
+    order, `(e.id, chain)` for each chain of e.tgt's.  A state with one
+    reader, an in-edge from a reached state (`_reach`), keeps that for its
+    reader to read through; any other is built into one list, each chain
+    let go once read.  An entry goes once its last reader has taken it."""
     out = c._out
-    readers = {span[0]: 0}
-    for s in span:
-        for _, _, tgt, _ in out[s] if s in readers else ():
-            readers[tgt] = readers.get(tgt, 0) + 1
+    readers = _reach(c, span)
     for s in reversed(span):
         chains = []
         for eid, _, tgt, _ in out[s] if s in readers else ():
             if tgt in table:
                 for chain in table[tgt]:
                     chains.append((eid, chain))
-                readers[tgt] -= 1
+                readers[tgt].pop()
                 if not readers[tgt]:
                     del table[tgt]
-        if chains and readers[s] != 1:  # built, not read through
+        if chains and len(readers[s]) != 1:  # built, not read through
             chains.reverse()
             paths = []
             while chains:
@@ -535,12 +543,13 @@ def complex_deadlocks(
     on the realization of `c`, without realizing it.
 
     A path leaves a state exactly when an edge does, and the targets of the
-    paths out of `init` are the states its edges reach, so one search over
-    the edges from `init` finds them, O(V + E).  Raises InvalidComplexError
-    if the complex does not validate, and otherwise UnknownIdError for an
-    unknown `init` or final state, with the texts of `flows.deadlocks`.
+    paths out of `init` are the states its edges reach, which one forward
+    pass over the topological order finds (`_reach`), O(V + E).  Raises
+    InvalidComplexError if the complex does not validate, and otherwise
+    UnknownIdError for an unknown `init` or final state, with the texts of
+    `flows.deadlocks`.
     """
-    require_valid(c)
+    order = c.topological_order  # raises InvalidComplexError first
     finals = frozenset(finals)
     if init not in c.state_set:
         raise UnknownIdError(f"unknown state: {init}")
@@ -548,13 +557,7 @@ def complex_deadlocks(
     if stray:
         raise UnknownIdError("unknown final states: " + ", ".join(sorted(stray)))
     out = c._out
-    reached = {init}
-    frontier = [init]
-    while frontier:
-        for _, _, tgt, _ in out[frontier.pop()]:
-            if tgt not in reached:
-                reached.add(tgt)
-                frontier.append(tgt)
+    reached = _reach(c, order[order.index(init):])
     return tuple(sorted(s for s in reached if not out[s] and s not in finals))
 
 
@@ -604,14 +607,12 @@ def _class_steps(c: GlobularComplex, src: StateId, tgt: StateId) -> dict[str, li
     cached = c.__dict__.get("_class_table")
     if cached is not None and cached[0] == (src, tgt):
         return cached[1]
-    order = c.topological_order
-    out, edge_row = c._out, c._edge_row
+    order, edge_row = c.topological_order, c._edge_row
+    span = order[order.index(src):order.index(tgt) + 1]
+    arrivals = _reach(c, span)  # each list let go once read
     classes = {src: 1}  # number of classes at each state reached so far
-    arrivals: dict[str, list[EdgeRow]] = {}  # edges out of reached states, by target
-    for row in out[src]:
-        arrivals.setdefault(row[2], []).append(row)
     step: dict[str, list[int]] = {}
-    for s in order[order.index(src) + 1:order.index(tgt) + 1]:
+    for s in span[1:]:
         edges = arrivals.pop(s, None)
         if edges is None:
             continue
@@ -630,8 +631,6 @@ def _class_steps(c: GlobularComplex, src: StateId, tgt: StateId) -> dict[str, li
         for eid, e_src, _, _ in edges:
             step[eid] = klass[first[eid]:first[eid] + classes[e_src]]
         classes[s] = max(klass) + 1
-        for row in out[s]:
-            arrivals.setdefault(row[2], []).append(row)
     c.__dict__["_class_table"] = ((src, tgt), step)
     return step
 

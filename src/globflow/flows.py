@@ -31,11 +31,10 @@ can only slide path values along the path space's connectivity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
-from .complexes import PATH_SEPARATOR, ValidationReport
+from .complexes import PATH_SEPARATOR, ValidationReport, _cached_property
 from .errors import InvalidFlowError, InvalidMorphismError, UnknownIdError
 from .unionfind import class_numbers_of
 
@@ -71,22 +70,22 @@ class FiniteFlow:
 
     # -- structure access ---------------------------------------------------
 
-    @cached_property
+    @_cached_property
     def paths(self) -> frozenset[str]:
         return frozenset(self.path_ends)
 
-    @cached_property
+    @_cached_property
     def sorted_paths(self) -> tuple[str, ...]:
         return tuple(sorted(self.path_ends))
 
-    @cached_property
+    @_cached_property
     def by_src(self) -> dict[str, tuple[str, ...]]:
         table: dict[str, list[str]] = {s: [] for s in self.skeleton}
         for p in self.sorted_paths:
             table.setdefault(self.path_ends[p][0], []).append(p)
         return {s: tuple(ps) for s, ps in table.items()}
 
-    @cached_property
+    @_cached_property
     def by_tgt(self) -> dict[str, tuple[str, ...]]:
         table: dict[str, list[str]] = {s: [] for s in self.skeleton}
         for p in self.sorted_paths:
@@ -120,7 +119,7 @@ class FiniteFlow:
 
     # -- adjacency ----------------------------------------------------------
 
-    @cached_property
+    @_cached_property
     def adjacency_components(self) -> dict[PathId, int]:
         """path id -> the number of its adj*-component, for every path and
         every id that an adjacency pair names."""
@@ -184,7 +183,7 @@ class _ConcatenativeFlow(FiniteFlow):
         self.path_ends = path_ends
         self.adjacency = adjacency
 
-    @cached_property
+    @_cached_property
     def composition(self) -> dict[tuple[str, str], str]:
         by_src = self.by_src
         return {

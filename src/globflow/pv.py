@@ -38,11 +38,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from math import prod
 from operator import add, le
 
-from .complexes import GlobularComplex, ValidationReport
+from .complexes import GlobularComplex, ValidationReport, _cached_property
 from .errors import CompileLimitExceeded, PvError, PvSyntaxError
 from .settings import env_count
 
@@ -72,11 +71,11 @@ class PvProgram:
     resources: tuple[tuple[str, int], ...]
     processes: tuple[tuple[PvStep, ...], ...]
 
-    @cached_property
+    @_cached_property
     def capacities(self) -> dict[str, int]:
         return dict(self.resources)
 
-    @cached_property
+    @_cached_property
     def _held(self) -> tuple[tuple[dict[str, int], ...], ...]:
         """Running resource counts: `_held[k][pos]` is what process k holds
         after its first `pos` steps, zero counts left out."""

@@ -29,7 +29,6 @@ caller that only needs the refusal pays only the count.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from .complexes import (
@@ -39,6 +38,7 @@ from .complexes import (
     EdgeRow,
     GlobularComplex,
     Square,
+    _cached_property,
     all_exec_paths,
     complex_morphism_violations,
     count_paths_and_composites,
@@ -344,12 +344,12 @@ class _RealizedFlow(_ConcatenativeFlow):
         self.skeleton = frozenset(c.states)
         self._complex = c
 
-    @cached_property
+    @_cached_property
     def path_ends(self) -> dict[str, tuple[str, str]]:
         self._build()
         return self.path_ends
 
-    @cached_property
+    @_cached_property
     def adjacency(self) -> frozenset[tuple[str, str]]:
         self._build()
         return self.adjacency

@@ -64,6 +64,45 @@ class TestValidateComplex:
             "cyclic 1-skeleton" in v for v in validate_complex(c).violations
         )
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_a_cycle_is_named_by_a_closed_walk(self, seed):
+        # a random complex, its declarations shuffled, and one edge back
+        # from the end of one of its paths to the path's start
+        rng = random.Random(2600 + seed)
+        c = random_complex(rng, min_edges=1)
+        path = rng.choice(all_exec_paths(c))
+        back = Edge("back", c.path_target(path), c.path_source(path))
+
+        def shuffled():
+            states, edges = list(c.states), [*c.edges, back]
+            rng.shuffle(states)
+            rng.shuffle(edges)
+            return GlobularComplex(tuple(states), tuple(edges), c.squares)
+
+        cyclic = shuffled()
+        (violation,) = validate_complex(cyclic).violations
+        prefix = "cyclic 1-skeleton: "
+        assert violation.startswith(prefix)
+        walk = violation[len(prefix):].split(" -> ")
+        edges = {(e.src, e.tgt) for e in cyclic.edges}
+        assert all(step in edges for step in zip(walk, walk[1:]))
+        assert walk[0] == walk[-1] and len(set(walk)) == len(walk) - 1
+        # an equal complex, and the same cells declared in another order
+        for again in (loads_complex(dumps_complex(cyclic)), shuffled()):
+            assert str(validate_complex(again)) == str(validate_complex(cyclic))
+
+    @pytest.mark.parametrize("states, edges, violations", [
+        # u has in-edges b from v and c from w: the least id, b, is walked
+        ("uvw", ["auv", "bvu", "cwu", "duw"], ["cyclic 1-skeleton: u -> v -> u"]),
+        # a is on no cycle: its walk back repeats x, where the loop starts
+        ("axy", ["pxy", "qyx", "rxa"], ["cyclic 1-skeleton: x -> y -> x"]),
+        # a repeated state is no missed one
+        ("uvu", ["auv"], ["duplicate state: u"]),
+    ], ids=["least-edge", "repeated-state", "repeated-declaration"])
+    def test_the_cycle_named(self, states, edges, violations):
+        c = GlobularComplex(tuple(states), tuple(Edge(*e) for e in edges))
+        assert list(validate_complex(c).violations) == violations
+
     def test_bad_square_boundary(self):
         grid = make_grid(with_square=False)
         bad = GlobularComplex(
@@ -539,13 +578,13 @@ class TestClassPropagation:
 
     def test_one_cycle_walk_per_complex(self, monkeypatch):
         calls = []
-        walk = complexes._find_cycle
+        walk = complexes._kahn_order
 
         def counted(c):
             calls.append(c)
             return walk(c)
 
-        monkeypatch.setattr(complexes, "_find_cycle", counted)
+        monkeypatch.setattr(complexes, "_kahn_order", counted)
         compiled = pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE))
         assert validate_complex(compiled).ok
         realize(compiled)
@@ -571,7 +610,7 @@ class TestClassPropagation:
             states=("z", "s2", "y", "s0", "s1", "x"),
             edges=(Edge("b", "s1", "s2"), Edge("a", "s0", "s1"), Edge("c", "s0", "s2")),
         )
-        assert c.topological_order == ("z", "y", "x", "s0", "s1", "s2")
+        assert c.topological_order == ("z", "y", "s0", "x", "s1", "s2")
         assert GlobularComplex(states=("b", "a")).topological_order == ("b", "a")
 
 

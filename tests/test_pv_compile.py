@@ -77,9 +77,9 @@ class TestCertifiedOutput:
 
     def test_compiled_complexes_are_not_validated_again(self, monkeypatch):
         calls = []
-        report, walk = complexes._validation_report, complexes._find_cycle
+        report, walk = complexes._validation_report, complexes._kahn_order
         monkeypatch.setattr(complexes, "_validation_report", lambda c: calls.append(c) or report(c))
-        monkeypatch.setattr(complexes, "_find_cycle", lambda c: calls.append(c) or walk(c))
+        monkeypatch.setattr(complexes, "_kahn_order", lambda c: calls.append(c) or walk(c))
         c = pv_to_complex(parse_pv(oracles.dining_philosophers_source(3)))
         assert complexes.validate_complex(c).ok
         assert complexes.enumerate_paths(c, c.init, c.finals[0])
