@@ -20,10 +20,13 @@ sum is the number of edge ids all path ids spell out
 
 There is one construction, `IncrementalRealizer`: it builds a realization
 cell by cell and keeps its tables current while a complex is built, and
-makes its flow from copies of them when the flow is read.  `realize(c)`
-refuses what the realizer refuses and then returns a flow that holds `c`
-and has a realizer build its tables the first time one is read, so a
-caller that only needs the refusal pays only the count.
+makes its flow from copies of them when the flow is read.  It builds the
+heads and tails of an edge's new paths once per edge, and fixes the order
+of a square's move pairs once per square, except when one side's id is a
+prefix of the other's.  `realize(c)` refuses what the realizer refuses and
+then returns a flow that holds `c` and has a realizer build its tables
+the first time one is read, so a caller that only needs the refusal pays
+only the count.
 """
 
 from __future__ import annotations
@@ -143,10 +146,13 @@ class IncrementalRealizer:
     squares already attached that end at their source or start at their
     target.  Attaching a square pairs pre·left·suf with pre·right·suf over
     the paths into its source and out of its target.  So each move pair is
-    made once, from a square, and no path is listed or rewritten.  Every
-    check runs against the realizer's own cells before any table changes,
-    so a rejected cell leaves the realizer as it was.  An edge that would take the realization over
-    GLOBFLOW_REALIZE_LIMIT, as read when the realizer was made, raises
+    made once, from a square, and no path is listed or rewritten.  An edge's
+    heads and tails are built once, for its checks, its limit and its paths.
+    A square fixes its pairs' order once, unless one side's id is a prefix
+    of the other's, when each pair is compared.  Every check runs against
+    the realizer's own cells before any table changes, so a rejected cell
+    leaves the realizer as it was.  An edge that would take the realization
+    over GLOBFLOW_REALIZE_LIMIT, as read when the realizer was made, raises
     RealizationLimitExceeded, as `realize` of the extended complex would.
 
     Making a realizer refuses `c` as `realize` does, then adds every edge
@@ -182,7 +188,7 @@ class IncrementalRealizer:
         self._squares_from: dict[str, list[tuple[str, str, str]]] = {}
         self._squares_into: dict[str, list[tuple[str, str, str]]] = {}
         for edge in c.edges:
-            self._add_edge(edge)
+            self._add_edge(edge, *self._edge_paths(edge))
         for q in c.squares:
             self._add_square(q, c.path_source(q.left), c.path_target(q.left))
         self._flow: Optional[FiniteFlow] = None
@@ -228,7 +234,7 @@ class IncrementalRealizer:
         self._changed()
 
     def attach_edge(self, edge: Edge) -> None:
-        ends, out, into = self._path_ends, self._out, self._into
+        into, out = self._into, self._out
         if edge.id in self._edges:
             raise InvalidAttachmentError(f"edge id already present: {edge.id}")
         if PATH_SEPARATOR in edge.id:
@@ -236,7 +242,9 @@ class IncrementalRealizer:
         for endpoint in (edge.src, edge.tgt):
             if endpoint not in self._states:
                 raise InvalidAttachmentError(f"dangling endpoint: {endpoint}")
-        if edge.src == edge.tgt or any(ends[p][1] == edge.src for p in out[edge.tgt]):
+        heads, tails = self._edge_paths(edge)
+        targets = [t for t, _ in tails]
+        if edge.src in targets:
             raise InvalidAttachmentError(
                 f"attaching {edge.id} would close a directed cycle"
             )
@@ -244,15 +252,13 @@ class IncrementalRealizer:
         # a new path s -> t composes with the old paths into s and out of t
         # only: two new paths would both hold the edge, and the 1-skeleton
         # is acyclic
-        sources = [edge.src] + [ends[pre][0] for pre in into[edge.src]]
-        targets = [edge.tgt] + [ends[suf][1] for suf in out[edge.tgt]]
         composites = (
             self._composites
-            + len(targets) * sum([len(into[s]) for s in sources])
-            + len(sources) * sum([len(out[t]) for t in targets])
+            + len(tails) * sum([len(into[s]) for s, _ in heads])
+            + len(heads) * sum([len(out[t]) for t in targets])
         )
-        _check_limit(len(ends) + len(sources) * len(targets), composites, self._limit)
-        self._add_edge(edge)
+        _check_limit(len(self._path_ends) + len(heads) * len(tails), composites, self._limit)
+        self._add_edge(edge, heads, tails)
         self._composites = composites
         self._changed()
 
@@ -274,30 +280,38 @@ class IncrementalRealizer:
         self._add_square(square, *endpoints[0])
         self._changed()
 
-    def _add_edge(self, edge: Edge) -> None:
-        """Enter an edge, its new paths and their move pairs."""
+    def _edge_paths(self, edge: Edge) -> tuple[list, list]:
+        """The heads of the paths through `edge`, (source, id) of the edge and
+        of each path into its source extended by it, and their tails,
+        (target, suffix) of the empty tail and of each path out of its target."""
+        ends = self._path_ends
+        heads = [(edge.src, edge.id)]
+        heads += [(ends[pre][0], pre + PATH_SEPARATOR + edge.id) for pre in self._into[edge.src]]
+        tails = [(edge.tgt, "")]
+        tails += [(ends[suf][1], PATH_SEPARATOR + suf) for suf in self._out[edge.tgt]]
+        return heads, tails
+
+    def _add_edge(self, edge: Edge, heads: list, tails: list) -> None:
+        """Enter an edge, its paths head + tail (`_edge_paths`) and their move pairs."""
         self._edges[edge.id] = edge
         self._edge_row[edge.id] = (edge.id, edge.src, edge.tgt, edge.label)
-        ends, out, into = self._path_ends, self._out, self._into
-        heads = [(edge.src, edge.id)]
-        heads += [(ends[pre][0], pre + PATH_SEPARATOR + edge.id) for pre in into[edge.src]]
-        tails = [(edge.tgt, "")]
-        tails += [(ends[suf][1], PATH_SEPARATOR + suf) for suf in out[edge.tgt]]
-        for s, head in heads:
-            for t, tail in tails:
+        ends, out = self._path_ends, self._out
+        for t, tail in tails:
+            into_t = self._into[t]
+            for s, head in heads:
                 new = head + tail
                 ends[new] = (s, t)
                 out[s].append(new)
-                into[t].append(new)
+                into_t.append(new)
 
         # no square attached so far holds the edge, so a side in a new path
         # lies wholly before the edge, followed by a new path out of the
         # square's target, or wholly after it, after a new path into its source
-        for s, head in heads:
+        for s, head in heads if self._squares_into else ():
             for left, right, q_src in self._squares_into.get(s, ()):
                 after = [PATH_SEPARATOR + head + tail for _, tail in tails]
                 self._add_moves(left, right, self._heads(q_src), after)
-        for t, tail in tails:
+        for t, tail in tails if self._squares_from else ():
             for left, right, q_tgt in self._squares_from.get(t, ()):
                 before = [head + tail + PATH_SEPARATOR for _, head in heads]
                 self._add_moves(left, right, before, self._tails(q_tgt))
@@ -321,12 +335,20 @@ class IncrementalRealizer:
 
     def _add_moves(self, left: str, right: str, heads: list[str], tails: list[str]) -> None:
         """Pair head + left + tail with head + right + tail.  The 1-skeleton is
-        acyclic, so a path holds a side in at most one way."""
+        acyclic, so a path holds a side in at most one way.  Unless one side's
+        id is a prefix of the other's, every pair is ordered as the sides are."""
         adjacency = self._adjacency
+        if left.startswith(right) or right.startswith(left):
+            for head in heads:
+                for tail in tails:
+                    a, b = head + left + tail, head + right + tail
+                    adjacency.add((a, b) if a < b else (b, a))
+            return
+        left, right = sorted((left, right))
         for head in heads:
+            head_left, head_right = head + left, head + right
             for tail in tails:
-                a, b = head + left + tail, head + right + tail
-                adjacency.add((a, b) if a < b else (b, a))
+                adjacency.add((head_left + tail, head_right + tail))
 
     def _changed(self) -> None:
         """Drop the flow and the complex built for the cells before."""

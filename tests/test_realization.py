@@ -280,31 +280,43 @@ class TestIncrementalRealizerTables:
         realizer = IncrementalRealizer(GlobularComplex(states=target.states))
         realizer.attach(Edge("a", "00", "10"))
         realizer.attach(Edge("b", "10", "11"))
+        cell = object()
         rejected = [
-            "00",
-            Edge("a", "00", "01"),
-            Edge("x*y", "00", "01"),
-            Edge("x", "00", "nowhere"),
-            Edge("back", "11", "00"),
-            Edge("loop", "10", "10"),
-            Square("bad", ("a", "c"), ("b",)),
-            Square("apart", ("a",), ("a", "b")),
-            Square("empty", (), ("a",)),
-            object(),
+            ("00", "state already present: 00"),
+            (Edge("a", "00", "01"), "edge id already present: a"),
+            (Edge("x*y", "00", "01"), "reserved character in edge id: x*y"),
+            (Edge("x", "00", "nowhere"), "dangling endpoint: nowhere"),
+            (Edge("x", "nowhere", "gone"), "dangling endpoint: nowhere"),
+            (Edge("back", "11", "00"), "attaching back would close a directed cycle"),
+            (Edge("loop", "10", "10"), "attaching loop would close a directed cycle"),
+            (Square("bad", ("a", "c"), ("b",)), "square bad left side is not an execution path"),
+            (Square("bad", ("a",), ("b", "a")), "square bad right side is not an execution path"),
+            (Square("apart", ("a",), ("a", "b")), "square apart sides do not share endpoints"),
+            (Square("empty", (), ("a",)), "square empty left side is not an execution path"),
+            (cell, f"not an attachable cell: {cell!r}"),
         ]
-        for cell in rejected:
-            before = realizer.flow
-            with pytest.raises(InvalidAttachmentError):
-                realizer.attach(cell)
-            assert realizer.flow is before
-            assert realizer.flow == realize(realizer.complex)
+        self._refuse_all(realizer, rejected)
         realizer.attach(Edge("c", "00", "01"))
         realizer.attach(Edge("d", "01", "11"))
         realizer.attach(Square("q", ("a", "b"), ("c", "d")))
-        with pytest.raises(InvalidAttachmentError):
-            realizer.attach(Square("q", ("c", "d"), ("a", "b")))
+        self._refuse_all(realizer, [
+            (Square("q", ("c", "d"), ("a", "b")), "square id already present: q"),
+            (Edge("a*b", "11", "00"), "reserved character in edge id: a*b"),
+            # back through the two-edge paths a*b and c*d that q pairs
+            (Edge("up", "11", "00"), "attaching up would close a directed cycle"),
+        ])
         realizer.attach(Edge("e", "00", "11"))
         assert realizer.flow == realize(realizer.complex)
+
+    @staticmethod
+    def _refuse_all(realizer, rejected):
+        for cell, message in rejected:
+            before = realizer.flow
+            with pytest.raises(InvalidAttachmentError) as raised:
+                realizer.attach(cell)
+            assert str(raised.value) == message
+            assert realizer.flow is before
+            assert realizer.flow == realize(realizer.complex)
 
     @pytest.mark.parametrize("cell", [42, ("e", "00", "11")], ids=["int", "tuple"])
     def test_a_value_that_is_no_cell_is_refused(self, cell):
@@ -502,6 +514,30 @@ def _build(rng, target):
     return realizer.flow, late_edges
 
 
+def _ready_orders(target):
+    """Every order of the cells of `target` that `ready_order` can draw."""
+
+    def orders(states, edges, squares):
+        ready = [s for s in target.states if s not in states]
+        ready += [e for e in target.edges if e.id not in edges and {e.src, e.tgt} <= states]
+        ready += [q for q in target.squares if q.id not in squares and set(q.left + q.right) <= edges]
+        if not ready:
+            yield ()
+        for cell in ready:
+            if isinstance(cell, str):
+                rests = orders(states | {cell}, edges, squares)
+            elif isinstance(cell, Edge):
+                rests = orders(states, edges | {cell.id}, squares)
+            else:
+                rests = orders(states, edges, squares | {cell.id})
+            for rest in rests:
+                yield (cell,) + rest
+                if isinstance(cell, Square):  # either side may come first
+                    yield (Square(cell.id, cell.right, cell.left),) + rest
+
+    return orders(frozenset(), frozenset(), frozenset())
+
+
 class TestRealizationOracle:
     def test_realize_matches_oracle(self, rng):
         targets = [_with_odd_squares(random_complex(rng)) for _ in range(40)]
@@ -518,6 +554,27 @@ class TestRealizationOracle:
             assert _tables(flow) == _oracle_tables(target)
             late_edges += late
         assert late_edges > 0
+
+    def test_sides_whose_ids_are_prefixes_of_each_other(self):
+        # "!" sorts below "*", so a*b < a*b! but a*b!*z < a*b*z: the order
+        # of a pair depends on what follows the sides
+        target = GlobularComplex(
+            states=("s", "x", "t", "u"),
+            edges=(Edge("a", "s", "x"), Edge("b", "x", "t"), Edge("b!", "x", "t"), Edge("z", "t", "u")),
+            squares=(Square("q", ("a", "b"), ("a", "b!")),),
+        )
+        want = _oracle_tables(target)
+        assert ("a*b!*z", "a*b*z") in want[3]
+        assert _tables(realize(target)) == want
+        z_after_q = set()
+        for order in _ready_orders(target):
+            realizer = IncrementalRealizer(GlobularComplex(states=()))
+            for cell in order:
+                realizer.attach(cell)
+            assert realizer.flow.adjacency == want[3]
+            names = [getattr(cell, "id", cell) for cell in order]
+            z_after_q.add(names.index("z") > names.index("q"))
+        assert z_after_q == {False, True}
 
     def test_no_path_walk_and_no_square_moves(self, rng, monkeypatch):
         target = pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE))
