@@ -31,15 +31,16 @@ A complex keeps its cells as rows: an edge is (id, src, tgt, label) and a
 square (id, left, right).  Two indexes are read off the edge rows and
 hold the rows themselves: id -> row, which every walk along a side uses
 (`exec_path_ends`), and the rows of each state's out-edges in edge-id
-order.  The document reader (`formats.complex_from_doc`) and the compiler
-(`pv.pv_to_complex`) fill the rows directly, and the `edges`, `squares`
-and `edge_map` of such a complex are built as `Edge` and `Square` values
-only when a caller reads them.  A complex built from those values derives
-its rows the first time they are needed.  Validation, `topological_order`,
-`squares_into`, the path counts and listings, `complex_deadlocks`, the
-class propagation, `path_source`, `path_target` and `is_exec_path` read
-only the rows, as does `formats.complex_to_doc`; so reading, validating,
-counting and answering deadlocks and classes on a document builds no cell
+order.  The document reader (`formats.complex_from_doc`), the compiler
+(`pv.pv_to_complex`), `subdivide_edge`, `glob_discrete` and the realizer's
+`complex` fill the rows directly, and the `edges`, `squares` and
+`edge_map` of such a complex are built as `Edge` and `Square` values only
+when a caller reads them.  A complex built from those values derives its
+rows the first time they are needed.  The library reads only the rows:
+validation, `topological_order`, `squares_into`, the path counts and
+listings, `complex_deadlocks`, the class propagation, the morphism checks,
+subdivision, the realizer and `formats.complex_to_doc` and `export_dot`.
+So no route from a document or PV source to an answer builds a cell
 object.
 
 A complex is validated where it enters the engine; compiler output enters
@@ -150,12 +151,12 @@ class GlobularComplex:
     they carry no geometric meaning.  Declaration order is preserved so
     documents round-trip; all operations iterate in sorted order.
 
-    The cells are kept as rows (see the module docstring).  A complex read
-    from a document or compiled from PV source holds only the rows, and
-    builds `edges` and `squares` from them on first read; one built from
-    `Edge` and `Square` values derives the rows on first use.  Equality,
-    hashing, `repr` and `dataclasses.replace` read the fields, so both
-    kinds compare, hash and copy as the same values.
+    The cells are kept as rows (see the module docstring).  A complex the
+    library makes (read, compiled, subdivided, a globe or a realizer's)
+    holds only the rows, and builds `edges` and `squares` from them on
+    first read; one built from `Edge` and `Square` values derives the rows
+    on first use.  Equality, hashing, `repr` and `dataclasses.replace` read
+    the fields, so both kinds compare, hash and copy as the same values.
     """
 
     states: tuple[StateId, ...]
@@ -421,9 +422,8 @@ def glob_discrete(labels: Iterable[str]) -> GlobularComplex:
     names = sorted(set(labels))
     if not names:
         raise ValueError("glob_discrete: label set must be nonempty")
-    return GlobularComplex(
-        states=("0", "1"),
-        edges=tuple(Edge(id=name, src="0", tgt="1") for name in names),
+    return GlobularComplex._from_rows(
+        ("0", "1"), tuple((name, "0", "1", None) for name in names), ()
     )
 
 
@@ -713,7 +713,7 @@ class ComplexMorphism:
 def identity_complex_morphism(c: GlobularComplex) -> ComplexMorphism:
     return ComplexMorphism(
         state_map={s: s for s in c.states},
-        edge_map={e.id: (e.id,) for e in c.edges},
+        edge_map={row[0]: (row[0],) for row in c._edge_rows},
     )
 
 
@@ -745,29 +745,27 @@ def complex_morphism_violations(
             out.append(f"state_map undefined on {s}")
         elif image not in cod.state_set:
             out.append(f"state_map sends {s} outside the codomain: {image}")
-    for e in dom.edges:
-        image = f.edge_map.get(e.id)
+    for eid, src, tgt, _ in dom._edge_rows:
+        image = f.edge_map.get(eid)
         if image is None:
-            out.append(f"edge_map undefined on {e.id}")
+            out.append(f"edge_map undefined on {eid}")
             continue
         image = tuple(image)
         if not image:
-            out.append(f"contracted edge: {e.id} maps to the empty path")
+            out.append(f"contracted edge: {eid} maps to the empty path")
             continue
         if not cod.is_exec_path(image):
-            out.append(f"edge {e.id} maps to a non-path: {image}")
+            out.append(f"edge {eid} maps to a non-path: {image}")
             continue
-        if f.state_map.get(e.src) != cod.path_source(image) or (
-            f.state_map.get(e.tgt) != cod.path_target(image)
+        if f.state_map.get(src) != cod.path_source(image) or (
+            f.state_map.get(tgt) != cod.path_target(image)
         ):
-            out.append(f"endpoint mismatch on edge {e.id}")
+            out.append(f"endpoint mismatch on edge {eid}")
     if out:
         return out
-    for q in dom.squares:
-        left = f.path_image(q.left)
-        right = f.path_image(q.right)
-        if not same_move_class(cod, left, right):
-            out.append(f"square {q.id} not preserved: image boundaries in distinct classes")
+    for qid, left, right in dom._square_rows:
+        if not same_move_class(cod, f.path_image(left), f.path_image(right)):
+            out.append(f"square {qid} not preserved: image boundaries in distinct classes")
     return out
 
 
@@ -789,14 +787,15 @@ def subdivide_edge(
 
     Returns the refined complex and the canonical morphism into it, which
     sends the split edge to the two-edge chain and fixes everything else.
-    Square boundaries mentioning the edge are rewritten in place.
+    Square boundaries mentioning the edge are rewritten in place.  The
+    refined complex holds rows only, read off the rows of `c`.
     """
-    edge = c.edge_map.get(edge_id)
-    if edge is None:
+    if edge_id not in c._edge_row:
         raise UnknownIdError(f"unknown edge: {edge_id}")
+    _, src, tgt, label = c._edge_row[edge_id]
 
     mid = _fresh(f"{edge_id}_mid", c.state_set)
-    taken = set(c.edge_map)
+    taken = set(c._edge_row)
     first = _fresh(f"{edge_id}_a", taken)
     taken.add(first)
     second = _fresh(f"{edge_id}_b", taken)
@@ -807,28 +806,26 @@ def subdivide_edge(
             out.extend((first, second) if e == edge_id else (e,))
         return tuple(out)
 
-    edges: list[Edge] = []
-    for e in c.edges:
-        if e.id == edge_id:
-            edges.append(Edge(id=first, src=edge.src, tgt=mid, label=edge.label))
-            edges.append(Edge(id=second, src=mid, tgt=edge.tgt))
+    edges: list[EdgeRow] = []
+    for row in c._edge_rows:
+        if row[0] == edge_id:
+            edges.append((first, src, mid, label))
+            edges.append((second, mid, tgt, None))
         else:
-            edges.append(e)
+            edges.append(row)
 
-    refined = GlobularComplex(
-        states=c.states + (mid,),
-        edges=tuple(edges),
-        squares=tuple(
-            Square(id=q.id, left=rewrite(q.left), right=rewrite(q.right))
-            for q in c.squares
-        ),
-        finals=c.finals,
-        init=c.init,
+    refined = GlobularComplex._from_rows(
+        c.states + (mid,),
+        tuple(edges),
+        tuple((qid, rewrite(left), rewrite(right)) for qid, left, right in c._square_rows),
+        c.finals,
+        c.init,
     )
     morphism = ComplexMorphism(
         state_map={s: s for s in c.states},
         edge_map={
-            e.id: ((first, second) if e.id == edge_id else (e.id,)) for e in c.edges
+            row[0]: ((first, second) if row[0] == edge_id else (row[0],))
+            for row in c._edge_rows
         },
     )
     return refined, morphism

@@ -72,6 +72,7 @@ Morphism documents carry the codomain inline:
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Any, Optional
 
 from .complexes import GlobularComplex, require_valid
@@ -443,14 +444,14 @@ def export_dot(obj) -> str:
             if s == obj.init:
                 attrs.append("style=bold")
             lines.append(f"  {_quote(s)}" + (f" [{', '.join(attrs)}]" if attrs else "") + ";")
-        for e in sorted(obj.edges, key=lambda e: e.id):
-            label = e.id if e.label is None else f"{e.id}: {e.label}"
-            lines.append(f"  {_quote(e.src)} -> {_quote(e.tgt)} [label={_quote(label)}];")
-        for q in sorted(obj.squares, key=lambda q: q.id):
-            src, tgt = obj.path_source(q.left), obj.path_target(q.left)
+        for eid, src, tgt, label in sorted(obj._edge_rows, key=itemgetter(0)):
+            label = eid if label is None else f"{eid}: {label}"
+            lines.append(f"  {_quote(src)} -> {_quote(tgt)} [label={_quote(label)}];")
+        for qid, left, _ in sorted(obj._square_rows, key=itemgetter(0)):
+            src, tgt = obj.path_source(left), obj.path_target(left)
             lines.append(
                 f"  {_quote(src)} -> {_quote(tgt)} "
-                f"[label={_quote(q.id)}, style=dashed, constraint=false];"
+                f"[label={_quote(qid)}, style=dashed, constraint=false];"
             )
         lines.append("}")
         return "\n".join(lines) + "\n"

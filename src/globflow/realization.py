@@ -20,7 +20,10 @@ sum is the number of edge ids all path ids spell out
 
 There is one construction, `IncrementalRealizer`: it builds a realization
 cell by cell and keeps its tables current while a complex is built, and
-makes its flow from copies of them when the flow is read.  It builds the
+makes its flow from copies of them when the flow is read.  It keeps the
+cells as rows, as a complex does (see `complexes`), reads a complex's rows
+and builds its `complex` from its own, so it builds no `Edge` or `Square`
+value; it takes them only from a caller that attaches them.  It builds the
 heads and tails of an edge's new paths once per edge, and fixes the order
 of a square's move pairs once per square, except when one side's id is a
 prefix of the other's.  `realize(c)` refuses what the realizer refuses and
@@ -31,7 +34,6 @@ only the count.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable, Optional, Union
 
 from .complexes import (
@@ -41,6 +43,7 @@ from .complexes import (
     EdgeRow,
     GlobularComplex,
     Square,
+    SquareRow,
     _cached_property,
     all_exec_paths,
     complex_morphism_violations,
@@ -136,7 +139,8 @@ class IncrementalRealizer:
     """Builds the realization of a complex one cell at a time.
 
     The realizer owns the realization's tables and changes them in place:
-    the states, edges and squares attached so far, path endpoints, the
+    the states attached so far and the rows of the edges and squares (an
+    attached `Edge` or `Square` is kept as its row), path endpoints, the
     normalized adjacency pairs, the paths out of and into each state, and
     the non-degenerate squares by source and by target state.  It keeps no
     composition table, only the number of composable pairs, which the
@@ -156,13 +160,15 @@ class IncrementalRealizer:
     RealizationLimitExceeded, as `realize` of the extended complex would.
 
     Making a realizer refuses `c` as `realize` does, then adds every edge
-    of `c` and then every square to empty tables.  The attach
+    row of `c` and then every square row to empty tables.  The attach
     methods return nothing.  `flow` is made when read, from copies of the
     tables, so no later attach changes a flow already read, and it is kept
     until the next attach goes through.  `complex` is `c` until the first
-    attach, and is otherwise built from the realizer's cells, in attach
-    order, when read.  So an attach costs what the cell adds, and the
-    first read of `flow` after it costs a copy of the tables.
+    attach, and is otherwise built from the realizer's rows, in attach
+    order, with the finals and init of `c`, when read; a square attached
+    with list sides comes back with tuple sides.  So an attach costs what
+    the cell adds, and the first read of `flow` after it costs a copy of
+    the tables.
     """
 
     def __init__(self, c: GlobularComplex):
@@ -177,9 +183,8 @@ class IncrementalRealizer:
         # the states in attach order (a dict with None values is an ordered
         # set), as `complex` lists them
         self._states: dict[str, None] = dict.fromkeys(c.states)
-        self._edges: dict[str, Edge] = {}
         self._edge_row: dict[str, EdgeRow] = {}
-        self._squares: dict[str, Square] = {}
+        self._square_row: dict[str, SquareRow] = {}
         self._path_ends: dict[str, tuple[str, str]] = {}
         self._adjacency: set[tuple[str, str]] = set()
         self._out: dict[str, list[str]] = {s: [] for s in c.states}
@@ -187,21 +192,19 @@ class IncrementalRealizer:
         # (left id, right id, other end) of each non-degenerate square
         self._squares_from: dict[str, list[tuple[str, str, str]]] = {}
         self._squares_into: dict[str, list[tuple[str, str, str]]] = {}
-        for edge in c.edges:
-            self._add_edge(edge, *self._edge_paths(edge))
-        for q in c.squares:
-            self._add_square(q, c.path_source(q.left), c.path_target(q.left))
+        for row in c._edge_rows:
+            self._add_edge(row, *self._edge_paths(row))
+        for row in c._square_rows:
+            self._add_square(row, c.path_source(row[1]), c.path_target(row[1]))
         self._flow: Optional[FiniteFlow] = None
         self._complex: Optional[GlobularComplex] = c
 
     @property
     def complex(self) -> GlobularComplex:
         if self._complex is None:
-            self._complex = replace(
-                self._base,
-                states=tuple(self._states),
-                edges=tuple(self._edges.values()),
-                squares=tuple(self._squares.values()),
+            self._complex = GlobularComplex._from_rows(
+                tuple(self._states), tuple(self._edge_row.values()),
+                tuple(self._square_row.values()), self._base.finals, self._base.init,
             )
         return self._complex
 
@@ -235,19 +238,18 @@ class IncrementalRealizer:
 
     def attach_edge(self, edge: Edge) -> None:
         into, out = self._into, self._out
-        if edge.id in self._edges:
-            raise InvalidAttachmentError(f"edge id already present: {edge.id}")
-        if PATH_SEPARATOR in edge.id:
-            raise InvalidAttachmentError(f"reserved character in edge id: {edge.id}")
-        for endpoint in (edge.src, edge.tgt):
+        row = eid, src, tgt, _ = (edge.id, edge.src, edge.tgt, edge.label)
+        if eid in self._edge_row:
+            raise InvalidAttachmentError(f"edge id already present: {eid}")
+        if PATH_SEPARATOR in eid:
+            raise InvalidAttachmentError(f"reserved character in edge id: {eid}")
+        for endpoint in (src, tgt):
             if endpoint not in self._states:
                 raise InvalidAttachmentError(f"dangling endpoint: {endpoint}")
-        heads, tails = self._edge_paths(edge)
+        heads, tails = self._edge_paths(row)
         targets = [t for t, _ in tails]
-        if edge.src in targets:
-            raise InvalidAttachmentError(
-                f"attaching {edge.id} would close a directed cycle"
-            )
+        if src in targets:
+            raise InvalidAttachmentError(f"attaching {eid} would close a directed cycle")
 
         # a new path s -> t composes with the old paths into s and out of t
         # only: two new paths would both hold the edge, and the 1-skeleton
@@ -258,43 +260,42 @@ class IncrementalRealizer:
             + len(heads) * sum([len(out[t]) for t in targets])
         )
         _check_limit(len(self._path_ends) + len(heads) * len(tails), composites, self._limit)
-        self._add_edge(edge, heads, tails)
+        self._add_edge(row, heads, tails)
         self._composites = composites
         self._changed()
 
     def attach_square(self, square: Square) -> None:
-        if square.id in self._squares:
+        if square.id in self._square_row:
             raise InvalidAttachmentError(f"square id already present: {square.id}")
+        row = qid, left, right = (square.id, tuple(square.left), tuple(square.right))
         endpoints = []
-        for name, side in (("left", square.left), ("right", square.right)):
+        for name, side in (("left", left), ("right", right)):
             side_ends = exec_path_ends(self._edge_row, side)
             if side_ends is None:
                 raise InvalidAttachmentError(
-                    f"square {square.id} {name} side is not an execution path"
+                    f"square {qid} {name} side is not an execution path"
                 )
             endpoints.append(side_ends)
         if endpoints[0] != endpoints[1]:
-            raise InvalidAttachmentError(
-                f"square {square.id} sides do not share endpoints"
-            )
-        self._add_square(square, *endpoints[0])
+            raise InvalidAttachmentError(f"square {qid} sides do not share endpoints")
+        self._add_square(row, *endpoints[0])
         self._changed()
 
-    def _edge_paths(self, edge: Edge) -> tuple[list, list]:
-        """The heads of the paths through `edge`, (source, id) of the edge and
+    def _edge_paths(self, row: EdgeRow) -> tuple[list, list]:
+        """The heads of the paths through an edge, (source, id) of the edge and
         of each path into its source extended by it, and their tails,
         (target, suffix) of the empty tail and of each path out of its target."""
+        eid, src, tgt, _ = row
         ends = self._path_ends
-        heads = [(edge.src, edge.id)]
-        heads += [(ends[pre][0], pre + PATH_SEPARATOR + edge.id) for pre in self._into[edge.src]]
-        tails = [(edge.tgt, "")]
-        tails += [(ends[suf][1], PATH_SEPARATOR + suf) for suf in self._out[edge.tgt]]
+        heads = [(src, eid)]
+        heads += [(ends[pre][0], pre + PATH_SEPARATOR + eid) for pre in self._into[src]]
+        tails = [(tgt, "")]
+        tails += [(ends[suf][1], PATH_SEPARATOR + suf) for suf in self._out[tgt]]
         return heads, tails
 
-    def _add_edge(self, edge: Edge, heads: list, tails: list) -> None:
-        """Enter an edge, its paths head + tail (`_edge_paths`) and their move pairs."""
-        self._edges[edge.id] = edge
-        self._edge_row[edge.id] = (edge.id, edge.src, edge.tgt, edge.label)
+    def _add_edge(self, row: EdgeRow, heads: list, tails: list) -> None:
+        """Enter an edge row, its paths head + tail (`_edge_paths`) and their move pairs."""
+        self._edge_row[row[0]] = row
         ends, out = self._path_ends, self._out
         for t, tail in tails:
             into_t = self._into[t]
@@ -316,11 +317,11 @@ class IncrementalRealizer:
                 before = [head + tail + PATH_SEPARATOR for _, head in heads]
                 self._add_moves(left, right, before, self._tails(q_tgt))
 
-    def _add_square(self, square: Square, src: str, tgt: str) -> None:
-        """Index a square from `src` to `tgt` and enter its move pairs; a
-        degenerate square moves nothing."""
-        self._squares[square.id] = square
-        left, right = path_id(square.left), path_id(square.right)
+    def _add_square(self, row: SquareRow, src: str, tgt: str) -> None:
+        """Enter a square's row, index the square from `src` to `tgt` and
+        enter its move pairs; a degenerate square moves nothing."""
+        self._square_row[row[0]] = row
+        left, right = path_id(row[1]), path_id(row[2])
         if left == right:
             return
         self._squares_from.setdefault(src, []).append((left, right, tgt))

@@ -4,8 +4,9 @@ A complex read from a document or compiled from PV source holds its cells
 as rows and builds `Edge` and `Square` values only when they are read; one
 built from those values derives its rows.  The two are the same value:
 they compare, hash, print, copy, pickle, write and validate alike.  The
-`globflow` path from PV source to deadlocks and classes builds no cell
-object at all.
+library reads only the rows, and subdivision, `glob_discrete` and the
+realizer build their complexes from rows, so no `globflow` command and no
+library call on a complex that holds rows builds a cell object.
 """
 
 import dataclasses
@@ -20,12 +21,21 @@ from conftest import random_complex, random_pv_source, run
 from globflow import (
     Edge,
     GlobularComplex,
+    IncrementalRealizer,
     Square,
     complex_from_doc,
+    complex_morphism_violations,
     dumps_complex,
+    dumps_realization,
+    export_dot,
+    glob_discrete,
+    identity_complex_morphism,
     loads_complex,
     parse_pv,
     pv_to_complex,
+    realize,
+    realize_morphism,
+    subdivide_edge,
     validate_complex,
 )
 
@@ -47,8 +57,22 @@ def objects_of(doc: dict) -> GlobularComplex:
     )
 
 
+def attached(text: str) -> GlobularComplex:
+    """The `complex` of a realizer made from the states of a complex
+    document that then attached its edges and squares, as objects."""
+    objects = objects_of(json.loads(text))
+    realizer = IncrementalRealizer(
+        GlobularComplex(states=objects.states, finals=objects.finals, init=objects.init)
+    )
+    for cell in objects.edges + objects.squares:
+        realizer.attach(cell)
+    return realizer.complex
+
+
 def _valid_inputs():
-    """(name, document text, the complexes holding rows) of each input."""
+    """(name, document text, the complexes holding rows) of each input:
+    read, compiled, subdivided at the first edge, attached to a realizer
+    cell by cell, and a globe."""
     rng = random.Random(2718)
     out = []
     for i in range(40):
@@ -64,6 +88,13 @@ def _valid_inputs():
     ):
         text = dumps_complex(pv_to_complex(parse_pv(source)))
         out.append((name, text, [pv_to_complex(parse_pv(source)), loads_complex(text)]))
+    for name, text, _ in list(out):
+        edges = json.loads(text)["edges"]
+        if edges:
+            refined, _ = subdivide_edge(loads_complex(text), edges[0]["id"])
+            out.append((f"{name}-subdivided", dumps_complex(refined), [refined]))
+            out.append((f"{name}-attached", text, [attached(text)]))
+    out.append(("glob-ab", dumps_complex(glob_discrete("ab")), [glob_discrete("ab")]))
     return out
 
 
@@ -231,3 +262,64 @@ def test_the_pv_path_builds_no_cell_object(tmp_path, built):
         assert rows.edges == objects.edges and rows.squares == objects.squares
         assert len(built) == len(objects.edges) + len(objects.squares)
         del built[:]
+
+
+def test_no_route_builds_a_cell_object(tmp_path, built):
+    """The analyses that realize a realization document, `dot` on both
+    document kinds, subdivision, the morphism checks, the globe, DOT and
+    the realizer build no `Edge` or `Square`; the cells a caller attaches
+    are made before counting starts."""
+    for name, source in (("mutex", oracles.MUTEX_SOURCE), ("swiss", oracles.SWISS_FLAG_SOURCE)):
+        text = dumps_complex(pv_to_complex(parse_pv(source)))
+        objects = objects_of(json.loads(text))
+        cells = objects.edges + objects.squares
+        base = GlobularComplex(states=objects.states, finals=objects.finals, init=objects.init)
+        fresh = (Edge("fresh-edge", objects.states[0], "fresh"),
+                 Square("fresh-q", ("fresh-edge",), ("fresh-edge",)))
+        realization = tmp_path / f"{name}.realization.json"
+        complex_document = tmp_path / f"{name}.complex.json"
+        morphism_document = tmp_path / f"{name}.morphism.json"
+        del built[:]
+
+        c = loads_complex(text)
+        realization.write_text(dumps_realization(c))
+        complex_document.write_text(text)
+        refined, m = subdivide_edge(c, json.loads(text)["edges"][0]["id"])
+        flow_morphism = realize_morphism(m, c, refined)
+        morphism_document.write_text(json.dumps({
+            "codomain": json.loads(dumps_realization(refined)),
+            "state_map": flow_morphism.state_map,
+            "path_map": flow_morphism.path_map,
+        }))
+        assert complex_morphism_violations(m, c, refined) == []
+        assert complex_morphism_violations(identity_complex_morphism(c), c, c) == []
+        assert export_dot(refined).startswith("digraph complex {")
+        assert export_dot(glob_discrete("ab")).startswith("digraph complex {")
+
+        analyses = [
+            (("--germs", "init"), "2 germs"),
+            (("--germs", "final", "--plus"), "2 germs"),
+            (("--t-check", str(morphism_document)), "T-dihomotopy: yes (1 ok, 2 ok, 3 ok)"),
+        ]
+        if name == "mutex":  # swiss exhausts the search budget
+            analyses.append((("--s-equiv", str(realization)), "S-equivalent: yes"))
+        for argv, first_line in analyses:
+            code, out, err = run("analyze", str(realization), *argv)
+            assert (code, err, out.splitlines()[0]) == (0, "", first_line)
+        assert run("dot", str(realization)) == (0, export_dot(realize(c)), "")
+        assert run("dot", str(complex_document)) == (0, export_dot(c), "")
+
+        realizer = IncrementalRealizer(base)
+        for cell in cells:
+            realizer.attach(cell)
+        assert dumps_complex(realizer.complex) == text
+        flow = realize(realizer.complex)
+        assert flow.path_ends == realizer.flow.path_ends
+        assert flow.adjacency == realizer.flow.adjacency
+        realizer = IncrementalRealizer(c)
+        realizer.attach_state("fresh")
+        for cell in fresh:
+            realizer.attach(cell)
+        assert realizer.complex.states[-1] == "fresh"
+        assert realize(realizer.complex).path_ends == realizer.flow.path_ends
+        assert built == []
