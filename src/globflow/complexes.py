@@ -17,9 +17,11 @@ topological order from the base state gives, at each state s, the classes
 of paths into s as the quotient of the pairs (edge e into s, class at the
 source of e) by the squares that end at s.  Moves further back in a path
 are already accounted for at the earlier states, because extending by an
-edge is well defined on classes.  The last such table is kept on the
-complex, keyed by its two endpoints, so `same_move_class` on the members
-that `path_classes` has just listed propagates no second time.
+edge is well defined on classes.  A state with one pair runs no
+union-find, and a target of one class has its listing as one block, no
+member's class read.  The last such table is kept on the complex, keyed
+by its two endpoints, so `same_move_class` on the members that
+`path_classes` has just listed propagates no second time.
 
 Paths are listed from one backward suffix table (`_suffix_table`): the
 paths out of a state are its out-edges, in edge-id order, each put before
@@ -585,11 +587,12 @@ def square_move_neighbors(c: GlobularComplex, path: ExecPath) -> set[ExecPath]:
     return neighbors
 
 
-def _class_steps(c: GlobularComplex, src: StateId, tgt: StateId) -> dict[str, list[int]]:
-    """Move classes of the paths out of `src`, up to `tgt`, by propagation.
+def _class_steps(c: GlobularComplex, src: StateId, tgt: StateId) -> tuple[dict, int]:
+    """Move classes of the paths out of `src`, up to `tgt`, by propagation,
+    and the number of classes at `tgt` (0 if unreached, 1 if it is `src`).
 
     The classes at each state are numbered 0, 1, ...; the empty path is
-    class 0 at `src`.  The result maps each edge e reached from `src` to
+    class 0 at `src`.  The table maps each edge e reached from `src` to
     the list whose entry k is the class at e.tgt of the paths of class k
     at e.src extended by e, so a path's class is read off edge by edge
     (`_class_of`).  Works over the states between `src` and `tgt` in
@@ -597,7 +600,8 @@ def _class_steps(c: GlobularComplex, src: StateId, tgt: StateId) -> dict[str, li
     e.src) are numbered 0, 1, ... and each square ending at s joins two of
     them for each class at the square's source; the classes at s are the
     blocks of the partition those joins generate (`class_numbers`), in
-    order of each block's first pair.
+    order of each block's first pair.  A state with one pair has one class,
+    with no union-find: any square into it joins that pair with itself.
 
     The last result is kept on the complex, keyed by (src, tgt): one entry
     in the instance `__dict__`, where the cached properties live too, so
@@ -616,6 +620,9 @@ def _class_steps(c: GlobularComplex, src: StateId, tgt: StateId) -> dict[str, li
         edges = arrivals.pop(s, None)
         if edges is None:
             continue
+        if len(edges) == 1 and classes[edges[0][1]] == 1:  # one pair
+            step[edges[0][0]], classes[s] = [0], 1
+            continue
         first = {}  # edge id -> index of its first pair
         pairs = 0
         for eid, e_src, _, _ in edges:
@@ -631,8 +638,8 @@ def _class_steps(c: GlobularComplex, src: StateId, tgt: StateId) -> dict[str, li
         for eid, e_src, _, _ in edges:
             step[eid] = klass[first[eid]:first[eid] + classes[e_src]]
         classes[s] = max(klass) + 1
-    c.__dict__["_class_table"] = ((src, tgt), step)
-    return step
+    cached = c.__dict__["_class_table"] = ((src, tgt), (step, classes.get(tgt, 0)))
+    return cached[1]
 
 
 def _class_of(step: dict[str, list[int]], path: ExecPath, k: int = 0) -> int:
@@ -656,12 +663,15 @@ def path_classes(
     its one cached class table, for a later call on the same endpoints.
     Members are taken in the lexicographic order `enumerate_paths` lists
     them in, so blocks are ordered by their first member and each block is
-    sorted, with no sort.  Raises InvalidComplexError if the complex does
-    not validate, and UnknownIdError for an unknown endpoint.
+    sorted, with no sort; when `tgt` has one class they are one block, and
+    no member's class is read.  Raises InvalidComplexError if the complex
+    does not validate, and UnknownIdError for an unknown endpoint.
     """
     require_valid(c)
     paths = enumerate_paths(c, src, tgt)
-    step = _class_steps(c, src, tgt)
+    step, count = _class_steps(c, src, tgt)
+    if count == 1 and paths:
+        return (tuple(paths),)
     blocks: dict[int, list[ExecPath]] = {}
     for p in paths:
         blocks.setdefault(_class_of(step, p), []).append(p)
@@ -688,7 +698,7 @@ def same_move_class(c: GlobularComplex, a: ExecPath, b: ExecPath) -> bool:
     src, tgt = c.path_source(a), c.path_target(a)
     if (c.path_source(b), c.path_target(b)) != (src, tgt):
         return False
-    step = _class_steps(c, src, tgt)
+    step, _ = _class_steps(c, src, tgt)
     return _class_of(step, a) == _class_of(step, b)
 
 

@@ -414,6 +414,8 @@ def _parse_json(text: str, where: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{where}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"{where}: nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

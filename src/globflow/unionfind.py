@@ -15,16 +15,19 @@ def class_numbers(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     """Entry i is the class of i among 0..n-1 under the equivalence that
     `pairs` generate."""
     parent = list(range(n))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]  # path halving
-        return i
-
-    for a, b in pairs:
-        parent[root(a)] = root(b)
+    for a, b in pairs:  # each root walk halves its path
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[a] = b
     label: dict[int, int] = {}
-    return [label.setdefault(root(i), len(label)) for i in range(n)]
+    numbers = []
+    for r in range(n):  # r walks from each item to its root
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        numbers.append(label.setdefault(r, len(label)))
+    return numbers
 
 
 def class_numbers_of(items: Iterable[Hashable], pairs: Iterable[tuple]) -> dict:

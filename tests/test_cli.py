@@ -518,6 +518,23 @@ class TestDispatch:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (("analyze", "DEEP", "--deadlocks"), "flow document"),
+            (("realize", "DEEP"), "complex document"),
+            (("dot", "DEEP"), "input document"),
+            (("analyze", "FLOW", "--s-equiv", "DEEP"), "flow document"),
+        ],
+    )
+    def test_deeply_nested_json_exits_1(self, tmp_path, glob_ab_flow_file, argv, where):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        paths = {"DEEP": str(deep), "FLOW": glob_ab_flow_file}
+        code, out, err = run(*(paths.get(arg, arg) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {where}: nested too deeply"]
+
     def test_unexpected_exception_exits_4_on_one_line(self, interval_file, monkeypatch):
         def broken(c):
             raise RuntimeError("boom")

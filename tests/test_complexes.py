@@ -387,6 +387,27 @@ class TestAllExecPaths:
             assert raised.value.violations == list(report.violations)
 
 
+# the resource is never contended, so every schedule is one class
+ONE_CLASS_SOURCE = "res a 1; proc: P(a).V(a) proc: A(x).A(y)"
+
+
+def _one_pair_cases():
+    """Complexes whose states are reached by one edge from a state of one
+    class, or of two, and targets of one class or of two."""
+    # two parallel edges s -> t, then the chain t -> u -> v: u and v are
+    # each reached by one edge, from a state of two classes; w by none
+    apart = GlobularComplex(
+        states=("s", "t", "u", "v", "w"),
+        edges=(Edge("a", "s", "t"), Edge("b", "s", "t"), Edge("c", "t", "u"), Edge("d", "u", "v")),
+    )
+    return [
+        apart,
+        dataclasses.replace(apart, squares=(Square("q", ("a",), ("b",)),)),
+        pv_to_complex(parse_pv(ONE_CLASS_SOURCE)),
+        pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE)),
+    ]
+
+
 class TestPathClasses:
     def test_grid_with_square_one_class(self):
         assert len(path_classes(make_grid(True), "00", "11")) == 1
@@ -398,16 +419,17 @@ class TestPathClasses:
         assert len(path_classes(glob_discrete(["a", "b"]), "0", "1")) == 2
 
     def test_partition_matches_bfs_oracle(self, rng):
-        for _ in range(25):
-            c = random_complex(rng, max_states=6, max_edges=9, max_squares=3)
+        cases = [random_complex(rng, max_states=6, max_edges=9, max_squares=3) for _ in range(25)]
+        for c in cases + _one_pair_cases():
             rewrites = [(q.left, q.right) for q in c.squares]
             for src in c.states:
                 for tgt in c.states:
-                    got = {frozenset(block) for block in path_classes(c, src, tgt)}
-                    want = oracles.move_classes(
-                        set(enumerate_paths(c, src, tgt)), rewrites
-                    )
-                    assert got == want
+                    blocks = path_classes(c, src, tgt)
+                    paths = enumerate_paths(c, src, tgt)
+                    if not paths:  # tgt unreached, or src == tgt
+                        assert blocks == ()
+                    got = {frozenset(block) for block in blocks}
+                    assert got == oracles.move_classes(set(paths), rewrites)
 
     def test_adding_squares_never_increases_class_count(self, rng):
         for _ in range(25):
@@ -532,6 +554,8 @@ class TestClassPropagation:
         for _ in range(25):
             c = random_complex(rng, max_states=6, max_edges=9, max_squares=3, min_edges=1)
             self._check_every_pair_of_paths(_with_degenerate_square(rng, _with_square_after(c)))
+        for c in _one_pair_cases():
+            self._check_every_pair_of_paths(c)
 
     def test_random_pv_programs_match_oracles(self, rng):
         # two schedules around the mutex, then a square out of their meeting point
@@ -568,6 +592,48 @@ class TestClassPropagation:
         assert same_move_class(c, blocks[0][0], blocks[0][-1])
         assert not same_move_class(c, blocks[0][0], blocks[1][0])
         assert same_move_class(make_grid(True), ("a", "b"), ("c", "d"))
+
+    def test_a_one_class_target_reads_no_member_class(self, monkeypatch):
+        c = pv_to_complex(parse_pv(ONE_CLASS_SOURCE))
+        complexes._class_steps(c, c.init, c.finals[0])  # the table, built beforehand
+        calls = []
+        walk = complexes._class_of
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(complexes, "_class_of", counted)
+        blocks = path_classes(c, c.init, c.finals[0])
+        assert calls == []
+        assert blocks == (tuple(enumerate_paths(c, c.init, c.finals[0])),)
+        assert len(blocks[0]) == 6
+
+    def test_the_union_find_runs_only_where_two_pairs_meet(self, monkeypatch):
+        c = pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE))
+        edges = {e.id: (e.src, e.tgt) for e in c.edges}
+        rewrites = [(q.left, q.right) for q in c.squares]
+        order = c.topological_order
+        classes = {c.init: 1}
+        for s in order[order.index(c.init):order.index(c.finals[0]) + 1]:
+            paths = oracles.graph_paths(edges, c.init, s)
+            if paths:
+                classes[s] = len(oracles.move_classes(paths, rewrites))
+        pairs = {  # the pairs (edge into s, class at its source) of each state reached
+            s: sum(classes[e.src] for e in c.edges if e.tgt == s and e.src in classes)
+            for s in classes if s != c.init
+        }
+        sizes = []
+        numbers = complexes.class_numbers
+
+        def counted(n, moves):
+            sizes.append(n)
+            return numbers(n, moves)
+
+        monkeypatch.setattr(complexes, "class_numbers", counted)
+        assert len(path_classes(c, c.init, c.finals[0])) == 2
+        assert 1 in pairs.values()
+        assert sorted(sizes) == sorted(n for n in pairs.values() if n >= 2)
 
     def test_topological_order(self, rng):
         for _ in range(25):
