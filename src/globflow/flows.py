@@ -160,11 +160,10 @@ class _ConcatenativeFlow(FiniteFlow):
     """A concatenative flow (see the module docstring), made from finished
     tables that it keeps as given: the states, the path endpoints
     ((source, target) tuples) and the normalized adjacency pairs (each
-    unordered pair once, as (a, b) with a < b).  Only realization and the
-    reader of compact flow documents make one, and each hands over tables
-    of the flow's own, which nothing changes afterwards.  The flow
-    `realization.realize` returns holds its complex instead and builds
-    those tables from it when one is first read.
+    unordered pair once, as (a, b) with a < b).  The reader of compact flow
+    documents makes one, handing over tables nothing changes afterwards.  A
+    realized flow (`realization`) holds its squares instead of the pairs,
+    and makes the pairs, like the composition table, when first read.
 
     Composition is answered from the path ids: x*y is "x" + "*" + "y" when
     tgt(x) = src(y).  The table {(x, y): x*y for every composable pair} is

@@ -19,22 +19,20 @@ sum is the number of edge ids all path ids spell out
 (`count_paths_and_composites`); adjacency pairs are outside the limit.
 
 There is one construction, `IncrementalRealizer`: it builds a realization
-cell by cell and keeps its tables current while a complex is built, and
-makes its flow from copies of them when the flow is read.  It keeps the
-cells as rows, as a complex does (see `complexes`), reads a complex's rows
-and builds its `complex` from its own, so it builds no `Edge` or `Square`
-value; it takes them only from a caller that attaches them.  It builds the
-heads and tails of an edge's new paths once per edge, and fixes the order
-of a square's move pairs once per square, except when one side's id is a
-prefix of the other's.  `realize(c)` refuses what the realizer refuses and
-then returns a flow that holds `c` and has a realizer build its tables
-the first time one is read, so a caller that only needs the refusal pays
-only the count.
+cell by cell, keeps its paths current while a complex is built, and makes
+its flow from a copy of them when the flow is read.  It keeps the cells as
+rows, as a complex does (see `complexes`), so it builds no `Edge` or
+`Square` value; it takes them only from a caller that attaches them.  A
+realized flow, like its composition table, makes its move pairs only when
+`adjacency` is read, all of them in one function (`_move_pairs`).
+`realize(c)` refuses what the realizer refuses and then returns a flow
+that holds `c` and has a realizer make its paths the first time a table
+is read, so a caller that only needs the refusal pays only the count.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .complexes import (
     PATH_SEPARATOR,
@@ -79,11 +77,12 @@ def realize(c: GlobularComplex) -> FiniteFlow:
     raises is raised here, before anything is built.  The flow returned
     holds `c` and equals the flow of an `IncrementalRealizer` made from
     `c`: the first read of its `path_ends` or `adjacency` has such a
-    realizer build both tables, without counting again, and the flow
-    keeps them.  It answers composites from its path ids.
+    realizer make the paths, without counting again; the move pairs are
+    made when `adjacency` is first read.  The flow keeps both tables, and
+    answers composites from its path ids.
     """
     _admit(c)
-    return _RealizedFlow(c)
+    return _DeferredFlow(c)
 
 
 def check_realize_limit(c: GlobularComplex) -> None:
@@ -141,19 +140,15 @@ class IncrementalRealizer:
     The realizer owns the realization's tables and changes them in place:
     the states attached so far and the rows of the edges and squares (an
     attached `Edge` or `Square` is kept as its row), path endpoints, the
-    normalized adjacency pairs, the paths out of and into each state, and
-    the non-degenerate squares by source and by target state.  It keeps no
-    composition table, only the number of composable pairs, which the
-    limit bounds.  Attaching a state grows the skeleton.  Attaching an edge
-    creates exactly the paths through it (old path into its source, the
-    edge, old path out of its target) and their move pairs from the
-    squares already attached that end at their source or start at their
-    target.  Attaching a square pairs pre·left·suf with pre·right·suf over
-    the paths into its source and out of its target.  So each move pair is
-    made once, from a square, and no path is listed or rewritten.  An edge's
-    heads and tails are built once, for its checks, its limit and its paths.
-    A square fixes its pairs' order once, unless one side's id is a prefix
-    of the other's, when each pair is compared.  Every check runs against
+    paths out of and into each state, and the (left id, right id, source,
+    target) of each non-degenerate square.  It keeps no composition table,
+    only the number of composable pairs, which the limit bounds, and no
+    adjacency: its flows make their move pairs when `adjacency` is read.
+    Attaching a state grows the skeleton.  Attaching an edge creates
+    exactly the paths through it (old path into its source, the edge, old
+    path out of its target), from heads and tails built once for its
+    checks, its limit and its paths; no path is listed or rewritten.
+    Attaching a square checks it and records it.  Every check runs against
     the realizer's own cells before any table changes, so a rejected cell
     leaves the realizer as it was.  An edge that would take the realization
     over GLOBFLOW_REALIZE_LIMIT, as read when the realizer was made, raises
@@ -161,14 +156,15 @@ class IncrementalRealizer:
 
     Making a realizer refuses `c` as `realize` does, then adds every edge
     row of `c` and then every square row to empty tables.  The attach
-    methods return nothing.  `flow` is made when read, from copies of the
-    tables, so no later attach changes a flow already read, and it is kept
+    methods return nothing.  `flow` is made when read, from a copy of the
+    paths and the squares recorded, so no later attach changes a flow
+    already read, whenever its adjacency is read, and it is kept
     until the next attach goes through.  `complex` is `c` until the first
     attach, and is otherwise built from the realizer's rows, in attach
     order, with the finals and init of `c`, when read; a square attached
     with list sides comes back with tuple sides.  So an attach costs what
     the cell adds, and the first read of `flow` after it costs a copy of
-    the tables.
+    the paths.
     """
 
     def __init__(self, c: GlobularComplex):
@@ -186,12 +182,9 @@ class IncrementalRealizer:
         self._edge_row: dict[str, EdgeRow] = {}
         self._square_row: dict[str, SquareRow] = {}
         self._path_ends: dict[str, tuple[str, str]] = {}
-        self._adjacency: set[tuple[str, str]] = set()
         self._out: dict[str, list[str]] = {s: [] for s in c.states}
         self._into: dict[str, list[str]] = {s: [] for s in c.states}
-        # (left id, right id, other end) of each non-degenerate square
-        self._squares_from: dict[str, list[tuple[str, str, str]]] = {}
-        self._squares_into: dict[str, list[tuple[str, str, str]]] = {}
+        self._moves: list[tuple[str, str, str, str]] = []
         for row in c._edge_rows:
             self._add_edge(row, *self._edge_paths(row))
         for row in c._square_rows:
@@ -211,11 +204,8 @@ class IncrementalRealizer:
     @property
     def flow(self) -> FiniteFlow:
         if self._flow is None:
-            self._flow = _ConcatenativeFlow(
-                frozenset(self._states),
-                dict(self._path_ends),
-                frozenset(self._adjacency),
-            )
+            ends, moves = dict(self._path_ends), tuple(self._moves)
+            self._flow = _RealizedFlow(frozenset(self._states), ends, moves)
         return self._flow
 
     def attach(self, cell: Cell) -> None:
@@ -294,7 +284,7 @@ class IncrementalRealizer:
         return heads, tails
 
     def _add_edge(self, row: EdgeRow, heads: list, tails: list) -> None:
-        """Enter an edge row, its paths head + tail (`_edge_paths`) and their move pairs."""
+        """Enter an edge row and its paths head + tail (`_edge_paths`)."""
         self._edge_row[row[0]] = row
         ends, out = self._path_ends, self._out
         for t, tail in tails:
@@ -305,63 +295,78 @@ class IncrementalRealizer:
                 out[s].append(new)
                 into_t.append(new)
 
-        # no square attached so far holds the edge, so a side in a new path
-        # lies wholly before the edge, followed by a new path out of the
-        # square's target, or wholly after it, after a new path into its source
-        for s, head in heads if self._squares_into else ():
-            for left, right, q_src in self._squares_into.get(s, ()):
-                after = [PATH_SEPARATOR + head + tail for _, tail in tails]
-                self._add_moves(left, right, self._heads(q_src), after)
-        for t, tail in tails if self._squares_from else ():
-            for left, right, q_tgt in self._squares_from.get(t, ()):
-                before = [head + tail + PATH_SEPARATOR for _, head in heads]
-                self._add_moves(left, right, before, self._tails(q_tgt))
-
     def _add_square(self, row: SquareRow, src: str, tgt: str) -> None:
-        """Enter a square's row, index the square from `src` to `tgt` and
-        enter its move pairs; a degenerate square moves nothing."""
+        """Enter a square's row and, unless it is degenerate, record it from
+        `src` to `tgt` for `_move_pairs`."""
         self._square_row[row[0]] = row
         left, right = path_id(row[1]), path_id(row[2])
-        if left == right:
-            return
-        self._squares_from.setdefault(src, []).append((left, right, tgt))
-        self._squares_into.setdefault(tgt, []).append((left, right, src))
-        self._add_moves(left, right, self._heads(src), self._tails(tgt))
-
-    def _heads(self, state: str) -> list[str]:
-        return [""] + [pre + PATH_SEPARATOR for pre in self._into[state]]
-
-    def _tails(self, state: str) -> list[str]:
-        return [""] + [PATH_SEPARATOR + suf for suf in self._out[state]]
-
-    def _add_moves(self, left: str, right: str, heads: list[str], tails: list[str]) -> None:
-        """Pair head + left + tail with head + right + tail.  The 1-skeleton is
-        acyclic, so a path holds a side in at most one way.  Unless one side's
-        id is a prefix of the other's, every pair is ordered as the sides are."""
-        adjacency = self._adjacency
-        if left.startswith(right) or right.startswith(left):
-            for head in heads:
-                for tail in tails:
-                    a, b = head + left + tail, head + right + tail
-                    adjacency.add((a, b) if a < b else (b, a))
-            return
-        left, right = sorted((left, right))
-        for head in heads:
-            head_left, head_right = head + left, head + right
-            for tail in tails:
-                adjacency.add((head_left + tail, head_right + tail))
+        if left != right:
+            self._moves.append((left, right, src, tgt))
 
     def _changed(self) -> None:
         """Drop the flow and the complex built for the cells before."""
         self._flow = self._complex = None
 
 
+def _move_pairs(moves: Iterable, into: dict, out: dict) -> Iterator[tuple[str, str]]:
+    """Yield the normalized move pairs of a realization: head + left + tail
+    with head + right + tail for each square (left id, right id, source,
+    target) in `moves`, the empty head and each path `into` its source, and
+    the empty tail and each path `out` of its target.  A path holds a side in at
+    most one way, the 1-skeleton being acyclic.  Unless one side's id is a
+    prefix of the other's, every pair is ordered as the sides are."""
+    for left, right, src, tgt in moves:
+        heads = [""] + [pre + PATH_SEPARATOR for pre in into.get(src, ())]
+        tails = [""] + [PATH_SEPARATOR + suf for suf in out.get(tgt, ())]
+        if left.startswith(right) or right.startswith(left):
+            for head in heads:
+                for tail in tails:
+                    a, b = head + left + tail, head + right + tail
+                    yield (a, b) if a < b else (b, a)
+            continue
+        left, right = sorted((left, right))
+        for head in heads:
+            head_left, head_right = head + left, head + right
+            for tail in tails:
+                yield head_left + tail, head_right + tail
+
+
 class _RealizedFlow(_ConcatenativeFlow):
-    """The flow `realize` returns for a complex it has admitted.  It holds
-    the complex and its states; the first read of `path_ends` or
-    `adjacency` has a realizer fill both tables from the complex, without
-    counting it again, and the flow keeps them.  Everything else is
+    """A realization's flow: its states, its path endpoints and the (left
+    id, right id, source, target) of each non-degenerate square.  Like its
+    composition table, its move pairs (`_move_pairs`, over its own paths)
+    are made the first time `adjacency` is read, and kept.  A realizer's
+    `flow` is one; `realize` returns a `_DeferredFlow`.  Everything else is
     `_ConcatenativeFlow`'s."""
+
+    def __init__(self, skeleton: frozenset[str], path_ends: dict, moves: tuple):
+        self.skeleton = skeleton
+        self.path_ends = path_ends
+        self._moves = moves
+
+    @_cached_property
+    def adjacency(self) -> frozenset[tuple[str, str]]:
+        into, out = self._paths_at()
+        return frozenset(_move_pairs(self._moves, into, out))
+
+    def _paths_at(self) -> tuple[dict, dict]:
+        """The paths into and out of the squares' ends, in one pass."""
+        into = {src: [] for _, _, src, _ in self._moves}
+        out = {tgt: [] for _, _, _, tgt in self._moves}
+        for p, (s, t) in self.path_ends.items():
+            if s in out:
+                out[s].append(p)
+            if t in into:
+                into[t].append(p)
+        return into, out
+
+
+class _DeferredFlow(_RealizedFlow):
+    """The flow `realize` returns for a complex it has admitted.  It holds
+    the complex; the first read of `path_ends` or `adjacency` has a
+    realizer make the paths without counting again, and the flow keeps the
+    realizer's lists of paths into and out of each state until its move
+    pairs are made."""
 
     def __init__(self, c: GlobularComplex):
         self.skeleton = frozenset(c.states)
@@ -369,18 +374,12 @@ class _RealizedFlow(_ConcatenativeFlow):
 
     @_cached_property
     def path_ends(self) -> dict[str, tuple[str, str]]:
-        self._build()
-        return self.path_ends
-
-    @_cached_property
-    def adjacency(self) -> frozenset[tuple[str, str]]:
-        self._build()
-        return self.adjacency
-
-    def _build(self) -> None:
-        """Keep the realizer's tables as the instance's own, where the
-        cached properties would put them."""
         realizer = IncrementalRealizer.__new__(IncrementalRealizer)
         realizer._fill(self._complex)
-        self.path_ends = realizer._path_ends
-        self.adjacency = frozenset(realizer._adjacency)
+        self._moves = realizer._moves
+        self._lists = realizer._into, realizer._out
+        return realizer._path_ends
+
+    def _paths_at(self) -> tuple[dict, dict]:
+        self.path_ends  # fills the lists on a first read
+        return self.__dict__.pop("_lists")

@@ -88,6 +88,13 @@ def _valid_inputs():
     ):
         text = dumps_complex(pv_to_complex(parse_pv(source)))
         out.append((name, text, [pv_to_complex(parse_pv(source)), loads_complex(text)]))
+    # compiled programs, most of them with squares, which few of the random
+    # complexes above have
+    rng = random.Random(4243)
+    for i in range(20):
+        compiled = pv_to_complex(parse_pv(random_pv_source(rng)))
+        text = dumps_complex(compiled)
+        out.append((f"pv-{i}", text, [compiled, loads_complex(text)]))
     for name, text, _ in list(out):
         edges = json.loads(text)["edges"]
         if edges:

@@ -24,11 +24,13 @@ from globflow import (
     all_exec_paths,
     compose_complex_morphisms,
     compose_flow_morphisms,
+    deadlocks,
     dihomotopy_classes,
     dumps_complex,
     dumps_flow,
     dumps_realization,
     find_flow_isomorphism,
+    germs,
     glob_discrete,
     glob_flow,
     identity_complex_morphism,
@@ -246,6 +248,15 @@ def _random_targets(rng):
         yield random_complex(rng)
     for _ in range(10):
         yield pv_to_complex(parse_pv(random_pv_source(rng)))
+    # square-rich ones, so that edges come after squares in a ready order
+    yield from _square_rich()
+
+
+def _square_rich():
+    yield pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE))
+    yield make_grid(True)
+    yield _square_grid(3)
+    yield pv_to_complex(parse_pv(oracles.dining_philosophers_source(2)))
 
 
 class TestIncrementalRealizerTables:
@@ -326,6 +337,44 @@ class TestIncrementalRealizerTables:
             realizer.attach(cell)
         assert str(raised.value) == f"not an attachable cell: {cell!r}"
         assert realizer.flow is flow and realizer.complex is complex_
+
+    def test_pairs_are_made_only_when_adjacency_is_read(self, rng, monkeypatch):
+        pairs = _count_calls(monkeypatch, realization, "_move_pairs")
+        for target in (pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE)), _square_grid(3)):
+            realizer = IncrementalRealizer(GlobularComplex(states=()))
+            for cell in ready_order(rng, target):
+                realizer.attach(cell)
+            flow = realizer.flow
+            init = target.init or target.states[0]
+            deadlocks(flow, init, target.finals)
+            for state in target.states:
+                germs(flow, state, "minus")
+                germs(flow, state, "plus")
+            assert pairs == [] and "adjacency" not in vars(flow)
+
+            assert flow.adjacency == realize(target).adjacency == _oracle_tables(target)[3]
+            assert len(pairs) == 2  # the realizer's flow's and realize's
+            assert flow.adjacency is vars(flow)["adjacency"]
+            assert len(pairs) == 2
+            del pairs[:]
+
+            deferred = realize(target)
+            assert deferred.path_ends == flow.path_ends
+            assert pairs == [] and "adjacency" not in vars(deferred)
+
+    def test_snapshot_pairs_match_realize_and_the_oracle_whenever_read(self, rng):
+        for target in _random_targets(rng):
+            realizer = IncrementalRealizer(GlobularComplex(states=()))
+            steps = []
+            for cell in ready_order(rng, target):
+                realizer.attach(cell)
+                steps.append((realizer.flow, realizer.complex))
+                if rng.random() < 0.3:  # some read early, between attaches
+                    flow, c = rng.choice(steps)
+                    assert flow.adjacency == realize(c).adjacency == _oracle_tables(c)[3]
+            rng.shuffle(steps)  # the rest late, out of order
+            for flow, c in steps:
+                assert flow.adjacency == realize(c).adjacency == _oracle_tables(c)[3]
 
     def test_degenerate_square_adds_no_adjacency(self):
         realizer = IncrementalRealizer(make_grid(False))
@@ -753,8 +802,9 @@ def _count_calls(monkeypatch, owner, name):
 
 class TestDeferredRealization:
     """`realize` refuses from the counts alone, and its flow has a realizer
-    fill its tables the first time one is read.  Every realizer that
-    builds tables goes through `IncrementalRealizer._fill`."""
+    fill its paths the first time a table is read; its move pairs are made
+    when `adjacency` is read.  Every realizer that builds tables goes
+    through `IncrementalRealizer._fill`."""
 
     def test_equals_the_realizer_flow(self, rng):
         for c in _deferred_inputs(rng):
@@ -780,9 +830,13 @@ class TestDeferredRealization:
                     assert name not in vars(flow)
                 assert flow.skeleton == frozenset(c.states)
                 getattr(flow, first)
-                assert "path_ends" in vars(flow) and "adjacency" in vars(flow)
+                # either read makes the paths; only a read of adjacency
+                # makes the move pairs
+                assert "path_ends" in vars(flow)
+                assert ("adjacency" in vars(flow)) == (first == "adjacency")
                 assert "composition" not in vars(flow)
                 tables = flow.path_ends, flow.adjacency
+                assert "adjacency" in vars(flow)
                 dumps_flow(flow)
                 assert validate_flow(flow).ok
                 assert (flow.path_ends, flow.adjacency) == tables
