@@ -23,7 +23,6 @@ from .complexes import (
     enumerate_paths,
     glob_discrete,
     identity_complex_morphism,
-    is_complex_morphism,
     path_classes,
     same_move_class,
     square_move_neighbors,
@@ -63,7 +62,6 @@ from .flows import (
     germs,
     glob_flow,
     identity_flow_morphism,
-    is_flow_morphism,
     restrict,
     s_homotopic,
     validate_flow,
@@ -102,14 +100,12 @@ __all__ = [
     "StateId", "ExecPath", "Edge", "Square", "GlobularComplex", "ComplexMorphism",
     "ValidationReport", "validate_complex", "glob_discrete", "enumerate_paths",
     "path_classes", "square_move_neighbors", "same_move_class",
-    "is_complex_morphism", "complex_morphism_violations",
-    "identity_complex_morphism", "compose_complex_morphisms", "subdivide_edge",
-    "complex_deadlocks",
+    "complex_morphism_violations", "identity_complex_morphism",
+    "compose_complex_morphisms", "subdivide_edge", "complex_deadlocks",
     # flows
     "FiniteFlow", "FlowMorphism", "GermSet", "validate_flow", "glob_flow",
-    "restrict", "germs", "dihomotopy_classes", "is_flow_morphism",
-    "flow_morphism_violations", "identity_flow_morphism", "compose_flow_morphisms",
-    "s_homotopic", "deadlocks",
+    "restrict", "germs", "dihomotopy_classes", "flow_morphism_violations",
+    "identity_flow_morphism", "compose_flow_morphisms", "s_homotopic", "deadlocks",
     # realization
     "realize", "realize_morphism", "IncrementalRealizer",
     "all_exec_paths", "path_id", "DEFAULT_REALIZE_LIMIT",

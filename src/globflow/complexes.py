@@ -779,13 +779,6 @@ def complex_morphism_violations(
     return out
 
 
-def is_complex_morphism(
-    f: ComplexMorphism, dom: GlobularComplex, cod: GlobularComplex
-) -> bool:
-    """True iff endpoint compatibility, non-contraction, and square preservation hold."""
-    return not complex_morphism_violations(f, dom, cod)
-
-
 # ---------------------------------------------------------------------------
 # subdivision
 

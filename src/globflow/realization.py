@@ -24,7 +24,9 @@ its flow from a copy of them when the flow is read.  It keeps the cells as
 rows, as a complex does (see `complexes`), so it builds no `Edge` or
 `Square` value; it takes them only from a caller that attaches them.  A
 realized flow, like its composition table, makes its move pairs only when
-`adjacency` is read, all of them in one function (`_move_pairs`).
+`adjacency` is read: one pass over its paths finds those at the squares'
+ends, and one function (`_move_pairs`) makes every pair, each ordered by
+comparing its two ids.
 `realize(c)` refuses what the realizer refuses and then returns a flow
 that holds `c` and has a realizer make its paths the first time a table
 is read, so a caller that only needs the refusal pays only the count.
@@ -310,34 +312,28 @@ class IncrementalRealizer:
 
 def _move_pairs(moves: Iterable, into: dict, out: dict) -> Iterator[tuple[str, str]]:
     """Yield the normalized move pairs of a realization: head + left + tail
-    with head + right + tail for each square (left id, right id, source,
-    target) in `moves`, the empty head and each path `into` its source, and
-    the empty tail and each path `out` of its target.  A path holds a side in at
-    most one way, the 1-skeleton being acyclic.  Unless one side's id is a
-    prefix of the other's, every pair is ordered as the sides are."""
+    with head + right + tail, as (a, b) with a < b, for each square (left
+    id, right id, source, target) in `moves`, the empty head and each path
+    `into` its source, and the empty tail and each path `out` of its
+    target.  A path holds a side in at most one way, the 1-skeleton being
+    acyclic."""
     for left, right, src, tgt in moves:
-        heads = [""] + [pre + PATH_SEPARATOR for pre in into.get(src, ())]
-        tails = [""] + [PATH_SEPARATOR + suf for suf in out.get(tgt, ())]
-        if left.startswith(right) or right.startswith(left):
-            for head in heads:
-                for tail in tails:
-                    a, b = head + left + tail, head + right + tail
-                    yield (a, b) if a < b else (b, a)
-            continue
-        left, right = sorted((left, right))
+        heads = [""] + [pre + PATH_SEPARATOR for pre in into[src]]
+        tails = [""] + [PATH_SEPARATOR + suf for suf in out[tgt]]
         for head in heads:
-            head_left, head_right = head + left, head + right
             for tail in tails:
-                yield head_left + tail, head_right + tail
+                a, b = head + left + tail, head + right + tail
+                yield (a, b) if a < b else (b, a)
 
 
 class _RealizedFlow(_ConcatenativeFlow):
     """A realization's flow: its states, its path endpoints and the (left
     id, right id, source, target) of each non-degenerate square.  Like its
-    composition table, its move pairs (`_move_pairs`, over its own paths)
-    are made the first time `adjacency` is read, and kept.  A realizer's
-    `flow` is one; `realize` returns a `_DeferredFlow`.  Everything else is
-    `_ConcatenativeFlow`'s."""
+    composition table, its move pairs are made the first time `adjacency`
+    is read, and kept: one pass over its own paths finds those into the
+    squares' sources and out of their targets, and `_move_pairs` pairs
+    them.  A realizer's `flow` is one; `realize` returns a `_DeferredFlow`.
+    Everything else is `_ConcatenativeFlow`'s."""
 
     def __init__(self, skeleton: frozenset[str], path_ends: dict, moves: tuple):
         self.skeleton = skeleton
@@ -346,27 +342,22 @@ class _RealizedFlow(_ConcatenativeFlow):
 
     @_cached_property
     def adjacency(self) -> frozenset[tuple[str, str]]:
-        into, out = self._paths_at()
-        return frozenset(_move_pairs(self._moves, into, out))
-
-    def _paths_at(self) -> tuple[dict, dict]:
-        """The paths into and out of the squares' ends, in one pass."""
+        ends = self.path_ends  # a deferred flow's first read sets _moves
         into = {src: [] for _, _, src, _ in self._moves}
         out = {tgt: [] for _, _, _, tgt in self._moves}
-        for p, (s, t) in self.path_ends.items():
+        for p, (s, t) in ends.items():
             if s in out:
                 out[s].append(p)
             if t in into:
                 into[t].append(p)
-        return into, out
+        return frozenset(_move_pairs(self._moves, into, out))
 
 
 class _DeferredFlow(_RealizedFlow):
     """The flow `realize` returns for a complex it has admitted.  It holds
     the complex; the first read of `path_ends` or `adjacency` has a
-    realizer make the paths without counting again, and the flow keeps the
-    realizer's lists of paths into and out of each state until its move
-    pairs are made."""
+    realizer make the paths without counting again, and the flow keeps
+    the paths and the squares the realizer recorded, not the realizer."""
 
     def __init__(self, c: GlobularComplex):
         self.skeleton = frozenset(c.states)
@@ -377,9 +368,4 @@ class _DeferredFlow(_RealizedFlow):
         realizer = IncrementalRealizer.__new__(IncrementalRealizer)
         realizer._fill(self._complex)
         self._moves = realizer._moves
-        self._lists = realizer._into, realizer._out
         return realizer._path_ends
-
-    def _paths_at(self) -> tuple[dict, dict]:
-        self.path_ends  # fills the lists on a first read
-        return self.__dict__.pop("_lists")

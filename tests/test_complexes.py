@@ -24,7 +24,6 @@ from globflow import (
     enumerate_paths,
     glob_discrete,
     identity_complex_morphism,
-    is_complex_morphism,
     parse_pv,
     path_classes,
     dumps_complex,
@@ -811,17 +810,17 @@ class TestComplexMorphisms:
     def test_identity_is_morphism(self, rng):
         for _ in range(10):
             c = random_complex(rng)
-            assert is_complex_morphism(identity_complex_morphism(c), c, c)
+            assert not complex_morphism_violations(identity_complex_morphism(c), c, c)
 
     def test_contracting_map_rejected(self):
         interval = make_interval()
         f = ComplexMorphism(state_map={"0": "0", "1": "1"}, edge_map={"e": ()})
-        assert not is_complex_morphism(f, interval, interval)
+        assert complex_morphism_violations(f, interval, interval)
 
     def test_subdivision_map_is_morphism(self):
         interval = make_interval()
         refined, m = subdivide_edge(interval, "e")
-        assert is_complex_morphism(m, interval, refined)
+        assert not complex_morphism_violations(m, interval, refined)
 
     def test_endpoint_mismatch_rejected(self):
         chain = make_chain(2)
@@ -829,7 +828,7 @@ class TestComplexMorphisms:
             state_map={s: s for s in chain.states},
             edge_map={"e0": ("e1",), "e1": ("e1",)},
         )
-        assert not is_complex_morphism(f, chain, chain)
+        assert complex_morphism_violations(f, chain, chain)
 
     def test_square_preservation_required(self):
         # map the square's boundaries onto unrelated parallel paths
@@ -839,15 +838,15 @@ class TestComplexMorphisms:
             state_map={s: s for s in dom.states},
             edge_map={e.id: (e.id,) for e in dom.edges},
         )
-        assert is_complex_morphism(f, dom, dom)
-        assert not is_complex_morphism(f, dom, cod)
+        assert not complex_morphism_violations(f, dom, dom)
+        assert complex_morphism_violations(f, dom, cod)
 
     def test_composition_of_morphisms_is_morphism(self):
         c0 = make_interval()
         c1, m1 = subdivide_edge(c0, "e")
         c2, m2 = subdivide_edge(c1, m1.edge_map["e"][0])
         composite = compose_complex_morphisms(m2, m1)
-        assert is_complex_morphism(composite, c0, c2)
+        assert not complex_morphism_violations(composite, c0, c2)
         assert composite.path_image(("e",)) == m2.path_image(m1.edge_map["e"])
 
     def test_a_domain_that_does_not_validate_is_refused(self):
@@ -861,7 +860,7 @@ class TestComplexMorphisms:
         f = ComplexMorphism(state_map={"s": "0", "t": "1"}, edge_map={"a": ("e",)})
         report = validate_complex(dom)
         assert not report.ok
-        for check in (complex_morphism_violations, is_complex_morphism, realize_morphism):
+        for check in (complex_morphism_violations, realize_morphism):
             with pytest.raises(InvalidComplexError) as raised:
                 check(f, dom, cod)
             assert raised.value.violations == list(report.violations)

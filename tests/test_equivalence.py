@@ -29,7 +29,6 @@ from globflow import (
     glob_flow,
     identity_complex_morphism,
     identity_flow_morphism,
-    is_flow_morphism,
     loads_flow,
     realize,
     realize_morphism,
@@ -64,7 +63,7 @@ class TestEnumerateMorphisms:
         dom = realize(make_chain(2))
         cod = realize(make_chain(3))
         for f in enumerate_flow_morphisms(dom, cod):
-            assert is_flow_morphism(f, dom, cod)
+            assert not flow_morphism_violations(f, dom, cod)
 
     def test_budget_exhaustion_raises(self):
         dom = realize(make_chain(3))
@@ -84,13 +83,13 @@ class TestEnumerateMorphisms:
 
 
 def _morphisms_by_check(dom, cod):
-    """Every map dom -> cod that `is_flow_morphism` accepts, by brute force
+    """Every map dom -> cod `flow_morphism_violations` finds no fault in, by brute force
     over all state and path maps."""
     states, paths = sorted(dom.skeleton), dom.sorted_paths
     for state_choice in product(sorted(cod.skeleton), repeat=len(states)):
         for path_choice in product(cod.sorted_paths, repeat=len(paths)):
             f = FlowMorphism(dict(zip(states, state_choice)), dict(zip(paths, path_choice)))
-            if is_flow_morphism(f, dom, cod):
+            if not flow_morphism_violations(f, dom, cod):
                 yield _maps(f)
 
 
@@ -222,8 +221,8 @@ class TestFindFlowIsomorphism:
             witness = find_flow_isomorphism(flow, renamed)
             assert witness is not None
             iso, inverse = witness
-            assert is_flow_morphism(iso, flow, renamed)
-            assert is_flow_morphism(inverse, renamed, flow)
+            assert not flow_morphism_violations(iso, flow, renamed)
+            assert not flow_morphism_violations(inverse, renamed, flow)
             assert compose_flow_morphisms(inverse, iso) == identity_flow_morphism(flow)
 
     def test_composites_are_counted_without_the_tables(self, rng):
@@ -323,7 +322,7 @@ class TestTDihomotopy:
         cod = FiniteFlow(skeleton=("u",), path_ends={"l": ("u", "u")})
         # l is a loop path; flows allow it even though complexes do not
         f = FlowMorphism(state_map={"0": "u", "1": "u"}, path_map={"a": "l"})
-        assert is_flow_morphism(f, dom, cod)
+        assert not flow_morphism_violations(f, dom, cod)
         report = check_t_dihomotopy(f, dom, cod)
         assert not report.restriction_isomorphism
 
@@ -618,7 +617,7 @@ class TestRoundTripFilter:
 def _corestriction_by_restriction(f, x, y):
     """Condition 1 of the T-check by the definition: build the restricted
     flow, then check f into it and its inverse back with
-    `is_flow_morphism`.  Returns the verdict and its details."""
+    `flow_morphism_violations`.  Returns the verdict and its details."""
     image_states = {f.state_map[s] for s in x.skeleton}
     restricted = restrict(y, image_states)
     details = []
@@ -631,13 +630,13 @@ def _corestriction_by_restriction(f, x, y):
         details.append("corestriction: path map not onto the restricted flow")
     if details:
         return False, details
-    if not is_flow_morphism(f, x, restricted):
+    if flow_morphism_violations(f, x, restricted):
         return False, ["corestriction: not a morphism into the restricted flow"]
     inverse = FlowMorphism(
         state_map={f.state_map[s]: s for s in x.skeleton},
         path_map={v: k for k, v in f.path_map.items()},
     )
-    if not is_flow_morphism(inverse, restricted, x):
+    if flow_morphism_violations(inverse, restricted, x):
         return False, ["corestriction: inverse is not a morphism"]
     return True, []
 

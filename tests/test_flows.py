@@ -19,10 +19,10 @@ from globflow import (
     deadlocks,
     dihomotopy_classes,
     dumps_flow,
+    flow_morphism_violations,
     germs,
     glob_flow,
     identity_flow_morphism,
-    is_flow_morphism,
     loads_flow,
     parse_pv,
     pv_to_complex,
@@ -166,9 +166,9 @@ def _count_walks(monkeypatch):
 
 
 class TestValidationCertificate:
-    """validate_flow skips the triple walk only when every composite is the
-    "*"-concatenation of its operands; these compare it with the walk and
-    with the brute-force oracle."""
+    """validate_flow walks the composable triples of every flow built from
+    explicit tables and of no concatenative flow; these compare it with
+    the walk and with the brute-force oracle."""
 
     def test_realized_flows_need_no_walk(self, rng, monkeypatch):
         walks = _count_walks(monkeypatch)
@@ -200,6 +200,37 @@ class TestValidationCertificate:
             assert len(walks) == before + 1
             checked += 1
         assert checked >= 20
+
+    def test_explicit_copies_take_one_walk(self, rng, monkeypatch):
+        # every composite of a realized flow is the "*"-join of its
+        # operands, and its explicit copy is still walked
+        walks = _count_walks(monkeypatch)
+        for flow in _sample_flows(rng):
+            copy = explicit(flow)
+            report = validate_flow(copy)
+            assert report.ok and report.violations == _oracle_violations(copy)
+            assert walks == [copy]
+            walks.clear()
+
+    def test_failing_compact_flows_take_no_walk(self, rng, monkeypatch):
+        walks = _count_walks(monkeypatch)
+        # the congruence walk runs exactly when a certificate fails
+        fallbacks = []
+        congruence = flows._congruence_violations
+
+        def counted(flow, matched):
+            fallbacks.append(flow)
+            return congruence(flow, matched)
+
+        monkeypatch.setattr(flows, "_congruence_violations", counted)
+        for flow in _sample_flows(rng):
+            doc = json.loads(dumps_flow(flow))
+            for _, mutant in _mutants(doc, rng):
+                compact, _ = loads_flow(json.dumps(mutant))
+                report = validate_flow(compact)
+                assert report.violations == _oracle_violations(compact)
+                assert walks == []
+        assert len(fallbacks) >= 150
 
     def test_perturbed_flows_match_the_oracle(self, rng):
         seen = set()
@@ -484,7 +515,7 @@ class TestGerms:
 class TestFlowMorphisms:
     def test_identity(self):
         flow = chain_flow(2)
-        assert is_flow_morphism(identity_flow_morphism(flow), flow, flow)
+        assert not flow_morphism_violations(identity_flow_morphism(flow), flow, flow)
 
     def test_endpoint_mismatch_rejected(self):
         flow = chain_flow(2)
@@ -492,7 +523,7 @@ class TestFlowMorphisms:
             state_map={s: s for s in flow.skeleton},
             path_map={"e0": "e1", "e1": "e1", "e0*e1": "e0*e1"},
         )
-        assert not is_flow_morphism(f, flow, flow)
+        assert flow_morphism_violations(f, flow, flow)
 
     def test_composition_preservation_required(self):
         dom = chain_flow(2)
@@ -507,14 +538,14 @@ class TestFlowMorphisms:
             state_map={s: s for s in dom.skeleton},
             path_map={"e0": "e0", "e1": "e1", "e0*e1": "other"},
         )
-        assert not is_flow_morphism(f, dom, cod)
+        assert flow_morphism_violations(f, dom, cod)
 
     def test_compose_flow_morphisms(self):
         flow = glob_flow(["a", "b"])
         swap = FlowMorphism(
             state_map={"0": "0", "1": "1"}, path_map={"a": "b", "b": "a"}
         )
-        assert is_flow_morphism(swap, flow, flow)
+        assert not flow_morphism_violations(swap, flow, flow)
         double = compose_flow_morphisms(swap, swap)
         assert double == identity_flow_morphism(flow)
 
@@ -536,8 +567,8 @@ class TestSHomotopic:
             path_ends={"a": ("0", "1"), "r": ("1", "0")},
         )
         g = FlowMorphism(state_map={"0": "1", "1": "0"}, path_map={"z": "r"})
-        assert is_flow_morphism(f, dom, flipped)
-        assert is_flow_morphism(g, dom, flipped)
+        assert not flow_morphism_violations(f, dom, flipped)
+        assert not flow_morphism_violations(g, dom, flipped)
         assert not s_homotopic(f, g, dom, flipped)
 
     def test_one_step_adjacency(self):

@@ -1,3 +1,4 @@
+import pickle
 import random
 import tracemalloc
 from dataclasses import replace
@@ -30,12 +31,12 @@ from globflow import (
     dumps_flow,
     dumps_realization,
     find_flow_isomorphism,
+    flow_morphism_violations,
     germs,
     glob_discrete,
     glob_flow,
     identity_complex_morphism,
     identity_flow_morphism,
-    is_flow_morphism,
     loads_flow,
     parse_pv,
     path_classes,
@@ -111,7 +112,7 @@ class TestRealizeMorphism:
         refined, m = subdivide_edge(interval, "e")
         f = realize_morphism(m, interval, refined)
         assert f.path_map["e"] == "e_a*e_b"
-        assert is_flow_morphism(f, realize(interval), realize(refined))
+        assert not flow_morphism_violations(f, realize(interval), realize(refined))
 
     def test_functoriality_under_successive_subdivisions(self, rng):
         for _ in range(10):
@@ -250,6 +251,32 @@ def _random_targets(rng):
         yield pv_to_complex(parse_pv(random_pv_source(rng)))
     # square-rich ones, so that edges come after squares in a ready order
     yield from _square_rich()
+
+
+# edge ids that are prefixes of one another: "!" sorts below "*" and "b" above
+PREFIX_IDS = ("a", "a!", "a!!", "b", "b!", "ab")
+
+
+def _prefix_rich(rng, count=150):
+    """Seeded `random_complex` inputs with their edges renamed to distinct
+    ids of PREFIX_IDS.  The smaller ids go to the edges out of earlier
+    states, and among those to the farther targets, so that a square often
+    sets an edge "a" beside a longer side through "a!" or "a!!", whose
+    path ids "a" is a prefix of."""
+    for _ in range(count):
+        c = random_complex(rng, max_states=5, max_edges=6, max_squares=6, min_edges=5)
+        rank = {s: k for k, s in enumerate(c.states)}
+        far_first = sorted(c.edges, key=lambda e: (rank[e.src], -rank[e.tgt]))
+        ids = sorted(rng.sample(PREFIX_IDS, len(c.edges)))
+        name = dict(zip((e.id for e in far_first), ids))
+        yield GlobularComplex(
+            states=c.states,
+            edges=tuple(Edge(name[e.id], e.src, e.tgt) for e in c.edges),
+            squares=tuple(
+                Square(q.id, tuple(map(name.get, q.left)), tuple(map(name.get, q.right)))
+                for q in c.squares
+            ),
+        )
 
 
 def _square_rich():
@@ -625,6 +652,20 @@ class TestRealizationOracle:
             z_after_q.add(names.index("z") > names.index("q"))
         assert z_after_q == {False, True}
 
+    def test_prefix_rich_ids_match_the_oracle(self):
+        rng = random.Random(4417)
+        prefixed = 0
+        for target in _prefix_rich(rng):
+            assert _tables(realize(target)) == _oracle_tables(target)
+            realizer = IncrementalRealizer(GlobularComplex(states=()))
+            for cell in ready_order(rng, target):
+                realizer.attach(cell)
+                assert _tables(realizer.flow) == _oracle_tables(realizer.complex)
+            for q in target.squares:
+                left, right = path_id(q.left), path_id(q.right)
+                prefixed += left.startswith(right) or right.startswith(left)
+        assert prefixed >= 50
+
     def test_no_path_walk_and_no_square_moves(self, rng, monkeypatch):
         target = pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE))
 
@@ -843,6 +884,17 @@ class TestDeferredRealization:
                 assert flow.path_ends is tables[0] and flow.adjacency is tables[1]
                 # one fill, and the count is not redone on read
                 assert (len(fills), len(counts)) == (1, 1)
+
+    def test_read_paths_keep_no_per_state_lists(self, rng):
+        for c in _random_targets(rng):
+            flow = realize(c)
+            fresh = pickle.loads(pickle.dumps(realize(c)))
+            flow.path_ends
+            # the paths and the squares recorded, none of the realizer's lists
+            assert set(vars(flow)) == {"skeleton", "_complex", "path_ends", "_moves"}
+            want = IncrementalRealizer(c).flow.adjacency
+            assert flow.adjacency == want == _oracle_tables(c)[3]
+            assert pickle.loads(pickle.dumps(flow)) == flow == fresh
 
     def test_refusals_build_nothing(self, rng, monkeypatch):
         fills = _count_calls(monkeypatch, IncrementalRealizer, "_fill")
