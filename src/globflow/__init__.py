@@ -81,7 +81,6 @@ from .formats import (
     loads_morphism,
     morphism_from_doc,
     morphism_to_doc,
-    realization_from_doc,
 )
 from .pv import DEFAULT_COMPILE_LIMIT, PvProgram, PvStep, parse_pv, pv_to_complex, state_name
 from .realization import (
@@ -119,8 +118,7 @@ __all__ = [
     "complex_to_doc", "complex_from_doc", "dumps_complex", "loads_complex",
     "flow_to_doc", "flow_from_doc", "dumps_flow", "loads_flow",
     "morphism_to_doc", "morphism_from_doc", "dumps_morphism", "loads_morphism",
-    "dumps_realization", "realization_from_doc",
-    "export_dot",
+    "dumps_realization", "export_dot",
     # errors
     "GlobflowError", "UnknownIdError", "InvalidComplexError", "InvalidFlowError",
     "InvalidMorphismError", "InvalidAttachmentError", "SearchBudgetExceeded",

@@ -7,8 +7,9 @@ usage: globflow realize INPUT [--pv] [-o OUT]
        globflow dot INPUT [-o OUT]
        globflow -h | --help
 
-  realize   a complex (or PV source, with --pv) -> its realization document
-  analyze   one analysis of a flow or realization document
+  realize   a complex or realization document (or PV source, with --pv)
+            -> its realization document
+  analyze   one analysis of a complex, realization or flow document
   dot       a complex, flow or realization document -> DOT text
 
 INPUT and OUT may be "-", standard input and standard output (the default
@@ -31,29 +32,29 @@ built).  Each must be a non-negative integer, and any other value is an
 input error.  All output is sorted, or in declaration order for the
 complex a realization document holds, so repeated runs are byte-identical.
 
-Every document a command reads is validated before it is used: complexes,
-including the one an input realization document holds, with
-`complexes.validate_complex` (warnings go to stderr), and flows, including
-the codomain of a --t-check morphism and the --s-equiv flow, with
-`flows.validate_flow`.  Those two are read by `formats.loads_morphism` and
-`formats.loads_flow`, which also take realization documents and validate
-their complex without a warning.  A violation exits 2 with one
-"violation:" line per violation.  A complex compiled from `--pv` source
-enters certified, with its empty report, and is not checked again.
+Every document is read by `formats._input_from_doc`, the one place that
+tells a complex, realization or flow document apart, and validated once
+before it is used.  A complex, from a complex or realization document,
+is checked by `complexes.validate_complex` (its warnings go to stderr
+once), then realized where a flow is needed, and that flow is not
+validated again.  A flow, and the codomain of a --t-check morphism
+(`formats.loads_morphism`), is checked by `flows.validate_flow`.  A
+violation exits 2 with one "violation:" line per violation.  A complex
+compiled from `--pv` source enters certified, with its empty report.
 
-`realize` refuses what `realization.realize` refuses (exit 3 over the
-realization limit), from the exact counts and without building the flow,
-then writes the realization document of `formats`: the complex it
-realized, not the flow.
-`analyze` and `dot` read it as the flow it stands for, and answer on it as
-on that flow's flow document, byte for byte.  --deadlocks and --classes
-answer on the complex and never realize it: after refusing what `realize`
-refuses (exit 3), the deadlocks are the reachable, non-final states no edge
-leaves (`complexes.complex_deadlocks`), and the classes are
-`complexes.path_classes` with each member written as its path id.  The
-other analyses realize the complex and use its flow without validating it
-again.  `dot` realizes it too, and `formats.export_dot` validates that
-flow, as it does every flow it renders.
+`realize` refuses a flow document, and what `realization.realize`
+refuses (exit 3 over the realization limit) from the exact counts,
+without building the flow, then writes the realization document of
+`formats`: the complex it realized, not the flow.  `analyze` and --s-equiv
+read a complex or realization document as the flow it stands for, and
+answer on it as on that flow's flow document, byte for byte.  --deadlocks
+and --classes answer on the complex and never realize it: the deadlocks
+are the reachable, non-final states no edge leaves
+(`complexes.complex_deadlocks`), past any realization limit, and the
+classes, after refusing what `realize` refuses (exit 3), are
+`complexes.path_classes` with each member written as its path id.  `dot`
+renders a complex document's complex, and the flow of a realization
+document, which `formats.export_dot` validates as it does every flow.
 """
 
 from __future__ import annotations
@@ -84,17 +85,7 @@ from .flows import (
     germs,
     require_valid_flow,
 )
-from .formats import (
-    complex_from_doc,
-    dumps_realization,
-    export_dot,
-    flow_from_doc,
-    loads_complex,
-    loads_flow,
-    loads_morphism,
-    realization_from_doc,
-    _parse_json,
-)
+from .formats import dumps_realization, export_dot, loads_morphism, _input_from_doc, _parse_json
 from .pv import parse_pv, pv_to_complex
 from .realization import check_realize_limit, path_id, realize
 from .settings import env_count
@@ -171,13 +162,28 @@ def _write(path: str, text: str) -> None:
             handle.write(text)
 
 
-def cmd_realize(args) -> int:
-    text = _read(args.input)
-    if args.pv:
-        complex_ = pv_to_complex(parse_pv(text))
+def _load(path: str, where: str, realized: bool = False):
+    """The kind, complex or flow, and annotations of the document at
+    `path` (`formats._input_from_doc`): a complex after `_check_complex`,
+    realized if `realized`, or a flow after `require_valid_flow`."""
+    kind, obj, annotations = _input_from_doc(_parse_json(_read(path), where))
+    if kind == "flow":
+        require_valid_flow(obj)
     else:
-        complex_ = loads_complex(text)
-    _check_complex(complex_)
+        _check_complex(obj)
+        if realized:
+            obj = realize(obj)  # the flow of a valid complex is valid
+    return kind, obj, annotations
+
+
+def cmd_realize(args) -> int:
+    if args.pv:
+        complex_ = pv_to_complex(parse_pv(_read(args.input)))
+        _check_complex(complex_)
+    else:
+        kind, complex_, _ = _load(args.input, "complex document")
+        if kind == "flow":
+            raise FormatError("complex document: a flow document holds no complex")
     # the document holds the complex, not the flow: `realize` refuses an
     # over-limit complex (exit 3) from its counts and builds no table until
     # one is read.  The call stays rather than `check_realize_limit`
@@ -232,64 +238,38 @@ def _realized_classes(c: GlobularComplex, src: str, tgt: str) -> list[list[str]]
 
 
 def cmd_analyze(args) -> int:
-    doc = _parse_json(_read(args.input), "flow document")
-    realization = realization_from_doc(doc)
-    if realization is None:
-        flow, annotations = flow_from_doc(doc)
-        require_valid_flow(flow)
-    else:
-        complex_, annotations = realization
-        _check_complex(complex_)
-        if args.deadlocks or args.classes is not None:
-            # answered on the complex, after refusing what `realize` refuses
-            check_realize_limit(complex_)
-            if args.deadlocks:
-                found = complex_deadlocks(complex_, *_deadlock_ends(args, annotations))
-                print(deadlocks_report(found))
-            else:
-                src, tgt = (
-                    _resolve_state(s, complex_.state_set, annotations) for s in args.classes
-                )
-                print(classes_report(_realized_classes(complex_, src, tgt)))
-            return 0
-        flow = realize(complex_)  # the flow of a valid complex is valid
-
+    # --deadlocks and --classes answer on a document's complex, the others on its flow
+    on_complex = args.deadlocks or args.classes is not None
+    kind, obj, annotations = _load(args.input, "flow document", realized=not on_complex)
     if args.deadlocks:
-        print(deadlocks_report(deadlocks(flow, *_deadlock_ends(args, annotations))))
+        found = (deadlocks if kind == "flow" else complex_deadlocks)(
+            obj, *_deadlock_ends(args, annotations))
+        print(deadlocks_report(found))
+    elif args.classes is not None and kind == "flow":
+        src, tgt = (_resolve_state(s, obj.skeleton, annotations) for s in args.classes)
+        print(classes_report(dihomotopy_classes(obj, src, tgt)))
     elif args.classes is not None:
-        src, tgt = (_resolve_state(s, flow.skeleton, annotations) for s in args.classes)
-        print(classes_report(dihomotopy_classes(flow, src, tgt)))
+        check_realize_limit(obj)  # members are listed: refuse what `realize` refuses
+        src, tgt = (_resolve_state(s, obj.state_set, annotations) for s in args.classes)
+        print(classes_report(_realized_classes(obj, src, tgt)))
     elif args.germs is not None:
-        state = _resolve_state(args.germs, flow.skeleton, annotations)
+        state = _resolve_state(args.germs, obj.skeleton, annotations)
         sign = "plus" if args.plus else "minus"
-        print(germs_report(germs(flow, state, sign)))
+        print(germs_report(germs(obj, state, sign)))
     elif args.t_check is not None:
         morphism, codomain, _ = loads_morphism(_read(args.t_check))
         require_valid_flow(codomain)
-        print(t_check_report(check_t_dihomotopy(morphism, flow, codomain)))
+        print(t_check_report(check_t_dihomotopy(morphism, obj, codomain)))
     elif args.s_equiv is not None:
         budget = env_count(BUDGET_ENV_VAR, DEFAULT_SEARCH_BUDGET)
-        other, _ = loads_flow(_read(args.s_equiv))
-        require_valid_flow(other)
-        print(s_equiv_report(s_equivalent(flow, other, budget=budget)))
+        _, other, _ = _load(args.s_equiv, "flow document", realized=True)
+        print(s_equiv_report(s_equivalent(obj, other, budget=budget)))
     return 0
 
 
 def cmd_dot(args) -> int:
-    doc = _parse_json(_read(args.input), "input document")
-    realization = realization_from_doc(doc)
-    if realization is not None:
-        complex_, _ = realization
-        _check_complex(complex_)
-        obj = realize(complex_)
-    elif isinstance(doc, dict) and "states" in doc:
-        obj = complex_from_doc(doc)
-        _check_complex(obj)
-    elif isinstance(doc, dict) and "skeleton" in doc:
-        obj, _ = flow_from_doc(doc)
-    else:
-        raise FormatError("input document: neither a complex nor a flow")
-    _write(args.output, export_dot(obj))
+    kind, obj, _ = _load(args.input, "input document")
+    _write(args.output, export_dot(realize(obj) if kind == "realization" else obj))
     return 0
 
 

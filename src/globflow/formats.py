@@ -52,13 +52,13 @@ which fixes the flow (see `realization`):
 This is what `globflow realize` writes (`dumps_realization`): the complex
 in declaration order, on one line from the C JSON encoder, so a realized
 flow costs the size of its complex on disk and not that of its path set.
-`flow_from_doc` and `loads_flow` read one as `realize` of its complex, which
-validates the complex and refuses one over the realization limit, with
-the complex's `init`, and its `finals` sorted when it has any, as
-annotations: the flow and annotations that the flow document of that
-realization gives.  `realization_from_doc` hands out the complex
-unrealized, for analyses that answer on it.  REALIZATION_OF is the field
-that marks one; only this module knows the format.
+`_input_from_doc` is the one place that tells document kinds apart: a
+realization document (REALIZATION_OF), a complex document (`states`), else
+a flow document.  It hands out a complex unrealized, with its `init`, and
+its `finals` sorted when it has any, as annotations.  `flow_from_doc` and
+`loads_flow` read a complex or realization document as `realize` of its
+complex, which validates it and refuses one over the realization limit:
+the flow and annotations that the flow document of that realization gives.
 
 Morphism documents carry the codomain inline:
 
@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import json
 from operator import itemgetter
-from typing import Any, Optional
+from typing import Any
 
 from .complexes import GlobularComplex, require_valid
 from .errors import FormatError
@@ -245,13 +245,14 @@ def flow_to_doc(
 def flow_from_doc(doc: Any) -> tuple[FiniteFlow, dict[str, Any]]:
     """Returns the flow and its annotations ({"init": ..., "finals": [...]}).
 
-    A realization document gives `realize` of its complex, which validates
-    the complex and applies the realization limit, with the annotations
-    `realization_from_doc` takes from the complex."""
-    realization = realization_from_doc(doc)
-    if realization is not None:
-        c, annotations = realization
-        return realize(c), annotations
+    A complex or realization document gives `realize` of its complex, which
+    validates the complex and applies the realization limit."""
+    kind, obj, annotations = _input_from_doc(doc)
+    return (obj if kind == "flow" else realize(obj)), annotations
+
+
+def _flow_doc(doc: Any) -> tuple[FiniteFlow, dict[str, Any]]:
+    """The flow of a flow document, not yet validated, and its annotations."""
     if not isinstance(doc, dict):
         raise FormatError("flow document: expected an object")
     skeleton = _string_list(doc, "skeleton", "flow document")
@@ -354,20 +355,21 @@ def dumps_realization(c: GlobularComplex) -> str:
     return json.dumps({REALIZATION_OF: complex_to_doc(c)}, separators=(",", ":")) + "\n"
 
 
-def realization_from_doc(doc: Any) -> Optional[tuple[GlobularComplex, dict[str, Any]]]:
-    """The complex a realization document holds, not yet validated, and
-    the annotations of its realization: `init` when the complex has one,
-    and its `finals`, sorted, when it has any.  None for any other
-    document."""
-    if not isinstance(doc, dict) or REALIZATION_OF not in doc:
-        return None
-    c = complex_from_doc(_require(doc, REALIZATION_OF, dict, "realization document"))
-    annotations: dict[str, Any] = {}
-    if c.init is not None:
-        annotations["init"] = c.init
+def _input_from_doc(doc: Any) -> tuple[str, Any, dict[str, Any]]:
+    """The kind of a document ("realization", "complex" or "flow"), the
+    complex or flow it holds, not yet validated, and its annotations: a
+    complex's `init`, and its `finals` sorted, when it has them."""
+    if isinstance(doc, dict) and REALIZATION_OF in doc:
+        kind, held = "realization", _require(doc, REALIZATION_OF, dict, "realization document")
+    elif isinstance(doc, dict) and "states" in doc:
+        kind, held = "complex", doc
+    else:
+        return ("flow", *_flow_doc(doc))
+    c = complex_from_doc(held)
+    annotations: dict[str, Any] = {} if c.init is None else {"init": c.init}
     if c.finals:
         annotations["finals"] = sorted(c.finals)
-    return c, annotations
+    return kind, c, annotations
 
 
 # ---------------------------------------------------------------------------

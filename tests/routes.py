@@ -57,10 +57,15 @@ class Input:
         return realize(self.complex)
 
     @cached_property
+    def complex_document(self) -> str:
+        """The complex document `dumps_complex` writes."""
+        return dumps_complex(self.complex)
+
+    @cached_property
     def read(self) -> GlobularComplex:
         """The complex as `loads_complex` reads its document: its cells as
         rows, with no `Edge` or `Square` built."""
-        return loads_complex(dumps_complex(self.complex))
+        return loads_complex(self.complex_document)
 
     @cached_property
     def realization(self) -> str:
@@ -180,10 +185,13 @@ def _complex_route(complex_of):
     return route
 
 
-def _document_route(form: str):
-    """`globflow` reading the input's `form` document on stdin."""
+def _document_route(form: str, dot: bool = True):
+    """`globflow` reading the input's `form` document on stdin; without
+    `dot`, no `dot`, which renders a complex document's complex."""
 
     def route(inp: Input, argv):
+        if argv[0] == "dot" and not dot:
+            return None
         code, out, _ = run(argv[0], "-", *argv[1:], stdin=getattr(inp, form))
         return out, code
 
@@ -196,6 +204,7 @@ reference = _flow_route(lambda inp: inp.flow)
 ROUTES = {
     REFERENCE: reference,
     "realization-document": _document_route("realization"),
+    "complex-document": _document_route("complex_document", dot=False),
     "compact-flow-document": _document_route("compact"),
     "explicit-flow-document": _document_route("explicit"),
     "library-complex": _complex_route(lambda inp: inp.complex),

@@ -841,6 +841,32 @@ class TestComplexMorphisms:
         assert not complex_morphism_violations(f, dom, dom)
         assert complex_morphism_violations(f, dom, cod)
 
+    @pytest.mark.parametrize("state_map, edge_map, violations", [
+        ({"s2": None}, {}, ["state_map undefined on s2", "endpoint mismatch on edge e1"]),
+        ({"s2": "zz"}, {}, ["state_map sends s2 outside the codomain: zz",
+                            "endpoint mismatch on edge e1"]),
+        ({}, {"e1": None}, ["edge_map undefined on e1"]),
+        ({}, {"e0": ()}, ["contracted edge: e0 maps to the empty path"]),
+        ({}, {"e0": ("e1", "e0")}, ["edge e0 maps to a non-path: ('e1', 'e0')"]),
+        ({}, {"e0": ("e1",)}, ["endpoint mismatch on edge e0"]),
+    ])
+    def test_each_violation_is_named(self, state_map, edge_map, violations):
+        # the identity of s0 -e0-> s1 -e1-> s2 with the entries given; None leaves one out
+        chain = make_chain(2)
+        identity = identity_complex_morphism(chain)
+        f = ComplexMorphism(
+            state_map={s: t for s, t in {**identity.state_map, **state_map}.items() if t},
+            edge_map={e: p for e, p in {**identity.edge_map, **edge_map}.items() if p is not None},
+        )
+        assert complex_morphism_violations(f, chain, chain) == violations
+
+    def test_unpreserved_square_is_named(self):
+        dom, cod = make_grid(True), make_grid(False)
+        f = identity_complex_morphism(dom)
+        assert complex_morphism_violations(f, dom, cod) == [
+            "square q not preserved: image boundaries in distinct classes"
+        ]
+
     def test_composition_of_morphisms_is_morphism(self):
         c0 = make_interval()
         c1, m1 = subdivide_edge(c0, "e")

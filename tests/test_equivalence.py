@@ -59,6 +59,15 @@ class TestEnumerateMorphisms:
         found = list(enumerate_flow_morphisms(glob_flow(["c"]), glob_flow(["a", "b"])))
         assert [f.path_map for f in found] == [{"c": "a"}, {"c": "b"}]
 
+    def test_path_less_flows_have_one_empty_path_map(self):
+        dom, cod = FiniteFlow(("u",), {}), FiniteFlow(("v",), {})
+        found = list(enumerate_flow_morphisms(dom, cod))
+        assert [(f.state_map, f.path_map) for f in found] == [({"u": "v"}, {})]
+
+    def test_a_state_map_leaving_the_codomain_gives_no_morphism(self):
+        flow = glob_flow(["a"])
+        assert list(enumerate_flow_morphisms(flow, flow, {"0": "0", "1": "zz"})) == []
+
     def test_all_results_are_morphisms(self, rng):
         dom = realize(make_chain(2))
         cod = realize(make_chain(3))

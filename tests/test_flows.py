@@ -76,6 +76,14 @@ class TestValidateFlow:
             "composition not total" in v for v in validate_flow(flow).violations
         )
 
+    def test_unknown_path_in_composition_entry(self):
+        flow = FiniteFlow(
+            skeleton=("u", "v"),
+            path_ends={"x": ("u", "v")},
+            composition={("x", "zz"): "x"},
+        )
+        assert validate_flow(flow).violations == ("unknown path in composition entry: (x, zz)",)
+
     def test_spurious_composition(self):
         flow = FiniteFlow(
             skeleton=("u", "v"),
@@ -539,6 +547,27 @@ class TestFlowMorphisms:
             path_map={"e0": "e0", "e1": "e1", "e0*e1": "other"},
         )
         assert flow_morphism_violations(f, dom, cod)
+
+    @pytest.mark.parametrize("state_map, path_map, violations", [
+        ({"s2": "zz"}, {}, ["state_map sends s2 outside the codomain: zz",
+                            "endpoint mismatch on path e0*e1", "endpoint mismatch on path e1"]),
+        ({}, {"e0": "zz"}, ["path_map sends e0 outside the codomain: zz"]),
+    ])
+    def test_images_outside_the_codomain_are_named(self, state_map, path_map, violations):
+        flow = chain_flow(2)
+        identity = identity_flow_morphism(flow)
+        f = FlowMorphism(state_map={**identity.state_map, **state_map},
+                         path_map={**identity.path_map, **path_map})
+        assert flow_morphism_violations(f, flow, flow) == violations
+
+    def test_undefined_codomain_composite_is_named(self):
+        dom = chain_flow(2)
+        # the same paths, with no composition entry
+        cod = FiniteFlow(skeleton=dom.skeleton, path_ends=dict(dom.path_ends))
+        f = identity_flow_morphism(dom)
+        assert flow_morphism_violations(f, dom, cod) == [
+            "codomain composite undefined for images of (e0, e1)"
+        ]
 
     def test_compose_flow_morphisms(self):
         flow = glob_flow(["a", "b"])

@@ -370,6 +370,23 @@ class TestFlowReaderErrors:
         assert str(caught.value) == "flow document: " + message
 
 
+@pytest.mark.parametrize("load, text, message", [
+    (loads_complex, '{"states": ["u"], "edges": [1]}',
+     "complex document: edges[0]: expected an object"),
+    (loads_complex, '{"states": ["u", "v"], "edges": [{"id": "e", "src": "u", "tgt": "v", "label": 3}]}',
+     "complex document: edges[0]: label must be a string"),
+    (loads_complex, '{"states": ["u"], "edges": [], "squares": [1]}',
+     "complex document: squares[0]: expected an object"),
+    (loads_flow, "[]", "flow document: expected an object"),
+    (loads_flow, '{"skeleton": [], "paths": [], "init": 3}', "flow document: init must be a string"),
+    (loads_morphism, "[]", "morphism document: expected an object"),
+], ids=["edge-entry", "edge-label", "square-entry", "flow-document", "flow-init", "morphism-document"])
+def test_document_fault_messages(load, text, message):
+    with pytest.raises(FormatError) as caught:
+        load(text)
+    assert str(caught.value) == message
+
+
 class TestOptionalListFields:
     """An optional list field that is present must be a list."""
 
@@ -462,3 +479,7 @@ class TestDotExport:
         with pytest.raises(error) as caught:
             export_dot(obj)
         assert caught.value.violations == [violation]
+
+    def test_other_objects_are_refused(self):
+        with pytest.raises(TypeError, match="^cannot export int as DOT$"):
+            export_dot(42)

@@ -3,7 +3,7 @@ from itertools import combinations, product
 import pytest
 
 import oracles
-from conftest import pv_oracle_input, random_pv_source, trace_of
+from conftest import pv_oracle_input, random_pv_source, run, trace_of
 from globflow import (
     Edge,
     GlobularComplex,
@@ -96,6 +96,18 @@ class TestParse:
     def test_missing_paren(self):
         with pytest.raises(PvSyntaxError):
             parse_pv("res a 1; proc: P a")
+
+    @pytest.mark.parametrize("source, message", [
+        ("res a", "1:6: unexpected end of input, expected a capacity"),
+        ("res 1 1;", "1:5: expected a resource name, found '1'"),
+        ("res a x;", "1:7: expected a capacity, found 'x'"),
+        ("res a 1; proc: P(1)", "1:18: expected a name, found '1'"),
+    ])
+    def test_malformed_declaration_or_step(self, source, message):
+        with pytest.raises(PvSyntaxError) as info:
+            parse_pv(source)
+        assert str(info.value) == message
+        assert run("realize", "-", "--pv", stdin=source) == (1, "", f"error: {message}\n")
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(PvError, match="capacity"):

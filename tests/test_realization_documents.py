@@ -99,8 +99,11 @@ class TestRefusals:
         path = self._write(tmp_path, dumps_realization(c))
         monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", "100")
         code, out, err = run(argv[0], path, *argv[1:])
-        assert (code, out) == (3, "")
-        assert err == "error: realization limit exceeded: 128 paths + 324 composites > limit 100\n"
+        if argv == ("analyze", "--deadlocks"):  # one pass over the complex, no limit
+            assert (code, out, err) == (0, "1 deadlocks\n  p0:1,p1:1\n", "")
+        else:
+            assert (code, out) == (3, "")
+            assert err == "error: realization limit exceeded: 128 paths + 324 composites > limit 100\n"
         monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", "452")
         assert run(argv[0], path, *argv[1:])[0] == 0
 
@@ -163,6 +166,85 @@ def test_deadlocks_and_classes_never_realize(tmp_path, monkeypatch):
     code, out, err = run("analyze", path, "--classes", "init", "final")
     assert (code, out.splitlines()[0], err) == (0, "2 classes", "")
     assert run("analyze", path, "--germs", "init")[0] == 4  # realizes
+
+
+class TestDocumentKinds:
+    """Every subcommand reads a complex, realization or flow document
+    through one reader, and answers every kind it can."""
+
+    @staticmethod
+    def _documents(tmp_path, name, source):
+        """The complex, realization and flow documents of a PV program, by kind."""
+        c = pv_to_complex(parse_pv(source))
+        paths = {}
+        for kind, text in (("complex", dumps_complex(c)), ("realization", dumps_realization(c)),
+                           ("flow", dumps_flow(realize(c), c.init, c.finals))):
+            paths[kind] = str(tmp_path / f"{name}.{kind}.json")
+            with open(paths[kind], "w", encoding="utf-8") as handle:
+                handle.write(text)
+        return paths
+
+    @pytest.fixture
+    def swiss(self, tmp_path):
+        return self._documents(tmp_path, "swiss", oracles.SWISS_FLAG_SOURCE)
+
+    @pytest.fixture
+    def mutex(self, tmp_path):  # small enough for the --s-equiv search
+        return self._documents(tmp_path, "mutex", oracles.MUTEX_SOURCE)
+
+    def test_realize_takes_a_realization_document(self, swiss):
+        with open(swiss["realization"], encoding="utf-8") as handle:
+            assert run("realize", swiss["realization"]) == (0, handle.read(), "")
+
+    def test_realize_refuses_a_flow_document(self, swiss):
+        assert run("realize", swiss["flow"]) == (
+            1, "", "error: complex document: a flow document holds no complex\n"
+        )
+
+    def test_every_kind_answers_alike(self, mutex):
+        for argv in (("--deadlocks",), ("--classes", "init", "final"), ("--germs", "init"),
+                     ("--s-equiv", mutex["flow"])):
+            answers = {run("analyze", mutex[kind], *argv) for kind in mutex}
+            assert len(answers) == 1 and answers.pop()[0] == 0, argv
+        answers = {run("analyze", mutex["flow"], "--s-equiv", mutex[kind]) for kind in mutex}
+        assert len(answers) == 1 and answers.pop()[1].startswith("S-equivalent: yes\n")
+
+    def test_a_realized_s_equiv_flow_is_not_validated_again(self, mutex, monkeypatch):
+        def refuse(flow):
+            raise AssertionError("validated")
+
+        monkeypatch.setattr(cli, "require_valid_flow", refuse)
+        code, out, _ = run("analyze", mutex["complex"], "--s-equiv", mutex["realization"])
+        assert (code, out.splitlines()[0]) == (0, "S-equivalent: yes")
+
+    def test_deadlocks_answer_past_the_realize_limit(self, swiss, monkeypatch):
+        monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", "3")
+        for kind in ("complex", "realization"):
+            assert run("analyze", swiss[kind], "--deadlocks") == (0, "1 deadlocks\n  p0:1,p1:1\n", "")
+            assert run("analyze", swiss[kind], "--classes", "init", "final")[0] == 3
+
+    def test_warnings_are_printed_once_per_document(self, tmp_path):
+        c = GlobularComplex(states=("0", "1"), edges=(Edge("a", "0", "1"),),
+                            squares=(Square("q", ("a",), ("a",)),), init="0")
+        path = tmp_path / "c.json"
+        path.write_text(dumps_complex(c))
+        warning = "warning: degenerate square (no-op): q\n"
+        assert run("analyze", str(path), "--germs", "0")[::2] == (0, warning)
+        assert run("analyze", str(path), "--s-equiv", str(path))[::2] == (0, warning * 2)
+
+    @pytest.mark.parametrize("argv", [
+        ("realize", "NEITHER"),
+        ("analyze", "NEITHER", "--deadlocks"),
+        ("dot", "NEITHER"),
+        ("analyze", "FLOW", "--s-equiv", "NEITHER"),
+    ])
+    def test_neither_kind_exits_1(self, swiss, tmp_path, argv):
+        neither = tmp_path / "neither.json"
+        neither.write_text('{"neither": true}')
+        paths = {"NEITHER": str(neither), "FLOW": swiss["flow"]}
+        assert run(*(paths.get(arg, arg) for arg in argv)) == (
+            1, "", "error: flow document: missing field 'skeleton'\n"
+        )
 
 
 class TestLibraryReader:
