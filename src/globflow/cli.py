@@ -13,10 +13,12 @@ usage: globflow realize INPUT [--pv] [-o OUT]
   dot       a complex, flow or realization document -> DOT text
 
 INPUT and OUT may be "-", standard input and standard output (the default
-OUT).  Options go before or after INPUT, as "--opt value", "--opt=value"
-or, for -o, "-oOUT"; a long option may be cut to any prefix that no other
-option of its subcommand shares ("--dead"); the last of a repeated option
-wins, and every argument after "--" is positional.
+OUT).  A file OUT is written over its old bytes, then cut to the new
+length if it is a regular file, so it is not replaced atomically.
+Options go before or after INPUT, as "--opt value", "--opt=value" or, for
+-o, "-oOUT"; a long option may be cut to any prefix that no other option
+of its subcommand shares ("--dead"); the last of a repeated option wins,
+and every argument after "--" is positional.
 
 Exit codes: 0 success (and -h), 1 input error (a malformed command line
 too, reported as a "usage:" line and an "error:" line), 2 axiom violation, 3 search budget
@@ -37,8 +39,9 @@ tells a complex, realization or flow document apart, and validated once
 before it is used.  A complex, from a complex or realization document,
 is checked by `complexes.validate_complex` (its warnings go to stderr
 once), then realized where a flow is needed, and that flow is not
-validated again.  A flow, and the codomain of a --t-check morphism
-(`formats.loads_morphism`), is checked by `flows.validate_flow`.  A
+validated again.  A flow is checked by `flows.validate_flow`, as is a
+--t-check codomain from a flow document; `realize` checks one from a
+complex or realization document (`formats._morphism_from_doc`).  A
 violation exits 2 with one "violation:" line per violation.  A complex
 compiled from `--pv` source enters certified, with its empty report.
 
@@ -59,7 +62,9 @@ document, which `formats.export_dot` validates as it does every flow.
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 import sys
 from types import SimpleNamespace
 
@@ -85,7 +90,7 @@ from .flows import (
     germs,
     require_valid_flow,
 )
-from .formats import dumps_realization, export_dot, loads_morphism, _input_from_doc, _parse_json
+from .formats import dumps_realization, export_dot, _input_from_doc, _morphism_from_doc, _parse_json
 from .pv import parse_pv, pv_to_complex
 from .realization import check_realize_limit, path_id, realize
 from .settings import env_count
@@ -157,9 +162,12 @@ def _read(path: str) -> str:
 def _write(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        return
+    # over the old bytes, then cut to length: truncating on open costs more
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as handle:
+        handle.write(text)
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate()
 
 
 def _load(path: str, where: str, realized: bool = False):
@@ -257,8 +265,10 @@ def cmd_analyze(args) -> int:
         sign = "plus" if args.plus else "minus"
         print(germs_report(germs(obj, state, sign)))
     elif args.t_check is not None:
-        morphism, codomain, _ = loads_morphism(_read(args.t_check))
-        require_valid_flow(codomain)
+        kind, morphism, codomain, _ = _morphism_from_doc(
+            _parse_json(_read(args.t_check), "morphism document"))
+        if kind == "flow":  # a realized codomain's complex was validated
+            require_valid_flow(codomain)
         print(t_check_report(check_t_dihomotopy(morphism, obj, codomain)))
     elif args.s_equiv is not None:
         budget = env_count(BUDGET_ENV_VAR, DEFAULT_SEARCH_BUDGET)

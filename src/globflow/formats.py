@@ -385,11 +385,18 @@ def morphism_to_doc(f: FlowMorphism, codomain: FiniteFlow, **annotations) -> dic
 
 
 def morphism_from_doc(doc: Any) -> tuple[FlowMorphism, FiniteFlow, dict[str, Any]]:
+    return _morphism_from_doc(doc)[1:]
+
+
+def _morphism_from_doc(doc: Any) -> tuple[str, FlowMorphism, FiniteFlow, dict[str, Any]]:
+    """The codomain document's kind, then `morphism_from_doc`'s answer."""
     if not isinstance(doc, dict):
         raise FormatError("morphism document: expected an object")
-    codomain, annotations = flow_from_doc(
+    kind, codomain, annotations = _input_from_doc(
         _require(doc, "codomain", dict, "morphism document")
     )
+    if kind != "flow":
+        codomain = realize(codomain)
     maps = {}
     for key in ("state_map", "path_map"):
         table = _require(doc, key, dict, "morphism document")
@@ -397,6 +404,7 @@ def morphism_from_doc(doc: Any) -> tuple[FlowMorphism, FiniteFlow, dict[str, Any
             raise FormatError(f"morphism document: {key} must map strings to strings")
         maps[key] = dict(table)
     return (
+        kind,
         FlowMorphism(state_map=maps["state_map"], path_map=maps["path_map"]),
         codomain,
         annotations,

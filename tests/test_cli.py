@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -501,6 +502,45 @@ class TestDeterminism:
             second = run(*argv)
             assert first == second
             assert first[0] == 0
+
+
+class TestOutputFile:
+    """-o OUT is written over the old bytes, then cut to length when OUT is
+    a regular file."""
+
+    @pytest.fixture(params=["realize", "dot"])
+    def argv(self, request, tmp_path):
+        source = tmp_path / "swiss.pv"
+        source.write_text(oracles.SWISS_FLAG_SOURCE)
+        if request.param == "realize":
+            return ["realize", "--pv", str(source)]
+        realized = tmp_path / "swiss.realization.json"
+        assert run("realize", "--pv", str(source), "-o", str(realized))[0] == 0
+        return ["dot", str(realized)]
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no /dev/null")
+    def test_a_device_is_written_without_truncation(self, argv):
+        assert run(*argv, "-o", os.devnull) == (0, "", "")
+
+    @pytest.mark.parametrize("old", [b"x" * 65536, b"x"])
+    def test_an_overwrite_leaves_exactly_the_new_bytes(self, argv, tmp_path, old):
+        code, expected, _ = run(*argv, "-o", "-")
+        assert code == 0
+        out = tmp_path / "out"
+        out.write_bytes(old)
+        for _ in range(2):
+            assert run(*argv, "-o", str(out)) == (0, "", "")
+            assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_a_new_file_has_the_mode_of_open(self, argv, tmp_path):
+        saved = os.umask(0o027)
+        try:
+            assert run(*argv, "-o", str(tmp_path / "new"))[0] == 0
+            with open(tmp_path / "opened", "w", encoding="utf-8"):
+                pass
+        finally:
+            os.umask(saved)
+        assert os.stat(tmp_path / "new").st_mode == os.stat(tmp_path / "opened").st_mode
 
 
 class TestDispatch:

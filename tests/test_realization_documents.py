@@ -217,6 +217,45 @@ class TestDocumentKinds:
         code, out, _ = run("analyze", mutex["complex"], "--s-equiv", mutex["realization"])
         assert (code, out.splitlines()[0]) == (0, "S-equivalent: yes")
 
+    def test_a_realized_t_check_codomain_is_not_validated_again(self, mutex, tmp_path,
+                                                                monkeypatch):
+        flow = realize(pv_to_complex(parse_pv(oracles.MUTEX_SOURCE)))
+        identity = {"state_map": {s: s for s in flow.skeleton},
+                    "path_map": {p: p for p in flow.path_ends}}
+        morphisms = {}
+        for kind in mutex:
+            morphisms[kind] = tmp_path / f"identity-into-{kind}.json"
+            with open(mutex[kind], encoding="utf-8") as handle:
+                codomain = json.load(handle)
+            morphisms[kind].write_text(json.dumps({"codomain": codomain, **identity}))
+        answer = run("analyze", mutex["complex"], "--t-check", str(morphisms["flow"]))
+        assert answer[0] == 0 and answer[1].startswith("T-dihomotopy: yes ")
+
+        def refuse(flow):
+            raise AssertionError("validated")
+
+        monkeypatch.setattr(cli, "require_valid_flow", refuse)
+        for kind in ("complex", "realization"):
+            assert run("analyze", mutex["complex"], "--t-check", str(morphisms[kind])) == answer
+        assert run("analyze", mutex["complex"], "--t-check", str(morphisms["flow"]))[0] == 4
+        # the realize that reads a complex codomain refuses it (exit 2) and
+        # prints none of its warnings
+        domain = tmp_path / "a.json"
+        domain.write_text('{"states": ["0", "1"], "edges": [{"id": "a", "src": "0", "tgt": "1"}]}')
+        for codomain, answer in (
+            ({"states": ["u", "v"], "edges": [{"id": "a", "src": "u", "tgt": "v"},
+                                              {"id": "b", "src": "v", "tgt": "u"}]},
+             (2, "", "violation: cyclic 1-skeleton: u -> v -> u\n")),
+            ({"realization_of": {"states": ["u", "v"],
+                                 "edges": [{"id": "a", "src": "u", "tgt": "v"}],
+                                 "squares": [{"id": "q", "left": ["a"], "right": ["a"]}]}},
+             (0, "T-dihomotopy: yes (1 ok, 2 ok, 3 ok)\n", "")),
+        ):
+            morphism = tmp_path / "into.json"
+            morphism.write_text(json.dumps({"codomain": codomain, "state_map": {"0": "u", "1": "v"},
+                                            "path_map": {"a": "a"}}))
+            assert run("analyze", str(domain), "--t-check", str(morphism)) == answer
+
     def test_deadlocks_answer_past_the_realize_limit(self, swiss, monkeypatch):
         monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", "3")
         for kind in ("complex", "realization"):
