@@ -43,7 +43,7 @@ validated again.  A flow is checked by `flows.validate_flow`, as is a
 --t-check codomain from a flow document; `realize` checks one from a
 complex or realization document (`formats._morphism_from_doc`).  A
 violation exits 2 with one "violation:" line per violation.  A complex
-compiled from `--pv` source enters certified, with its empty report.
+compiled from `--pv` source enters certified and is checked no further.
 
 `realize` refuses a flow document, and what `realization.realize`
 refuses (exit 3 over the realization limit) from the exact counts,
@@ -187,7 +187,6 @@ def _load(path: str, where: str, realized: bool = False):
 def cmd_realize(args) -> int:
     if args.pv:
         complex_ = pv_to_complex(parse_pv(_read(args.input)))
-        _check_complex(complex_)
     else:
         kind, complex_, _ = _load(args.input, "complex document")
         if kind == "flow":

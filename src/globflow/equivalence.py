@@ -17,8 +17,7 @@ option it tries; an injective search skips options in use for free.
   those only the ones `_state_maps` yields (below).  For each forward
   morphism f, the round trips filter g's options (see `s_equivalent`).
 - `find_flow_isomorphism` searches for an invertible morphism over the
-  state maps `_state_maps` yields, after checking skeleton, path and
-  composite counts, then runs the path search injectively.
+  state maps `_state_maps` yields, then runs the path search injectively.
 - `check_t_dihomotopy` evaluates the three refinement conditions for a
   morphism between flows that validate: the corestriction onto the image
   skeleton is an isomorphism, germs at the remaining states are singletons
@@ -37,7 +36,9 @@ that carries a witness keeps K, the has-a-path relation included.  An
 isomorphism keeps both the path count and K of every pair, and its search
 uses that pair as the invariant.  Only the state maps that cannot carry a
 witness are left out, in the order of `permutations`, so the first witness
-is the one an unpruned search finds.
+is the one an unpruned search finds.  No unit is charged before the
+multisets of state colours (sorted row and column) agree.  That forces equal
+state counts and, for isomorphism, path and (on valid flows) composite counts.
 
 Searches are deterministic: candidates are generated in lexicographic
 order and the first witness wins.  A budget caps the number of candidates
@@ -265,12 +266,11 @@ def s_equivalent(
     None when the exhaustive search completes empty.  Raises
     SearchBudgetExceeded when the candidate budget (default 10**6) runs
     out first, so the two negative outcomes cannot be confused.  The
-    budget counts the states and path images tried.
+    budget counts the states and path images tried; the state colours
+    refuse unequal state counts before any unit is charged, at the cost
+    of the invariant tables that any equal-size pair builds too.
     """
     meter = _Budget(budget)
-    if len(x.skeleton) != len(y.skeleton):
-        return None
-
     for sigma in _state_maps(x, y, _component_counts, meter):
         tau = {b: a for a, b in sigma.items()}
         for f in _path_assignments(x, y, sigma, meter):
@@ -296,23 +296,17 @@ def find_flow_isomorphism(
 ) -> Optional[tuple[FlowMorphism, FlowMorphism]]:
     """Search for an invertible morphism x -> y; returns (iso, inverse) or None.
 
-    Exhaustive backtracking over skeleton bijections and path bijections,
-    pruned early on cardinalities.  The state maps tried are the
-    bijections that keep, for every pair of states, the number of paths
-    between them and the number of their adj*-components; an isomorphism
-    keeps both.  Composition and adjacency (into adj*) are checked forward
-    during assignment, as in any morphism search; adjacency is checked
-    backward once a bijection is complete, which is what invertibility of
-    morphisms requires.
+    x and y must validate, which is not checked here.  Exhaustive
+    backtracking over skeleton bijections and path bijections.  The state
+    maps tried are the bijections that keep, for every pair of states, the
+    number of paths between them and the number of their adj*-components;
+    an isomorphism keeps both, and their colours refuse flows of unequal
+    size at no charge.  Composition and adjacency (into adj*) are checked
+    forward during assignment, as in any morphism search; adjacency is
+    checked backward once a bijection is complete, which is what
+    invertibility of morphisms requires.
     """
     meter = _Budget(budget)
-    if (
-        len(x.skeleton) != len(y.skeleton)
-        or len(x.paths) != len(y.paths)
-        or _composite_count(x) != _composite_count(y)
-    ):
-        return None
-
     for sigma in _state_maps(x, y, _path_and_component_counts, meter):
         # injective over all of x's paths into y's, as many: a bijection
         for path_map in _path_assignments(x, y, sigma, meter, injective=True):
@@ -324,16 +318,6 @@ def find_flow_isomorphism(
                 )
                 return iso, inverse
     return None
-
-
-def _composite_count(flow: FiniteFlow) -> int:
-    """`len(flow.composition)`, without building a concatenative flow's
-    table: there, every composable pair has its composite, so the count is
-    the sum over states s of |paths into s| * |paths out of s|."""
-    if not flow._concatenative:
-        return len(flow.composition)
-    by_src = flow.by_src
-    return sum(len(into) * len(by_src.get(s, ())) for s, into in flow.by_tgt.items())
 
 
 def _inverse_keeps_adjacency(x: FiniteFlow, y: FiniteFlow, inverse_paths: dict) -> bool:

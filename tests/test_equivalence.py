@@ -234,7 +234,7 @@ class TestFindFlowIsomorphism:
             assert not flow_morphism_violations(inverse, renamed, flow)
             assert compose_flow_morphisms(inverse, iso) == identity_flow_morphism(flow)
 
-    def test_composites_are_counted_without_the_tables(self, rng):
+    def test_composites_are_counted_without_the_tables(self):
         globe = realize(glob_discrete(["a", "b"]))
         other = realize(glob_discrete(["c", "d"]))
         assert find_flow_isomorphism(globe, other) is not None
@@ -243,11 +243,13 @@ class TestFindFlowIsomorphism:
         assert find_flow_isomorphism(grid, realize(make_grid(False))) is None
         for flow in (globe, other, grid):
             assert "composition" not in vars(flow)
-        for _ in range(30):
-            flow = realize(random_complex(rng))
-            explicit = FiniteFlow(flow.skeleton, flow.path_ends, flow.composition)
-            assert equivalence._composite_count(flow) == len(flow.composition)
-            assert equivalence._composite_count(explicit) == len(flow.composition)
+        # the state colours refuse these before any candidate is charged
+        for x, y in (
+            (glob_flow(["a"]), glob_flow(["a", "b"])),
+            (realize(make_grid(True)), realize(make_grid(False))),
+        ):
+            assert s_equivalent(x, y, budget=0) is None
+            assert find_flow_isomorphism(x, y, budget=0) is None
 
     def test_budget_is_enough(self):
         grid = realize(make_grid(True))
@@ -779,3 +781,47 @@ class TestConcatenativeFlows:
                 ):
                     other = FiniteFlow(y.skeleton, y.path_ends, composition, y.adjacency)
                     assert y != other and other != y
+
+
+def _count_pool(rng, bases):
+    """Valid flows for the count checks: for each of `bases` complexes, its
+    realization, an explicit copy, a renamed copy, and the realization of
+    the complex with one edge doubled, the two copies squared or not."""
+    pool = []
+    for _ in range(bases):
+        c = random_complex(rng, min_edges=1)
+        flow = realize(c)
+        tables = (flow.skeleton, flow.path_ends, flow.composition, flow.adjacency)
+        twin = _with_twin(c, rng.choice(c.edges), squared=rng.random() < 0.5)
+        pool += [flow, explicit(flow), _library_flow(_renamed(tables, rng)), realize(twin)]
+    return pool
+
+
+class TestCountsDecidedByColours:
+    """The state colours alone refuse what count checks would: flows whose
+    states differ in number from both searches, and flows whose paths or
+    composites do from the isomorphism search, each answering None with no
+    unit charged."""
+
+    def test_count_mismatches_cost_nothing(self, monkeypatch):
+        monkeypatch.setattr(equivalence, "_Budget", _Meter)
+        rng = random.Random(20261020)
+        pool = _count_pool(rng, 40)
+        counts = [
+            (len(f.skeleton), len(f.paths), sum(1 for _ in f.composable_pairs()))
+            for f in pool
+        ]
+        assert all(validate_flow(f).ok for f in pool)
+        refused = Counter()
+        for _ in range(2400):
+            i, j = rng.randrange(len(pool)), rng.randrange(len(pool))
+            if counts[i] == counts[j]:
+                continue
+            states, paths, _ = (a != b for a, b in zip(counts[i], counts[j]))
+            refused["states" if states else "paths" if paths else "composites"] += 1
+            # S-equivalence may collapse paths, so only a state count refuses it
+            for search in (find_flow_isomorphism, s_equivalent)[: 1 + states]:
+                assert search(pool[i], pool[j]) is None
+                assert _Meter.last.used == 0
+        assert refused["states"] >= 1500 and refused["paths"] >= 300, refused
+        assert refused["composites"] >= 1, refused
