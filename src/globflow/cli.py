@@ -56,8 +56,8 @@ are the reachable, non-final states no edge leaves
 (`complexes.complex_deadlocks`), past any realization limit, and the
 classes, after refusing what `realize` refuses (exit 3), are
 `complexes.path_classes` with each member written as its path id.  `dot`
-renders a complex document's complex, and the flow of a realization
-document, which `formats.export_dot` validates as it does every flow.
+renders a complex document's complex, and any other document's flow,
+which only `formats.export_dot` validates, as it does every flow.
 """
 
 from __future__ import annotations
@@ -277,7 +277,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    kind, obj, _ = _load(args.input, "input document")
+    kind, obj, _ = _input_from_doc(_parse_json(_read(args.input), "input document"))
+    if kind != "flow":  # `export_dot` validates every flow
+        _check_complex(obj)
     _write(args.output, export_dot(realize(obj) if kind == "realization" else obj))
     return 0
 

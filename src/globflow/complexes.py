@@ -23,13 +23,12 @@ member's class read.  The last such table is kept on the complex, keyed
 by its two endpoints, so `same_move_class` on the members that
 `path_classes` has just listed propagates no second time.
 
-Paths are listed backwards over a topological order: each out-edge of a
-state, in edge-id order, goes before the paths out of its target, so each
-list is lexicographic with no stack.  `enumerate_paths` fills the suffix
-table (`_suffix_table`) with the paths to its target, and `all_exec_paths`
-keeps its own table of every path out of each state and sorts their union.
-Every path listing refuses a complex that does not validate, with
-InvalidComplexError carrying its validation report.
+The paths between two states are listed backwards over a topological
+order (`_suffix_table`, behind `enumerate_paths`): each out-edge of a
+state, in edge-id order, goes before the paths out of its target, so the
+list is lexicographic with no stack.  `enumerate_paths` refuses a complex
+that does not validate, with InvalidComplexError carrying its validation
+report.  Every path of a complex is listed by its realizer alone.
 
 A complex keeps its cells as rows: an edge is (id, src, tgt, label) and a
 square (id, left, right).  Two indexes are read off the edge rows and
@@ -493,20 +492,6 @@ def _suffix_table(c: GlobularComplex, span: tuple[StateId, ...], table: dict) ->
         if chains:
             table[s] = chains
     return table
-
-
-def all_exec_paths(c: GlobularComplex) -> list[ExecPath]:
-    """Every execution path, sorted, from its own table of the paths out of
-    each state: for each out-edge e of s, `(e.id,)` then `(e.id,) + q` for
-    q in e.tgt's list.  Raises InvalidComplexError if the complex does not validate."""
-    out = c._out
-    table: dict[StateId, list[ExecPath]] = {}
-    for s in reversed(c.topological_order):
-        table[s] = paths = []
-        for eid, _, tgt, _ in out[s]:
-            paths.append((eid,))
-            paths += [(eid,) + q for q in table[tgt]]
-    return sorted(p for paths in table.values() for p in paths)
 
 
 def count_paths_and_composites(c: GlobularComplex) -> tuple[int, int]:

@@ -436,8 +436,6 @@ def _extends_into(flow: FiniteFlow, path: str, image_paths: set[str]) -> bool:
     afters: list[Optional[str]] = [None] + list(flow.paths_from(t))
     for u in befores:
         middle = path if u is None else flow.try_compose(u, path)
-        if middle is None:
-            continue
         for v in afters:
             whole = middle if v is None else flow.try_compose(middle, v)
             if whole is not None and whole in image_paths:

@@ -14,19 +14,20 @@ The path and composite counts grow much faster than the complex, so
 `realize` counts them exactly first (a pass over the complex, no path
 listed) and refuses, with RealizationLimitExceeded, a realization holding
 more of them together than GLOBFLOW_REALIZE_LIMIT (default 10^6), as do
-`check_realize_limit`, `realize_morphism` and `IncrementalRealizer`.  The
-sum is the number of edge ids all path ids spell out
-(`count_paths_and_composites`); adjacency pairs are outside the limit.
+`check_realize_limit`, `IncrementalRealizer`, `all_exec_paths` and
+`realize_morphism`.  The sum is the number of edge ids all path ids spell
+out (`count_paths_and_composites`); adjacency pairs are outside the limit.
 
-There is one construction, `IncrementalRealizer`: it builds a realization
-cell by cell, keeps its paths current while a complex is built, and makes
-its flow from a copy of them when the flow is read.  It keeps the cells as
-rows, as a complex does (see `complexes`), so it builds no `Edge` or
-`Square` value; it takes them only from a caller that attaches them.  A
-realized flow, like its composition table, makes its move pairs only when
-`adjacency` is read: one pass over its paths finds those at the squares'
-ends, and one function (`_move_pairs`) makes every pair, each ordered by
-comparing its two ids.
+There is one construction, `IncrementalRealizer`, the one lister of a
+complex's paths: it builds a realization cell by cell, keeps its paths
+current while a complex is built, and makes its flow from a copy of them
+when the flow is read.  It keeps the cells as rows, as a complex does (see
+`complexes`), so it builds no `Edge` or `Square` value; it takes them only
+from a caller that attaches them.  A realized flow, like its composition
+table, makes its move pairs only when `adjacency` is read: its paths at
+the squares' ends are those its `by_tgt` and `by_src` index, and one
+function (`_move_pairs`) makes every pair, each ordered by comparing its
+two ids.
 `realize(c)` refuses what the realizer refuses and then returns a flow
 that holds `c` and has a realizer make its paths the first time a table
 is read, so a caller that only needs the refusal pays only the count.
@@ -41,11 +42,11 @@ from .complexes import (
     ComplexMorphism,
     Edge,
     EdgeRow,
+    ExecPath,
     GlobularComplex,
     Square,
     SquareRow,
     _cached_property,
-    all_exec_paths,
     complex_morphism_violations,
     count_paths_and_composites,
     exec_path_ends,
@@ -112,6 +113,12 @@ def _check_limit(paths: int, composites: int, limit: int) -> None:
         raise RealizationLimitExceeded(paths, composites, limit)
 
 
+def all_exec_paths(c: GlobularComplex) -> list[ExecPath]:
+    """Every execution path of `c`, sorted: `realize(c)`'s path ids split at
+    PATH_SEPARATOR, so what `realize` refuses is refused before any is listed."""
+    return sorted(tuple(p.split(PATH_SEPARATOR)) for p in realize(c).path_ends)
+
+
 def realize_morphism(
     m: ComplexMorphism, dom: GlobularComplex, cod: GlobularComplex
 ) -> FlowMorphism:
@@ -121,11 +128,11 @@ def realize_morphism(
     violations = complex_morphism_violations(m, dom, cod)
     if violations:
         raise InvalidMorphismError("not a complex morphism: " + "; ".join(violations))
-    check_realize_limit(dom)
     return FlowMorphism(
         state_map=dict(m.state_map),
         path_map={
-            path_id(seq): path_id(m.path_image(seq)) for seq in all_exec_paths(dom)
+            p: path_id(m.path_image(p.split(PATH_SEPARATOR)))
+            for p in realize(dom).path_ends
         },
     )
 
@@ -330,9 +337,9 @@ class _RealizedFlow(_ConcatenativeFlow):
     """A realization's flow: its states, its path endpoints and the (left
     id, right id, source, target) of each non-degenerate square.  Like its
     composition table, its move pairs are made the first time `adjacency`
-    is read, and kept: one pass over its own paths finds those into the
-    squares' sources and out of their targets, and `_move_pairs` pairs
-    them.  A realizer's `flow` is one; `realize` returns a `_DeferredFlow`.
+    is read, and kept: `_move_pairs` pairs the paths `by_tgt` lists into
+    the squares' sources with those `by_src` lists out of their targets.
+    A realizer's `flow` is one; `realize` returns a `_DeferredFlow`.
     Everything else is `_ConcatenativeFlow`'s."""
 
     def __init__(self, skeleton: frozenset[str], path_ends: dict, moves: tuple):
@@ -342,15 +349,8 @@ class _RealizedFlow(_ConcatenativeFlow):
 
     @_cached_property
     def adjacency(self) -> frozenset[tuple[str, str]]:
-        ends = self.path_ends  # a deferred flow's first read sets _moves
-        into = {src: [] for _, _, src, _ in self._moves}
-        out = {tgt: [] for _, _, _, tgt in self._moves}
-        for p, (s, t) in ends.items():
-            if s in out:
-                out[s].append(p)
-            if t in into:
-                into[t].append(p)
-        return frozenset(_move_pairs(self._moves, into, out))
+        into = self.by_tgt  # a deferred flow's first read sets _moves
+        return frozenset(_move_pairs(self._moves, into, self.by_src))
 
 
 class _DeferredFlow(_RealizedFlow):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from conftest import make_chain, make_grid, make_interval, make_parallel_pair, run
+from conftest import explicit, make_chain, make_grid, make_interval, make_parallel_pair, run
 from globflow import (
     dumps_complex,
     dumps_flow,
@@ -27,7 +27,7 @@ from globflow import (
     validate_flow,
     loads_flow,
 )
-from globflow import cli, complexes
+from globflow import cli, complexes, flows
 
 
 @pytest.fixture
@@ -429,6 +429,36 @@ class TestDot:
             line for line in out.splitlines() if line.endswith(";") and "->" not in line
         ]
         assert len(node_lines) == len(permitted)
+
+    def test_flow_documents_are_validated_once(self, tmp_path, monkeypatch):
+        calls = []
+        validate = flows.validate_flow
+
+        def counted(flow):
+            calls.append(flow)
+            return validate(flow)
+
+        monkeypatch.setattr(flows, "validate_flow", counted)
+        swiss = realize(pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE)))
+        outs = []
+        for name, flow in (("compact", swiss), ("explicit", explicit(swiss))):
+            path = tmp_path / f"{name}.flow.json"
+            path.write_text(dumps_flow(flow))
+            code, out, err = run("dot", str(path))
+            assert (code, err, len(calls)) == (0, "", 1), name
+            outs.append(out)
+            calls.clear()
+        assert outs[0] == outs[1]
+        # a complex's warnings are still printed once
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps({
+            "states": ["0", "1"],
+            "edges": [{"id": "a", "src": "0", "tgt": "1"}],
+            "squares": [{"id": "q", "left": ["a"], "right": ["a"]}],
+        }))
+        code, out, err = run("dot", str(path))
+        assert (code, err) == (0, "warning: degenerate square (no-op): q\n")
+        assert out.startswith("digraph complex {")
 
     def test_non_document_exits_1(self, tmp_path):
         path = tmp_path / "junk.json"

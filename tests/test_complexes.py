@@ -97,7 +97,9 @@ class TestValidateComplex:
         ("axy", ["pxy", "qyx", "rxa"], ["cyclic 1-skeleton: x -> y -> x"]),
         # a repeated state is no missed one
         ("uvu", ["auv"], ["duplicate state: u"]),
-    ], ids=["least-edge", "repeated-state", "repeated-declaration"])
+        # an edge from an undeclared state is dangling, not cyclic
+        ("v", ["euv"], ["dangling endpoint: source u of edge e"]),
+    ], ids=["least-edge", "repeated-state", "repeated-declaration", "dangling-source"])
     def test_the_cycle_named(self, states, edges, violations):
         c = GlobularComplex(tuple(states), tuple(Edge(*e) for e in edges))
         assert list(validate_complex(c).violations) == violations
@@ -931,6 +933,17 @@ class TestSubdivideEdge:
         first, second = refined.edges
         assert first.label == "act"
         assert second.label is None
+
+    def test_taken_names_get_underscores(self):
+        c = GlobularComplex(
+            states=("u", "v", "e_mid"),
+            edges=tuple(Edge(e, "u", "v") for e in ("e", "e_a", "e_b", "e_b_")),
+        )
+        refined, m = subdivide_edge(c, "e")
+        assert refined.states == ("u", "v", "e_mid", "e_mid_")
+        assert m.edge_map["e"] == ("e_a_", "e_b__")
+        assert [e.id for e in refined.edges] == ["e_a_", "e_b__", "e_a", "e_b", "e_b_"]
+        assert validate_complex(refined).ok
 
 
 def test_enumeration_terminates_quickly_on_random_complexes():

@@ -234,7 +234,7 @@ class TestFindFlowIsomorphism:
             assert not flow_morphism_violations(inverse, renamed, flow)
             assert compose_flow_morphisms(inverse, iso) == identity_flow_morphism(flow)
 
-    def test_composites_are_counted_without_the_tables(self):
+    def test_no_table_built_and_size_mismatches_cost_nothing(self):
         globe = realize(glob_discrete(["a", "b"]))
         other = realize(glob_discrete(["c", "d"]))
         assert find_flow_isomorphism(globe, other) is not None
@@ -314,6 +314,12 @@ class TestTDihomotopy:
         # the un-extendable path b is reported
         assert not report.image_extension
         assert any("b" in d for d in report.details)
+
+    def test_truth_is_holds(self):
+        small, wide = glob_flow(["a"]), glob_flow(["a", "b"])
+        f = FlowMorphism(state_map={"0": "0", "1": "1"}, path_map={"a": "a"})
+        assert check_t_dihomotopy(f, small, small)
+        assert not check_t_dihomotopy(f, small, wide)
 
     def test_isolated_new_state_fails_germ_condition(self):
         small = glob_flow(["a"])

@@ -76,6 +76,24 @@ class TestValidateFlow:
             "composition not total" in v for v in validate_flow(flow).violations
         )
 
+    def test_undefined_composites_are_reported_once(self):
+        # z*b is undefined: the associativity walk skips the pair and the
+        # congruence walk the left extension of a ~ b by z, so totality
+        # alone reports it
+        flow = FiniteFlow(
+            skeleton=("w", "u", "v"),
+            path_ends={"z": ("w", "u"), "a": ("u", "v"), "b": ("u", "v"), "za": ("w", "v")},
+            composition={("z", "a"): "za"},
+            adjacency=[("a", "b")],
+        )
+        violations = ("composition not total: (z, b) undefined",)
+        assert validate_flow(flow).violations == violations == _oracle_violations(flow)
+
+    def test_equality_with_a_non_flow_is_not_implemented(self):
+        flow = glob_flow(["a"])
+        assert flow.__eq__(flow.path_ends) is NotImplemented
+        assert flow != flow.path_ends
+
     def test_unknown_path_in_composition_entry(self):
         flow = FiniteFlow(
             skeleton=("u", "v"),

@@ -903,7 +903,9 @@ class TestDeferredRealization:
             if paths + composites == 0:
                 continue
             monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", str(paths + composites - 1))
-            for refuse in (realize, realization.check_realize_limit, IncrementalRealizer):
+            for refuse in (
+                realize, realization.check_realize_limit, IncrementalRealizer, all_exec_paths
+            ):
                 with pytest.raises(RealizationLimitExceeded) as caught:
                     refuse(c)
                 assert (caught.value.paths, caught.value.composites) == (paths, composites)
@@ -918,7 +920,9 @@ class TestDeferredRealization:
             states=("u", "v"), edges=(Edge("a", "u", "v"), Edge("b", "v", "u"))
         )
         monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", "abc")
-        for refuse in (realize, realization.check_realize_limit, IncrementalRealizer):
+        for refuse in (
+            realize, realization.check_realize_limit, IncrementalRealizer, all_exec_paths
+        ):
             with pytest.raises(InvalidComplexError):
                 refuse(cyclic)  # the complex is checked before the variable
             with pytest.raises(ValueError, match="GLOBFLOW_REALIZE_LIMIT must be a non-negative integer"):
