@@ -35,15 +35,13 @@ input error.  All output is sorted, or in declaration order for the
 complex a realization document holds, so repeated runs are byte-identical.
 
 Every document is read by `formats._input_from_doc`, the one place that
-tells a complex, realization or flow document apart, and validated once
-before it is used.  A complex, from a complex or realization document,
-is checked by `complexes.validate_complex` (its warnings go to stderr
-once), then realized where a flow is needed, and that flow is not
-validated again.  A flow is checked by `flows.validate_flow`, as is a
---t-check codomain from a flow document; `realize` checks one from a
-complex or realization document (`formats._morphism_from_doc`).  A
-violation exits 2 with one "violation:" line per violation.  A complex
-compiled from `--pv` source enters certified and is checked no further.
+tells a complex, realization or flow document apart.  Every complex is
+checked by `complexes.validate_complex`, its warnings on stderr once (a
+--t-check codomain's by the `realize` that reads it, which prints none),
+and every flow by `flows.validate_flow`.  Each keeps its report, so
+nothing is checked twice, and a flow realized from a complex, like a
+complex compiled from `--pv` source, is born with the empty report.  A
+violation exits 2 with one "violation:" line per violation.
 
 `realize` refuses a flow document, and what `realization.realize`
 refuses (exit 3 over the realization limit) from the exact counts,
@@ -56,8 +54,7 @@ are the reachable, non-final states no edge leaves
 (`complexes.complex_deadlocks`), past any realization limit, and the
 classes, after refusing what `realize` refuses (exit 3), are
 `complexes.path_classes` with each member written as its path id.  `dot`
-renders a complex document's complex, and any other document's flow,
-which only `formats.export_dot` validates, as it does every flow.
+renders a complex document's complex, and any other document's flow.
 """
 
 from __future__ import annotations
@@ -84,13 +81,8 @@ from .errors import (
     RealizationLimitExceeded,
     SearchBudgetExceeded,
 )
-from .flows import (
-    deadlocks,
-    dihomotopy_classes,
-    germs,
-    require_valid_flow,
-)
-from .formats import dumps_realization, export_dot, _input_from_doc, _morphism_from_doc, _parse_json
+from .flows import FiniteFlow, deadlocks, dihomotopy_classes, germs, require_valid_flow
+from .formats import dumps_realization, export_dot, loads_morphism, _input_from_doc, _parse_json
 from .pv import parse_pv, pv_to_complex
 from .realization import check_realize_limit, path_id, realize
 from .settings import env_count
@@ -173,14 +165,13 @@ def _write(path: str, text: str) -> None:
 def _load(path: str, where: str, realized: bool = False):
     """The kind, complex or flow, and annotations of the document at
     `path` (`formats._input_from_doc`): a complex after `_check_complex`,
-    realized if `realized`, or a flow after `require_valid_flow`."""
+    realized if `realized`, and a flow after `require_valid_flow`."""
     kind, obj, annotations = _input_from_doc(_parse_json(_read(path), where))
-    if kind == "flow":
-        require_valid_flow(obj)
-    else:
+    if kind != "flow":
         _check_complex(obj)
-        if realized:
-            obj = realize(obj)  # the flow of a valid complex is valid
+        obj = realize(obj) if realized else obj
+    if isinstance(obj, FiniteFlow):
+        require_valid_flow(obj)
     return kind, obj, annotations
 
 
@@ -264,10 +255,8 @@ def cmd_analyze(args) -> int:
         sign = "plus" if args.plus else "minus"
         print(germs_report(germs(obj, state, sign)))
     elif args.t_check is not None:
-        kind, morphism, codomain, _ = _morphism_from_doc(
-            _parse_json(_read(args.t_check), "morphism document"))
-        if kind == "flow":  # a realized codomain's complex was validated
-            require_valid_flow(codomain)
+        morphism, codomain, _ = loads_morphism(_read(args.t_check))
+        require_valid_flow(codomain)
         print(t_check_report(check_t_dihomotopy(morphism, obj, codomain)))
     elif args.s_equiv is not None:
         budget = env_count(BUDGET_ENV_VAR, DEFAULT_SEARCH_BUDGET)
@@ -277,9 +266,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    kind, obj, _ = _input_from_doc(_parse_json(_read(args.input), "input document"))
-    if kind != "flow":  # `export_dot` validates every flow
-        _check_complex(obj)
+    kind, obj, _ = _load(args.input, "input document")
     _write(args.output, export_dot(realize(obj) if kind == "realization" else obj))
     return 0
 

@@ -117,6 +117,11 @@ class FiniteFlow:
     def try_compose(self, x: PathId, y: PathId) -> Optional[PathId]:
         return self.composition.get((x, y))
 
+    @_cached_property
+    def validation(self) -> ValidationReport:
+        """The `validate_flow` report, worked out once per flow."""
+        return _validation_report(self)
+
     # -- adjacency ----------------------------------------------------------
 
     @_cached_property
@@ -232,7 +237,14 @@ def validate_flow(flow: FiniteFlow) -> ValidationReport:
     every composable pair), is walked only for its entries and for
     congruence; the report is that of the explicit flow holding the
     table, with the same violations in the same order.
+
+    The report is worked out once per flow and kept (`validation`); a
+    realized flow is born with the empty one (see `realization`).
     """
+    return flow.validation
+
+
+def _validation_report(flow: FiniteFlow) -> ValidationReport:
     skeleton, ends = flow.skeleton, flow.path_ends
 
     dangling: list[str] = []

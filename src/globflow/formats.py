@@ -60,9 +60,11 @@ its `finals` sorted when it has any, as annotations.  `flow_from_doc` and
 complex, which validates it and refuses one over the realization limit:
 the flow and annotations that the flow document of that realization gives.
 
-Morphism documents carry the codomain inline:
+Morphism documents carry the codomain inline, as any document that
+`flow_from_doc` reads (a complex or realization one gives its realized
+flow, which is born valid):
 
-    {"codomain": <flow document>,
+    {"codomain": <flow, complex or realization document>,
      "state_map": {state: state, ...},
      "path_map": {path: path, ...}}
 
@@ -385,18 +387,10 @@ def morphism_to_doc(f: FlowMorphism, codomain: FiniteFlow, **annotations) -> dic
 
 
 def morphism_from_doc(doc: Any) -> tuple[FlowMorphism, FiniteFlow, dict[str, Any]]:
-    return _morphism_from_doc(doc)[1:]
-
-
-def _morphism_from_doc(doc: Any) -> tuple[str, FlowMorphism, FiniteFlow, dict[str, Any]]:
-    """The codomain document's kind, then `morphism_from_doc`'s answer."""
+    """The morphism, its codomain (`flow_from_doc`) and the codomain's annotations."""
     if not isinstance(doc, dict):
         raise FormatError("morphism document: expected an object")
-    kind, codomain, annotations = _input_from_doc(
-        _require(doc, "codomain", dict, "morphism document")
-    )
-    if kind != "flow":
-        codomain = realize(codomain)
+    codomain, annotations = flow_from_doc(_require(doc, "codomain", dict, "morphism document"))
     maps = {}
     for key in ("state_map", "path_map"):
         table = _require(doc, key, dict, "morphism document")
@@ -404,7 +398,6 @@ def _morphism_from_doc(doc: Any) -> tuple[str, FlowMorphism, FiniteFlow, dict[st
             raise FormatError(f"morphism document: {key} must map strings to strings")
         maps[key] = dict(table)
     return (
-        kind,
         FlowMorphism(state_map=maps["state_map"], path_map=maps["path_map"]),
         codomain,
         annotations,

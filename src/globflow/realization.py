@@ -6,8 +6,9 @@ edge sequences and adjacency given by single square moves.  A composite's
 path id is its edge-id sequence joined with "*", so associativity holds by
 construction and never depends on table bookkeeping.  Every flow made here
 is concatenative (see `flows`): it is written without its composition
-table and validated from its ids (`formats.dumps_flow`,
-`flows.validate_flow`), and in memory it answers composites from its ids.
+table (`formats.dumps_flow`) and answers composites from its ids.  It is
+born with the empty validation report, its complex validated or each cell
+checked when attached, so `flows.validate_flow` walks nothing.
 No realizer builds a composition table.
 
 The path and composite counts grow much faster than the complex, so
@@ -46,6 +47,7 @@ from .complexes import (
     GlobularComplex,
     Square,
     SquareRow,
+    ValidationReport,
     _cached_property,
     complex_morphism_violations,
     count_paths_and_composites,
@@ -341,6 +343,9 @@ class _RealizedFlow(_ConcatenativeFlow):
     the squares' sources with those `by_src` lists out of their targets.
     A realizer's `flow` is one; `realize` returns a `_DeferredFlow`.
     Everything else is `_ConcatenativeFlow`'s."""
+
+    # its complex validated or its attaches checked, as for `pv_to_complex`'s
+    validation = ValidationReport()
 
     def __init__(self, skeleton: frozenset[str], path_ends: dict, moves: tuple):
         self.skeleton = skeleton

@@ -10,7 +10,7 @@ import random
 import time
 
 import oracles
-from conftest import make_chain, make_grid, make_parallel_pair, random_complex
+from conftest import explicit, make_chain, make_grid, make_parallel_pair, random_complex
 from globflow import (
     deadlocks,
     dihomotopy_classes,
@@ -18,6 +18,7 @@ from globflow import (
     dumps_flow,
     find_flow_isomorphism,
     germs,
+    loads_flow,
     glob_discrete,
     glob_flow,
     parse_pv,
@@ -65,8 +66,11 @@ def test_criterion_1_flow_axiom_suite():
     rng = random.Random(1001)
     for _ in range(200):
         c = random_complex(rng, max_states=8, max_edges=12, max_squares=4)
-        report = validate_flow(realize(c))
-        assert report.violations == ()
+        flow = realize(c)
+        # a realized flow is born valid: its compact copy is certified and
+        # its explicit copy walked on every axiom
+        for copy in (loads_flow(dumps_flow(flow))[0], explicit(flow)):
+            assert validate_flow(copy).violations == ()
 
 
 @criterion(2, "glob realization coincides with the glob flow")

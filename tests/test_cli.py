@@ -432,13 +432,13 @@ class TestDot:
 
     def test_flow_documents_are_validated_once(self, tmp_path, monkeypatch):
         calls = []
-        validate = flows.validate_flow
+        walk = flows._validation_report
 
         def counted(flow):
             calls.append(flow)
-            return validate(flow)
+            return walk(flow)
 
-        monkeypatch.setattr(flows, "validate_flow", counted)
+        monkeypatch.setattr(flows, "_validation_report", counted)
         swiss = realize(pv_to_complex(parse_pv(oracles.SWISS_FLAG_SOURCE)))
         outs = []
         for name, flow in (("compact", swiss), ("explicit", explicit(swiss))):

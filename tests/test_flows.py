@@ -15,6 +15,7 @@ from globflow import (
     IncrementalRealizer,
     InvalidMorphismError,
     UnknownIdError,
+    ValidationReport,
     compose_flow_morphisms,
     deadlocks,
     dihomotopy_classes,
@@ -48,7 +49,8 @@ def adj_glob(labels, pairs):
 
 class TestValidateFlow:
     def test_glob_flow_ok(self):
-        assert validate_flow(glob_flow(["a"])).ok
+        report = validate_flow(glob_flow(["a"]))
+        assert report.ok and str(report) == "ok"
 
     def test_source_axiom_violation(self):
         flow = FiniteFlow(
@@ -153,8 +155,9 @@ class TestValidateFlow:
 
     def test_realized_random_complexes_validate(self, rng):
         for _ in range(20):
-            c = random_complex(rng)
-            assert validate_flow(realize(c)).ok
+            flow = realize(random_complex(rng))
+            for copy in (loads_flow(dumps_flow(flow))[0], explicit(flow)):
+                assert validate_flow(copy).ok
 
 
 def _sample_flows(rng):
@@ -203,6 +206,27 @@ class TestValidationCertificate:
             assert walks == []
             assert flows._associativity_violations(flow) == []
             walks.clear()
+
+    def test_a_flow_is_walked_once_and_a_realized_flow_never(self, rng, monkeypatch):
+        walks = []
+        walk = flows._validation_report
+
+        def counted(flow):
+            walks.append(flow)
+            return walk(flow)
+
+        monkeypatch.setattr(flows, "_validation_report", counted)
+        for _ in range(30):
+            c = random_complex(rng)
+            for flow in (realize(c), IncrementalRealizer(c).flow):
+                assert validate_flow(flow) == ValidationReport()
+            assert walks == []
+            compact = loads_flow(dumps_flow(realize(c)))[0]
+            # without its table the copy fails totality where paths compose
+            for flow in (compact, explicit(compact), FiniteFlow(c.states, compact.path_ends)):
+                report = validate_flow(flow)
+                assert validate_flow(flow) is report
+                assert len(walks) == 1 and walks.pop() is flow
 
     def test_renamed_flows_take_the_walk_and_validate(self, rng, monkeypatch):
         walks = _count_walks(monkeypatch)

@@ -3,7 +3,7 @@ from itertools import combinations, product
 import pytest
 
 import oracles
-from conftest import pv_oracle_input, random_pv_source, run, trace_of
+from conftest import explicit, pv_oracle_input, random_pv_source, run, trace_of
 from globflow import (
     Edge,
     GlobularComplex,
@@ -13,6 +13,8 @@ from globflow import (
     deadlocks,
     dihomotopy_classes,
     dumps_complex,
+    dumps_flow,
+    loads_flow,
     parse_pv,
     path_classes,
     pv_to_complex,
@@ -275,8 +277,9 @@ class TestCompile:
             assert dumps_complex(pv_to_complex(program)) == dumps_complex(want)
 
     def test_realized_grid_flows_validate(self):
-        c = pv_to_complex(parse_pv(oracles.MUTEX_SOURCE))
-        assert validate_flow(realize(c)).ok
+        flow = realize(pv_to_complex(parse_pv(oracles.MUTEX_SOURCE)))
+        for copy in (loads_flow(dumps_flow(flow))[0], explicit(flow)):
+            assert validate_flow(copy).ok
 
     def test_self_blocking_program_compiles(self):
         # a process that overfills a capacity loses the states in between;

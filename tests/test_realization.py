@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from conftest import (
-    make_chain, make_grid, make_interval, random_complex, random_pv_source, ready_order,
+    explicit, make_chain, make_grid, make_interval, random_complex, random_pv_source, ready_order,
 )
 from globflow import cli, complexes, realization
 from globflow.complexes import count_paths_and_composites
@@ -90,7 +90,8 @@ class TestRealize:
         flow = realize(make_chain(3))
         assert flow.compose("e0", "e1") == "e0*e1"
         assert flow.compose("e0*e1", "e2") == "e0*e1*e2"
-        assert validate_flow(flow).ok
+        for copy in (loads_flow(dumps_flow(flow))[0], explicit(flow)):
+            assert validate_flow(copy).ok
 
     def test_invalid_complex_rejected(self):
         cyclic = GlobularComplex(

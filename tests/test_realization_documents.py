@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 import routes
-from conftest import random_complex, run
+from conftest import explicit, random_complex, run
 from globflow import (
     Edge,
     GlobularComplex,
@@ -21,6 +21,7 @@ from globflow import (
     dumps_complex,
     dumps_flow,
     dumps_realization,
+    flows,
     formats,
     loads_flow,
     parse_pv,
@@ -211,9 +212,9 @@ class TestDocumentKinds:
 
     def test_a_realized_s_equiv_flow_is_not_validated_again(self, mutex, monkeypatch):
         def refuse(flow):
-            raise AssertionError("validated")
+            raise AssertionError("walked")
 
-        monkeypatch.setattr(cli, "require_valid_flow", refuse)
+        monkeypatch.setattr(flows, "_validation_report", refuse)
         code, out, _ = run("analyze", mutex["complex"], "--s-equiv", mutex["realization"])
         assert (code, out.splitlines()[0]) == (0, "S-equivalent: yes")
 
@@ -232,9 +233,9 @@ class TestDocumentKinds:
         assert answer[0] == 0 and answer[1].startswith("T-dihomotopy: yes ")
 
         def refuse(flow):
-            raise AssertionError("validated")
+            raise AssertionError("walked")
 
-        monkeypatch.setattr(cli, "require_valid_flow", refuse)
+        monkeypatch.setattr(flows, "_validation_report", refuse)
         for kind in ("complex", "realization"):
             assert run("analyze", mutex["complex"], "--t-check", str(morphisms[kind])) == answer
         assert run("analyze", mutex["complex"], "--t-check", str(morphisms["flow"]))[0] == 4
@@ -255,6 +256,44 @@ class TestDocumentKinds:
             morphism.write_text(json.dumps({"codomain": codomain, "state_map": {"0": "u", "1": "v"},
                                             "path_map": {"a": "a"}}))
             assert run("analyze", str(domain), "--t-check", str(morphism)) == answer
+
+    @pytest.mark.parametrize("command", ["dot", "--s-equiv", "--t-check"])
+    @pytest.mark.parametrize("kind", ["complex", "realization", "flow", "explicit"])
+    def test_a_flow_document_is_walked_once_and_a_realized_flow_never(
+            self, mutex, tmp_path, monkeypatch, kind, command):
+        c = pv_to_complex(parse_pv(oracles.MUTEX_SOURCE))
+        flow = realize(c)
+        documents = dict(mutex, explicit=str(tmp_path / "mutex.explicit.json"))
+        with open(documents["explicit"], "w", encoding="utf-8") as handle:
+            handle.write(dumps_flow(explicit(flow), c.init, c.finals))
+        document = documents[kind]
+        with open(document, encoding="utf-8") as handle:
+            codomain = json.load(handle)
+        morphism = tmp_path / "identity.json"
+        morphism.write_text(json.dumps({
+            "codomain": codomain,
+            "state_map": {s: s for s in flow.skeleton},
+            "path_map": {p: p for p in flow.path_ends},
+        }))
+        walks = []
+        walk = flows._validation_report
+
+        def counted(flow):
+            walks.append(flow)
+            return walk(flow)
+
+        monkeypatch.setattr(flows, "_validation_report", counted)
+        argv, reads = {
+            "dot": (("dot", document), 1),
+            "--s-equiv": (("analyze", document, "--s-equiv", document), 2),
+            "--t-check": (("analyze", document, "--t-check", str(morphism)), 2),
+        }[command]
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(("digraph", "S-equivalent: yes", "T-dihomotopy: yes"))
+        # each flow a flow document holds is walked once, a realized one never
+        assert len(walks) == len(set(map(id, walks)))
+        assert len(walks) == (reads if kind in ("flow", "explicit") else 0)
 
     def test_deadlocks_answer_past_the_realize_limit(self, swiss, monkeypatch):
         monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", "3")
