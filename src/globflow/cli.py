@@ -52,9 +52,10 @@ answer on it as on that flow's flow document, byte for byte.  --deadlocks
 and --classes answer on the complex and never realize it: the deadlocks
 are the reachable, non-final states no edge leaves
 (`complexes.complex_deadlocks`), past any realization limit, and the
-classes, after refusing what `realize` refuses (exit 3), are
-`complexes.path_classes` with each member written as its path id.  `dot`
-renders a complex document's complex, and any other document's flow.
+classes are `realization._realized_classes`, which refuses what `realize`
+refuses (exit 3) and writes each member as its path id.  A --finals name
+may hold commas, as a compiled PV state's does.  `dot` renders a complex
+document's complex, and any other document's flow.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ import stat
 import sys
 from types import SimpleNamespace
 
-from .complexes import GlobularComplex, complex_deadlocks, path_classes, validate_complex
+from .complexes import GlobularComplex, complex_deadlocks, validate_complex
 from .equivalence import (
     BUDGET_ENV_VAR,
     DEFAULT_SEARCH_BUDGET,
@@ -84,7 +85,7 @@ from .errors import (
 from .flows import FiniteFlow, deadlocks, dihomotopy_classes, germs, require_valid_flow
 from .formats import dumps_realization, export_dot, loads_morphism, _input_from_doc, _parse_json
 from .pv import parse_pv, pv_to_complex
-from .realization import check_realize_limit, path_id, realize
+from .realization import _realized_classes, realize
 from .settings import env_count
 
 
@@ -184,9 +185,7 @@ def cmd_realize(args) -> int:
             raise FormatError("complex document: a flow document holds no complex")
     # the document holds the complex, not the flow: `realize` refuses an
     # over-limit complex (exit 3) from its counts and builds no table until
-    # one is read.  The call stays rather than `check_realize_limit`
-    # because the traced benchmark counts the paths and composites of the
-    # flow it returns.
+    # one is read
     realize(complex_)
     _write(args.output, dumps_realization(complex_))
     return 0
@@ -214,44 +213,41 @@ def _resolve_state(name: str, states, annotations) -> str:
     return name
 
 
-def _deadlock_ends(args, annotations) -> tuple[str, list[str]]:
-    """The init and finals of --deadlocks: the flags, else the annotations."""
+def _deadlock_ends(args, states, annotations) -> tuple[str, list[str]]:
+    """The init and finals of --deadlocks: the flags, else the annotations.
+    A --finals name runs over the most comma-separated pieces, from the
+    left, that join into one of `states`, so it may name a state with
+    commas; a piece that starts no such run is a name of its own."""
     init = annotations.get("init") if args.init is None else args.init
     if init is None:
         raise FormatError(
             "deadlock analysis needs --init or an init annotation in the flow file"
         )
-    if args.finals is not None:
-        return init, [s for s in args.finals.split(",") if s]
-    return init, annotations.get("finals", [])
-
-
-def _realized_classes(c: GlobularComplex, src: str, tgt: str) -> list[list[str]]:
-    """`dihomotopy_classes` on the realization of `c`, from `path_classes`:
-    each member as its path id, members and blocks in string order.  That
-    order is not the edge-id tuple order of `path_classes` when an edge id
-    holds a character below "*", as "a" and "a!" do."""
-    blocks = [sorted(map(path_id, block)) for block in path_classes(c, src, tgt)]
-    return sorted(blocks, key=lambda block: block[0])
+    if args.finals is None:
+        return init, annotations.get("finals", [])
+    pieces, finals = args.finals.split(","), []
+    while pieces:
+        n = next((n for n in range(len(pieces), 1, -1) if ",".join(pieces[:n]) in states), 1)
+        finals.append(",".join(pieces[:n]))
+        del pieces[:n]
+    return init, [s for s in finals if s]
 
 
 def cmd_analyze(args) -> int:
     # --deadlocks and --classes answer on a document's complex, the others on its flow
     on_complex = args.deadlocks or args.classes is not None
     kind, obj, annotations = _load(args.input, "flow document", realized=not on_complex)
+    if on_complex and kind != "flow":
+        states, find_deadlocks, find_classes = obj.state_set, complex_deadlocks, _realized_classes
+    else:
+        states, find_deadlocks, find_classes = obj.skeleton, deadlocks, dihomotopy_classes
     if args.deadlocks:
-        found = (deadlocks if kind == "flow" else complex_deadlocks)(
-            obj, *_deadlock_ends(args, annotations))
-        print(deadlocks_report(found))
-    elif args.classes is not None and kind == "flow":
-        src, tgt = (_resolve_state(s, obj.skeleton, annotations) for s in args.classes)
-        print(classes_report(dihomotopy_classes(obj, src, tgt)))
+        print(deadlocks_report(find_deadlocks(obj, *_deadlock_ends(args, states, annotations))))
     elif args.classes is not None:
-        check_realize_limit(obj)  # members are listed: refuse what `realize` refuses
-        src, tgt = (_resolve_state(s, obj.state_set, annotations) for s in args.classes)
-        print(classes_report(_realized_classes(obj, src, tgt)))
+        src, tgt = (_resolve_state(s, states, annotations) for s in args.classes)
+        print(classes_report(find_classes(obj, src, tgt)))
     elif args.germs is not None:
-        state = _resolve_state(args.germs, obj.skeleton, annotations)
+        state = _resolve_state(args.germs, states, annotations)
         sign = "plus" if args.plus else "minus"
         print(germs_report(germs(obj, state, sign)))
     elif args.t_check is not None:

@@ -40,9 +40,10 @@ order.  The document reader (`formats.complex_from_doc`), the compiler
 `edge_map` of such a complex are built as `Edge` and `Square` values only
 when a caller reads them.  A complex built from those values derives its
 rows the first time they are needed.  The library reads only the rows:
-validation, `topological_order`, `squares_into`, the path counts and
-listings, `complex_deadlocks`, the class propagation, the morphism checks,
-subdivision, the realizer and `formats.complex_to_doc` and `export_dot`.
+validation, `topological_order`, `squares_into`, the path listings,
+`complex_deadlocks`, the class propagation, the morphism checks,
+subdivision, the realizer and its path counts, and
+`formats.complex_to_doc` and `export_dot`.
 So no route from a document or PV source to an answer builds a cell
 object.
 
@@ -492,37 +493,6 @@ def _suffix_table(c: GlobularComplex, span: tuple[StateId, ...], table: dict) ->
         if chains:
             table[s] = chains
     return table
-
-
-def count_paths_and_composites(c: GlobularComplex) -> tuple[int, int]:
-    """The number of execution paths of a valid complex and the number of
-    composable pairs of them: the path and composition table sizes of its
-    realization, worked out without listing a single path.
-
-    One pass over a topological order, O(V + E) with Python ints:
-    paths out of s = sum over out-edges e of 1 + paths out of tgt(e),
-    likewise into s, and composites = sum over s of in(s) * out(s).
-    A path of k edges is k - 1 composable pairs, so the sum is the number
-    of edge ids all path ids spell out; adjacency pairs are not counted.
-    Raises InvalidComplexError if the complex does not validate.
-    """
-    order = c.topological_order
-    edges = c._out
-    into = dict.fromkeys(order, 0)
-    for s in order:  # every edge into s is counted before s is reached
-        n = 1 + into[s]
-        for row in edges[s]:
-            into[row[2]] += n
-    out = {}
-    paths = composites = 0
-    for s in reversed(order):  # likewise every edge out of s
-        n = 0
-        for row in edges[s]:
-            n += 1 + out[row[2]]
-        out[s] = n
-        paths += n
-        composites += into[s] * n
-    return paths, composites
 
 
 def complex_deadlocks(

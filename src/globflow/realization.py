@@ -11,13 +11,14 @@ born with the empty validation report, its complex validated or each cell
 checked when attached, so `flows.validate_flow` walks nothing.
 No realizer builds a composition table.
 
-The path and composite counts grow much faster than the complex, so
-`realize` counts them exactly first (a pass over the complex, no path
-listed) and refuses, with RealizationLimitExceeded, a realization holding
-more of them together than GLOBFLOW_REALIZE_LIMIT (default 10^6), as do
-`check_realize_limit`, `IncrementalRealizer`, `all_exec_paths` and
-`realize_morphism`.  The sum is the number of edge ids all path ids spell
-out (`count_paths_and_composites`); adjacency pairs are outside the limit.
+The path and composite counts grow much faster than the complex, so this
+module alone counts them exactly (`count_paths_and_composites`, a pass
+over the complex, no path listed) and refuses, with
+RealizationLimitExceeded, a realization holding more of them together
+than GLOBFLOW_REALIZE_LIMIT (default 10^6): `realize`,
+`IncrementalRealizer`, `all_exec_paths`, `realize_morphism`, and
+`_realized_classes`, the classes of `realize(c)` read off `c`.  The sum
+is the edge ids all path ids spell out; adjacency pairs are outside it.
 
 There is one construction, `IncrementalRealizer`, the one lister of a
 complex's paths: it builds a realization cell by cell, keeps its paths
@@ -50,8 +51,8 @@ from .complexes import (
     ValidationReport,
     _cached_property,
     complex_morphism_violations,
-    count_paths_and_composites,
     exec_path_ends,
+    path_classes,
 )
 from .errors import (
     InvalidAttachmentError,
@@ -76,34 +77,55 @@ def path_id(seq: Iterable[str]) -> str:
 def realize(c: GlobularComplex) -> FiniteFlow:
     """The flow of a complex: same states, all execution paths, square moves.
 
-    The complex must validate; acyclicity keeps the path set finite.
-    First the exact numbers of paths and composites are worked out
-    (`count_paths_and_composites`), and whatever `check_realize_limit(c)`
-    raises is raised here, before anything is built.  The flow returned
-    holds `c` and equals the flow of an `IncrementalRealizer` made from
-    `c`: the first read of its `path_ends` or `adjacency` has such a
-    realizer make the paths, without counting again; the move pairs are
-    made when `adjacency` is first read.  The flow keeps both tables, and
-    answers composites from its path ids.
+    The complex must validate (else InvalidComplexError); acyclicity keeps
+    the path set finite.  Before anything is built, the exact numbers of
+    paths and composites are worked out (`count_paths_and_composites`)
+    and RealizationLimitExceeded raised if they are more together than
+    GLOBFLOW_REALIZE_LIMIT (ValueError if it is not a non-negative integer).
+    The flow returned holds `c` and equals the flow of an
+    `IncrementalRealizer` made from `c`: the first read of its `path_ends`
+    or `adjacency` has such a realizer make the paths, without counting
+    again; the move pairs are made when `adjacency` is first read.  The
+    flow keeps both tables, and answers composites from its path ids.
     """
     _admit(c)
     return _DeferredFlow(c)
 
 
-def check_realize_limit(c: GlobularComplex) -> None:
-    """Raise what `realize(c)` raises before it builds anything:
-    InvalidComplexError if `c` does not validate, RealizationLimitExceeded
-    if its realization would hold more paths and composites together than
-    GLOBFLOW_REALIZE_LIMIT (default DEFAULT_REALIZE_LIMIT), ValueError if
-    that variable does not hold a non-negative integer.  An analysis that
-    answers on the complex calls it to refuse the inputs the flow route
-    would."""
-    _admit(c)
+def count_paths_and_composites(c: GlobularComplex) -> tuple[int, int]:
+    """The number of execution paths of a valid complex and the number of
+    composable pairs of them: the path and composition table sizes of its
+    realization, worked out without listing a single path.
+
+    One pass over a topological order, O(V + E) with Python ints:
+    paths out of s = sum over out-edges e of 1 + paths out of tgt(e),
+    likewise into s, and composites = sum over s of in(s) * out(s).
+    A path of k edges is k - 1 composable pairs, so the sum is the number
+    of edge ids all path ids spell out; adjacency pairs are not counted.
+    Raises InvalidComplexError if the complex does not validate.
+    """
+    order = c.topological_order
+    edges = c._out
+    into = dict.fromkeys(order, 0)
+    for s in order:  # every edge into s is counted before s is reached
+        n = 1 + into[s]
+        for row in edges[s]:
+            into[row[2]] += n
+    out = {}
+    paths = composites = 0
+    for s in reversed(order):  # likewise every edge out of s
+        n = 0
+        for row in edges[s]:
+            n += 1 + out[row[2]]
+        out[s] = n
+        paths += n
+        composites += into[s] * n
+    return paths, composites
 
 
 def _admit(c: GlobularComplex) -> tuple[int, int]:
-    """Refuse `c` as `check_realize_limit` does; else return the number of
-    composites of its realization and the limit read."""
+    """Refuse `c` as `realize` does; else return the number of composites
+    of its realization and the limit read."""
     paths, composites = count_paths_and_composites(c)  # validates c first
     limit = env_count(REALIZE_LIMIT_ENV_VAR, DEFAULT_REALIZE_LIMIT)
     _check_limit(paths, composites, limit)
@@ -113,6 +135,16 @@ def _admit(c: GlobularComplex) -> tuple[int, int]:
 def _check_limit(paths: int, composites: int, limit: int) -> None:
     if paths + composites > limit:
         raise RealizationLimitExceeded(paths, composites, limit)
+
+
+def _realized_classes(c: GlobularComplex, src: str, tgt: str) -> tuple[tuple[str, ...], ...]:
+    """`flows.dihomotopy_classes(realize(c), src, tgt)` without realizing:
+    after refusing what `realize` refuses, `path_classes` with each member
+    as its path id, members and blocks in string order.  That order is not
+    the edge-id tuple order of `path_classes` when an edge id holds a
+    character below "*", as "a" and "a!" do."""
+    _admit(c)
+    return tuple(sorted(tuple(sorted(map(path_id, block))) for block in path_classes(c, src, tgt)))
 
 
 def all_exec_paths(c: GlobularComplex) -> list[ExecPath]:

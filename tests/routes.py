@@ -29,7 +29,7 @@ from globflow import (
     complex_deadlocks, deadlocks, dihomotopy_classes, dumps_complex, export_dot, germs,
     loads_complex, parse_pv, pv_to_complex, realize, state_name,
 )
-from globflow.complexes import count_paths_and_composites
+from globflow.realization import _realized_classes, count_paths_and_composites
 from globflow.formats import flow_to_doc
 
 # the oracles realize by brute force, in time about paths squared, only
@@ -146,7 +146,7 @@ def _answer(argv, annotations, states, deadlocks_of, classes_of, germs_of=None, 
         return None
     try:
         if args.deadlocks:
-            init, finals = cli._deadlock_ends(args, annotations)
+            init, finals = cli._deadlock_ends(args, states, annotations)
             report, found = cli.deadlocks_report, deadlocks_of(init, finals)
         elif args.classes is not None:
             src, tgt = (cli._resolve_state(s, states, annotations) for s in args.classes)
@@ -173,14 +173,13 @@ def _flow_route(flow_of):
 
 
 def _complex_route(complex_of):
-    """`complex_deadlocks`, and `path_classes` as `cli._realized_classes`
-    writes its blocks, on the complex `complex_of(inp)`; no germs and no
-    `dot`."""
+    """`complex_deadlocks` and `realization._realized_classes` on the
+    complex `complex_of(inp)`; no germs and no `dot`."""
 
     def route(inp: Input, argv):
         c = complex_of(inp)
         return _answer(argv, inp.annotations, c.state_set,
-                       partial(complex_deadlocks, c), partial(cli._realized_classes, c))
+                       partial(complex_deadlocks, c), partial(_realized_classes, c))
 
     return route
 

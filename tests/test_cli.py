@@ -380,6 +380,32 @@ class TestAnalyze:
             1, "", "error: unknown state: \n"
         )
 
+    @pytest.mark.parametrize("document", ["complex", "realization", "flow"])
+    def test_finals_name_states_that_hold_commas(self, swiss_flow_file, tmp_path, document):
+        # a compiled state's name joins its positions with commas
+        path = tmp_path / f"swiss.{document}.json"
+        doc = json.loads(Path(swiss_flow_file).read_text())
+        if document == "flow":
+            flow, annotations = loads_flow(json.dumps(doc))
+            path.write_text(dumps_flow(flow, annotations["init"], annotations["finals"]))
+        else:
+            path.write_text(json.dumps(doc["realization_of"] if document == "complex" else doc))
+        annotated = run("analyze", str(path), "--deadlocks")
+        assert annotated == (0, "1 deadlocks\n  p0:1,p1:1\n", "")
+        assert run("analyze", str(path), "--deadlocks", "--finals", "p0:4,p1:4") == annotated
+        assert run("analyze", str(path), "--deadlocks", "--finals", "p0:4,p1:4,p0:1,p1:1") == (
+            0, "0 deadlocks\n", ""
+        )
+        # a piece that joins into no state is a name of its own
+        assert run("analyze", str(path), "--deadlocks", "--finals", "p0:4,p1:4,,p0:9,x") == (
+            1, "", "error: unknown final states: p0:9, x\n"
+        )
+
+    def test_finals_join_the_longest_run_from_the_left(self):
+        args = cli._parse_args(["analyze", "F", "--deadlocks", "--init", "i", "--finals", "a,b,c,,a,d"])
+        states = {"a", "a,b", "a,b,c,d", "b,c", "c"}
+        assert cli._deadlock_ends(args, states, {}) == ("i", ["a,b", "c", "a", "d"])
+
     def test_unknown_state_exits_1(self, glob_ab_flow_file):
         code, _, err = run("analyze", glob_ab_flow_file, "--germs", "zz")
         assert code == 1

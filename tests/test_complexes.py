@@ -36,7 +36,7 @@ from globflow import (
     subdivide_edge,
     validate_complex,
 )
-from globflow.complexes import count_paths_and_composites
+from globflow.realization import count_paths_and_composites
 
 
 class TestValidateComplex:

@@ -11,7 +11,7 @@ from conftest import (
     explicit, make_chain, make_grid, make_interval, random_complex, random_pv_source, ready_order,
 )
 from globflow import cli, complexes, realization
-from globflow.complexes import count_paths_and_composites
+from globflow.realization import count_paths_and_composites
 from globflow.flows import _ConcatenativeFlow
 from globflow import (
     Edge,
@@ -815,6 +815,38 @@ class TestHomotopyAgreement:
                     }
                     assert on_complex == on_flow
 
+    def test_realized_classes_are_the_flow_classes(self, rng):
+        # prefix-rich ids ("a", "a!"; "!" sorts below "*") order the path
+        # ids otherwise than their edge-id tuples
+        targets = [random_complex(rng, max_states=6, max_edges=9, max_squares=3) for _ in range(15)]
+        targets += _prefix_rich(random.Random(4418), count=40)
+        reordered = 0
+        for c in targets:
+            flow = realize(c)
+            for src in c.states:
+                for tgt in c.states:
+                    got = realization._realized_classes(c, src, tgt)
+                    assert got == dihomotopy_classes(flow, src, tgt)
+                    as_listed = [[path_id(p) for p in block] for block in path_classes(c, src, tgt)]
+                    reordered += [list(block) for block in got] != as_listed
+        assert reordered > 0
+
+    def test_realized_classes_refuse_before_listing(self, rng, monkeypatch):
+        listings = _count_calls(monkeypatch, realization, "path_classes")
+        for c in _deferred_inputs(rng):
+            paths, composites = count_paths_and_composites(c)
+            if paths + composites == 0:
+                continue
+            monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", str(paths + composites - 1))
+            with pytest.raises(RealizationLimitExceeded) as caught:
+                _classes_of_ends(c)
+            assert (caught.value.paths, caught.value.composites) == (paths, composites)
+            assert listings == []
+            monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", str(paths + composites))
+            assert _classes_of_ends(c) == dihomotopy_classes(realize(c), c.states[0], c.states[-1])
+            assert len(listings) == 1
+            del listings[:]
+
     def test_all_paths_sorted_and_complete(self):
         grid = make_grid(True)
         paths = all_exec_paths(grid)
@@ -840,6 +872,11 @@ def _count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _classes_of_ends(c):
+    """`_realized_classes` from the first state of `c` to its last."""
+    return realization._realized_classes(c, c.states[0], c.states[-1])
 
 
 class TestDeferredRealization:
@@ -904,9 +941,7 @@ class TestDeferredRealization:
             if paths + composites == 0:
                 continue
             monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", str(paths + composites - 1))
-            for refuse in (
-                realize, realization.check_realize_limit, IncrementalRealizer, all_exec_paths
-            ):
+            for refuse in (realize, _classes_of_ends, IncrementalRealizer, all_exec_paths):
                 with pytest.raises(RealizationLimitExceeded) as caught:
                     refuse(c)
                 assert (caught.value.paths, caught.value.composites) == (paths, composites)
@@ -921,9 +956,7 @@ class TestDeferredRealization:
             states=("u", "v"), edges=(Edge("a", "u", "v"), Edge("b", "v", "u"))
         )
         monkeypatch.setenv("GLOBFLOW_REALIZE_LIMIT", "abc")
-        for refuse in (
-            realize, realization.check_realize_limit, IncrementalRealizer, all_exec_paths
-        ):
+        for refuse in (realize, _classes_of_ends, IncrementalRealizer, all_exec_paths):
             with pytest.raises(InvalidComplexError):
                 refuse(cyclic)  # the complex is checked before the variable
             with pytest.raises(ValueError, match="GLOBFLOW_REALIZE_LIMIT must be a non-negative integer"):
