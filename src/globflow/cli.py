@@ -24,15 +24,15 @@ Exit codes: 0 success (and -h), 1 input error (a malformed command line
 too, reported as a "usage:" line and an "error:" line), 2 axiom violation, 3 search budget
 exhausted, realization limit or compile limit exceeded, 4 internal error
 (an unexpected exception, reported on one line as "internal error:
-<type>: <message>" rather than as a traceback).  The environment variable
-GLOBFLOW_SEARCH_BUDGET overrides the default candidate budget of the
---s-equiv search, GLOBFLOW_REALIZE_LIMIT the most paths and composites
-together that a realization may hold, and GLOBFLOW_COMPILE_LIMIT the most
-states, edges and squares together that `--pv` compiles (each limit
-default 1000000; the counts are exact and checked before anything is
-built).  Each must be a non-negative integer, and any other value is an
-input error.  All output is sorted, or in declaration order for the
-complex a realization document holds, so repeated runs are byte-identical.
+<type>: <message>" rather than as a traceback).  The library reads each
+bound where it checks it: GLOBFLOW_SEARCH_BUDGET, the candidates of the
+--s-equiv search, when the search starts; GLOBFLOW_REALIZE_LIMIT (paths
+and composites of a realization) and GLOBFLOW_COMPILE_LIMIT (states,
+edges and squares that `--pv` compiles) from exact counts, before
+anything is built.  Each defaults to 1000000 and must be a non-negative
+integer; any other value is an input error.  All output is sorted, or in
+declaration order for the complex a realization document holds, so
+repeated runs are byte-identical.
 
 Every document is read by `formats._input_from_doc`, the one place that
 tells a complex, realization or flow document apart.  Every complex is
@@ -67,12 +67,7 @@ import sys
 from types import SimpleNamespace
 
 from .complexes import GlobularComplex, complex_deadlocks, validate_complex
-from .equivalence import (
-    BUDGET_ENV_VAR,
-    DEFAULT_SEARCH_BUDGET,
-    check_t_dihomotopy,
-    s_equivalent,
-)
+from .equivalence import check_t_dihomotopy, s_equivalent
 from .errors import (
     CompileLimitExceeded,
     FormatError,
@@ -86,7 +81,6 @@ from .flows import FiniteFlow, deadlocks, dihomotopy_classes, germs, require_val
 from .formats import dumps_realization, export_dot, loads_morphism, _input_from_doc, _parse_json
 from .pv import parse_pv, pv_to_complex
 from .realization import _realized_classes, realize
-from .settings import env_count
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +219,14 @@ def _deadlock_ends(args, states, annotations) -> tuple[str, list[str]]:
         )
     if args.finals is None:
         return init, annotations.get("finals", [])
-    pieces, finals = args.finals.split(","), []
-    while pieces:
-        n = next((n for n in range(len(pieces), 1, -1) if ",".join(pieces[:n]) in states), 1)
-        finals.append(",".join(pieces[:n]))
-        del pieces[:n]
+    # a run of n pieces holds n - 1 commas, so no state joins a longer one
+    longest = 1 + max((s.count(",") for s in states), default=0)
+    pieces, finals, i = args.finals.split(","), [], 0
+    while i < len(pieces):
+        last = min(i + longest, len(pieces))
+        j = next((j for j in range(last, i + 1, -1) if ",".join(pieces[i:j]) in states), i + 1)
+        finals.append(",".join(pieces[i:j]))
+        i = j
     return init, [s for s in finals if s]
 
 
@@ -255,9 +252,8 @@ def cmd_analyze(args) -> int:
         require_valid_flow(codomain)
         print(t_check_report(check_t_dihomotopy(morphism, obj, codomain)))
     elif args.s_equiv is not None:
-        budget = env_count(BUDGET_ENV_VAR, DEFAULT_SEARCH_BUDGET)
         _, other, _ = _load(args.s_equiv, "flow document", realized=True)
-        print(s_equiv_report(s_equivalent(obj, other, budget=budget)))
+        print(s_equiv_report(s_equivalent(obj, other)))
     return 0
 
 

@@ -514,7 +514,7 @@ def complex_deadlocks(
         raise UnknownIdError(f"unknown state: {init}")
     stray = finals - c.state_set
     if stray:
-        raise UnknownIdError("unknown final states: " + ", ".join(sorted(stray)))
+        raise UnknownIdError("unknown final states: " + ", ".join(map(repr, sorted(stray))))
     out = c._out
     reached = _reach(c, order[order.index(init):])
     return tuple(sorted(s for s in reached if not out[s] and s not in finals))

@@ -43,10 +43,13 @@ state counts and, for isomorphism, path and (on valid flows) composite counts.
 Searches are deterministic: candidates are generated in lexicographic
 order and the first witness wins.  A budget caps the number of candidates
 examined; exhausting it raises SearchBudgetExceeded so "none found" always
-means a completed search.  One candidate, one budget unit, is an option
-the depth-first search tries (a state of a state map or a path image),
-or, in `enumerate_flow_morphisms`, a state map handed to the path search.
-Building the invariant tables and filtering options are not charged.
+means a completed search.  Each search reads its budget from
+GLOBFLOW_SEARCH_BUDGET when it starts, as `realize` reads its limit
+(ValueError if it is not a non-negative integer).  One candidate, one
+budget unit, is an option the depth-first search tries (a state of a
+state map or a path image), or, in `enumerate_flow_morphisms`, a state
+map handed to the path search.  Building the invariant tables and
+filtering options are not charged.
 """
 
 from __future__ import annotations
@@ -58,20 +61,21 @@ from typing import Iterator, Optional
 
 from .errors import SearchBudgetExceeded
 from .flows import FiniteFlow, FlowMorphism, germs, require_flow_morphism
+from .settings import env_count
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
-# consulted by the CLI; the library itself only takes explicit budgets
+# overrides DEFAULT_SEARCH_BUDGET when set
 BUDGET_ENV_VAR = "GLOBFLOW_SEARCH_BUDGET"
 
 
 class _Budget:
-    def __init__(self, limit: Optional[int]):
-        self.limit = DEFAULT_SEARCH_BUDGET if limit is None else limit
+    def __init__(self):
+        self.limit = env_count(BUDGET_ENV_VAR, DEFAULT_SEARCH_BUDGET)
         self.used = 0
 
-    def charge(self, n: int = 1) -> None:
-        self.used += n
+    def charge(self) -> None:
+        self.used += 1
         if self.used > self.limit:
             raise SearchBudgetExceeded(self.limit)
 
@@ -80,15 +84,14 @@ def enumerate_flow_morphisms(
     dom: FiniteFlow,
     cod: FiniteFlow,
     state_map: Optional[dict[str, str]] = None,
-    budget: Optional[int] = None,
 ) -> Iterator[FlowMorphism]:
     """All flow morphisms dom -> cod, lexicographically by candidate choice.
 
-    With `state_map` given, only path assignments are searched.  The budget
-    is charged once per candidate considered (state maps and partial path
-    assignments alike).
+    With `state_map` given, only path assignments are searched.  The budget,
+    read when the first morphism is asked for, is charged once per
+    candidate considered (state maps and partial path assignments alike).
     """
-    meter = _Budget(budget)
+    meter = _Budget()
     states, targets = sorted(dom.skeleton), sorted(cod.skeleton)
     if state_map is not None:
         state_maps = [state_map]
@@ -248,9 +251,7 @@ def _path_and_component_counts(flow: FiniteFlow) -> dict[tuple[str, str], tuple[
 # S-equivalence
 
 
-def s_equivalent(
-    x: FiniteFlow, y: FiniteFlow, budget: Optional[int] = None
-) -> Optional[tuple[FlowMorphism, FlowMorphism]]:
+def s_equivalent(x: FiniteFlow, y: FiniteFlow) -> Optional[tuple[FlowMorphism, FlowMorphism]]:
     """Search for morphisms f: x -> y and g: y -> x with both round trips
     S-homotopic to the identity.
 
@@ -264,13 +265,13 @@ def s_equivalent(
 
     Returns the first witness pair in lexicographic candidate order, or
     None when the exhaustive search completes empty.  Raises
-    SearchBudgetExceeded when the candidate budget (default 10**6) runs
-    out first, so the two negative outcomes cannot be confused.  The
-    budget counts the states and path images tried; the state colours
-    refuse unequal state counts before any unit is charged, at the cost
-    of the invariant tables that any equal-size pair builds too.
+    SearchBudgetExceeded when the candidate budget (GLOBFLOW_SEARCH_BUDGET,
+    default 10**6) runs out first, so the two negative outcomes cannot be
+    confused.  The budget counts the states and path images tried; the
+    state colours refuse unequal state counts before any unit is charged,
+    at the cost of the invariant tables that any equal-size pair builds too.
     """
-    meter = _Budget(budget)
+    meter = _Budget()
     for sigma in _state_maps(x, y, _component_counts, meter):
         tau = {b: a for a, b in sigma.items()}
         for f in _path_assignments(x, y, sigma, meter):
@@ -292,7 +293,7 @@ def s_equivalent(
 
 
 def find_flow_isomorphism(
-    x: FiniteFlow, y: FiniteFlow, budget: Optional[int] = None
+    x: FiniteFlow, y: FiniteFlow
 ) -> Optional[tuple[FlowMorphism, FlowMorphism]]:
     """Search for an invertible morphism x -> y; returns (iso, inverse) or None.
 
@@ -304,9 +305,10 @@ def find_flow_isomorphism(
     size at no charge.  Composition and adjacency (into adj*) are checked
     forward during assignment, as in any morphism search; adjacency is
     checked backward once a bijection is complete, which is what
-    invertibility of morphisms requires.
+    invertibility of morphisms requires.  The candidate budget is that of
+    `s_equivalent`.
     """
-    meter = _Budget(budget)
+    meter = _Budget()
     for sigma in _state_maps(x, y, _path_and_component_counts, meter):
         # injective over all of x's paths into y's, as many: a bijection
         for path_map in _path_assignments(x, y, sigma, meter, injective=True):

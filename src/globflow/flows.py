@@ -667,7 +667,7 @@ def deadlocks(
         raise UnknownIdError(f"unknown state: {init}")
     stray = finals - flow.skeleton
     if stray:
-        raise UnknownIdError("unknown final states: " + ", ".join(sorted(stray)))
+        raise UnknownIdError("unknown final states: " + ", ".join(map(repr, sorted(stray))))
     reachable = {init}
     departing = set()
     for s, t in flow.path_ends.values():

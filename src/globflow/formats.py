@@ -378,9 +378,9 @@ def _input_from_doc(doc: Any) -> tuple[str, Any, dict[str, Any]]:
 # morphisms
 
 
-def morphism_to_doc(f: FlowMorphism, codomain: FiniteFlow, **annotations) -> dict:
+def morphism_to_doc(f: FlowMorphism, codomain: FiniteFlow) -> dict:
     return {
-        "codomain": flow_to_doc(codomain, **annotations),
+        "codomain": flow_to_doc(codomain),
         "state_map": dict(sorted(f.state_map.items())),
         "path_map": dict(sorted(f.path_map.items())),
     }
@@ -404,8 +404,8 @@ def morphism_from_doc(doc: Any) -> tuple[FlowMorphism, FiniteFlow, dict[str, Any
     )
 
 
-def dumps_morphism(f: FlowMorphism, codomain: FiniteFlow, **annotations) -> str:
-    return json.dumps(morphism_to_doc(f, codomain, **annotations), indent=2) + "\n"
+def dumps_morphism(f: FlowMorphism, codomain: FiniteFlow) -> str:
+    return json.dumps(morphism_to_doc(f, codomain), indent=2) + "\n"
 
 
 def loads_morphism(text: str) -> tuple[FlowMorphism, FiniteFlow, dict[str, Any]]:

@@ -117,15 +117,16 @@ def test_criterion_4_subdivisions_are_t_dihomotopies():
 
 
 @criterion(5, "S-equivalence oracle on the curated pair")
-def test_criterion_5_s_equivalence_on_the_curated_pair():
+def test_criterion_5_s_equivalence_on_the_curated_pair(monkeypatch):
     thin = realize(glob_discrete(["c"]))
     squared = realize(make_parallel_pair(with_square=True))
     bare = realize(make_parallel_pair(with_square=False))
-    witness = s_equivalent(squared, thin, budget=1000)
+    monkeypatch.setenv("GLOBFLOW_SEARCH_BUDGET", "1000")
+    witness = s_equivalent(squared, thin)
     assert witness is not None
     # same pair minus the square: the exhaustive search completes empty
     # well inside a 10**3 candidate budget
-    assert s_equivalent(bare, thin, budget=1000) is None
+    assert s_equivalent(bare, thin) is None
 
 
 @criterion(6, "PV corpus matches the interleaving oracle")

@@ -14,6 +14,7 @@ import pytest
 import oracles
 from conftest import explicit, make_chain, make_grid, make_interval, make_parallel_pair, run
 from globflow import (
+    SearchBudgetExceeded,
     dumps_complex,
     dumps_flow,
     dumps_morphism,
@@ -23,6 +24,7 @@ from globflow import (
     pv_to_complex,
     realize,
     realize_morphism,
+    s_equivalent,
     subdivide_edge,
     validate_flow,
     loads_flow,
@@ -245,6 +247,20 @@ class TestAnalyze:
         assert code == 3
         assert err == "error: search budget exhausted after 0 candidates\n"
 
+    def test_s_equiv_charges_as_the_library_does(self, tmp_path, monkeypatch):
+        grid_flow = realize(make_grid(True))
+        grid = tmp_path / "grid.flow.json"
+        grid.write_text(dumps_flow(grid_flow))
+        # the library's search needs 20 candidates on this pair
+        for budget in (0, 19, 20):
+            monkeypatch.setenv("GLOBFLOW_SEARCH_BUDGET", str(budget))
+            try:
+                expected = (0, cli.s_equiv_report(s_equivalent(grid_flow, grid_flow)) + "\n", "")
+            except SearchBudgetExceeded as exc:
+                expected = (3, "", f"error: {exc}\n")
+            assert run("analyze", str(grid), "--s-equiv", str(grid)) == expected
+            assert expected[0] == (0 if budget == 20 else 3)
+
     @pytest.mark.parametrize("kind", ["complex", "pv"])
     def test_realize_over_the_limit_exits_3(self, tmp_path, kind):
         # a 1,500-step chain: 1,125,750 paths and 562,499,750 composites,
@@ -398,13 +414,32 @@ class TestAnalyze:
         )
         # a piece that joins into no state is a name of its own
         assert run("analyze", str(path), "--deadlocks", "--finals", "p0:4,p1:4,,p0:9,x") == (
-            1, "", "error: unknown final states: p0:9, x\n"
+            1, "", "error: unknown final states: 'p0:9', 'x'\n"
         )
 
     def test_finals_join_the_longest_run_from_the_left(self):
         args = cli._parse_args(["analyze", "F", "--deadlocks", "--init", "i", "--finals", "a,b,c,,a,d"])
         states = {"a", "a,b", "a,b,c,d", "b,c", "c"}
         assert cli._deadlock_ends(args, states, {}) == ("i", ["a,b", "c", "a", "d"])
+
+    def test_finals_lookups_grow_linearly_with_the_pieces(self):
+        # no run is longer than the most commas of a state name, plus one
+        class CountingSet(set):
+            lookups = 0
+
+            def __contains__(self, name):
+                self.lookups += 1
+                return super().__contains__(name)
+
+        def lookups(k):
+            states = CountingSet({"a,b", "c"})
+            args = cli._parse_args(
+                ["analyze", "F", "--deadlocks", "--init", "i", "--finals", ",".join(["a", "b", "c", "x"] * k)]
+            )
+            assert cli._deadlock_ends(args, states, {}) == ("i", ["a,b", "c", "x"] * k)
+            return states.lookups
+
+        assert lookups(100) <= 2.1 * lookups(50)
 
     def test_unknown_state_exits_1(self, glob_ab_flow_file):
         code, _, err = run("analyze", glob_ab_flow_file, "--germs", "zz")

@@ -797,7 +797,7 @@ class TestComplexDeadlocks:
         c = make_chain(2)
         with pytest.raises(UnknownIdError, match="^unknown state: zz$"):
             complex_deadlocks(c, "zz")
-        with pytest.raises(UnknownIdError, match="^unknown final states: x, y$"):
+        with pytest.raises(UnknownIdError, match="^unknown final states: 'x', 'y'$"):
             complex_deadlocks(c, "s0", ["y", "s2", "x"])
         assert complex_deadlocks(c, "s0") == ("s2",)
         assert complex_deadlocks(c, "s1", ["s2"]) == ()

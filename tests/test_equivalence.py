@@ -1,3 +1,4 @@
+import inspect
 import random
 from collections import Counter
 from itertools import islice, permutations, product
@@ -40,6 +41,7 @@ from globflow import (
 )
 from globflow import equivalence
 from globflow.equivalence import (
+    DEFAULT_SEARCH_BUDGET,
     _Budget,
     _component_counts,
     _path_and_component_counts,
@@ -74,21 +76,24 @@ class TestEnumerateMorphisms:
         for f in enumerate_flow_morphisms(dom, cod):
             assert not flow_morphism_violations(f, dom, cod)
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         dom = realize(make_chain(3))
         cod = realize(make_chain(3))
+        monkeypatch.setenv("GLOBFLOW_SEARCH_BUDGET", "3")
         with pytest.raises(SearchBudgetExceeded):
-            list(enumerate_flow_morphisms(dom, cod, budget=3))
+            list(enumerate_flow_morphisms(dom, cod))
 
-    def test_budget_charges_are_pinned(self):
+    def test_budget_charges_are_pinned(self, monkeypatch):
         # the smallest budgets that let each search finish
         chain = realize(make_chain(3))
         grid = realize(make_grid(True))
         identity = {s: s for s in grid.skeleton}
         for dom, state_map, budget in ((chain, None, 262), (grid, None, 296), (grid, identity, 11)):
-            list(enumerate_flow_morphisms(dom, dom, state_map, budget=budget))
+            monkeypatch.setenv("GLOBFLOW_SEARCH_BUDGET", str(budget))
+            list(enumerate_flow_morphisms(dom, dom, state_map))
+            monkeypatch.setenv("GLOBFLOW_SEARCH_BUDGET", str(budget - 1))
             with pytest.raises(SearchBudgetExceeded):
-                list(enumerate_flow_morphisms(dom, dom, state_map, budget=budget - 1))
+                list(enumerate_flow_morphisms(dom, dom, state_map))
 
 
 def _morphisms_by_check(dom, cod):
@@ -159,11 +164,12 @@ class TestSEquivalent:
         assert f.path_map == {"a": "c", "b": "c"}
         assert g.path_map == {"c": "a"}
 
-    def test_unsquared_pair_is_not_equivalent(self):
+    def test_unsquared_pair_is_not_equivalent(self, monkeypatch):
         fat = realize(make_parallel_pair(with_square=False))
         thin = realize(glob_discrete(["c"]))
         # completes well under a 10**3 budget: the search space is tiny
-        assert s_equivalent(fat, thin, budget=1000) is None
+        monkeypatch.setenv("GLOBFLOW_SEARCH_BUDGET", "1000")
+        assert s_equivalent(fat, thin) is None
 
     def test_witness_passes_the_definition(self):
         fat = realize(make_parallel_pair(with_square=True))
@@ -179,20 +185,24 @@ class TestSEquivalent:
     def test_skeleton_size_mismatch_is_disproof(self):
         assert s_equivalent(realize(make_chain(2)), glob_flow(["a"])) is None
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         grid = realize(make_grid(True))
+        monkeypatch.setenv("GLOBFLOW_SEARCH_BUDGET", "5")
         with pytest.raises(SearchBudgetExceeded):
-            s_equivalent(grid, grid, budget=5)
+            s_equivalent(grid, grid)
 
-    def test_budget_charges_are_pinned(self):
+    def test_budget_charges_are_pinned(self, monkeypatch):
         # the smallest budgets that let each search finish
         grid = realize(make_grid(True))
-        assert s_equivalent(grid, grid, budget=20) is not None
+        monkeypatch.setenv("GLOBFLOW_SEARCH_BUDGET", "20")
+        assert s_equivalent(grid, grid) is not None
+        monkeypatch.setenv("GLOBFLOW_SEARCH_BUDGET", "19")
         with pytest.raises(SearchBudgetExceeded):
-            s_equivalent(grid, grid, budget=19)
+            s_equivalent(grid, grid)
         pair = realize(make_parallel_pair(with_square=False))
         edge = realize(glob_discrete(["c"]))
-        assert s_equivalent(pair, edge, budget=0) is None
+        monkeypatch.setenv("GLOBFLOW_SEARCH_BUDGET", "0")
+        assert s_equivalent(pair, edge) is None
 
 
 class TestLongSearches:
@@ -234,7 +244,7 @@ class TestFindFlowIsomorphism:
             assert not flow_morphism_violations(inverse, renamed, flow)
             assert compose_flow_morphisms(inverse, iso) == identity_flow_morphism(flow)
 
-    def test_no_table_built_and_size_mismatches_cost_nothing(self):
+    def test_no_table_built_and_size_mismatches_cost_nothing(self, monkeypatch):
         globe = realize(glob_discrete(["a", "b"]))
         other = realize(glob_discrete(["c", "d"]))
         assert find_flow_isomorphism(globe, other) is not None
@@ -244,16 +254,18 @@ class TestFindFlowIsomorphism:
         for flow in (globe, other, grid):
             assert "composition" not in vars(flow)
         # the state colours refuse these before any candidate is charged
+        monkeypatch.setenv("GLOBFLOW_SEARCH_BUDGET", "0")
         for x, y in (
             (glob_flow(["a"]), glob_flow(["a", "b"])),
             (realize(make_grid(True)), realize(make_grid(False))),
         ):
-            assert s_equivalent(x, y, budget=0) is None
-            assert find_flow_isomorphism(x, y, budget=0) is None
+            assert s_equivalent(x, y) is None
+            assert find_flow_isomorphism(x, y) is None
 
-    def test_budget_is_enough(self):
+    def test_budget_is_enough(self, monkeypatch):
         grid = realize(make_grid(True))
-        assert find_flow_isomorphism(grid, grid, budget=10) is not None
+        monkeypatch.setenv("GLOBFLOW_SEARCH_BUDGET", "10")
+        assert find_flow_isomorphism(grid, grid) is not None
 
     def test_path_count_mismatch(self):
         assert find_flow_isomorphism(glob_flow(["a"]), glob_flow(["a", "b"])) is None
@@ -542,12 +554,12 @@ class TestStateMaps:
         pruned = witnesses = 0
         for x, y in _equiv_cli_pairs(rng, _equiv_cli_bases(rng, 30)):
             fx, fy = _library_flow(x), _library_flow(y)
-            kept = list(_state_maps(fx, fy, _component_counts, _Budget(None)))
+            kept = list(_state_maps(fx, fy, _component_counts, _Budget()))
             assert kept == _kept_state_maps(x, y, with_paths=False)
             for sigma in _witness_state_maps(x, y):
                 witnesses += 1
                 assert sigma in kept
-            iso_kept = list(_state_maps(fx, fy, _path_and_component_counts, _Budget(None)))
+            iso_kept = list(_state_maps(fx, fy, _path_and_component_counts, _Budget()))
             assert iso_kept == _kept_state_maps(x, y, with_paths=True)
             pruned += len(kept) < factorial(len(x[0]))
         # three pairs of four have a witness; most pairs lose state maps
@@ -599,12 +611,13 @@ class TestSearchOracleOnEquivCliShapes:
         # more state
         assert isomorphic == 2 * len(bases) and equivalent == 3 * len(bases)
 
-    def test_a_missing_square_is_refused_before_any_candidate(self):
+    def test_a_missing_square_is_refused_before_any_candidate(self, monkeypatch):
         squared = realize(make_grid(True))
         plain = realize(make_grid(False))
+        monkeypatch.setenv("GLOBFLOW_SEARCH_BUDGET", "0")
         for x, y in ((squared, plain), (plain, squared)):
-            assert s_equivalent(x, y, budget=0) is None
-            assert find_flow_isomorphism(x, y, budget=0) is None
+            assert s_equivalent(x, y) is None
+            assert find_flow_isomorphism(x, y) is None
 
 
 def _twin_pair(seed):
@@ -715,9 +728,53 @@ class _Meter(_Budget):
 
     last = None
 
-    def __init__(self, limit):
-        super().__init__(limit)
+    def __init__(self):
+        super().__init__()
         _Meter.last = self
+
+
+def _search(search, x, y):
+    """The outcome of one search x -> y, the morphisms listed in full."""
+    found = search(x, y)
+    return list(found) if search is enumerate_flow_morphisms else found
+
+
+class TestBudgetFromTheEnvironment:
+    """Every search reads GLOBFLOW_SEARCH_BUDGET when it starts, and takes
+    no budget of its own."""
+
+    SEARCHES = [s_equivalent, find_flow_isomorphism, enumerate_flow_morphisms]
+
+    @pytest.mark.parametrize("search", SEARCHES, ids=lambda f: f.__name__)
+    def test_the_budget_is_read_when_the_search_starts(self, search, monkeypatch):
+        assert "budget" not in inspect.signature(search).parameters
+        grid = realize(make_grid(True))
+        monkeypatch.setattr(equivalence, "_Budget", _Meter)
+        monkeypatch.delenv("GLOBFLOW_SEARCH_BUDGET", raising=False)
+        answer = _search(search, grid, grid)
+        assert _Meter.last.limit == DEFAULT_SEARCH_BUDGET
+        needed = _Meter.last.used
+        assert needed > 0
+        # set after import and changed between calls: each call reads it
+        monkeypatch.setenv("GLOBFLOW_SEARCH_BUDGET", str(needed))
+        assert _search(search, grid, grid) == answer
+        assert _Meter.last.limit == _Meter.last.used == needed
+        for limit in (needed - 1, 0):
+            monkeypatch.setenv("GLOBFLOW_SEARCH_BUDGET", str(limit))
+            with pytest.raises(SearchBudgetExceeded) as refused:
+                _search(search, grid, grid)
+            assert refused.value.budget == limit
+
+    @pytest.mark.parametrize("search", SEARCHES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("value", ["-1", "abc", ""])
+    def test_a_malformed_budget_is_refused_before_any_charge(self, search, value, monkeypatch):
+        charges = []
+        monkeypatch.setattr(_Budget, "charge", lambda meter: charges.append(meter))
+        monkeypatch.setenv("GLOBFLOW_SEARCH_BUDGET", value)
+        grid = realize(make_grid(True))
+        with pytest.raises(ValueError, match="^GLOBFLOW_SEARCH_BUDGET must be a non-negative integer$"):
+            _search(search, grid, grid)
+        assert charges == []
 
 
 def _concatenative_cases(rng, count):
