@@ -43,8 +43,8 @@ print("restricted to {u, w}:", sorted(restrict(flow, {"u", "w"}).paths))
 
 # germs: all ways of leaving u "the same way" collapse to one class,
 # because a path is identified with each of its extensions
-print("germs leaving u:", germs(flow, "u", "minus").classes)
-print("germs entering v:", germs(flow, "v", "plus").classes)
+print("germs leaving u:", germs(flow, "u", "minus"))
+print("germs entering v:", germs(flow, "v", "plus"))
 
 # realize builds cell by cell too; a realizer goes on from where it is,
 # and each square adds the moves pre.left.suf ~ pre.right.suf around it

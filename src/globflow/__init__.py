@@ -54,7 +54,6 @@ from .errors import (
 from .flows import (
     FiniteFlow,
     FlowMorphism,
-    GermSet,
     compose_flow_morphisms,
     deadlocks,
     dihomotopy_classes,
@@ -79,8 +78,6 @@ from .formats import (
     loads_complex,
     loads_flow,
     loads_morphism,
-    morphism_from_doc,
-    morphism_to_doc,
 )
 from .pv import DEFAULT_COMPILE_LIMIT, PvProgram, PvStep, parse_pv, pv_to_complex, state_name
 from .realization import (
@@ -102,7 +99,7 @@ __all__ = [
     "complex_morphism_violations", "identity_complex_morphism",
     "compose_complex_morphisms", "subdivide_edge", "complex_deadlocks",
     # flows
-    "FiniteFlow", "FlowMorphism", "GermSet", "validate_flow", "glob_flow",
+    "FiniteFlow", "FlowMorphism", "validate_flow", "glob_flow",
     "restrict", "germs", "dihomotopy_classes", "flow_morphism_violations",
     "identity_flow_morphism", "compose_flow_morphisms", "s_homotopic", "deadlocks",
     # realization
@@ -117,8 +114,7 @@ __all__ = [
     # formats
     "complex_to_doc", "complex_from_doc", "dumps_complex", "loads_complex",
     "flow_to_doc", "flow_from_doc", "dumps_flow", "loads_flow",
-    "morphism_to_doc", "morphism_from_doc", "dumps_morphism", "loads_morphism",
-    "dumps_realization", "export_dot",
+    "dumps_morphism", "loads_morphism", "dumps_realization", "export_dot",
     # errors
     "GlobflowError", "UnknownIdError", "InvalidComplexError", "InvalidFlowError",
     "InvalidMorphismError", "InvalidAttachmentError", "SearchBudgetExceeded",

@@ -43,19 +43,20 @@ nothing is checked twice, and a flow realized from a complex, like a
 complex compiled from `--pv` source, is born with the empty report.  A
 violation exits 2 with one "violation:" line per violation.
 
-`realize` refuses a flow document, and what `realization.realize`
-refuses (exit 3 over the realization limit) from the exact counts,
-without building the flow, then writes the realization document of
-`formats`: the complex it realized, not the flow.  `analyze` and --s-equiv
-read a complex or realization document as the flow it stands for, and
-answer on it as on that flow's flow document, byte for byte.  --deadlocks
-and --classes answer on the complex and never realize it: the deadlocks
-are the reachable, non-final states no edge leaves
-(`complexes.complex_deadlocks`), past any realization limit, and the
-classes are `realization._realized_classes`, which refuses what `realize`
-refuses (exit 3) and writes each member as its path id.  A --finals name
-may hold commas, as a compiled PV state's does.  `dot` renders a complex
-document's complex, and any other document's flow.
+`realize` refuses a flow document (exit 1) before it checks one, and
+what `realization.realize` refuses (exit 3 over the realization limit)
+from the exact counts, without building the flow, then writes the
+realization document of `formats`: the complex it realized, not the
+flow.  `analyze` and --s-equiv read a complex or realization document as
+the flow it stands for, and answer on it as on that flow's flow
+document, byte for byte.  --deadlocks and --classes answer on the
+complex and never realize it: the deadlocks are the reachable, non-final
+states no edge leaves (`complexes.complex_deadlocks`), past any
+realization limit, and the classes are `realization._realized_classes`,
+which refuses what `realize` refuses (exit 3) and writes each member as
+its path id.  A --finals name may hold commas, as a compiled PV state's
+does.  `dot` renders a complex document's complex, and any other
+document's flow.
 """
 
 from __future__ import annotations
@@ -91,17 +92,11 @@ def deadlocks_report(states) -> str:
     return "\n".join([f"{len(states)} deadlocks"] + [f"  {s}" for s in states])
 
 
-def classes_report(blocks) -> str:
-    lines = [f"{len(blocks)} classes"]
+def _blocks_report(noun: str, plural: str, blocks) -> str:
+    """The classes or the germs `blocks`, each numbered as a `noun`."""
+    lines = [f"{len(blocks)} {plural}"]
     for i, block in enumerate(blocks):
-        lines.append(f"  class {i}: " + " ".join(block))
-    return "\n".join(lines)
-
-
-def germs_report(germ_set) -> str:
-    lines = [f"{len(germ_set.classes)} germs"]
-    for i, block in enumerate(germ_set.classes):
-        lines.append(f"  germ {i}: " + " ".join(block))
+        lines.append(f"  {noun} {i}: " + " ".join(block))
     return "\n".join(lines)
 
 
@@ -174,9 +169,11 @@ def cmd_realize(args) -> int:
     if args.pv:
         complex_ = pv_to_complex(parse_pv(_read(args.input)))
     else:
-        kind, complex_, _ = _load(args.input, "complex document")
+        # the kind first: a flow document is refused, valid or not
+        kind, complex_, _ = _input_from_doc(_parse_json(_read(args.input), "complex document"))
         if kind == "flow":
             raise FormatError("complex document: a flow document holds no complex")
+        _check_complex(complex_)
     # the document holds the complex, not the flow: `realize` refuses an
     # over-limit complex (exit 3) from its counts and builds no table until
     # one is read
@@ -242,11 +239,11 @@ def cmd_analyze(args) -> int:
         print(deadlocks_report(find_deadlocks(obj, *_deadlock_ends(args, states, annotations))))
     elif args.classes is not None:
         src, tgt = (_resolve_state(s, states, annotations) for s in args.classes)
-        print(classes_report(find_classes(obj, src, tgt)))
+        print(_blocks_report("class", "classes", find_classes(obj, src, tgt)))
     elif args.germs is not None:
         state = _resolve_state(args.germs, states, annotations)
         sign = "plus" if args.plus else "minus"
-        print(germs_report(germs(obj, state, sign)))
+        print(_blocks_report("germ", "germs", germs(obj, state, sign)))
     elif args.t_check is not None:
         morphism, codomain, _ = loads_morphism(_read(args.t_check))
         require_valid_flow(codomain)

@@ -747,7 +747,8 @@ def subdivide_edge(
 
     Returns the refined complex and the canonical morphism into it, which
     sends the split edge to the two-edge chain and fixes everything else.
-    Square boundaries mentioning the edge are rewritten in place.  The
+    Each square side of the refined complex is its image under that
+    morphism, so a side naming an edge `c` lacks raises KeyError.  The
     refined complex holds rows only, read off the rows of `c`.
     """
     if edge_id not in c._edge_row:
@@ -759,12 +760,13 @@ def subdivide_edge(
     first = _fresh(f"{edge_id}_a", taken)
     taken.add(first)
     second = _fresh(f"{edge_id}_b", taken)
-
-    def rewrite(path: ExecPath) -> ExecPath:
-        out: list[str] = []
-        for e in path:
-            out.extend((first, second) if e == edge_id else (e,))
-        return tuple(out)
+    morphism = ComplexMorphism(
+        state_map={s: s for s in c.states},
+        edge_map={
+            row[0]: ((first, second) if row[0] == edge_id else (row[0],))
+            for row in c._edge_rows
+        },
+    )
 
     edges: list[EdgeRow] = []
     for row in c._edge_rows:
@@ -774,19 +776,13 @@ def subdivide_edge(
         else:
             edges.append(row)
 
+    image = morphism.path_image
     refined = GlobularComplex._from_rows(
         c.states + (mid,),
         tuple(edges),
-        tuple((qid, rewrite(left), rewrite(right)) for qid, left, right in c._square_rows),
+        tuple((qid, image(left), image(right)) for qid, left, right in c._square_rows),
         c.finals,
         c.init,
-    )
-    morphism = ComplexMorphism(
-        state_map={s: s for s in c.states},
-        edge_map={
-            row[0]: ((first, second) if row[0] == edge_id else (row[0],))
-            for row in c._edge_rows
-        },
     )
     return refined, morphism
 

@@ -488,20 +488,9 @@ def restrict(flow: FiniteFlow, keep: Iterable[str]) -> FiniteFlow:
 # germs
 
 
-@dataclass(frozen=True)
-class GermSet:
-    """Classes of paths that begin (minus) or end (plus) the same way at a state."""
-
-    state: str
-    sign: str
-    classes: tuple[tuple[str, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-
-def germs(flow: FiniteFlow, state: str, sign: str) -> GermSet:
-    """Quotient of the paths leaving (minus) or entering (plus) `state`.
+def germs(flow: FiniteFlow, state: str, sign: str) -> tuple[tuple[str, ...], ...]:
+    """The germs at `state`: the quotient of the paths leaving (minus) or
+    entering (plus) it, as a tuple of classes, each a tuple of path ids.
 
     Minus identifies a path with every right extension (gamma with
     gamma * gamma'), plus with every left extension.  The classes are
@@ -525,7 +514,7 @@ def germs(flow: FiniteFlow, state: str, sign: str) -> GermSet:
             z = compose(p, q) if minus else compose(q, p)
             if z in member_set:
                 joins.append((p, z))
-    return GermSet(state=state, sign=sign, classes=_blocks(members, joins))
+    return _blocks(members, joins)
 
 
 def dihomotopy_classes(

@@ -60,9 +60,10 @@ its `finals` sorted when it has any, as annotations.  `flow_from_doc` and
 complex, which validates it and refuses one over the realization limit:
 the flow and annotations that the flow document of that realization gives.
 
-Morphism documents carry the codomain inline, as any document that
-`flow_from_doc` reads (a complex or realization one gives its realized
-flow, which is born valid):
+Morphism documents, which `dumps_morphism` writes and `loads_morphism`
+reads, carry the codomain inline, as any document that `flow_from_doc`
+reads (a complex or realization one gives its realized flow, which is
+born valid):
 
     {"codomain": <flow, complex or realization document>,
      "state_map": {state: state, ...},
@@ -163,19 +164,15 @@ def complex_from_doc(doc: Any) -> GlobularComplex:
             ):
                 edges.append((eid, src, tgt, label))
                 continue
-        # something is wrong with this entry: name it, checking in field order
+        # something is wrong with this entry: a check, in field order, names it
         where = f"complex document: edges[{i}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: expected an object")
-        label = entry.get("label")
         if label is not None and not isinstance(label, str):
             raise FormatError(f"{where}: label must be a string")
-        edges.append((
-            _require(entry, "id", str, where),
-            _require(entry, "src", str, where),
-            _require(entry, "tgt", str, where),
-            label,
-        ))
+        _require(entry, "id", str, where)
+        _require(entry, "src", str, where)
+        _require(entry, "tgt", str, where)
     squares = []
     for i, entry in enumerate(_optional_list(doc, "squares", "complex document")):
         if isinstance(entry, dict):
@@ -183,15 +180,13 @@ def complex_from_doc(doc: Any) -> GlobularComplex:
             if isinstance(qid, str) and _is_string_list(left) and _is_string_list(right):
                 squares.append((qid, tuple(left), tuple(right)))
                 continue
-        # something is wrong with this entry: name it, checking in field order
+        # something is wrong with this entry: a check, in field order, names it
         where = f"complex document: squares[{i}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: expected an object")
-        squares.append((
-            _require(entry, "id", str, where),
-            tuple(_string_list(entry, "left", where)),
-            tuple(_string_list(entry, "right", where)),
-        ))
+        _require(entry, "id", str, where)
+        _string_list(entry, "left", where)
+        _string_list(entry, "right", where)
     init = doc.get("init")
     if init is not None and not isinstance(init, str):
         raise FormatError("complex document: init must be a string")
@@ -270,17 +265,15 @@ def _flow_doc(doc: Any) -> tuple[FiniteFlow, dict[str, Any]]:
             ):
                 path_ends[pid] = (src, tgt)
                 continue
-        # something is wrong with this entry: name it, checking in field order
+        # something is wrong with this entry: a check, in field order, names it
         where = f"flow document: paths[{i}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: expected an object")
         pid = _require(entry, "id", str, where)
         if pid in path_ends:
             raise FormatError(f"{where}: duplicate path id {pid!r}")
-        path_ends[pid] = (
-            _require(entry, "src", str, where),
-            _require(entry, "tgt", str, where),
-        )
+        _require(entry, "src", str, where)
+        _require(entry, "tgt", str, where)
     concatenative = "composition" in doc
     if concatenative and doc["composition"] != CONCATENATION:
         raise FormatError(
@@ -378,16 +371,18 @@ def _input_from_doc(doc: Any) -> tuple[str, Any, dict[str, Any]]:
 # morphisms
 
 
-def morphism_to_doc(f: FlowMorphism, codomain: FiniteFlow) -> dict:
-    return {
+def dumps_morphism(f: FlowMorphism, codomain: FiniteFlow) -> str:
+    doc = {
         "codomain": flow_to_doc(codomain),
         "state_map": dict(sorted(f.state_map.items())),
         "path_map": dict(sorted(f.path_map.items())),
     }
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def morphism_from_doc(doc: Any) -> tuple[FlowMorphism, FiniteFlow, dict[str, Any]]:
+def loads_morphism(text: str) -> tuple[FlowMorphism, FiniteFlow, dict[str, Any]]:
     """The morphism, its codomain (`flow_from_doc`) and the codomain's annotations."""
+    doc = _parse_json(text, "morphism document")
     if not isinstance(doc, dict):
         raise FormatError("morphism document: expected an object")
     codomain, annotations = flow_from_doc(_require(doc, "codomain", dict, "morphism document"))
@@ -402,14 +397,6 @@ def morphism_from_doc(doc: Any) -> tuple[FlowMorphism, FiniteFlow, dict[str, Any
         codomain,
         annotations,
     )
-
-
-def dumps_morphism(f: FlowMorphism, codomain: FiniteFlow) -> str:
-    return json.dumps(morphism_to_doc(f, codomain), indent=2) + "\n"
-
-
-def loads_morphism(text: str) -> tuple[FlowMorphism, FiniteFlow, dict[str, Any]]:
-    return morphism_from_doc(_parse_json(text, "morphism document"))
 
 
 def _parse_json(text: str, where: str):

@@ -181,12 +181,13 @@ class IncrementalRealizer:
     """Builds the realization of a complex one cell at a time.
 
     The realizer owns the realization's tables and changes them in place:
-    the states attached so far and the rows of the edges and squares (an
-    attached `Edge` or `Square` is kept as its row), path endpoints, the
-    paths out of and into each state, and the (left id, right id, source,
-    target) of each non-degenerate square.  It keeps no composition table,
-    only the number of composable pairs, which the limit bounds, and no
-    adjacency: its flows make their move pairs when `adjacency` is read.
+    the rows of the edges and squares (an attached `Edge` or `Square` is
+    kept as its row), path endpoints, the paths out of and into each state
+    (the states attached so far, in attach order, are the keys of the
+    first), and the (left id, right id, source, target) of each
+    non-degenerate square.  It keeps no composition table, only the
+    number of composable pairs, which the limit bounds, and no adjacency:
+    its flows make their move pairs when `adjacency` is read.
     Attaching a state grows the skeleton.  Attaching an edge creates
     exactly the paths through it (old path into its source, the edge, old
     path out of its target), from heads and tails built once for its
@@ -218,10 +219,7 @@ class IncrementalRealizer:
         """Set up the tables of `c` from empty: every edge, then every
         square.  A realizer a `realize` flow fills this way, without
         `__init__`, has not counted `c` and is read once, never attached to."""
-        self._base = c
-        # the states in attach order (a dict with None values is an ordered
-        # set), as `complex` lists them
-        self._states: dict[str, None] = dict.fromkeys(c.states)
+        self._finals, self._init = c.finals, c.init
         self._edge_row: dict[str, EdgeRow] = {}
         self._square_row: dict[str, SquareRow] = {}
         self._path_ends: dict[str, tuple[str, str]] = {}
@@ -239,8 +237,8 @@ class IncrementalRealizer:
     def complex(self) -> GlobularComplex:
         if self._complex is None:
             self._complex = GlobularComplex._from_rows(
-                tuple(self._states), tuple(self._edge_row.values()),
-                tuple(self._square_row.values()), self._base.finals, self._base.init,
+                tuple(self._out), tuple(self._edge_row.values()),
+                tuple(self._square_row.values()), self._finals, self._init,
             )
         return self._complex
 
@@ -248,7 +246,7 @@ class IncrementalRealizer:
     def flow(self) -> FiniteFlow:
         if self._flow is None:
             ends, moves = dict(self._path_ends), tuple(self._moves)
-            self._flow = _RealizedFlow(frozenset(self._states), ends, moves)
+            self._flow = _RealizedFlow(frozenset(self._out), ends, moves)
         return self._flow
 
     def attach(self, cell: Cell) -> None:
@@ -262,9 +260,8 @@ class IncrementalRealizer:
             raise InvalidAttachmentError(f"not an attachable cell: {cell!r}")
 
     def attach_state(self, name: str) -> None:
-        if name in self._states:
+        if name in self._out:
             raise InvalidAttachmentError(f"state already present: {name}")
-        self._states[name] = None
         self._out[name] = []
         self._into[name] = []
         self._changed()
@@ -277,7 +274,7 @@ class IncrementalRealizer:
         if PATH_SEPARATOR in eid:
             raise InvalidAttachmentError(f"reserved character in edge id: {eid}")
         for endpoint in (src, tgt):
-            if endpoint not in self._states:
+            if endpoint not in out:
                 raise InvalidAttachmentError(f"dangling endpoint: {endpoint}")
         heads, tails = self._edge_paths(row)
         targets = [t for t, _ in tails]

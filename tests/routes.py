@@ -25,7 +25,7 @@ from functools import cached_property, partial
 import oracles
 from conftest import explicit, pv_oracle_input, random_complex, random_pv_source, ready_order, run
 from globflow import (
-    GermSet, GlobflowError, GlobularComplex, IncrementalRealizer, UnknownIdError, cli,
+    GlobflowError, GlobularComplex, IncrementalRealizer, UnknownIdError, cli,
     complex_deadlocks, deadlocks, dihomotopy_classes, dumps_complex, export_dot, germs,
     loads_complex, parse_pv, pv_to_complex, realize, state_name,
 )
@@ -150,10 +150,11 @@ def _answer(argv, annotations, states, deadlocks_of, classes_of, germs_of=None, 
             report, found = cli.deadlocks_report, deadlocks_of(init, finals)
         elif args.classes is not None:
             src, tgt = (cli._resolve_state(s, states, annotations) for s in args.classes)
-            report, found = cli.classes_report, classes_of(src, tgt)
+            report, found = partial(cli._blocks_report, "class", "classes"), classes_of(src, tgt)
         else:
             state = cli._resolve_state(args.germs, states, annotations)
-            report, found = cli.germs_report, germs_of(state, "plus" if args.plus else "minus")
+            sign = "plus" if args.plus else "minus"
+            report, found = partial(cli._blocks_report, "germ", "germs"), germs_of(state, sign)
     except GlobflowError:
         return "", 1
     return None if found is None else (report(found) + "\n", 0)
@@ -265,7 +266,7 @@ def oracle_answer(inp: Input, argv):
         if realized is None:
             return None
         blocks = oracles.germ_classes(realized[1], realized[2], state, sign)
-        return GermSet(state, sign, _sorted_blocks(blocks))
+        return _sorted_blocks(blocks)
 
     return _answer(argv, inp.annotations, c.state_set, deadlocks_of, classes_of, germs_of)
 

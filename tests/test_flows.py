@@ -510,16 +510,13 @@ class TestRestrict:
 
 class TestGerms:
     def test_glob_two_labels_minus(self):
-        germ_set = germs(glob_flow(["a", "b"]), "0", "minus")
-        assert germ_set.classes == (("a",), ("b",))
+        assert germs(glob_flow(["a", "b"]), "0", "minus") == (("a",), ("b",))
 
     def test_chain_minus_at_start(self):
-        germ_set = germs(chain_flow(2), "s0", "minus")
-        assert germ_set.classes == (("e0", "e0*e1"),)
+        assert germs(chain_flow(2), "s0", "minus") == (("e0", "e0*e1"),)
 
     def test_chain_plus_at_middle(self):
-        germ_set = germs(chain_flow(2), "s1", "plus")
-        assert germ_set.classes == (("e0",),)
+        assert germs(chain_flow(2), "s1", "plus") == (("e0",),)
 
     def test_unknown_state(self):
         with pytest.raises(UnknownIdError):
@@ -534,7 +531,7 @@ class TestGerms:
     def test_chains_match_bruteforce_closure(self, length, sign):
         flow = chain_flow(length)
         for state in flow.skeleton:
-            got = {frozenset(block) for block in germs(flow, state, sign).classes}
+            got = {frozenset(block) for block in germs(flow, state, sign)}
             want = oracles.germ_classes(flow.path_ends, flow.composition, state, sign)
             assert got == want
 
@@ -554,10 +551,10 @@ class TestGerms:
             for sign in ("minus", "plus"):
                 original = {
                     frozenset(rename[p] for p in block)
-                    for block in germs(flow, state, sign).classes
+                    for block in germs(flow, state, sign)
                 }
                 relabeled = {
-                    frozenset(block) for block in germs(renamed, state, sign).classes
+                    frozenset(block) for block in germs(renamed, state, sign)
                 }
                 assert original == relabeled
 

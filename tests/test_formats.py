@@ -375,12 +375,17 @@ class TestFlowReaderErrors:
      "complex document: edges[0]: expected an object"),
     (loads_complex, '{"states": ["u", "v"], "edges": [{"id": "e", "src": "u", "tgt": "v", "label": 3}]}',
      "complex document: edges[0]: label must be a string"),
+    (loads_complex, '{"states": ["u", "v"], "edges": [{"id": "e", "src": "u"}]}',
+     "complex document: edges[0]: missing field 'tgt'"),
+    (loads_complex, '{"states": ["u", "v"], "edges": [{"id": "e", "src": "u", "tgt": 3}]}',
+     "complex document: edges[0]: field 'tgt' has the wrong type"),
     (loads_complex, '{"states": ["u"], "edges": [], "squares": [1]}',
      "complex document: squares[0]: expected an object"),
     (loads_flow, "[]", "flow document: expected an object"),
     (loads_flow, '{"skeleton": [], "paths": [], "init": 3}', "flow document: init must be a string"),
     (loads_morphism, "[]", "morphism document: expected an object"),
-], ids=["edge-entry", "edge-label", "square-entry", "flow-document", "flow-init", "morphism-document"])
+], ids=["edge-entry", "edge-label", "edge-no-tgt", "edge-tgt-type", "square-entry",
+        "flow-document", "flow-init", "morphism-document"])
 def test_document_fault_messages(load, text, message):
     with pytest.raises(FormatError) as caught:
         load(text)

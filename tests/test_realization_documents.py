@@ -202,6 +202,17 @@ class TestDocumentKinds:
             1, "", "error: complex document: a flow document holds no complex\n"
         )
 
+    def test_realize_refuses_a_flow_document_before_it_checks_it(self, tmp_path):
+        # a path into a state the skeleton lacks, which `validate_flow` refuses
+        doc = {"skeleton": ["u"], "paths": [{"id": "p", "src": "u", "tgt": "v"}],
+               "compose": [], "adjacency": []}
+        document, output = tmp_path / "dangling.flow.json", tmp_path / "out.json"
+        document.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("realize", str(document), "-o", str(output)) == (
+            1, "", "error: complex document: a flow document holds no complex\n"
+        )
+        assert not output.exists()
+
     def test_every_kind_answers_alike(self, mutex):
         for argv in (("--deadlocks",), ("--classes", "init", "final"), ("--germs", "init"),
                      ("--s-equiv", mutex["flow"])):
