@@ -43,9 +43,10 @@ nothing is checked twice, and a flow realized from a complex, like a
 complex compiled from `--pv` source, is born with the empty report.  A
 violation exits 2 with one "violation:" line per violation.
 
-`realize` refuses a flow document (exit 1) before it checks one, and
-what `realization.realize` refuses (exit 3 over the realization limit)
-from the exact counts, without building the flow, then writes the
+`realize` refuses a document that holds no complex (exit 1) before it
+reads a field of it (`formats._complex_input`), and what
+`realization.realize` refuses (exit 3 over the realization limit) from
+the exact counts, without building the flow, then writes the
 realization document of `formats`: the complex it realized, not the
 flow.  `analyze` and --s-equiv read a complex or realization document as
 the flow it stands for, and answer on it as on that flow's flow
@@ -67,7 +68,7 @@ import stat
 import sys
 from types import SimpleNamespace
 
-from .complexes import GlobularComplex, complex_deadlocks, validate_complex
+from .complexes import GlobularComplex, complex_deadlocks, require_valid, validate_complex
 from .equivalence import check_t_dihomotopy, s_equivalent
 from .errors import (
     CompileLimitExceeded,
@@ -78,8 +79,9 @@ from .errors import (
     RealizationLimitExceeded,
     SearchBudgetExceeded,
 )
-from .flows import FiniteFlow, deadlocks, dihomotopy_classes, germs, require_valid_flow
-from .formats import dumps_realization, export_dot, loads_morphism, _input_from_doc, _parse_json
+from .flows import deadlocks, dihomotopy_classes, germs, require_valid_flow
+from .formats import dumps_realization, export_dot, loads_morphism
+from .formats import _complex_input, _input_from_doc, _parse_json
 from .pv import parse_pv, pv_to_complex
 from .realization import _realized_classes, realize
 
@@ -157,11 +159,11 @@ def _load(path: str, where: str, realized: bool = False):
     `path` (`formats._input_from_doc`): a complex after `_check_complex`,
     realized if `realized`, and a flow after `require_valid_flow`."""
     kind, obj, annotations = _input_from_doc(_parse_json(_read(path), where))
-    if kind != "flow":
+    if kind == "flow":
+        require_valid_flow(obj)
+    else:
         _check_complex(obj)
         obj = realize(obj) if realized else obj
-    if isinstance(obj, FiniteFlow):
-        require_valid_flow(obj)
     return kind, obj, annotations
 
 
@@ -169,10 +171,8 @@ def cmd_realize(args) -> int:
     if args.pv:
         complex_ = pv_to_complex(parse_pv(_read(args.input)))
     else:
-        # the kind first: a flow document is refused, valid or not
-        kind, complex_, _ = _input_from_doc(_parse_json(_read(args.input), "complex document"))
-        if kind == "flow":
-            raise FormatError("complex document: a flow document holds no complex")
+        # the kind first: a document holding no complex is refused, valid or not
+        _, complex_, _ = _complex_input(_parse_json(_read(args.input), "complex document"))
         _check_complex(complex_)
     # the document holds the complex, not the flow: `realize` refuses an
     # over-limit complex (exit 3) from its counts and builds no table until
@@ -183,13 +183,10 @@ def cmd_realize(args) -> int:
 
 
 def _check_complex(complex_: GlobularComplex) -> None:
-    """Print the complex's validation warnings on stderr, then raise
-    InvalidComplexError if it does not validate."""
-    report = validate_complex(complex_)
-    for warning in report.warnings:
+    """Print the complex's validation warnings on stderr, then `require_valid` it."""
+    for warning in validate_complex(complex_).warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if not report.ok:
-        raise InvalidComplexError(report.violations)
+    require_valid(complex_)
 
 
 def _resolve_state(name: str, states, annotations) -> str:

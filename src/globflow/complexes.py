@@ -28,14 +28,17 @@ order (`_suffix_table`, behind `enumerate_paths`): each out-edge of a
 state, in edge-id order, goes before the paths out of its target, so the
 list is lexicographic with no stack.  `enumerate_paths` refuses a complex
 that does not validate, with InvalidComplexError carrying its validation
-report.  Every path of a complex is listed by its realizer alone.
+report.  Every path of a complex is listed by its realizer alone.  One
+function (`_require_states`) checks the states that an analysis names, on
+a complex or a flow, and words its refusals.
 
 A complex keeps its cells as rows: an edge is (id, src, tgt, label) and a
 square (id, left, right).  Two indexes are read off the edge rows and
 hold the rows themselves: id -> row, which every walk along a side uses
-(`exec_path_ends`), and the rows of each state's out-edges in edge-id
-order.  The document reader (`formats.complex_from_doc`), the compiler
-(`pv.pv_to_complex`), `subdivide_edge`, `glob_discrete` and the realizer's
+(`exec_path_ends`, which gives a path's two ends), and the rows of each
+state's out-edges in edge-id order.  The document reader
+(`formats.complex_from_doc`), the compiler (`pv.pv_to_complex`),
+`subdivide_edge`, `glob_discrete` and the realizer's
 `complex` fill the rows directly, and the `edges`, `squares` and
 `edge_map` of such a complex are built as `Edge` and `Square` values only
 when a caller reads them.  A complex built from those values derives its
@@ -250,12 +253,6 @@ class GlobularComplex:
         """The `validate_complex` report, worked out once per complex."""
         return _validation_report(self)
 
-    def path_source(self, path: ExecPath) -> StateId:
-        return self._edge_row[path[0]][1]
-
-    def path_target(self, path: ExecPath) -> StateId:
-        return self._edge_row[path[-1]][2]
-
     def is_exec_path(self, path: Iterable[str]) -> bool:
         """Nonempty, every id resolves, consecutive edges composable."""
         return exec_path_ends(self._edge_row, path) is not None
@@ -411,6 +408,19 @@ def _cycle(c: GlobularComplex, order: tuple[StateId, ...]) -> list[StateId]:
     return [s, *reversed(loop[loop.index(s):])]
 
 
+def _require_states(known: frozenset, names: Iterable[StateId], finals=()) -> frozenset:
+    """The `finals`, read once, as a set; UnknownIdError for the first of
+    `names` not `known`, else for every final not known, sorted in `repr`."""
+    finals = frozenset(finals)
+    for s in names:
+        if s not in known:
+            raise UnknownIdError(f"unknown state: {s}")
+    stray = finals - known
+    if stray:
+        raise UnknownIdError("unknown final states: " + ", ".join(map(repr, sorted(stray))))
+    return finals
+
+
 def require_valid(c: GlobularComplex) -> None:
     report = validate_complex(c)
     if not report.ok:
@@ -436,9 +446,7 @@ def enumerate_paths(c: GlobularComplex, src: StateId, tgt: StateId) -> list[Exec
     from the suffix table over the states between them in topological order.
     Raises UnknownIdError for an unknown endpoint, and otherwise
     InvalidComplexError if the complex does not validate."""
-    for s in (src, tgt):
-        if s not in c.state_set:
-            raise UnknownIdError(f"unknown state: {s}")
+    _require_states(c.state_set, (src, tgt))
     order = c.topological_order
     span = order[order.index(src):order.index(tgt)]
     table = _suffix_table(c, span, {tgt: [[()]]}) if span else {}
@@ -505,16 +513,11 @@ def complex_deadlocks(
     paths out of `init` are the states its edges reach, which one forward
     pass over the topological order finds (`_reach`), O(V + E).  Raises
     InvalidComplexError if the complex does not validate, and otherwise
-    UnknownIdError for an unknown `init` or final state, with the texts of
-    `flows.deadlocks`.
+    UnknownIdError for an unknown `init` or final state, as `flows.deadlocks`
+    does.
     """
     order = c.topological_order  # raises InvalidComplexError first
-    finals = frozenset(finals)
-    if init not in c.state_set:
-        raise UnknownIdError(f"unknown state: {init}")
-    stray = finals - c.state_set
-    if stray:
-        raise UnknownIdError("unknown final states: " + ", ".join(map(repr, sorted(stray))))
+    finals = _require_states(c.state_set, (init,), finals)
     out = c._out
     reached = _reach(c, order[order.index(init):])
     return tuple(sorted(s for s in reached if not out[s] and s not in finals))
@@ -650,12 +653,10 @@ def same_move_class(c: GlobularComplex, a: ExecPath, b: ExecPath) -> bool:
     a, b = tuple(a), tuple(b)
     if a == b:
         return True
-    if not (c.is_exec_path(a) and c.is_exec_path(b)):
+    ends = exec_path_ends(c._edge_row, a)
+    if ends is None or exec_path_ends(c._edge_row, b) != ends:
         return False
-    src, tgt = c.path_source(a), c.path_target(a)
-    if (c.path_source(b), c.path_target(b)) != (src, tgt):
-        return False
-    step, _ = _class_steps(c, src, tgt)
+    step, _ = _class_steps(c, *ends)
     return _class_of(step, a) == _class_of(step, b)
 
 
@@ -721,12 +722,10 @@ def complex_morphism_violations(
         if not image:
             out.append(f"contracted edge: {eid} maps to the empty path")
             continue
-        if not cod.is_exec_path(image):
+        ends = exec_path_ends(cod._edge_row, image)
+        if ends is None:
             out.append(f"edge {eid} maps to a non-path: {image}")
-            continue
-        if f.state_map.get(src) != cod.path_source(image) or (
-            f.state_map.get(tgt) != cod.path_target(image)
-        ):
+        elif (f.state_map.get(src), f.state_map.get(tgt)) != ends:
             out.append(f"endpoint mismatch on edge {eid}")
     if out:
         return out
@@ -760,13 +759,8 @@ def subdivide_edge(
     first = _fresh(f"{edge_id}_a", taken)
     taken.add(first)
     second = _fresh(f"{edge_id}_b", taken)
-    morphism = ComplexMorphism(
-        state_map={s: s for s in c.states},
-        edge_map={
-            row[0]: ((first, second) if row[0] == edge_id else (row[0],))
-            for row in c._edge_rows
-        },
-    )
+    identity = identity_complex_morphism(c)
+    morphism = ComplexMorphism(identity.state_map, {**identity.edge_map, edge_id: (first, second)})
 
     edges: list[EdgeRow] = []
     for row in c._edge_rows:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
-from .complexes import PATH_SEPARATOR, ValidationReport, _cached_property
+from .complexes import PATH_SEPARATOR, ValidationReport, _cached_property, _require_states
 from .errors import InvalidFlowError, InvalidMorphismError, UnknownIdError
 from .unionfind import class_numbers_of
 
@@ -78,19 +78,16 @@ class FiniteFlow:
     def sorted_paths(self) -> tuple[str, ...]:
         return tuple(sorted(self.path_ends))
 
-    @_cached_property
-    def by_src(self) -> dict[str, tuple[str, ...]]:
+    def _index(self, end: int) -> dict[str, tuple[str, ...]]:
+        """The sorted paths at each state, by source (`end` 0) or target (1)."""
         table: dict[str, list[str]] = {s: [] for s in self.skeleton}
+        ends = self.path_ends
         for p in self.sorted_paths:
-            table.setdefault(self.path_ends[p][0], []).append(p)
+            table.setdefault(ends[p][end], []).append(p)
         return {s: tuple(ps) for s, ps in table.items()}
 
-    @_cached_property
-    def by_tgt(self) -> dict[str, tuple[str, ...]]:
-        table: dict[str, list[str]] = {s: [] for s in self.skeleton}
-        for p in self.sorted_paths:
-            table.setdefault(self.path_ends[p][1], []).append(p)
-        return {s: tuple(ps) for s, ps in table.items()}
+    by_src = _cached_property(lambda self: self._index(0))
+    by_tgt = _cached_property(lambda self: self._index(1))
 
     def paths_from(self, state: str) -> tuple[str, ...]:
         return self.by_src.get(state, ())
@@ -407,23 +404,17 @@ def _congruence_violations(flow: FiniteFlow, matched) -> list[str]:
     out = []
     for a, b in matched:
         s, t = ends[a]
-        for y in flow.paths_from(t):
-            ay, by = compose((a, y)), compose((b, y))
-            if ay is None or by is None:
+        # a and b extended on the right by each path out of t, then on the left
+        pairs = [((a, y), (b, y)) for y in flow.paths_from(t)]
+        pairs += [((z, a), (z, b)) for z in flow.paths_into(s)]
+        for one, other in pairs:
+            p, q = compose(one), compose(other)
+            if p is None or q is None:
                 continue
-            if component(ay, ay) != component(by, by):
+            if component(p, p) != component(q, q):
                 out.append(
-                    f"adjacency congruence: {a} ~ {b} but {a} * {y} and {b} * {y} "
-                    "are in distinct components"
-                )
-        for z in flow.paths_into(s):
-            za, zb = compose((z, a)), compose((z, b))
-            if za is None or zb is None:
-                continue
-            if component(za, za) != component(zb, zb):
-                out.append(
-                    f"adjacency congruence: {a} ~ {b} but {z} * {a} and {z} * {b} "
-                    "are in distinct components"
+                    f"adjacency congruence: {a} ~ {b} but {' * '.join(one)} and "
+                    f"{' * '.join(other)} are in distinct components"
                 )
     return out
 
@@ -501,8 +492,7 @@ def germs(flow: FiniteFlow, state: str, sign: str) -> tuple[tuple[str, ...], ...
     """
     if sign not in ("minus", "plus"):
         raise ValueError(f"germs: sign must be 'minus' or 'plus', got {sign!r}")
-    if state not in flow.skeleton:
-        raise UnknownIdError(f"unknown state: {state}")
+    _require_states(flow.skeleton, (state,))
 
     minus = sign == "minus"
     members = flow.paths_from(state) if minus else flow.paths_into(state)
@@ -521,9 +511,7 @@ def dihomotopy_classes(
     flow: FiniteFlow, src: str, tgt: str
 ) -> tuple[tuple[str, ...], ...]:
     """adj*-components of the paths from src to tgt, sorted."""
-    for s in (src, tgt):
-        if s not in flow.skeleton:
-            raise UnknownIdError(f"unknown state: {s}")
+    _require_states(flow.skeleton, (src, tgt))
     # adjacency preserves endpoints, so the components of the member paths
     # under the pairs among them are their adj*-components in the flow
     ends, pair = flow.path_ends, (src, tgt)
@@ -651,12 +639,7 @@ def deadlocks(
     path endpoints finds both the states some path leaves and the targets
     of the paths out of `init`; no index of the flow is built.
     """
-    finals = frozenset(finals)
-    if init not in flow.skeleton:
-        raise UnknownIdError(f"unknown state: {init}")
-    stray = finals - flow.skeleton
-    if stray:
-        raise UnknownIdError("unknown final states: " + ", ".join(map(repr, sorted(stray))))
+    finals = _require_states(flow.skeleton, (init,), finals)
     reachable = {init}
     departing = set()
     for s, t in flow.path_ends.values():

@@ -52,10 +52,11 @@ which fixes the flow (see `realization`):
 This is what `globflow realize` writes (`dumps_realization`): the complex
 in declaration order, on one line from the C JSON encoder, so a realized
 flow costs the size of its complex on disk and not that of its path set.
-`_input_from_doc` is the one place that tells document kinds apart: a
-realization document (REALIZATION_OF), a complex document (`states`), else
-a flow document.  It hands out a complex unrealized, with its `init`, and
-its `finals` sorted when it has any, as annotations.  `flow_from_doc` and
+`_kind` is the one place that tells document kinds apart, by their keys:
+a realization document (REALIZATION_OF), a complex document (`states`),
+else a flow document.  `_complex_input` hands out a complex unrealized,
+with its `init`, and its `finals` sorted when it has any, as annotations,
+and refuses any other kind before it reads a field.  `flow_from_doc` and
 `loads_flow` read a complex or realization document as `realize` of its
 complex, which validates it and refuses one over the realization limit:
 the flow and annotations that the flow document of that realization gives.
@@ -78,7 +79,7 @@ import json
 from operator import itemgetter
 from typing import Any
 
-from .complexes import GlobularComplex, require_valid
+from .complexes import GlobularComplex, exec_path_ends, require_valid
 from .errors import FormatError
 from .flows import (
     FiniteFlow,
@@ -350,17 +351,31 @@ def dumps_realization(c: GlobularComplex) -> str:
     return json.dumps({REALIZATION_OF: complex_to_doc(c)}, separators=(",", ":")) + "\n"
 
 
+def _kind(doc: Any) -> str:
+    """The kind of a document, from its keys alone: "realization" with
+    REALIZATION_OF, "complex" with `states`, else "flow"."""
+    keys = doc if isinstance(doc, dict) else ()
+    return "realization" if REALIZATION_OF in keys else "complex" if "states" in keys else "flow"
+
+
 def _input_from_doc(doc: Any) -> tuple[str, Any, dict[str, Any]]:
-    """The kind of a document ("realization", "complex" or "flow"), the
-    complex or flow it holds, not yet validated, and its annotations: a
-    complex's `init`, and its `finals` sorted, when it has them."""
-    if isinstance(doc, dict) and REALIZATION_OF in doc:
-        kind, held = "realization", _require(doc, REALIZATION_OF, dict, "realization document")
-    elif isinstance(doc, dict) and "states" in doc:
-        kind, held = "complex", doc
-    else:
-        return ("flow", *_flow_doc(doc))
-    c = complex_from_doc(held)
+    """The kind of a document (`_kind`), the complex or flow it holds, not
+    yet validated, and its annotations (`_complex_input` for a complex)."""
+    return ("flow", *_flow_doc(doc)) if _kind(doc) == "flow" else _complex_input(doc)
+
+
+def _complex_input(doc: Any) -> tuple[str, GlobularComplex, dict[str, Any]]:
+    """The kind of a complex or realization document, its complex, not yet
+    validated, and its annotations: the complex's `init`, and its `finals`
+    sorted, when it has them.  A document of any other kind holds no
+    complex, and is refused before a field of it is read."""
+    kind = _kind(doc)
+    if kind == "flow":
+        held = "a flow document holds no complex" if isinstance(doc, dict) else "expected an object"
+        raise FormatError(f"complex document: {held}")
+    if kind == "realization":
+        doc = _require(doc, REALIZATION_OF, dict, "realization document")
+    c = complex_from_doc(doc)
     annotations: dict[str, Any] = {} if c.init is None else {"init": c.init}
     if c.finals:
         annotations["finals"] = sorted(c.finals)
@@ -427,42 +442,33 @@ def export_dot(obj) -> str:
     """
     if isinstance(obj, GlobularComplex):
         require_valid(obj)
-        lines = ["digraph complex {"]
         finals = set(obj.finals)
-        for s in sorted(obj.states):
-            attrs = []
-            if s in finals:
-                attrs.append("peripheries=2")
-            if s == obj.init:
-                attrs.append("style=bold")
-            lines.append(f"  {_quote(s)}" + (f" [{', '.join(attrs)}]" if attrs else "") + ";")
-        for eid, src, tgt, label in sorted(obj._edge_rows, key=itemgetter(0)):
-            label = eid if label is None else f"{eid}: {label}"
-            lines.append(f"  {_quote(src)} -> {_quote(tgt)} [label={_quote(label)}];")
-        for qid, left, _ in sorted(obj._square_rows, key=itemgetter(0)):
-            src, tgt = obj.path_source(left), obj.path_target(left)
-            lines.append(
-                f"  {_quote(src)} -> {_quote(tgt)} "
-                f"[label={_quote(qid)}, style=dashed, constraint=false];"
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        nodes = [(s, ["peripheries=2"] * (s in finals) + ["style=bold"] * (s == obj.init))
+                 for s in sorted(obj.states)]
+        arrows = [(src, tgt, eid if label is None else f"{eid}: {label}")
+                  for eid, src, tgt, label in sorted(obj._edge_rows, key=itemgetter(0))]
+        links = [(*exec_path_ends(obj._edge_row, left), qid)
+                 for qid, left, _ in sorted(obj._square_rows, key=itemgetter(0))]
+        return _dot("complex", nodes, arrows, links)
 
     if isinstance(obj, FiniteFlow):
         require_valid_flow(obj)
-        lines = ["digraph flow {"]
-        for s in sorted(obj.skeleton):
-            lines.append(f"  {_quote(s)};")
-        for p in obj.sorted_paths:
-            src, tgt = obj.path_ends[p]
-            lines.append(f"  {_quote(src)} -> {_quote(tgt)} [label={_quote(p)}];")
-        for a, b in sorted(obj.adjacency):
-            src, tgt = obj.path_ends[a]
-            lines.append(
-                f"  {_quote(src)} -> {_quote(tgt)} "
-                f"[label={_quote(f'{a} ~ {b}')}, style=dashed, constraint=false];"
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        ends = obj.path_ends
+        arrows = [(*ends[p], p) for p in obj.sorted_paths]
+        links = [(*ends[a], f"{a} ~ {b}") for a, b in sorted(obj.adjacency)]
+        return _dot("flow", [(s, ()) for s in sorted(obj.skeleton)], arrows, links)
 
     raise TypeError(f"cannot export {type(obj).__name__} as DOT")
+
+
+def _dot(graph: str, nodes, arrows, links) -> str:
+    """The DOT text of a digraph: its `nodes` (name, attributes), then its
+    `arrows` and dashed `links` (source, target, label)."""
+    lines = [f"digraph {graph} {{"]
+    lines += [f"  {_quote(s)}" + (f" [{', '.join(attrs)}]" if attrs else "") + ";"
+              for s, attrs in nodes]
+    for style, pairs in (("", arrows), (", style=dashed, constraint=false", links)):
+        lines += [f"  {_quote(s)} -> {_quote(t)} [label={_quote(label)}{style}];"
+                  for s, t, label in pairs]
+    lines.append("}")
+    return "\n".join(lines) + "\n"

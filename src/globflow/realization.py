@@ -21,18 +21,16 @@ than GLOBFLOW_REALIZE_LIMIT (default 10^6): `realize`,
 is the edge ids all path ids spell out; adjacency pairs are outside it.
 
 There is one construction, `IncrementalRealizer`, the one lister of a
-complex's paths: it builds a realization cell by cell, keeps its paths
-current while a complex is built, and makes its flow from a copy of them
-when the flow is read.  It keeps the cells as rows, as a complex does (see
-`complexes`), so it builds no `Edge` or `Square` value; it takes them only
-from a caller that attaches them.  A realized flow, like its composition
-table, makes its move pairs only when `adjacency` is read: its paths at
-the squares' ends are those its `by_tgt` and `by_src` index, and one
-function (`_move_pairs`) makes every pair, each ordered by comparing its
-two ids.
-`realize(c)` refuses what the realizer refuses and then returns a flow
-that holds `c` and has a realizer make its paths the first time a table
-is read, so a caller that only needs the refusal pays only the count.
+complex's paths: it builds a realization cell by cell and keeps its paths
+current while a complex is built.  It keeps the cells as rows, as a
+complex does (see `complexes`), so it builds no `Edge` or `Square` value;
+it takes them only from a caller that attaches them.  There is one
+realized flow, `_RealizedFlow`, holding the complex it realizes: a
+realizer's `flow` is handed copies of its paths and squares, and the one
+`realize(c)` returns, once `c` is refused as the realizer refuses it, has
+a realizer make them the first time a table is read, so a caller that
+only needs the refusal pays only the count.  One function (`_move_pairs`)
+makes every move pair, each ordered by comparing its two ids.
 """
 
 from __future__ import annotations
@@ -89,7 +87,7 @@ def realize(c: GlobularComplex) -> FiniteFlow:
     flow keeps both tables, and answers composites from its path ids.
     """
     _admit(c)
-    return _DeferredFlow(c)
+    return _RealizedFlow(c)
 
 
 def count_paths_and_composites(c: GlobularComplex) -> tuple[int, int]:
@@ -200,15 +198,15 @@ class IncrementalRealizer:
 
     Making a realizer refuses `c` as `realize` does, then adds every edge
     row of `c` and then every square row to empty tables.  The attach
-    methods return nothing.  `flow` is made when read, from a copy of the
-    paths and the squares recorded, so no later attach changes a flow
-    already read, whenever its adjacency is read, and it is kept
-    until the next attach goes through.  `complex` is `c` until the first
-    attach, and is otherwise built from the realizer's rows, in attach
-    order, with the finals and init of `c`, when read; a square attached
-    with list sides comes back with tuple sides.  So an attach costs what
-    the cell adds, and the first read of `flow` after it costs a copy of
-    the paths.
+    methods return nothing.  `flow` is made when read, a `_RealizedFlow` of
+    `complex` handed copies of the paths and the squares recorded, so no
+    later attach changes a flow already read, whenever its adjacency is
+    read, and it is kept until the next attach goes through.  `complex`
+    is `c` until the first attach, and is otherwise built from the
+    realizer's rows, in attach order, with the finals and init of `c`,
+    when read; a square attached with list sides comes back with tuple
+    sides.  So an attach costs what the cell adds, and the first read of
+    `flow` after it copies the paths and the rows.
     """
 
     def __init__(self, c: GlobularComplex):
@@ -229,7 +227,7 @@ class IncrementalRealizer:
         for row in c._edge_rows:
             self._add_edge(row, *self._edge_paths(row))
         for row in c._square_rows:
-            self._add_square(row, c.path_source(row[1]), c.path_target(row[1]))
+            self._add_square(row, *exec_path_ends(c._edge_row, row[1]))
         self._flow: Optional[FiniteFlow] = None
         self._complex: Optional[GlobularComplex] = c
 
@@ -245,8 +243,8 @@ class IncrementalRealizer:
     @property
     def flow(self) -> FiniteFlow:
         if self._flow is None:
-            ends, moves = dict(self._path_ends), tuple(self._moves)
-            self._flow = _RealizedFlow(frozenset(self._out), ends, moves)
+            flow = self._flow = _RealizedFlow(self.complex)
+            flow.path_ends, flow._moves = dict(self._path_ends), tuple(self._moves)
         return self._flow
 
     def attach(self, cell: Cell) -> None:
@@ -365,37 +363,24 @@ def _move_pairs(moves: Iterable, into: dict, out: dict) -> Iterator[tuple[str, s
 
 
 class _RealizedFlow(_ConcatenativeFlow):
-    """A realization's flow: its states, its path endpoints and the (left
-    id, right id, source, target) of each non-degenerate square.  Like its
-    composition table, its move pairs are made the first time `adjacency`
-    is read, and kept: `_move_pairs` pairs the paths `by_tgt` lists into
-    the squares' sources with those `by_src` lists out of their targets.
-    A realizer's `flow` is one; `realize` returns a `_DeferredFlow`.
-    Everything else is `_ConcatenativeFlow`'s."""
+    """The flow of a complex it holds: its states, its path endpoints and the
+    (left id, right id, source, target) of each non-degenerate square,
+    which a realizer hands it or, on its first read of `path_ends`, fills
+    without counting again.  Its move pairs are made when `adjacency` is
+    first read, by `_move_pairs` over `by_tgt` and `by_src`.  Everything
+    else is `_ConcatenativeFlow`'s."""
 
     # its complex validated or its attaches checked, as for `pv_to_complex`'s
     validation = ValidationReport()
 
-    def __init__(self, skeleton: frozenset[str], path_ends: dict, moves: tuple):
-        self.skeleton = skeleton
-        self.path_ends = path_ends
-        self._moves = moves
-
-    @_cached_property
-    def adjacency(self) -> frozenset[tuple[str, str]]:
-        into = self.by_tgt  # a deferred flow's first read sets _moves
-        return frozenset(_move_pairs(self._moves, into, self.by_src))
-
-
-class _DeferredFlow(_RealizedFlow):
-    """The flow `realize` returns for a complex it has admitted.  It holds
-    the complex; the first read of `path_ends` or `adjacency` has a
-    realizer make the paths without counting again, and the flow keeps
-    the paths and the squares the realizer recorded, not the realizer."""
-
     def __init__(self, c: GlobularComplex):
         self.skeleton = frozenset(c.states)
         self._complex = c
+
+    @_cached_property
+    def adjacency(self) -> frozenset[tuple[str, str]]:
+        into = self.by_tgt  # the first read of `path_ends` sets _moves
+        return frozenset(_move_pairs(self._moves, into, self.by_src))
 
     @_cached_property
     def path_ends(self) -> dict[str, tuple[str, str]]:

@@ -38,6 +38,7 @@ from globflow import (
     subdivide_edge,
     validate_complex,
 )
+from globflow.complexes import exec_path_ends
 
 
 def objects_of(doc: dict) -> GlobularComplex:
@@ -136,7 +137,7 @@ def test_rows_are_read_as_the_objects_are(name, text, read):
         assert rows.squares_into == objects.squares_into
         for e in objects.edges:
             path = (e.id,)
-            assert rows.path_source(path) == e.src and rows.path_target(path) == e.tgt
+            assert exec_path_ends(rows._edge_row, path) == (e.src, e.tgt)
             assert rows.is_exec_path(path)
         for q in objects.squares:
             assert rows.is_exec_path(q.left) and rows.is_exec_path(q.right)

@@ -21,7 +21,10 @@ from globflow import (
     complex_deadlocks,
     complex_morphism_violations,
     compose_complex_morphisms,
+    deadlocks,
+    dihomotopy_classes,
     enumerate_paths,
+    germs,
     glob_discrete,
     identity_complex_morphism,
     parse_pv,
@@ -36,6 +39,7 @@ from globflow import (
     subdivide_edge,
     validate_complex,
 )
+from globflow.complexes import exec_path_ends
 from globflow.realization import count_paths_and_composites
 
 
@@ -70,7 +74,8 @@ class TestValidateComplex:
         rng = random.Random(2600 + seed)
         c = random_complex(rng, min_edges=1)
         path = rng.choice(all_exec_paths(c))
-        back = Edge("back", c.path_target(path), c.path_source(path))
+        src, tgt = exec_path_ends(c._edge_row, path)
+        back = Edge("back", tgt, src)
 
         def shuffled():
             states, edges = list(c.states), [*c.edges, back]
@@ -217,9 +222,7 @@ class TestEnumeratePaths:
                 for tgt in c.states:
                     for path in enumerate_paths(c, src, tgt):
                         assert path
-                        assert c.is_exec_path(path)
-                        assert c.path_source(path) == src
-                        assert c.path_target(path) == tgt
+                        assert exec_path_ends(c._edge_row, path) == (src, tgt)
 
 
 def _spelled(entry):
@@ -806,6 +809,51 @@ class TestComplexDeadlocks:
         c = GlobularComplex(states=("u",), edges=(Edge("e", "u", "v"),))
         with pytest.raises(InvalidComplexError):
             complex_deadlocks(c, "u")
+
+
+class TestNamedStates:
+    """Every analysis that names states refuses an unknown one with the same
+    texts, on a complex and on its realization alike."""
+
+    # s -> x -> t and s -> y -> t
+    DIAMOND = GlobularComplex(
+        states=("s", "x", "y", "t"),
+        edges=(Edge("a", "s", "x"), Edge("b", "x", "t"), Edge("c", "s", "y"), Edge("d", "y", "t")),
+    )
+    TEXTS = {
+        "ends": [  # (source, target): the source is checked first
+            (("zz", "t"), "unknown state: zz"),
+            (("s", "zz"), "unknown state: zz"),
+            (("yy", "zz"), "unknown state: yy"),
+        ],
+        "deadlocks": [  # (init, finals): the init is checked first
+            (("zz",), "unknown state: zz"),
+            (("zz", ["yy"]), "unknown state: zz"),
+            (("s", ["zz", "t", "a'b"]), "unknown final states: \"a'b\", 'zz'"),
+        ],
+        "germs": [
+            (("zz", "minus"), "unknown state: zz"),
+            (("zz", "plus"), "unknown state: zz"),
+        ],
+    }
+
+    @pytest.mark.parametrize("analysis, on, texts", [
+        (enumerate_paths, "complex", "ends"),
+        (complex_deadlocks, "complex", "deadlocks"),
+        (deadlocks, "flow", "deadlocks"),
+        (dihomotopy_classes, "flow", "ends"),
+        (germs, "flow", "germs"),
+    ], ids=["enumerate_paths", "complex_deadlocks", "deadlocks", "dihomotopy_classes", "germs"])
+    def test_unknown_states_raise_one_text(self, analysis, on, texts):
+        subject = self.DIAMOND if on == "complex" else realize(self.DIAMOND)
+        for args, text in self.TEXTS[texts]:
+            with pytest.raises(UnknownIdError) as caught:
+                analysis(subject, *args)
+            assert str(caught.value) == text, args
+        if texts == "deadlocks":
+            # the finals are read once, so a generator answers as a list does
+            assert analysis(subject, "s", (s for s in ["t"])) == analysis(subject, "s", ["t"]) == ()
+            assert analysis(subject, "s") == ("t",)
 
 
 class TestComplexMorphisms:

@@ -13,6 +13,7 @@ from globflow import (
     IncrementalRealizer,
     InvalidComplexError,
     InvalidFlowError,
+    Square,
     dumps_complex,
     dumps_flow,
     dumps_morphism,
@@ -488,3 +489,52 @@ class TestDotExport:
     def test_other_objects_are_refused(self):
         with pytest.raises(TypeError, match="^cannot export int as DOT$"):
             export_dot(42)
+
+    # four states with an init and a final, labelled and unlabelled edges
+    # and one square
+    DIAMOND = GlobularComplex(
+        states=("s", "x", "y", "t"),
+        edges=(Edge("a", "s", "x", "P(a)"), Edge("b", "x", "t"), Edge("c", "s", "y", "V(b)"),
+               Edge("d", "y", "t")),
+        squares=(Square("q", ("a", "b"), ("c", "d")),),
+        finals=("t",),
+        init="s",
+    )
+
+    def test_the_complex_text_is_frozen(self):
+        assert export_dot(self.DIAMOND) == (
+            "digraph complex {\n"
+            '  "s" [style=bold];\n'
+            '  "t" [peripheries=2];\n'
+            '  "x";\n'
+            '  "y";\n'
+            '  "s" -> "x" [label="a: P(a)"];\n'
+            '  "x" -> "t" [label="b"];\n'
+            '  "s" -> "y" [label="c: V(b)"];\n'
+            '  "y" -> "t" [label="d"];\n'
+            '  "s" -> "t" [label="q", style=dashed, constraint=false];\n'
+            "}\n"
+        )
+        # a state both init and final carries both attributes; names are quoted
+        one = GlobularComplex(states=('u"',), finals=('u"',), init='u"')
+        assert export_dot(one) == 'digraph complex {\n  "u\\"" [peripheries=2, style=bold];\n}\n'
+
+    def test_the_realized_flow_text_is_frozen(self):
+        text = (
+            "digraph flow {\n"
+            '  "s";\n'
+            '  "t";\n'
+            '  "x";\n'
+            '  "y";\n'
+            '  "s" -> "x" [label="a"];\n'
+            '  "s" -> "t" [label="a*b"];\n'
+            '  "x" -> "t" [label="b"];\n'
+            '  "s" -> "y" [label="c"];\n'
+            '  "s" -> "t" [label="c*d"];\n'
+            '  "y" -> "t" [label="d"];\n'
+            '  "s" -> "t" [label="a*b ~ c*d", style=dashed, constraint=false];\n'
+            "}\n"
+        )
+        flow = realize(self.DIAMOND)
+        assert export_dot(flow) == text
+        assert export_dot(explicit(flow)) == text

@@ -213,6 +213,32 @@ class TestDocumentKinds:
         )
         assert not output.exists()
 
+    @pytest.mark.parametrize("doc, refusal, flow_refusal", [
+        ({"state": ["u"], "edges": []}, "a flow document holds no complex", "missing field 'skeleton'"),
+        ({"skeleton": ["u"]}, "a flow document holds no complex", "missing field 'paths'"),
+        ({}, "a flow document holds no complex", "missing field 'skeleton'"),
+        ({"neither": True}, "a flow document holds no complex", "missing field 'skeleton'"),
+        ([1], "expected an object", "expected an object"),
+        ("states", "expected an object", "expected an object"),
+        (None, "expected an object", "expected an object"),
+    ])
+    def test_realize_refuses_by_kind_before_a_field_is_read(self, tmp_path, monkeypatch, doc,
+                                                           refusal, flow_refusal):
+        document, output = tmp_path / "input.json", tmp_path / "out.json"
+        document.write_text(json.dumps(doc), encoding="utf-8")
+        # analyze and dot read such a document as a flow document
+        for argv in (("analyze", str(document), "--deadlocks"), ("dot", str(document))):
+            assert run(*argv) == (1, "", f"error: flow document: {flow_refusal}\n")
+
+        def refuse(doc):
+            raise AssertionError("a flow field was read")
+
+        monkeypatch.setattr(formats, "_flow_doc", refuse)
+        assert run("realize", str(document), "-o", str(output)) == (
+            1, "", f"error: complex document: {refusal}\n"
+        )
+        assert not output.exists()
+
     def test_every_kind_answers_alike(self, mutex):
         for argv in (("--deadlocks",), ("--classes", "init", "final"), ("--germs", "init"),
                      ("--s-equiv", mutex["flow"])):
@@ -321,8 +347,9 @@ class TestDocumentKinds:
         assert run("analyze", str(path), "--germs", "0")[::2] == (0, warning)
         assert run("analyze", str(path), "--s-equiv", str(path))[::2] == (0, warning * 2)
 
+    # `realize` refuses such a document by its kind (see
+    # test_realize_refuses_by_kind_before_a_field_is_read)
     @pytest.mark.parametrize("argv", [
-        ("realize", "NEITHER"),
         ("analyze", "NEITHER", "--deadlocks"),
         ("dot", "NEITHER"),
         ("analyze", "FLOW", "--s-equiv", "NEITHER"),
